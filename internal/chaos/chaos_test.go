@@ -59,7 +59,7 @@ func replayRun(t *testing.T, plan Plan) (sched string, opErrs []string, stats cx
 
 	var line [cxl.LineSize]byte
 	for i := 0; i < 400; i++ {
-		addr := uint64((i%64)*cxl.LineSize)
+		addr := uint64((i % 64) * cxl.LineSize)
 		for j := range line {
 			line[j] = byte(i + j)
 		}

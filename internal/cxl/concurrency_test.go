@@ -2,7 +2,9 @@ package cxl
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -478,5 +480,60 @@ func TestSwitchRebindDuringTraffic(t *testing.T) {
 	}
 	if err := churnErr.Load(); err != nil {
 		t.Fatalf("control-plane churn failed: %v", err)
+	}
+}
+
+// TestConcurrentPartialWritesLoseNoUpdate has two writers own 2 bytes
+// each of one line and hammer the device with MemWrPtls, reading the
+// line back after every write. A device that served MemWrPtl as a
+// read-modify-write of the whole line would let one writer put back a
+// stale copy of the other's bytes: a lost update.
+func TestConcurrentPartialWritesLoseNoUpdate(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const (
+		writers = 2
+		writes  = 100_000
+	)
+	dev := testType3(t)
+	if err := dev.ProgramDecoder(&HDMDecoder{Base: 0, Size: 1 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		start sync.WaitGroup
+		done  sync.WaitGroup
+		lost  [writers]int
+	)
+	start.Add(1)
+	for w := 0; w < writers; w++ {
+		done.Add(1)
+		go func(w int) {
+			defer done.Done()
+			lo := 2 * w
+			req := MemReq{Opcode: OpMemWrPtl, Addr: 0, Mask: 0b11 << lo}
+			start.Wait()
+			for i := 1; i <= writes; i++ {
+				v := uint16(i)
+				binary.LittleEndian.PutUint16(req.Data[lo:], v)
+				if resp := dev.HandleMem(req); resp.Opcode != RespCmp {
+					t.Errorf("writer %d: MemWrPtl resp = %v", w, resp.Opcode)
+					return
+				}
+				resp := dev.HandleMem(MemReq{Opcode: OpMemRd, Addr: 0})
+				if resp.Opcode != RespMemData {
+					t.Errorf("writer %d: MemRd resp = %v", w, resp.Opcode)
+					return
+				}
+				if binary.LittleEndian.Uint16(resp.Data[lo:]) != v {
+					lost[w]++
+				}
+			}
+		}(w)
+	}
+	start.Done()
+	done.Wait()
+	for w, n := range lost {
+		if n != 0 {
+			t.Errorf("writer %d: %d of %d writes lost to the other writer", w, n, writes)
+		}
 	}
 }

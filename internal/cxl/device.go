@@ -2,6 +2,7 @@ package cxl
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -307,24 +308,22 @@ func (d *Type3Device) HandleMem(req MemReq) MemResp {
 		d.stats.Writes.Add(1)
 		resp.Opcode = RespCmp
 	case OpMemWrPtl:
-		// Read-modify-write under the byte mask.
+		// Only the masked bytes reach the media, one write per run of
+		// set mask bits and no read of the line, so writers of
+		// disjoint bytes of one line never undo each other. A mask of
+		// several runs lands run by run.
 		line := linePool.Get().(*[LineSize]byte)
-		if err := d.media.ReadAt(line[:], int64(dpa)); err != nil {
-			linePool.Put(line)
-			d.stats.Errors.Add(1)
-			resp.Opcode = RespErr
-			return resp
-		}
-		for i := 0; i < LineSize; i++ {
-			if req.Mask&(1<<uint(i)) != 0 {
-				line[i] = req.Data[i]
+		*line = req.Data
+		for mask := req.Mask; mask != 0; {
+			lo := bits.TrailingZeros64(mask)
+			n := bits.TrailingZeros64(^(mask >> lo))
+			if err := d.media.WriteAt(line[lo:lo+n], int64(dpa)+int64(lo)); err != nil {
+				linePool.Put(line)
+				d.stats.Errors.Add(1)
+				resp.Opcode = RespErr
+				return resp
 			}
-		}
-		if err := d.media.WriteAt(line[:], int64(dpa)); err != nil {
-			linePool.Put(line)
-			d.stats.Errors.Add(1)
-			resp.Opcode = RespErr
-			return resp
+			mask &^= (1<<n - 1) << lo
 		}
 		linePool.Put(line)
 		d.stats.PartialWrites.Add(1)

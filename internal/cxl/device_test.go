@@ -74,33 +74,59 @@ func TestType3MemReadWrite(t *testing.T) {
 	}
 }
 
+// TestType3PartialWrite checks that a MemWrPtl changes exactly the
+// masked bytes of the line, with one media write per run of set mask
+// bits and no media read.
 func TestType3PartialWrite(t *testing.T) {
-	dev := testType3(t)
-	if err := dev.ProgramDecoder(&HDMDecoder{Base: 0, Size: 1 << 20}); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		mask uint64
+		runs int64
+	}{
+		{"bytes 4-7", 0xF0, 1},
+		{"two runs", 0xFF00FF, 2},
+		{"run to byte 63", 0xFFFF << 48, 1},
+		{"full mask", ^uint64(0), 1},
+		{"zero mask", 0, 0},
 	}
-	var full [LineSize]byte
-	for i := range full {
-		full[i] = 0xAA
-	}
-	dev.HandleMem(MemReq{Opcode: OpMemWr, Addr: 0, Data: full})
-	// Overwrite bytes 4..8 only.
-	var req MemReq
-	req.Opcode = OpMemWrPtl
-	req.Addr = 0
-	req.Data[4], req.Data[5], req.Data[6], req.Data[7] = 1, 2, 3, 4
-	req.Mask = 0xF0
-	if resp := dev.HandleMem(req); resp.Opcode != RespCmp {
-		t.Fatalf("partial write resp = %v", resp.Opcode)
-	}
-	resp := dev.HandleMem(MemReq{Opcode: OpMemRd, Addr: 0})
-	want := full
-	want[4], want[5], want[6], want[7] = 1, 2, 3, 4
-	if !bytes.Equal(resp.Data[:], want[:]) {
-		t.Errorf("after partial write:\n got %v\nwant %v", resp.Data[:8], want[:8])
-	}
-	if dev.Stats().PartialWrites.Load() != 1 {
-		t.Error("partial write not counted")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dev := testType3(t)
+			if err := dev.ProgramDecoder(&HDMDecoder{Base: 0, Size: 1 << 20}); err != nil {
+				t.Fatal(err)
+			}
+			var full [LineSize]byte
+			for i := range full {
+				full[i] = 0xAA
+			}
+			dev.HandleMem(MemReq{Opcode: OpMemWr, Addr: 0, Data: full})
+			req := MemReq{Opcode: OpMemWrPtl, Addr: 0, Mask: tc.mask}
+			want := full
+			for i := range req.Data {
+				req.Data[i] = byte(i + 1)
+				if tc.mask&(1<<i) != 0 {
+					want[i] = req.Data[i]
+				}
+			}
+			media := dev.Media().Stats()
+			reads, writes := media.Reads.Load(), media.Writes.Load()
+			if resp := dev.HandleMem(req); resp.Opcode != RespCmp {
+				t.Fatalf("partial write resp = %v", resp.Opcode)
+			}
+			if got := media.Reads.Load() - reads; got != 0 {
+				t.Errorf("partial write read the media %d times, want 0", got)
+			}
+			if got := media.Writes.Load() - writes; got != tc.runs {
+				t.Errorf("partial write made %d media writes, want %d (one per mask run)", got, tc.runs)
+			}
+			resp := dev.HandleMem(MemReq{Opcode: OpMemRd, Addr: 0})
+			if !bytes.Equal(resp.Data[:], want[:]) {
+				t.Errorf("after partial write:\n got %v\nwant %v", resp.Data[:], want[:])
+			}
+			if dev.Stats().PartialWrites.Load() != 1 {
+				t.Error("partial write not counted")
+			}
+		})
 	}
 }
 

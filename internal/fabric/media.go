@@ -38,8 +38,8 @@ type tenantMedia struct {
 
 // mapping is one granted extent as the data path sees it.
 type mapping struct {
-	dpa      uint64        // tenant device address
-	poolBase uint64        // address in the pool media
+	dpa      uint64 // tenant device address
+	poolBase uint64 // address in the pool media
 	size     uint64
 	pool     memdev.Device // the pool backing this extent
 	revoked  bool

@@ -246,3 +246,104 @@ func TestCrashMatrixLaneIndependence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTornCommitThenTornBegin cuts power twice on one lane: first at
+// every media write of a Commit, then, after recovery, at every media
+// write of the next Begin on the same lane. Whatever the first
+// recovery decided (rolled back or committed), a Begin that adds no
+// range must not change it: the lane's undo entries belong to a
+// finished transaction, so the torn Begin must not leave them live
+// for the second recovery to replay over committed data.
+func TestTornCommitThenTornBegin(t *testing.T) {
+	const size = 64
+	old := bytes.Repeat([]byte{0x0A}, size)
+	new_ := bytes.Repeat([]byte{0x0B}, size)
+	// setup persists the object as old and opens a transaction that
+	// snapshots it and rewrites it as new in the view.
+	setup := func() (*Pool, *memRegion, OID, *Tx) {
+		r := newMemRegion(testPoolSize, true)
+		p, err := Create(r, "torn")
+		if err != nil {
+			t.Fatal(err)
+		}
+		oid, err := p.Alloc(size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := p.View(oid, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(v, old)
+		if err := p.Persist(oid, size); err != nil {
+			t.Fatal(err)
+		}
+		tx, err := p.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.AddRange(oid, 0, size); err != nil {
+			t.Fatal(err)
+		}
+		copy(v, new_)
+		return p, r, oid, tx
+	}
+	reopen := func(r *memRegion) *Pool {
+		p, err := Open(r, "torn")
+		if err != nil {
+			t.Fatalf("recovery failed: %v", err)
+		}
+		return p
+	}
+	read := func(r *memRegion, oid OID) []byte {
+		got := make([]byte, size)
+		if err := r.ReadAt(got, int64(oid.Off)); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+
+	// Control run: how many media writes Commit and Begin make.
+	p, r, _, tx := setup()
+	w := r.writes
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	commitWrites := r.writes - w
+	w = r.writes
+	if _, err := p.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	beginWrites := r.writes - w
+
+	for c := 0; c <= commitWrites; c++ {
+		for b := 0; b <= beginWrites; b++ {
+			p, r, oid, tx := setup()
+			r.cutoff = r.writes + c
+			_ = tx.Commit() // the cut drops writes silently; recovery shows the damage
+			r.cutoff = -1
+			p.SimulateCrash()
+			p2 := reopen(r)
+			first := read(r, oid)
+			if !bytes.Equal(first, old) && !bytes.Equal(first, new_) {
+				t.Fatalf("commit cut=%d: torn object %x", c, first[:8])
+			}
+
+			r.cutoff = r.writes + b
+			tx2, err := p2.Begin()
+			r.cutoff = -1
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tx2.lane != tx.lane {
+				t.Fatalf("second Begin took lane %d, want the torn commit's lane %d", tx2.lane, tx.lane)
+			}
+			p2.SimulateCrash()
+			reopen(r)
+			if got := read(r, oid); !bytes.Equal(got, first) {
+				t.Errorf("commit cut=%d, begin cut=%d: object %#x after first recovery, %#x after a torn Begin",
+					c, b, first[0], got[0])
+			}
+		}
+	}
+}

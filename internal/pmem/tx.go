@@ -39,6 +39,13 @@ import (
 //	8:    entries
 //
 // entry: [off u64][len u64][crc u32][pad u32][data ...] padded to 8.
+//
+// Begin, Commit and lane clearing write the state and count words
+// together as one 8-byte header store, the failure-atomic unit PMDK
+// relies on: the lane is never seen active with a stale count or idle
+// with a live one. The lane base is line-aligned, so over CXL.mem the
+// header is a single MemWrPtl. Only AddRange writes the count alone,
+// after its entry, as the recovery fence.
 const (
 	logState = 0
 	logCount = 4
@@ -112,12 +119,8 @@ func (p *Pool) Begin() (*Tx, error) {
 		return nil, err
 	}
 	tx := &Tx{p: p, lane: lane, cursor: laneHeaderSize}
-	// Mark the lane active on media before any entry lands.
-	if err := p.laneWrite32(lane, logState, logActive); err != nil {
-		p.lanes <- lane
-		return nil, err
-	}
-	if err := p.laneWrite32(lane, logCount, 0); err != nil {
+	// Mark the lane active, with no entries, before any entry lands.
+	if err := p.laneWriteHeader(lane, logActive); err != nil {
 		p.lanes <- lane
 		return nil, err
 	}
@@ -186,7 +189,7 @@ func (tx *Tx) AddRange(oid OID, off, n uint64) error {
 	// Entry persisted; only then bump the count (the recovery fence).
 	tx.cursor += need
 	tx.count++
-	if err := p.laneWrite32(tx.lane, logCount, tx.count); err != nil {
+	if err := p.laneWriteCount(tx.lane, tx.count); err != nil {
 		return err
 	}
 	tx.ranges = append(tx.ranges, txRange{off: start, n: n})
@@ -220,13 +223,10 @@ func (tx *Tx) Commit() error {
 		}
 	}
 	p.Drain()
-	// The commit point: a single 4-byte state write. Before it,
-	// recovery rolls this lane back; after it, the new data is the
-	// truth.
-	if err := p.laneWrite32(tx.lane, logState, logIdle); err != nil {
-		return err
-	}
-	if err := p.laneWrite32(tx.lane, logCount, 0); err != nil {
+	// The commit point: a single 8-byte lane-header write (idle, no
+	// entries). Before it, recovery rolls this lane back; after it,
+	// the new data is the truth.
+	if err := p.clearLane(tx.lane); err != nil {
 		return err
 	}
 	tx.release()
@@ -269,20 +269,24 @@ func (tx *Tx) Abort() error {
 	return nil
 }
 
-// laneWrite32 writes one lane control word straight to media.
-func (p *Pool) laneWrite32(lane, off uint64, v uint32) error {
+// laneWriteCount writes a lane's entry count word alone straight to
+// media.
+func (p *Pool) laneWriteCount(lane uint64, count uint32) error {
 	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return p.region.WriteAt(b[:], int64(p.laneBase(lane)+off))
+	binary.LittleEndian.PutUint32(b[:], count)
+	return p.region.WriteAt(b[:], int64(p.laneBase(lane)+logCount))
 }
 
-// clearLane marks one lane idle on media.
-func (p *Pool) clearLane(lane uint64) error {
-	if err := p.laneWrite32(lane, logState, logIdle); err != nil {
-		return err
-	}
-	return p.laneWrite32(lane, logCount, 0)
+// laneWriteHeader writes a lane's state word and a zero entry count
+// straight to media as one 8-byte store.
+func (p *Pool) laneWriteHeader(lane uint64, state uint32) error {
+	var b [laneHeaderSize]byte
+	binary.LittleEndian.PutUint32(b[logState:], state)
+	return p.region.WriteAt(b[:], int64(p.laneBase(lane)))
 }
+
+// clearLane marks one lane idle, with no entries, on media.
+func (p *Pool) clearLane(lane uint64) error { return p.laneWriteHeader(lane, logIdle) }
 
 // clearLog marks every lane idle on media (pool creation / recovery).
 func (p *Pool) clearLog() error {

@@ -44,13 +44,17 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // room for 64 snapshot slots, so reattaching needs no size negotiation.
 const MaxSlots = 64
 
-// Manager owns a checkpoint directory inside a pool.
+// Manager owns a checkpoint directory inside a pool. It is not safe
+// for concurrent use.
 type Manager struct {
 	pool  *pmem.Pool
 	root  pmem.OID
 	slots int
 	// lastReused counts chunks deduplicated by the most recent Save.
 	lastReused int
+	// desc stages Save's descriptor before AllocFrom copies it into
+	// the pool; it is reused from one Save to the next.
+	desc []byte
 }
 
 const dirRootSize = uint64(dirHeader + MaxSlots*slotSize)
@@ -187,6 +191,9 @@ func (m *Manager) Save(id uint64, prev uint64, data []byte) error {
 		}
 	}
 
+	// Until the publishing Update below, nothing on media references
+	// the chunks and descriptor allocated here, so every failure before
+	// it frees them (release) instead of leaking them.
 	nChunks := (len(data) + ChunkSize - 1) / ChunkSize
 	refs := make([]chunkRef, nChunks)
 	reused := 0
@@ -206,41 +213,17 @@ func (m *Manager) Save(id uint64, prev uint64, data []byte) error {
 				continue
 			}
 		}
-		oid, err := m.pool.Alloc(uint64(hi - lo))
+		oid, err := m.pool.AllocFrom(data[lo:hi])
 		if err != nil {
-			return err
-		}
-		v, err := m.pool.View(oid, uint64(hi-lo))
-		if err != nil {
-			return err
-		}
-		copy(v, data[lo:hi])
-		if err := m.pool.Persist(oid, uint64(hi-lo)); err != nil {
-			return err
+			return m.release(err, refs, prevChunks)
 		}
 		refs[c] = chunkRef{off: oid.Off, crc: crc}
 	}
-	m.pool.Drain()
 	m.lastReused = reused
 
-	// Descriptor object.
-	descSize := uint64(descHeader + nChunks*descEntry)
-	desc, err := m.pool.Alloc(descSize)
+	desc, err := m.pool.AllocFrom(m.descriptor(refs))
 	if err != nil {
-		return err
-	}
-	db, err := m.pool.View(desc, descSize)
-	if err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(db[0:], uint64(nChunks))
-	for c, r := range refs {
-		e := descHeader + c*descEntry
-		binary.LittleEndian.PutUint64(db[e:], r.off)
-		binary.LittleEndian.PutUint32(db[e+8:], r.crc)
-	}
-	if err := m.pool.Persist(desc, descSize); err != nil {
-		return err
+		return m.release(err, refs, prevChunks)
 	}
 	m.pool.Drain()
 
@@ -257,6 +240,41 @@ func (m *Manager) Save(id uint64, prev uint64, data []byte) error {
 type chunkRef struct {
 	off uint64
 	crc uint32
+}
+
+// descriptor renders refs in the descriptor layout into m.desc and
+// returns it. The pad words are never written, so they stay zero.
+func (m *Manager) descriptor(refs []chunkRef) []byte {
+	n := descHeader + len(refs)*descEntry
+	if cap(m.desc) < n {
+		m.desc = make([]byte, n)
+	}
+	db := m.desc[:n]
+	binary.LittleEndian.PutUint64(db[0:], uint64(len(refs)))
+	for c, r := range refs {
+		e := descHeader + c*descEntry
+		binary.LittleEndian.PutUint64(db[e:], r.off)
+		binary.LittleEndian.PutUint32(db[e+8:], r.crc)
+	}
+	return db
+}
+
+// release frees the chunks a failed Save allocated, every filled entry
+// of refs not taken over from base, and returns the Save's error.
+func (m *Manager) release(cause error, refs, base []chunkRef) error {
+	var freeErr error
+	for c, r := range refs {
+		if r.off == 0 || c < len(base) && r.off == base[c].off {
+			continue
+		}
+		if err := m.pool.Free(pmem.OID{PoolID: m.pool.PoolID(), Off: r.off}); err != nil && freeErr == nil {
+			freeErr = err
+		}
+	}
+	if freeErr != nil {
+		return fmt.Errorf("%w (freeing its chunks also failed: %v)", cause, freeErr)
+	}
+	return cause
 }
 
 func (m *Manager) loadDescriptor(id uint64) ([]chunkRef, uint64, error) {

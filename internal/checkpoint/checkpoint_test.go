@@ -9,10 +9,16 @@ import (
 	"cxlpmem/internal/pmem"
 )
 
-// memRegion is a persistent in-memory pmem.Region.
+// memRegion is a persistent in-memory pmem.Region. It counts region
+// writes; once cutAfter is non-zero, writes past that many never reach
+// the media (power was lost), and write number failAt, when non-zero,
+// fails with an I/O error.
 type memRegion struct {
-	mu   sync.Mutex
-	data []byte
+	mu       sync.Mutex
+	data     []byte
+	writes   int
+	cutAfter int
+	failAt   int
 }
 
 func (r *memRegion) ReadAt(p []byte, off int64) error {
@@ -31,8 +37,21 @@ func (r *memRegion) WriteAt(p []byte, off int64) error {
 	if off < 0 || off+int64(len(p)) > int64(len(r.data)) {
 		return errors.New("out of range")
 	}
+	r.writes++
+	if r.writes == r.failAt {
+		return errors.New("injected media write failure")
+	}
+	if r.cutAfter != 0 && r.writes > r.cutAfter {
+		return nil
+	}
 	copy(r.data[off:], p)
 	return nil
+}
+
+func (r *memRegion) count() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.writes
 }
 
 func (r *memRegion) Size() int64      { return int64(len(r.data)) }
@@ -256,5 +275,193 @@ func TestCorruptChunkDetected(t *testing.T) {
 	v[0] ^= 0xFF
 	if _, err := m.Load(1); err == nil {
 		t.Error("corrupt chunk passed CRC")
+	}
+}
+
+// occupancy is what a leak would change: the live bytes and the
+// allocated blocks of the pool's heap.
+func occupancy(t *testing.T, pool *pmem.Pool) (uint64, int) {
+	t.Helper()
+	live, err := pool.LiveBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := pool.Check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return live, r.AllocatedBlocks
+}
+
+// TestFailedSaveLeaksNothing: a Save that fails before publishing,
+// whether out of space or on a media write error, frees every chunk and
+// descriptor it allocated, so the pool's occupancy returns to its
+// pre-Save value and the space stays usable.
+func TestFailedSaveLeaksNothing(t *testing.T) {
+	const poolSize = 2 << 20
+	fresh := func(t *testing.T) (*Manager, *pmem.Pool, *memRegion) {
+		r := &memRegion{data: make([]byte, poolSize)}
+		pool, err := pmem.Create(r, Layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := New(pool, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, pool, r
+	}
+	// chunksThatFit is the largest whole-chunk state whose chunks all
+	// fit in the heap's free space, leaving too little for its
+	// descriptor.
+	chunksThatFit := func(t *testing.T, pool *pmem.Pool) int {
+		r, err := pool.Check()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int(r.FreeBytes / (ChunkSize + 64)) // 64: block header
+	}
+	// Each case prepares a pool for a failing Save and returns that
+	// Save's data and base snapshot.
+	cases := []struct {
+		name string
+		arm  func(t *testing.T, m *Manager, pool *pmem.Pool, r *memRegion) (data []byte, prev uint64)
+	}{
+		{"out of space for chunks", func(t *testing.T, m *Manager, pool *pmem.Pool, r *memRegion) ([]byte, uint64) {
+			return pattern(poolSize, 1), 0
+		}},
+		{"out of space for the descriptor", func(t *testing.T, m *Manager, pool *pmem.Pool, r *memRegion) ([]byte, uint64) {
+			return pattern(chunksThatFit(t, pool)*ChunkSize, 2), 0
+		}},
+		{"media write error", func(t *testing.T, m *Manager, pool *pmem.Pool, r *memRegion) ([]byte, uint64) {
+			r.failAt = r.count() + 8 // inside the third chunk's allocation
+			return pattern(16*ChunkSize, 3), 0
+		}},
+		{"media write error in a deduplicating save", func(t *testing.T, m *Manager, pool *pmem.Pool, r *memRegion) ([]byte, uint64) {
+			base := pattern(16*ChunkSize, 4)
+			if err := m.Save(9, 0, base); err != nil {
+				t.Fatal(err)
+			}
+			next := append([]byte(nil), base...)
+			for c := 0; c < 16; c += 3 {
+				next[c*ChunkSize] ^= 0xFF
+			}
+			r.failAt = r.count() + 5 // inside the second new chunk's allocation
+			return next, 9
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, pool, r := fresh(t)
+			data, prev := tc.arm(t, m, pool, r)
+			ids, err := m.List()
+			if err != nil {
+				t.Fatal(err)
+			}
+			live, blocks := occupancy(t, pool)
+			if err := m.Save(1, prev, data); err == nil {
+				t.Fatal("Save succeeded; the case did not make it fail")
+			}
+			r.failAt = 0
+			if gotLive, gotBlocks := occupancy(t, pool); gotLive != live || gotBlocks != blocks {
+				t.Errorf("failed Save left %d live bytes in %d blocks, want %d in %d", gotLive, gotBlocks, live, blocks)
+			}
+			if got, err := m.List(); err != nil || len(got) != len(ids) {
+				t.Errorf("failed Save changed the directory: %v -> %v, %v", ids, got, err)
+			}
+			small := pattern(8*ChunkSize, 5)
+			if err := m.Save(2, 0, small); err != nil {
+				t.Fatalf("Save after a failed Save: %v", err)
+			}
+			if got, err := m.Load(2); err != nil || !bytes.Equal(got, small) {
+				t.Errorf("Load after a failed Save: %v", err)
+			}
+		})
+	}
+}
+
+// TestSaveDeleteCrashAtEveryWrite cuts power after every region write
+// of one deduplicating Save and the Delete that follows it. After
+// reopen, the snapshots before the cut load byte-exact, the cut Save is
+// all or nothing, the deleted snapshot is either whole or gone, and the
+// heap walks clean.
+func TestSaveDeleteCrashAtEveryWrite(t *testing.T) {
+	const chunks = 16
+	s1 := pattern(chunks*ChunkSize, 1)
+	s2 := append([]byte(nil), s1...)
+	s2[3*ChunkSize] ^= 0xFF
+	s3 := append([]byte(nil), s2...)
+	s3[5*ChunkSize+100] ^= 0xFF
+	s3[11*ChunkSize+7] ^= 0xFF
+	s3 = append(s3, pattern(700, 3)...) // a partial last chunk
+
+	setup := func() (*Manager, *pmem.Pool, *memRegion) {
+		m, pool, r := newManager(t, 4)
+		if err := m.Save(1, 0, s1); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Save(2, 1, s2); err != nil {
+			t.Fatal(err)
+		}
+		return m, pool, r
+	}
+	step := func(m *Manager) {
+		// Past the cut, writes vanish but calls still return; the
+		// step's errors are beside the point.
+		_ = m.Save(3, 2, s3)
+		_ = m.Delete(1)
+	}
+	m, _, r := setup()
+	w0 := r.count()
+	step(m)
+	total := r.count() - w0
+	if total < 10 {
+		t.Fatalf("step made only %d region writes", total)
+	}
+	for cut := 0; cut <= total; cut++ {
+		m, pool, r := setup()
+		r.cutAfter = r.count() + cut
+		step(m)
+		pool.SimulateCrash()
+		r.cutAfter = 0
+
+		pool2, err := pmem.Open(r, Layout)
+		if err != nil {
+			t.Fatalf("cut %d: reopen: %v", cut, err)
+		}
+		m2, err := Open(pool2)
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		if got, err := m2.Load(2); err != nil || !bytes.Equal(got, s2) {
+			t.Fatalf("cut %d: snapshot 2 lost or changed: %v", cut, err)
+		}
+		ids, err := m2.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		has := map[uint64]bool{}
+		for _, id := range ids {
+			has[id] = true
+		}
+		if has[1] {
+			if got, err := m2.Load(1); err != nil || !bytes.Equal(got, s1) {
+				t.Fatalf("cut %d: snapshot 1 half deleted: %v", cut, err)
+			}
+		}
+		if has[3] {
+			if got, err := m2.Load(3); err != nil || !bytes.Equal(got, s3) {
+				t.Fatalf("cut %d: snapshot 3 published torn: %v", cut, err)
+			}
+		}
+		if cut == 0 && (has[3] || !has[1]) {
+			t.Fatalf("cut 0 (every write lost): snapshots %v, want 1 and 2", ids)
+		}
+		if cut == total && (!has[3] || has[1]) {
+			t.Fatalf("cut %d (no write lost): snapshots %v, want 2 and 3", cut, ids)
+		}
+		if rep, err := pool2.Check(); err != nil || rep.Corrupt {
+			t.Fatalf("cut %d: heap check: %+v, %v", cut, rep, err)
+		}
 	}
 }

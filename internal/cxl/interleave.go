@@ -119,9 +119,10 @@ type InterleaveSet struct {
 	// the set runs at full width.
 	evacMu sync.Mutex
 	evac   atomic.Pointer[evacuation]
-	// workers feed legs 1..ways-1; leg 0 always runs on the caller's
-	// goroutine, so a 1-way set degenerates to the plain port path with
-	// no hand-off at all.
+	// workers feed legs 1..ways-1; leg 0 needs none, because do runs
+	// it on the caller's goroutine whenever a span touches it, so a
+	// 1-way set degenerates to the plain port path with no hand-off at
+	// all.
 	workers []chan *stripeJob
 }
 
@@ -328,11 +329,14 @@ func (s *InterleaveSet) ReadBurst(hpa uint64, p []byte) error {
 	return s.do(false, hpa, p)
 }
 
-// do validates the span, fans legs 1..n-1 out to their workers, runs
-// leg 0 inline and gathers the first error. A failing leg aborts its
-// own remaining chunks only; striped transfers are atomic per leg
-// burst, not across legs (matching multi-channel memory semantics —
-// see DESIGN.md §2d).
+// do validates the span and fans it out to the legs that own a
+// granule of it; untouched legs are never woken. The caller runs one
+// leg itself — leg 0 when the span touches it, otherwise the span's
+// first leg — so a span inside one granule never leaves the caller,
+// and the other touched legs go to their workers. It gathers the first
+// error. A failing leg aborts its own remaining chunks only; striped
+// transfers are atomic per leg burst, not across legs (matching
+// multi-channel memory semantics — see DESIGN.md §2d).
 func (s *InterleaveSet) do(write bool, hpa uint64, p []byte) error {
 	if !lineAligned(hpa) || len(p)%LineSize != 0 {
 		return portErr(s.name, s.op(write), hpa, ErrUnaligned, "unaligned burst")
@@ -344,13 +348,28 @@ func (s *InterleaveSet) do(write bool, hpa uint64, p []byte) error {
 		return nil
 	}
 	defer s.exit(s.enter())
-	ways := s.ways
-	if ways == 1 {
-		return s.runLeg(0, write, hpa, p)
+	ways := uint64(s.ways)
+	first := (hpa - s.base) / s.granule
+	touched := (hpa-s.base+uint64(len(p))-1)/s.granule - first + 1
+	if touched > ways {
+		touched = ways
+	}
+	// The touched legs are first%ways onward, wrapping; they include
+	// leg 0 exactly when they run past the last leg or start at 0.
+	lead := int(first % ways)
+	if uint64(lead)+touched > ways {
+		lead = 0
+	}
+	if touched == 1 {
+		return s.runLeg(lead, write, hpa, p)
 	}
 	c := stripeCallPool.Get().(*stripeCall)
-	c.wg.Add(ways - 1)
-	for leg := 1; leg < ways; leg++ {
+	c.wg.Add(int(touched) - 1)
+	for i := uint64(0); i < touched; i++ {
+		leg := int((first + i) % ways)
+		if leg == lead {
+			continue
+		}
 		j := &c.jobs[leg]
 		j.set, j.wg, j.leg, j.write, j.hpa, j.p, j.err = s, &c.wg, leg, write, hpa, p, nil
 		select {
@@ -364,9 +383,13 @@ func (s *InterleaveSet) do(write bool, hpa uint64, p []byte) error {
 			go runStripeJob(j)
 		}
 	}
-	err := s.runLeg(0, write, hpa, p)
+	err := s.runLeg(lead, write, hpa, p)
 	c.wg.Wait()
-	for leg := 1; leg < ways; leg++ {
+	for i := uint64(0); i < touched; i++ {
+		leg := int((first + i) % ways)
+		if leg == lead {
+			continue
+		}
 		if err == nil && c.jobs[leg].err != nil {
 			err = c.jobs[leg].err
 		}

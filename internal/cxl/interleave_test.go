@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -349,6 +350,90 @@ func TestInterleaveConcurrentStripes(t *testing.T) {
 	assertNoLineFallbacks(t, devs)
 }
 
+// countLegJobs interposes on s's leg-worker channels: each job do
+// hands to a worker is counted, then run as the worker would run it.
+// The one-slot buffers take every hand-off of a lone caller (do waits
+// for its jobs, so the slot is empty by the next call), so none
+// overflows uncounted onto a transient goroutine.
+func countLegJobs(s *InterleaveSet) *atomic.Int64 {
+	var n atomic.Int64
+	for i, old := range s.workers {
+		ch := make(chan *stripeJob, 1)
+		s.workers[i] = ch
+		close(old)
+		go func() {
+			for j := range ch {
+				n.Add(1)
+				runStripeJob(j)
+			}
+		}()
+	}
+	return &n
+}
+
+// TestInterleaveFanOutTouchedLegsOnly pins the fan-out rule: a striped
+// span wakes only the legs owning one of its granules, runs one of
+// them on the caller, and still lands every byte on its owning leg.
+func TestInterleaveFanOutTouchedLegsOnly(t *testing.T) {
+	const ways, g, line = 4, 256, uint64(LineSize)
+	s, devs := testInterleaveSet(t, ways, g)
+	jobs := countLegJobs(s)
+	cases := []struct {
+		name     string
+		off, n   uint64 // window offset and length
+		wantJobs int64
+	}{
+		{"one line", 0, line, 0},
+		{"inside one granule of leg 2", 2*g + line, 2 * line, 0},
+		{"two granules from leg 1", g, 2 * g, 1},
+		{"two granules, unaligned", g - line, 2 * line, 1},
+		{"three granules from leg 0", 0, 3 * g, 2},
+		{"wrap from leg 3 into leg 0", 3 * g, 2 * g, 1},
+		{"wrap from leg 2 into leg 0", 2*g + line, 2 * g, 2},
+		{"wrap, second stripe", 7*g + 2*line, 2 * g, 2},
+		{"all legs, aligned", 0, ways * g, ways - 1},
+		{"all legs from leg 3", 3 * g, ways * g, ways - 1},
+		{"many stripes", g + line, 16 << 10, ways - 1},
+	}
+	for i, tc := range cases {
+		hpa := s.Base() + tc.off
+		in := make([]byte, tc.n)
+		for k := range in {
+			in[k] = byte(k*7 + i + 1)
+		}
+		before := jobs.Load()
+		if err := s.WriteBurst(hpa, in); err != nil {
+			t.Fatalf("%s: WriteBurst: %v", tc.name, err)
+		}
+		if got := jobs.Load() - before; got != tc.wantJobs {
+			t.Errorf("%s: WriteBurst handed %d jobs to leg workers, want %d", tc.name, got, tc.wantJobs)
+		}
+		out := make([]byte, tc.n)
+		before = jobs.Load()
+		if err := s.ReadBurst(hpa, out); err != nil {
+			t.Fatalf("%s: ReadBurst: %v", tc.name, err)
+		}
+		if got := jobs.Load() - before; got != tc.wantJobs {
+			t.Errorf("%s: ReadBurst handed %d jobs to leg workers, want %d", tc.name, got, tc.wantJobs)
+		}
+		if !bytes.Equal(in, out) {
+			t.Errorf("%s: striped readback differs from what was written", tc.name)
+		}
+		// The routed line path reads each line from its owning leg, so
+		// a piece moved by the wrong leg shows here.
+		for k := uint64(0); k < tc.n; k += line {
+			var l [LineSize]byte
+			if err := s.ReadLine(hpa+k, &l); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(l[:], in[k:k+line]) {
+				t.Fatalf("%s: line at offset %d landed off its owning leg", tc.name, tc.off+k)
+			}
+		}
+	}
+	assertNoLineFallbacks(t, devs)
+}
+
 // TestInterleaveZeroAllocSteadyState guards the striped path's
 // allocation discipline: leg fan-out (pooled call frames + persistent
 // workers) and gather/scatter staging (pooled burst buffers) must not
@@ -365,9 +450,14 @@ func TestInterleaveZeroAllocSteadyState(t *testing.T) {
 			if err := s.WriteBurst(s.Base(), buf); err != nil { // warm pools + pages
 				t.Fatal(err)
 			}
+			two := buf[:2*granule]
 			cases := map[string]func(){
-				"WriteBurst": func() { _ = s.WriteBurst(s.Base(), buf) },
-				"ReadBurst":  func() { _ = s.ReadBurst(s.Base(), buf) },
+				"WriteBurst":            func() { _ = s.WriteBurst(s.Base(), buf) },
+				"ReadBurst":             func() { _ = s.ReadBurst(s.Base(), buf) },
+				"WriteBurst/one-line":   func() { _ = s.WriteBurst(s.Base(), buf[:LineSize]) },
+				"ReadBurst/one-line":    func() { _ = s.ReadBurst(s.Base(), buf[:LineSize]) },
+				"WriteBurst/2-granules": func() { _ = s.WriteBurst(s.Base()+granule, two) },
+				"ReadBurst/2-granules":  func() { _ = s.ReadBurst(s.Base()+granule, two) },
 			}
 			for name, fn := range cases {
 				if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {

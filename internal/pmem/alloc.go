@@ -106,8 +106,11 @@ func (h *heap) readHeader(off uint64) (magic uint32, size, flags, user uint64) {
 		binary.LittleEndian.Uint64(b[bhUser:])
 }
 
-// alloc returns the data offset of a zeroed n-byte object.
-func (h *heap) alloc(n uint64) (uint64, error) {
+// alloc returns the data offset of a new n-byte object holding src
+// followed by zeroes (all zeroes when src is nil; len(src) <= n). The
+// block header is persisted first, then the object's bytes in one
+// flush, so each byte crosses to the media once.
+func (h *heap) alloc(n uint64, src []byte) (uint64, error) {
 	need := alignUp64(n, 64) + blockHeaderSize
 	// First fit over the volatile index; deterministic order matters
 	// for reproducibility, so scan ascending.
@@ -124,6 +127,7 @@ func (h *heap) alloc(n uint64) (uint64, error) {
 	}
 	size := h.freeIdx[best]
 	delete(h.freeIdx, best)
+	blk := size
 	remainder := size - need
 	if remainder >= minSplit {
 		// Split: write the tail free block first, then shrink this
@@ -134,25 +138,41 @@ func (h *heap) alloc(n uint64) (uint64, error) {
 		tail := best + need
 		h.writeHeader(tail, remainder, 0, 0)
 		if err := h.p.persistRaw(int64(tail), blockHeaderSize); err != nil {
-			return 0, err
+			return 0, h.unalloc(best, size, blk, err)
 		}
 		h.freeIdx[tail] = remainder
-		size = need
+		blk = need
 	}
-	h.writeHeader(best, size, flagAllocated, n)
+	h.writeHeader(best, blk, flagAllocated, n)
 	if err := h.p.persistRaw(int64(best), blockHeaderSize); err != nil {
-		return 0, err
+		return 0, h.unalloc(best, size, blk, err)
 	}
-	// Zero the object (allocations observe zeroed memory, as with
-	// POBJ_ALLOC + pmemobj_zalloc semantics we adopt).
+	// Fill the object: src, then zeroes to the end of the block
+	// (allocations observe zeroed memory, as with the pmemobj_zalloc
+	// semantics we adopt; a constructor's slack is zeroed too).
 	data := best + blockHeaderSize
-	for i := data; i < best+size; i++ {
-		h.p.view[i] = 0
-	}
-	if err := h.p.persistRaw(int64(data), int64(size-blockHeaderSize)); err != nil {
-		return 0, err
+	obj := h.p.view[data : best+blk]
+	clear(obj[copy(obj, src):])
+	if err := h.p.persistRaw(int64(data), int64(len(obj))); err != nil {
+		return 0, h.unalloc(best, size, blk, err)
 	}
 	return data, nil
+}
+
+// unalloc undoes an alloc that failed with err: the free block of size
+// bytes at off, which alloc had cut to blk bytes, is whole and free
+// again in the view and the index, so the failure leaks nothing. It
+// persists the restored header too; if that write also fails, the
+// media holds either the old free header or the allocated one, and a
+// reopen finds at most this one block leaked, as after a crash.
+func (h *heap) unalloc(off, size, blk uint64, err error) error {
+	if blk < size {
+		delete(h.freeIdx, off+blk)
+	}
+	h.writeHeader(off, size, 0, 0)
+	h.freeIdx[off] = size
+	_ = h.p.persistRaw(int64(off), blockHeaderSize) // err is the failure to report
+	return err
 }
 
 // free releases the block whose data starts at dataOff, coalescing with

@@ -1,6 +1,7 @@
 package pmem
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -23,6 +24,158 @@ func TestAllocAlignmentAndZeroing(t *testing.T) {
 		for i, b := range v {
 			if b != 0 {
 				t.Fatalf("Alloc(%d) byte %d = %#x, want 0", n, i, b)
+			}
+		}
+	}
+}
+
+// TestAllocFromReadsBackAfterReopen: a constructed object holds a copy
+// of src followed by zeroed slack to the end of its 64-byte block, on
+// media, even where the block held other bytes before.
+func TestAllocFromReadsBackAfterReopen(t *testing.T) {
+	p, r := createPool(t)
+	old, err := p.Alloc(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, _ := p.View(old, 256)
+	for i := range v {
+		v[i] = 0xEE
+	}
+	if err := p.Persist(old, 256); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Free(old); err != nil {
+		t.Fatal(err)
+	}
+	src := make([]byte, 100)
+	for i := range src {
+		src[i] = byte(i + 1)
+	}
+	want := append(append([]byte(nil), src...), make([]byte, 28)...)
+	oid, err := p.AllocFrom(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oid.Off != old.Off {
+		t.Fatalf("AllocFrom at %#x, want the dirty freed block at %#x", oid.Off, old.Off)
+	}
+	src[0] ^= 0xFF // the object holds a copy
+	for _, empty := range [][]byte{nil, {}} {
+		if _, err := p.AllocFrom(empty); err == nil {
+			t.Errorf("AllocFrom(%#v) accepted", empty)
+		}
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p2, err := Open(r, "stream-arrays")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := p2.AllocSize(oid); err != nil || n != 100 {
+		t.Errorf("AllocSize = %d, %v; want 100", n, err)
+	}
+	got, err := p2.View(oid, uint64(len(want)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("after reopen the object reads %x, want %x", got, want)
+	}
+}
+
+// TestAllocFromWritesOnce: constructing an object takes one region
+// write fewer than Alloc, a copy and Persist, and half the data bytes,
+// because its bytes are not zeroed on media first.
+func TestAllocFromWritesOnce(t *testing.T) {
+	const n = 4096
+	src := make([]byte, n)
+	for i := range src {
+		src[i] = byte(i)
+	}
+	// Both ways write the same two block headers, the split-off
+	// tail's and the object's; the rest is the object's data.
+	const headerBytes = 2 * blockHeaderSize
+	measure := func(alloc func(p *Pool) error) (writes int, data int64) {
+		p, r := createPool(t)
+		w0, b0 := r.writes, p.Stats().PersistBytes.Load()
+		if err := alloc(p); err != nil {
+			t.Fatal(err)
+		}
+		return r.writes - w0, p.Stats().PersistBytes.Load() - b0 - headerBytes
+	}
+	wTwice, dTwice := measure(func(p *Pool) error {
+		oid, err := p.Alloc(n)
+		if err != nil {
+			return err
+		}
+		v, err := p.View(oid, n)
+		if err != nil {
+			return err
+		}
+		copy(v, src)
+		return p.Persist(oid, n)
+	})
+	wOnce, dOnce := measure(func(p *Pool) error {
+		_, err := p.AllocFrom(src)
+		return err
+	})
+	if wOnce != wTwice-1 {
+		t.Errorf("AllocFrom made %d region writes, Alloc+Persist %d; want one fewer", wOnce, wTwice)
+	}
+	if dOnce != n || dTwice != 2*n {
+		t.Errorf("data bytes: AllocFrom %d, Alloc+Persist %d; want %d and %d", dOnce, dTwice, n, 2*n)
+	}
+}
+
+// TestAllocIOErrorLeaksNothing: an allocation whose media write fails
+// (the split-off tail's header, the block header or the object's
+// bytes) gives its block back whole, so the heap is as before, the
+// same allocation then lands in the same place, and the pool reopens
+// clean.
+func TestAllocIOErrorLeaksNothing(t *testing.T) {
+	for _, name := range []string{"Alloc", "AllocFrom"} {
+		for k := 1; k <= 3; k++ {
+			r := newMemRegion(testPoolSize, true)
+			p, err := Create(r, "stream-arrays")
+			if err != nil {
+				t.Fatal(err)
+			}
+			alloc := func() (OID, error) {
+				if name == "Alloc" {
+					return p.Alloc(1000)
+				}
+				return p.AllocFrom(make([]byte, 1000))
+			}
+			before, err := p.Check()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.failAt = r.writes + k
+			if _, err := alloc(); err == nil {
+				t.Fatalf("%s with write %d failing succeeded", name, k)
+			}
+			after, err := p.Check()
+			if err != nil || after != before {
+				t.Errorf("%s, write %d failed: heap %+v, %v; want %+v", name, k, after, err, before)
+			}
+			oid, err := alloc()
+			if err != nil {
+				t.Fatalf("%s after a failed one: %v", name, err)
+			}
+			if want := p.heapOff + blockHeaderSize; oid.Off != want {
+				t.Errorf("%s after a failed one landed at %#x, want %#x", name, oid.Off, want)
+			}
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			p2, err := Open(r, "stream-arrays")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep, err := p2.Check(); err != nil || rep.AllocatedBlocks != 1 {
+				t.Errorf("%s, write %d failed: after reopen heap %+v, %v; want one live block", name, k, rep, err)
 			}
 		}
 	}

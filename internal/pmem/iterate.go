@@ -2,8 +2,9 @@ package pmem
 
 // Object iteration, the pmemobj_first/pmemobj_next analogue: walking
 // every live allocation of a pool. PMDK exposes this for garbage
-// inspection and leak hunting; our pmemcli and the checkpoint layer use
-// it the same way.
+// inspection and leak hunting; pmemcli lists a pool's objects and live
+// bytes with it, and the checkpoint tests use LiveBytes to prove a
+// failed Save leaks nothing.
 
 // ObjectInfo describes one live allocation.
 type ObjectInfo struct {

@@ -423,7 +423,7 @@ func (p *Pool) Root(size uint64) (OID, error) {
 		}
 		return OID{PoolID: p.poolID, Off: p.rootOff}, nil
 	}
-	off, err := p.heap.alloc(size)
+	off, err := p.heap.alloc(size, nil)
 	if err != nil {
 		return OID{}, err
 	}
@@ -440,17 +440,32 @@ func (p *Pool) Root(size uint64) (OID, error) {
 // line 7). The data offset is 64-byte aligned, so Float64s views are
 // always correctly aligned.
 func (p *Pool) Alloc(n uint64) (OID, error) {
+	return p.alloc("alloc", n, nil)
+}
+
+// AllocFrom allocates an object of len(src) bytes holding a copy of
+// src: the constructor form of pmemobj_alloc. The object reaches the
+// media with the allocation itself (block header first, then src and
+// its zeroed slack in one flush), so each byte is written once where
+// Alloc followed by a copy and Persist writes it twice. Until the
+// caller publishes the OID, a crash leaks at most the one block, the
+// same window as Alloc.
+func (p *Pool) AllocFrom(src []byte) (OID, error) {
+	return p.alloc("allocfrom", uint64(len(src)), src)
+}
+
+func (p *Pool) alloc(op string, n uint64, src []byte) (OID, error) {
 	p.stateMu.RLock()
 	defer p.stateMu.RUnlock()
-	if err := p.checkLive("alloc"); err != nil {
+	if err := p.checkLive(op); err != nil {
 		return OID{}, err
 	}
 	if n == 0 {
-		return OID{}, &PoolError{Op: "alloc", Layout: p.layout, Why: "zero size"}
+		return OID{}, &PoolError{Op: op, Layout: p.layout, Why: "zero size"}
 	}
 	p.heapMu.Lock()
 	defer p.heapMu.Unlock()
-	off, err := p.heap.alloc(n)
+	off, err := p.heap.alloc(n, src)
 	if err != nil {
 		return OID{}, err
 	}

@@ -10,13 +10,15 @@ import (
 
 // memRegion is an in-memory Region for unit tests. cutoff, when >= 0,
 // drops every write after the first cutoff writes — simulating power
-// loss at an arbitrary persistence boundary.
+// loss at an arbitrary persistence boundary. Write number failAt, when
+// non-zero, fails with an I/O error and reaches no media.
 type memRegion struct {
 	mu         sync.Mutex
 	data       []byte
 	persistent bool
 	writes     int
 	cutoff     int
+	failAt     int
 }
 
 func newMemRegion(size int, persistent bool) *memRegion {
@@ -40,6 +42,9 @@ func (r *memRegion) WriteAt(p []byte, off int64) error {
 		return errors.New("memRegion: write out of range")
 	}
 	r.writes++
+	if r.writes == r.failAt {
+		return errors.New("memRegion: injected write failure")
+	}
 	if r.cutoff >= 0 && r.writes > r.cutoff {
 		return nil // power was already lost; the store never reached media
 	}
@@ -235,6 +240,9 @@ func TestCrashedPoolRejectsUse(t *testing.T) {
 	if _, err := p.Alloc(8); err == nil {
 		t.Error("alloc on crashed pool accepted")
 	}
+	if _, err := p.AllocFrom(make([]byte, 8)); err == nil {
+		t.Error("AllocFrom on crashed pool accepted")
+	}
 	if _, err := p.View(oid, 8); err == nil {
 		t.Error("view on crashed pool accepted")
 	}
@@ -254,6 +262,9 @@ func TestClosedPoolRejectsUse(t *testing.T) {
 	}
 	if _, err := p.View(oid, 8); err == nil {
 		t.Error("view on closed pool accepted")
+	}
+	if _, err := p.AllocFrom(make([]byte, 8)); err == nil {
+		t.Error("AllocFrom on closed pool accepted")
 	}
 }
 

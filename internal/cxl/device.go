@@ -27,7 +27,9 @@ const (
 func (t DeviceType) String() string { return fmt.Sprintf("Type%d", int(t)) }
 
 // Endpoint is any CXL device that can be attached to a root port (or a
-// switch downstream port).
+// switch downstream port). The three Handle methods are the CXL.mem
+// transaction layer; responses echo the request's tag. Type 1 devices
+// answer every request with RespErr.
 type Endpoint interface {
 	// Name identifies the endpoint.
 	Name() string
@@ -35,30 +37,18 @@ type Endpoint interface {
 	DeviceType() DeviceType
 	// Config exposes the CXL.io configuration space.
 	Config() *ConfigSpace
-	// HandleMem services one CXL.mem request. Type 1 devices return
-	// RespErr for all of them.
+	// HandleMem services one line request (MemRd, MemWr, MemWrPtl,
+	// MemInv).
 	HandleMem(MemReq) MemResp
-}
-
-// BurstHandler is implemented by endpoints that service multi-line burst
-// requests (OpMemRdBurst/OpMemWrBurst) natively: one HDM media access
-// for the whole burst instead of one per line. payload holds
-// req.Lines×LineSize bytes — the data to store for a write burst, the
-// buffer the device fills for a read burst. Ports fall back to per-line
-// HandleMem calls for endpoints that do not implement it.
-type BurstHandler interface {
+	// HandleMemBurst services one burst header (OpMemRdBurst or
+	// OpMemWrBurst). payload holds req.Lines×LineSize bytes: the data to
+	// store for a write, the buffer to fill for a read. A failing burst
+	// has no partial effects.
 	HandleMemBurst(req MemReq, payload []byte) MemResp
-}
-
-// QueueHandler is implemented by endpoints that service a flushed ring
-// batch in one call: len(reqs) == len(resps), resps[i] answers reqs[i].
-// Requests are independent line transactions (a failing request fails
-// alone), but the device may exploit batch shape — Type3Device
-// coalesces runs of adjacent same-opcode lines into single media
-// accesses and charges its counters once per batch instead of once per
-// line. Ports fall back to per-request HandleMem calls for endpoints
-// that do not implement it.
-type QueueHandler interface {
+	// HandleMemQueue services a flushed ring batch: len(reqs) ==
+	// len(resps), and resps[i] answers reqs[i]. Requests are independent
+	// line transactions (a failing request fails alone), but a device
+	// may exploit the batch's shape.
 	HandleMemQueue(reqs []MemReq, resps []MemResp)
 }
 
@@ -94,31 +84,81 @@ type Type3Device struct {
 	decoders     []*HDMDecoder
 	poisoned     func(dpa uint64) bool
 	poisonedSpan func(dpa, n uint64) bool
-	// snap caches an immutable copy of the decoder list and RAS hook:
-	// HandleMem runs on every line transaction and must not pay a
-	// read-lock round trip for configuration that changes only at
-	// enumeration time.
+	// snap caches an immutable copy of the decoder list and RAS hooks:
+	// every transaction reads it, and must not pay a read-lock round
+	// trip for configuration that changes only at enumeration time.
 	snap atomic.Pointer[deviceSnapshot]
 }
 
-// deviceSnapshot is the immutable hot-path view of the device config.
+// deviceSnapshot is the immutable hot-path view of the device config:
+// the decoders and one span-granular poison probe, nil when no RAS hook
+// is installed.
 type deviceSnapshot struct {
-	decoders     []*HDMDecoder
-	poisoned     func(dpa uint64) bool
-	poisonedSpan func(dpa, n uint64) bool
+	decoders []*HDMDecoder
+	poisoned func(dpa, n uint64) bool
 }
 
-// publish refreshes the hot-path snapshot; callers hold d.mu.
+// noConfig is the snapshot of a device nothing has been programmed on.
+var noConfig deviceSnapshot
+
+// publish refreshes the hot-path snapshot; callers hold d.mu. The probe
+// is the span checker when one is installed, otherwise the per-line
+// checker applied line by line.
 func (d *Type3Device) publish() {
-	d.snap.Store(&deviceSnapshot{decoders: d.decoders, poisoned: d.poisoned, poisonedSpan: d.poisonedSpan})
+	s := &deviceSnapshot{decoders: d.decoders, poisoned: d.poisonedSpan}
+	if line := d.poisoned; s.poisoned == nil && line != nil {
+		s.poisoned = func(dpa, n uint64) bool {
+			for off := uint64(0); off < n; off += uint64(LineSize) {
+				if line(dpa + off) {
+					return true
+				}
+			}
+			return false
+		}
+	}
+	d.snap.Store(s)
 }
 
-// snapshot returns the current hot-path view, which may be empty.
+// snapshot returns the current hot-path view.
 func (d *Type3Device) snapshot() *deviceSnapshot {
 	if s := d.snap.Load(); s != nil {
 		return s
 	}
-	return &deviceSnapshot{}
+	return &noConfig
+}
+
+// decode resolves hpa through the first decoder, in programming order,
+// whose window maps it.
+func (s *deviceSnapshot) decode(hpa uint64) (uint64, bool) {
+	for _, dec := range s.decoders {
+		if dpa, ok := dec.Decode(hpa); ok {
+			return dpa, true
+		}
+	}
+	return 0, false
+}
+
+// decodeSpan is decode for the span [hpa, hpa+n) of a burst: ok only
+// when the span maps to one contiguous DPA range through the decoder
+// decode picks for hpa, so burst and line transactions always agree on
+// the target DPA. Two shapes qualify:
+//
+//   - a plain decoder whose window covers the whole HPA span, and
+//   - an interleaved decoder, where a burst names n/LineSize
+//     consecutive *target-owned* lines starting at hpa (granule-strided
+//     in HPA space). Owned lines enumerate the target's DPA share in
+//     order, so the burst is one contiguous media access — this is what
+//     keeps interleaved windows off the per-line path entirely.
+func (s *deviceSnapshot) decodeSpan(hpa, n uint64) (uint64, bool) {
+	for _, dec := range s.decoders {
+		if dpa, ok := dec.Decode(hpa); ok {
+			if dec.InterleaveWays <= 1 {
+				return dpa, hpa+n <= dec.Base+dec.Size
+			}
+			return dpa, dpa+n <= dec.DPABase+dec.Share()
+		}
+	}
+	return 0, false
 }
 
 // NewType3 builds a memory-expansion endpoint over the given media. The
@@ -198,136 +238,96 @@ func (d *Type3Device) Decoders() []*HDMDecoder {
 	return out
 }
 
-// decode finds the decoder owning hpa.
-func (d *Type3Device) decode(hpa uint64) (uint64, bool) {
-	for _, dec := range d.snapshot().decoders {
-		if dpa, ok := dec.Decode(hpa); ok {
-			return dpa, true
-		}
-	}
-	return 0, false
-}
-
-// lookup resolves hpa and fetches the RAS hook from the lock-free
-// snapshot — the per-transaction fast path.
-func (d *Type3Device) lookup(hpa uint64) (dpa uint64, poisoned func(uint64) bool, ok bool) {
-	s := d.snapshot()
-	for _, dec := range s.decoders {
-		if dpa, ok = dec.Decode(hpa); ok {
-			poisoned = s.poisoned
-			break
-		}
-	}
-	return
-}
-
-// decodeSpan resolves a [hpa, hpa+n) span that maps to one contiguous
-// DPA range through one decoder, fetching the RAS hook from the same
-// snapshot. The decoder is chosen exactly as per-line decode() would
-// choose it (first match in programming order), so burst and line
-// transactions always agree on the target DPA. Two shapes qualify:
-//
-//   - a plain decoder whose window covers the whole HPA span, and
-//   - an interleaved decoder, where a burst names n/LineSize
-//     consecutive *target-owned* lines starting at hpa (granule-strided
-//     in HPA space). Owned lines enumerate the target's DPA share in
-//     order, so the burst is one contiguous media access — this is what
-//     keeps interleaved windows off the per-line path entirely.
-//
-// ok is false only when the span overruns the window (or the target's
-// share) — callers then fall back to per-line decode, counting the
-// fallback.
-func (d *Type3Device) decodeSpan(hpa, n uint64) (dpa uint64, s *deviceSnapshot, ok bool) {
-	s = d.snapshot()
-	for _, dec := range s.decoders {
-		if candidate, hit := dec.Decode(hpa); hit {
-			if dec.InterleaveWays <= 1 {
-				if hpa+n <= dec.Base+dec.Size {
-					dpa, ok = candidate, true
-				}
-			} else if candidate+n <= dec.DPABase+dec.Share() {
-				dpa, ok = candidate, true
-			}
-			return
-		}
-	}
-	return
-}
-
 // linePool recycles line staging buffers so HandleMem can call the media
 // interface without forcing its request/response to escape to the heap —
 // the single-line data path is allocation-free in steady state.
 var linePool = sync.Pool{New: func() any { return new([LineSize]byte) }}
 
-// HandleMem implements the CXL.mem transaction layer for a Type-3
-// endpoint: it turns M2S requests into HDM accesses against the media.
+// poisonedAt reports whether any line of [dpa, dpa+n) is poisoned.
+func (s *deviceSnapshot) poisonedAt(dpa, n uint64) bool {
+	return s.poisoned != nil && s.poisoned(dpa, n)
+}
+
+// poisonHit charges a demand access that hit poison. Real CXL returns
+// the data with poison signalling; here it is an error response the
+// host must handle (RAS path), and since the access consumed the error
+// it counts as uncorrectable.
+func (d *Type3Device) poisonHit() {
+	d.media.Stats().Uncorrectable.Add(1)
+	d.stats.Errors.Add(1)
+}
+
+// access is the media step full-line reads and writes share — single
+// lines, bursts and coalesced queue runs alike — once their span has
+// decoded and passed the poison probe: one media read or write,
+// charging one error on failure. The caller charges success.
+func (d *Type3Device) access(write bool, dpa uint64, p []byte) bool {
+	var err error
+	if write {
+		err = d.media.WriteAt(p, int64(dpa))
+	} else {
+		err = d.media.ReadAt(p, int64(dpa))
+	}
+	if err != nil {
+		d.stats.Errors.Add(1)
+		return false
+	}
+	return true
+}
+
+// HandleMem implements the CXL.mem transaction layer for one line
+// request: it turns an M2S request into an HDM access against the media.
 func (d *Type3Device) HandleMem(req MemReq) MemResp {
-	resp := MemResp{Tag: req.Tag}
-	dpa, poisoned, ok := d.lookup(req.Addr)
+	resp := MemResp{Tag: req.Tag, Opcode: RespErr}
+	s := d.snapshot()
+	dpa, ok := s.decode(req.Addr)
 	if !ok {
 		d.stats.Errors.Add(1)
-		resp.Opcode = RespErr
 		return resp
 	}
-	if poisoned != nil && poisoned(dpa) {
-		// Poisoned line: real CXL returns the data with poison
-		// signalling; we surface it as an error response the host
-		// must handle (RAS path). A demand access consumed the error,
-		// so it counts as uncorrectable.
-		d.media.Stats().Uncorrectable.Add(1)
-		d.stats.Errors.Add(1)
-		resp.Opcode = RespErr
+	if s.poisonedAt(dpa, uint64(LineSize)) {
+		d.poisonHit()
 		return resp
 	}
 	switch req.Opcode {
-	case OpMemRd:
-		// The line stages through a pooled buffer rather than
-		// resp.Data directly: handing resp.Data[:] to the media
-		// interface would force resp onto the heap.
+	case OpMemRd, OpMemWr, OpMemWrPtl:
+		// The line stages through a pooled buffer rather than req.Data
+		// or resp.Data directly: handing either to the media interface
+		// would force it onto the heap.
 		line := linePool.Get().(*[LineSize]byte)
-		if err := d.media.ReadAt(line[:], int64(dpa)); err != nil {
-			linePool.Put(line)
-			d.stats.Errors.Add(1)
-			resp.Opcode = RespErr
-			return resp
-		}
-		resp.Data = *line
-		linePool.Put(line)
-		d.stats.Reads.Add(1)
-		resp.Opcode = RespMemData
-	case OpMemWr:
-		line := linePool.Get().(*[LineSize]byte)
-		*line = req.Data
-		if err := d.media.WriteAt(line[:], int64(dpa)); err != nil {
-			linePool.Put(line)
-			d.stats.Errors.Add(1)
-			resp.Opcode = RespErr
-			return resp
-		}
-		linePool.Put(line)
-		d.stats.Writes.Add(1)
-		resp.Opcode = RespCmp
-	case OpMemWrPtl:
-		// Only the masked bytes reach the media, one write per run of
-		// set mask bits and no read of the line, so writers of
-		// disjoint bytes of one line never undo each other. A mask of
-		// several runs lands run by run.
-		line := linePool.Get().(*[LineSize]byte)
-		*line = req.Data
-		for mask := req.Mask; mask != 0; {
-			lo := bits.TrailingZeros64(mask)
-			n := bits.TrailingZeros64(^(mask >> lo))
-			if err := d.media.WriteAt(line[lo:lo+n], int64(dpa)+int64(lo)); err != nil {
-				linePool.Put(line)
-				d.stats.Errors.Add(1)
-				resp.Opcode = RespErr
-				return resp
+		switch req.Opcode {
+		case OpMemRd:
+			if d.access(false, dpa, line[:]) {
+				resp.Data = *line
+				d.stats.Reads.Add(1)
+				resp.Opcode = RespMemData
 			}
-			mask &^= (1<<n - 1) << lo
+		case OpMemWr:
+			*line = req.Data
+			if d.access(true, dpa, line[:]) {
+				d.stats.Writes.Add(1)
+				resp.Opcode = RespCmp
+			}
+		default:
+			// Only the masked bytes reach the media, one write per run
+			// of set mask bits and no read of the line, so writers of
+			// disjoint bytes of one line never undo each other.
+			*line = req.Data
+			var err error
+			for mask := req.Mask; mask != 0 && err == nil; {
+				lo := bits.TrailingZeros64(mask)
+				n := bits.TrailingZeros64(^(mask >> lo))
+				err = d.media.WriteAt(line[lo:lo+n], int64(dpa)+int64(lo))
+				mask &^= (1<<n - 1) << lo
+			}
+			if err != nil {
+				d.stats.Errors.Add(1)
+			} else {
+				d.stats.PartialWrites.Add(1)
+				resp.Opcode = RespCmp
+			}
 		}
 		linePool.Put(line)
-		d.stats.PartialWrites.Add(1)
-		resp.Opcode = RespCmp
 	case OpMemInv:
 		d.stats.Invalidates.Add(1)
 		resp.Opcode = RespCmp
@@ -336,234 +336,144 @@ func (d *Type3Device) HandleMem(req MemReq) MemResp {
 		// must arrive through HandleMemBurst; seeing one here is a
 		// protocol error, as is any unknown opcode.
 		d.stats.Errors.Add(1)
-		resp.Opcode = RespErr
 	}
 	return resp
 }
 
-// snapDecode resolves hpa through a fixed snapshot (one consistent view
-// for a whole queued batch).
-func snapDecode(s *deviceSnapshot, hpa uint64) (uint64, bool) {
-	for _, dec := range s.decoders {
-		if dpa, ok := dec.Decode(hpa); ok {
-			return dpa, true
-		}
-	}
-	return 0, false
-}
-
-// HandleMemQueue implements QueueHandler: it services one flushed ring
-// batch against a single decoder/RAS snapshot. Runs of adjacent
+// HandleMemQueue services one flushed ring batch. Runs of adjacent
 // same-opcode MemRd/MemWr lines (contiguous in DPA space) collapse into
 // one media access staged through the burst buffer pool, and the
 // read/write counters are charged once per run — the device-side half
-// of doorbell batching. Everything else (MemWrPtl, MemInv, unmapped or
-// poisoned lines, run breaks) falls through to the per-request path
-// with identical semantics.
+// of doorbell batching. Everything else goes through HandleMem with
+// identical semantics: MemWrPtl, MemInv, unmapped lines, run breaks,
+// and runs touching poison, whose lines must fail one by one.
 func (d *Type3Device) HandleMemQueue(reqs []MemReq, resps []MemResp) {
-	if len(reqs) == 1 {
-		resps[0] = d.HandleMem(reqs[0])
-		return
-	}
 	s := d.snapshot()
-	var nRd, nWr int64
-	i := 0
-	for i < len(reqs) {
-		req := &reqs[i]
-		op := req.Opcode
-		if op != OpMemRd && op != OpMemWr {
-			resps[i] = d.HandleMem(*req)
-			i++
-			continue
-		}
-		dpa, ok := snapDecode(s, req.Addr)
-		if !ok {
-			resps[i] = d.HandleMem(*req) // per-request path counts the error
-			i++
-			continue
-		}
-		// Extend the run while the next request is the same opcode on
-		// the next DPA line. Poison is probed once for the whole run
-		// below, not per line here.
-		j := i + 1
-		for j < len(reqs) && j-i < MaxBurstLines {
-			r2 := &reqs[j]
-			if r2.Opcode != op {
-				break
-			}
-			dpa2, ok2 := snapDecode(s, r2.Addr)
-			if !ok2 || dpa2 != dpa+uint64((j-i)*LineSize) {
-				break
-			}
-			j++
-		}
-		n := j - i
-		// One span-granular RAS probe covers the run; a hit drops the
-		// whole run to the per-request path, which re-checks line by
-		// line and charges errors exactly as before.
-		dirty := false
-		switch {
-		case s.poisonedSpan != nil:
-			dirty = s.poisonedSpan(dpa, uint64(n*LineSize))
-		case s.poisoned != nil:
-			for k := 0; k < n; k++ {
-				if s.poisoned(dpa + uint64(k*LineSize)) {
-					dirty = true
+	for i := 0; i < len(reqs); {
+		op := reqs[i].Opcode
+		n := 1
+		var dpa uint64
+		if op == OpMemRd || op == OpMemWr {
+			var ok bool
+			dpa, ok = s.decode(reqs[i].Addr)
+			for ok && i+n < len(reqs) && n < MaxBurstLines && reqs[i+n].Opcode == op {
+				next, hit := s.decode(reqs[i+n].Addr)
+				if !hit || next != dpa+uint64(n*LineSize) {
 					break
 				}
+				n++
 			}
 		}
-		if n == 1 || dirty {
-			resps[i] = d.HandleMem(*req)
+		if n == 1 || s.poisonedAt(dpa, uint64(n*LineSize)) {
+			resps[i] = d.HandleMem(reqs[i])
 			i++
 			continue
 		}
-		buf := burstBufPool.Get().(*[maxBurstBytes]byte)
-		span := buf[:n*LineSize]
-		var err error
-		if op == OpMemRd {
-			err = d.media.ReadAt(span, int64(dpa))
-		} else {
-			for k := 0; k < n; k++ {
-				copy(span[k*LineSize:(k+1)*LineSize], reqs[i+k].Data[:])
-			}
-			err = d.media.WriteAt(span, int64(dpa))
-		}
-		for k := 0; k < n; k++ {
-			r := &resps[i+k]
-			r.Tag = reqs[i+k].Tag
-			switch {
-			case err != nil:
-				r.Opcode = RespErr
-				d.stats.Errors.Add(1)
-			case op == OpMemRd:
-				copy(r.Data[:], span[k*LineSize:(k+1)*LineSize])
-				r.Opcode = RespMemData
-			default:
-				r.Opcode = RespCmp
-			}
-		}
-		burstBufPool.Put(buf)
-		if err == nil {
-			if op == OpMemRd {
-				nRd += int64(n)
-			} else {
-				nWr += int64(n)
-			}
-		}
-		i = j
-	}
-	if nRd > 0 {
-		d.stats.Reads.Add(nRd)
-	}
-	if nWr > 0 {
-		d.stats.Writes.Add(nWr)
+		d.serveRun(s, op == OpMemWr, dpa, reqs[i:i+n], resps[i:i+n])
+		i += n
 	}
 }
 
-// HandleMemBurst implements BurstHandler: it services a multi-line burst
-// with a single media access when the span maps to one contiguous DPA
-// range through one HDM decoder — plain windows and interleaved windows
-// alike (an interleaved burst names consecutive target-owned lines; see
-// decodeSpan) — falling back to per-line accesses only across decoder
-// boundaries, and counting each such fallback in MemStats.LineFallbacks.
-// Poison (RAS) checks still run per line, and a burst touching any
-// poisoned or unmapped line fails whole — no partial effects reach the
-// media.
+// serveRun moves one coalesced queue run of full-line reads or writes
+// with a single media access.
+func (d *Type3Device) serveRun(s *deviceSnapshot, write bool, dpa uint64, reqs []MemReq, resps []MemResp) {
+	buf := burstBufPool.Get().(*[maxBurstBytes]byte)
+	span := buf[:len(reqs)*LineSize]
+	if write {
+		for k := range reqs {
+			copy(span[k*LineSize:], reqs[k].Data[:])
+		}
+	}
+	ok := d.access(write, dpa, span)
+	for k := range resps {
+		r := &resps[k]
+		r.Tag, r.Opcode = reqs[k].Tag, RespErr
+		switch {
+		case !ok:
+		case write:
+			r.Opcode = RespCmp
+		default:
+			copy(r.Data[:], span[k*LineSize:])
+			r.Opcode = RespMemData
+		}
+	}
+	burstBufPool.Put(buf)
+	n := int64(len(reqs))
+	switch {
+	case !ok:
+		d.stats.Errors.Add(n - 1) // access charged one; every line fails
+	case write:
+		d.stats.Writes.Add(n)
+	default:
+		d.stats.Reads.Add(n)
+	}
+}
+
+// HandleMemBurst services a multi-line burst with a single media access
+// when the span maps to one contiguous DPA range through one HDM
+// decoder — plain windows and interleaved windows alike (an interleaved
+// burst names consecutive target-owned lines; see decodeSpan) — and
+// line by line only across decoder boundaries, counting each such
+// fallback in MemStats.LineFallbacks. A burst touching any poisoned or
+// unmapped line fails whole: no partial effects reach the media.
 func (d *Type3Device) HandleMemBurst(req MemReq, payload []byte) MemResp {
-	resp := MemResp{Tag: req.Tag}
+	resp := MemResp{Tag: req.Tag, Opcode: RespErr}
 	lines := int(req.Lines)
 	if req.Opcode != OpMemRdBurst && req.Opcode != OpMemWrBurst ||
 		lines < 1 || lines > MaxBurstLines ||
 		len(payload) != lines*LineSize || !lineAligned(req.Addr) {
 		d.stats.Errors.Add(1)
-		resp.Opcode = RespErr
 		return resp
 	}
-	span := uint64(len(payload))
-	dpa, snap, contiguous := d.decodeSpan(req.Addr, span)
-	poisoned := snap.poisoned
-
-	// RAS check. On the contiguous fast path a span-granular checker
-	// (the mailbox's — one atomic load while the poison list is empty)
-	// covers the whole burst; otherwise the per-line hook runs per
-	// line, same as single-line transactions.
-	if contiguous && snap.poisonedSpan != nil {
-		if snap.poisonedSpan(dpa, span) {
-			d.media.Stats().Uncorrectable.Add(1)
-			d.stats.Errors.Add(1)
-			resp.Opcode = RespErr
-			return resp
-		}
-		poisoned = nil
-	}
-
-	// Validate every line before touching the media — decode (when the
-	// span is not contiguous) and poison — so a failing burst has no
-	// partial effects. Line DPAs are kept on the stack for the access
-	// loop; the fast path never fills them.
-	if !contiguous {
-		d.stats.LineFallbacks.Add(1)
-	}
-	var lineDPAs [MaxBurstLines]uint64
-	if !contiguous || poisoned != nil {
-		for i := 0; i < lines; i++ {
-			lineDPA := dpa + uint64(i*LineSize)
-			if !contiguous {
-				var ok bool
-				if lineDPA, ok = d.decode(req.Addr + uint64(i*LineSize)); !ok {
-					d.stats.Errors.Add(1)
-					resp.Opcode = RespErr
-					return resp
-				}
-				lineDPAs[i] = lineDPA
-			}
-			if poisoned != nil && poisoned(lineDPA) {
-				d.media.Stats().Uncorrectable.Add(1)
-				d.stats.Errors.Add(1)
-				resp.Opcode = RespErr
-				return resp
-			}
-		}
-	}
-
-	if contiguous {
-		var err error
-		if req.Opcode == OpMemRdBurst {
-			err = d.media.ReadAt(payload, int64(dpa))
-		} else {
-			err = d.media.WriteAt(payload, int64(dpa))
-		}
-		if err != nil {
-			d.stats.Errors.Add(1)
-			resp.Opcode = RespErr
-			return resp
-		}
+	write := req.Opcode == OpMemWrBurst
+	s := d.snapshot()
+	var ok bool
+	if dpa, contiguous := s.decodeSpan(req.Addr, uint64(len(payload))); !contiguous {
+		ok = d.burstByLine(s, write, req.Addr, payload)
+	} else if s.poisonedAt(dpa, uint64(len(payload))) {
+		d.poisonHit()
 	} else {
-		for i := 0; i < lines; i++ {
-			line := payload[i*LineSize : (i+1)*LineSize]
-			var err error
-			if req.Opcode == OpMemRdBurst {
-				err = d.media.ReadAt(line, int64(lineDPAs[i]))
-			} else {
-				err = d.media.WriteAt(line, int64(lineDPAs[i]))
-			}
-			if err != nil {
-				d.stats.Errors.Add(1)
-				resp.Opcode = RespErr
-				return resp
-			}
-		}
+		ok = d.access(write, dpa, payload)
+	}
+	if !ok {
+		return resp
 	}
 	d.stats.BurstLines.Add(int64(lines))
-	if req.Opcode == OpMemRdBurst {
-		d.stats.ReadBursts.Add(1)
-		resp.Opcode = RespMemData
-	} else {
+	if write {
 		d.stats.WriteBursts.Add(1)
 		resp.Opcode = RespCmp
+	} else {
+		d.stats.ReadBursts.Add(1)
+		resp.Opcode = RespMemData
 	}
 	return resp
+}
+
+// burstByLine serves a burst whose span does not map to one contiguous
+// DPA range: every line is decoded and probed before the first media
+// access, so a failing burst has no partial effects.
+func (d *Type3Device) burstByLine(s *deviceSnapshot, write bool, hpa uint64, payload []byte) bool {
+	d.stats.LineFallbacks.Add(1)
+	var dpas [MaxBurstLines]uint64
+	lines := len(payload) / LineSize
+	for i := range lines {
+		dpa, ok := s.decode(hpa + uint64(i*LineSize))
+		if !ok {
+			d.stats.Errors.Add(1)
+			return false
+		}
+		if s.poisonedAt(dpa, uint64(LineSize)) {
+			d.poisonHit()
+			return false
+		}
+		dpas[i] = dpa
+	}
+	for i, dpa := range dpas[:lines] {
+		if !d.access(write, dpa, payload[i*LineSize:(i+1)*LineSize]) {
+			return false
+		}
+	}
+	return true
 }
 
 // SetPoisonChecker installs the RAS hook consulted on every HDM access
@@ -624,6 +534,18 @@ func (d *Type1Device) Config() *ConfigSpace { return &d.cfg }
 // HandleMem always fails: Type 1 devices expose no HDM.
 func (d *Type1Device) HandleMem(req MemReq) MemResp {
 	return MemResp{Tag: req.Tag, Opcode: RespErr}
+}
+
+// HandleMemBurst always fails, like HandleMem.
+func (d *Type1Device) HandleMemBurst(req MemReq, _ []byte) MemResp {
+	return d.HandleMem(req)
+}
+
+// HandleMemQueue fails every request, like HandleMem.
+func (d *Type1Device) HandleMemQueue(reqs []MemReq, resps []MemResp) {
+	for i := range reqs {
+		resps[i] = d.HandleMem(reqs[i])
+	}
 }
 
 // Type2Device is an accelerator with attached memory: it embeds the

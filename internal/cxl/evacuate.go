@@ -383,9 +383,6 @@ func (s *InterleaveSet) Reattach(rp *RootPort) error {
 	if ep == nil || rp.State() != LinkUp {
 		return fmt.Errorf("cxl: %s: replacement %s: link down", s.name, rp.Name())
 	}
-	if _, ok := ep.(BurstHandler); !ok {
-		return fmt.Errorf("cxl: %s: replacement endpoint %s cannot service bursts natively", s.name, ep.Name())
-	}
 	want := HDMDecoder{
 		Base:              s.base,
 		Size:              s.size,

@@ -24,7 +24,7 @@ import (
 // that link alone and never perturbs the other legs. The endpoint
 // services a leg burst with a single media access because consecutive
 // target-owned lines of an interleaved window map to a contiguous DPA
-// span (see Type3Device.decodeSpan).
+// span (see Type3Device.HandleMemBurst).
 //
 // Steady state allocates nothing: leg fan-out reuses pooled call frames
 // handed to persistent per-leg worker goroutines (a goroutine spawned
@@ -184,12 +184,6 @@ func NewInterleaveSetOpts(name string, opts InterleaveOptions, ports ...*RootPor
 		dvsec, ok := ep.Config().FindCXLDVSEC()
 		if !ok || dvsec.Caps&CapMem == 0 || dvsec.HDMSize == 0 {
 			return nil, fmt.Errorf("cxl: %s: leg %d endpoint %s advertises no HDM", name, i, ep.Name())
-		}
-		if _, ok := ep.(BurstHandler); !ok {
-			// Strided leg bursts need the endpoint's native burst path;
-			// the port-level per-line fallback assumes HPA-contiguous
-			// spans and would mis-address an interleaved window.
-			return nil, fmt.Errorf("cxl: %s: leg %d endpoint %s cannot service bursts natively", name, i, ep.Name())
 		}
 		if _, ok := ep.(programmer); !ok {
 			return nil, fmt.Errorf("cxl: %s: leg %d endpoint %s cannot program decoders", name, i, ep.Name())
@@ -633,7 +627,7 @@ func (s *InterleaveSet) SubmitRead(hpa uint64, out *[LineSize]byte) (*Completion
 	}
 	defer s.exit(s.enter())
 	if ev := s.evac.Load(); ev != nil && s.evacOwned(ev, hpa) {
-		return immediateCompletion(OpMemRd, hpa, s.evacSmall(ev, false, hpa, out[:])), nil
+		return immediateCompletion(s.evacSmall(ev, false, hpa, out[:])), nil
 	}
 	return s.Route(hpa).SubmitRead(hpa, out)
 }
@@ -647,7 +641,7 @@ func (s *InterleaveSet) SubmitWrite(hpa uint64, data *[LineSize]byte) (*Completi
 	}
 	defer s.exit(s.enter())
 	if ev := s.evac.Load(); ev != nil && s.evacOwned(ev, hpa) {
-		return immediateCompletion(OpMemWr, hpa, s.evacSmall(ev, true, hpa, data[:])), nil
+		return immediateCompletion(s.evacSmall(ev, true, hpa, data[:])), nil
 	}
 	return s.Route(hpa).SubmitWrite(hpa, data)
 }

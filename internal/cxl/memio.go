@@ -106,11 +106,11 @@ func (d *deviceIO) ReadAt(p []byte, off int64) error  { return d.dev.ReadAt(p, o
 func (d *deviceIO) WriteAt(p []byte, off int64) error { return d.dev.WriteAt(p, off) }
 
 func (d *deviceIO) SubmitRead(hpa uint64, out *[LineSize]byte) (*Completion, error) {
-	return immediateCompletion(OpMemRd, hpa, d.ReadLine(hpa, out)), nil
+	return immediateCompletion(d.ReadLine(hpa, out)), nil
 }
 
 func (d *deviceIO) SubmitWrite(hpa uint64, data *[LineSize]byte) (*Completion, error) {
-	return immediateCompletion(OpMemWr, hpa, d.WriteLine(hpa, data)), nil
+	return immediateCompletion(d.WriteLine(hpa, data)), nil
 }
 
 func (d *deviceIO) Flush() {}

@@ -109,13 +109,10 @@ type portHooks struct {
 // non-nil, points at the attached endpoint's media counters so link
 // CRC retries and exhausted-retry failures are attributed to the device
 // they occurred against — the health thresholds' retry-storm input.
-// queue caches the endpoint's QueueHandler (resolved once at training
-// time) so flushes do not pay a per-batch type assertion.
 type portSession struct {
 	state    LinkState
 	endpoint Endpoint
 	ras      *memdev.Stats
-	queue    QueueHandler
 }
 
 // retry charges one link-level retransmission to the issuing VC's ring
@@ -371,9 +368,6 @@ func (rp *RootPort) Attach(ep Endpoint) error {
 			sess.ras = media.Stats()
 		}
 	}
-	if qh, ok := ep.(QueueHandler); ok {
-		sess.queue = qh
-	}
 	rp.sess.Store(sess)
 	return nil
 }
@@ -461,25 +455,9 @@ func (rp *RootPort) awaitRetrain() (*portSession, error) {
 	}
 }
 
-// session returns the hot-path link snapshot, or an error when the link
-// is down. A Retraining link parks (bounded) and replays.
-func (rp *RootPort) session(op string, addr uint64) (*portSession, error) {
-	s := rp.sess.Load()
-	if s != nil && s.state == Retraining {
-		s2, err := rp.awaitRetrain()
-		if err != nil {
-			return nil, portErr(rp.name, op, addr, err, err.Error())
-		}
-		return s2, nil
-	}
-	if s == nil || s.state != LinkUp || s.endpoint == nil {
-		return nil, portErr(rp.name, op, addr, ErrLinkDown, "link down")
-	}
-	return s, nil
-}
-
-// ringSession is the flush-path variant of session: the caller builds
-// per-descriptor errors itself, so only the sentinel is needed.
+// ringSession returns the hot-path link snapshot, or the sentinel error
+// when the link is down (callers build per-descriptor errors). A
+// Retraining link parks (bounded) and replays.
 func (rp *RootPort) ringSession() (*portSession, error) {
 	s := rp.sess.Load()
 	if s != nil && s.state == Retraining {
@@ -509,74 +487,169 @@ func (rp *RootPort) ringFor(hpa uint64) *vcRing {
 // store (done and consumed fused; the submitter is also the waiter, so
 // nobody else reads the token). When earlier descriptors are queued,
 // it degrades to the generic publish + flush + wait shape.
-func (rp *RootPort) syncTransact(kind uint8, op MemOpcode, addr, mask uint64, out *[LineSize]byte, data *[LineSize]byte, p []byte) error {
+func (rp *RootPort) syncTransact(kind uint8, op MemOpcode, addr, mask uint64, out, data *[LineSize]byte, p []byte) error {
 	r := rp.ringFor(addr)
-	for {
-		t := r.tail.Load()
-		slot := &r.slots[t&ringMask]
-		seq := slot.seq.Load()
-		if seq != t {
-			if seq < t {
-				// Ring full: drain (waiters consume their slots) and retry.
-				rp.flushVC(r)
-				runtime.Gosched()
-			}
-			continue
-		}
-		if !r.tail.CompareAndSwap(t, t+1) {
-			continue
-		}
-		d := &slot.desc
-		if r.flushHead.CompareAndSwap(t, t+1) {
-			// Fused: the slot is never published, so only the fields the
-			// wire movers read need to be filled.
-			d.op, d.addr, d.mask, d.out, d.p = op, addr, mask, out, p
-			if data != nil {
-				d.data = *data
-			}
-			rp.doorbells.Add(1)
-			var err error
-			s, serr := rp.ringSession()
-			hk, hist, t0 := rp.tapPick(t, rp.hooks.Load(), kind, op, false)
-			switch {
-			case serr != nil:
-				err = portErr(rp.name, op.String(), addr, serr, serr.Error())
-			case kind == descBurst:
-				err = rp.ringBurst(s, hk, r, d, r.tagAt(t))
-			default:
-				err = rp.processSingle(r, slot, t, s, hk, r.tagAt(t))
-			}
-			slot.seq.Store(t + RingSlots)
-			if hist != nil {
-				hist.RecordSince(t0)
-			}
-			return err
-		}
-		d.kind, d.noCQ, d.op, d.addr, d.mask, d.out, d.p = kind, true, op, addr, mask, out, p
-		if data != nil {
-			d.data = *data
-		}
-		slot.comp.pos, slot.comp.tag, slot.comp.err = t, r.tagAt(t), nil
-		slot.seq.Store(t + 1)
+	t, slot, ok := r.claim()
+	for !ok {
+		// Ring full: drain (waiters consume their slots) and retry.
+		rp.flushVC(r)
+		runtime.Gosched()
+		t, slot, ok = r.claim()
+	}
+	fused := r.flushHead.CompareAndSwap(t, t+1)
+	slot.desc.fill(kind, true, op, addr, mask, out, data, p)
+	if !fused {
+		r.publish(slot, t)
 		rp.flushVC(r)
 		return slot.comp.Wait()
 	}
+	rp.doorbells.Add(1)
+	s, serr := rp.ringSession()
+	hk, hist, t0 := rp.tapPick(t, rp.hooks.Load(), kind, op, false)
+	err := rp.processSingle(r, &slot.desc, t, s, serr, hk)
+	slot.seq.Store(t + RingSlots)
+	if hist != nil {
+		hist.RecordSince(t0)
+	}
+	return err
 }
 
-// moveFlit pushes one already-encoded flit through the modelled wire:
-// fault injection and tracing, using the hook snapshot the transaction
-// was issued with. The receiver's CRC check happens at decode; the
-// caller owns the retry loop.
-func (rp *RootPort) moveFlit(h *portHooks, f *Flit) {
-	if h == nil {
-		return
+// wireMsg is one CXL.mem message crossing the modelled link, held as
+// plain values: kind selects which fields the flit encodes and where
+// the receiver's decoded form lands. A transaction keeps one on its
+// stack and updates only what the next flit needs. The mover takes
+// neither closures nor type parameters: either would move the flit to
+// the heap.
+type wireMsg struct {
+	kind uint8      // flitKindReq, -Resp, -Data, -SQ or -CQ
+	op   MemOpcode  // the transaction's opcode; with addr it names errors
+	resp RespOpcode // response status; a response decodes it and tag back
+	n    uint8      // packed SQ/CQ entry count
+	tag  uint16     // a data flit must arrive with the tag and seq it was sent with
+	// lines is a burst header's data-flit count.
+	lines uint16
+	seq   uint32
+	addr  uint64
+	mask  uint64
+	src   *[LineSize]byte // request or data payload; nil sends zeros
+	dst   *[LineSize]byte // where a data flit's payload lands
+	req   *MemReq         // where a request flit decodes
+	sq    *[SQEntriesPerFlit]SQE
+	sqDec *[SQEntriesPerFlit]SQE
+	cq    *[CQEntriesPerFlit]CQE
+	cqDec *[CQEntriesPerFlit]CQE
+}
+
+// errSeqMismatch is the receiver's NAK cause for a data flit that
+// arrived intact with the wrong tag or sequence number: a reordered
+// delivery.
+var errSeqMismatch = &ErrFlit{Reason: "data flit tag/sequence mismatch"}
+
+// flitKindNames labels flit kinds in uncorrectable-error messages.
+var flitKindNames = [...]string{
+	flitKindReq:  "request",
+	flitKindResp: "response",
+	flitKindData: "data",
+	flitKindSQ:   "submission",
+	flitKindCQ:   "completion",
+}
+
+// move carries one message across the link with link-level retry, as
+// CXL's LRSM does: encode, pass the flit through the fault and trace
+// hooks of the snapshot the transaction was issued with, then decode
+// and check it at the receiver. A flit that fails its CRC or arrives
+// out of sequence is force-recorded (flitErr) and NAKed, and the sender
+// retransmits it from its retry buffer after the configured backoff.
+// Retries are charged to the issuing VC and the attached device; an
+// exhausted budget fails the transaction with ErrUncorrectable, naming
+// m.op at m.addr.
+func (rp *RootPort) move(s *portSession, h *portHooks, r *vcRing, f *Flit, m *wireMsg) error {
+	for attempt := 0; ; attempt++ {
+		var err error
+		switch m.kind {
+		case flitKindReq:
+			encodeReq(f, m.op, m.tag, m.lines, m.addr, m.mask, m.src)
+			if h != nil {
+				h.pass(f)
+			}
+			err = DecodeReqInto(m.req, f)
+		case flitKindCQ:
+			EncodeCQInto(f, m.cq[:m.n])
+			if h != nil {
+				h.pass(f)
+			}
+			_, err = DecodeCQInto(m.cqDec, f)
+		case flitKindData:
+			EncodeDataInto(f, m.tag, m.seq, m.src)
+			if h != nil {
+				h.pass(f)
+			}
+			var tag uint16
+			var seq uint32
+			if tag, seq, err = DecodeDataInto(m.dst, f); err == nil && (tag != m.tag || seq != m.seq) {
+				err = errSeqMismatch
+			}
+		case flitKindSQ:
+			EncodeSQInto(f, m.sq[:m.n])
+			if h != nil {
+				h.pass(f)
+			}
+			_, err = DecodeSQInto(m.sqDec, f)
+		default:
+			err = m.crossResp(h, f)
+		}
+		if err == nil {
+			return nil
+		}
+		h.flitErr(f)
+		cfg := rp.cfg.Load()
+		if attempt >= cfg.MaxLinkRetries {
+			s.uncorrectable()
+			return rp.linkFail(m, err)
+		}
+		s.retry(r)
+		rp.backoff(cfg, attempt, m.addr)
 	}
-	if h.fault != nil {
-		*f = h.fault(*f)
+}
+
+// crossResp carries a response flit for move, decoding its status and
+// tag back into m. Kept out of move, with linkFail, so the hot loop's
+// frame holds no MemResp staging or error formatting.
+func (m *wireMsg) crossResp(h *portHooks, f *Flit) error {
+	EncodeRespInto(f, &MemResp{Opcode: m.resp, Tag: m.tag})
+	if h != nil {
+		h.pass(f)
 	}
-	if h.trace != nil {
-		h.trace(*f)
+	var got MemResp
+	err := DecodeRespInto(&got, f)
+	if err == nil {
+		m.resp, m.tag = got.Opcode, got.Tag
 	}
+	return err
+}
+
+// linkFail is m's uncorrectable link error once its last retry failed
+// with err.
+func (rp *RootPort) linkFail(m *wireMsg, err error) error {
+	return portErr(rp.name, m.op.String(), m.addr, ErrUncorrectable,
+		"uncorrectable link error on "+flitKindNames[m.kind]+" flit: "+err.Error())
+}
+
+// respErr checks a completion that crossed the link intact against the
+// transaction it answers: the device must echo its tag, reads complete
+// with data and everything else with Cmp.
+func (rp *RootPort) respErr(op MemOpcode, addr uint64, tag, got uint16, status RespOpcode) error {
+	if got != tag {
+		return portErr(rp.name, op.String(), addr, ErrTagMismatch, "completion tag mismatch")
+	}
+	want := RespCmp
+	if op == OpMemRd || op == OpMemRdBurst {
+		want = RespMemData
+	}
+	if status != want {
+		return portErr(rp.name, op.String(), addr, ErrBadResponse, "response "+status.String())
+	}
+	return nil
 }
 
 // --- MemIO: submission path ----------------------------------------------
@@ -586,36 +659,33 @@ func (rp *RootPort) moveFlit(h *portHooks, f *Flit) {
 // which flushes on demand). out must stay valid until the completion is
 // consumed.
 func (rp *RootPort) SubmitRead(hpa uint64, out *[LineSize]byte) (*Completion, error) {
-	if !lineAligned(hpa) {
-		return nil, portErr(rp.name, "MemRd", hpa, ErrUnaligned, "unaligned")
-	}
-	r := rp.ringFor(hpa)
-	c, err := r.submit(descLine, false, OpMemRd, hpa, 0, out, nil, nil)
-	if err != nil {
-		rp.flushVC(r)
-		if c, err = r.submit(descLine, false, OpMemRd, hpa, 0, out, nil, nil); err != nil {
-			return nil, portErr(rp.name, "MemRd", hpa, ErrRingFull, "submission ring full")
-		}
-	}
-	return c, nil
+	return rp.submitLine(OpMemRd, hpa, out, nil)
 }
 
 // SubmitWrite enqueues a line write at hpa without ringing the
 // doorbell. data is staged into the descriptor at submit time, so the
 // caller's buffer may be reused immediately.
 func (rp *RootPort) SubmitWrite(hpa uint64, data *[LineSize]byte) (*Completion, error) {
+	return rp.submitLine(OpMemWr, hpa, nil, data)
+}
+
+// submitLine publishes one line descriptor, flushing its VC once when
+// the ring is full.
+func (rp *RootPort) submitLine(op MemOpcode, hpa uint64, out, data *[LineSize]byte) (*Completion, error) {
 	if !lineAligned(hpa) {
-		return nil, portErr(rp.name, "MemWr", hpa, ErrUnaligned, "unaligned")
+		return nil, portErr(rp.name, op.String(), hpa, ErrUnaligned, "unaligned")
 	}
 	r := rp.ringFor(hpa)
-	c, err := r.submit(descLine, false, OpMemWr, hpa, 0, nil, data, nil)
-	if err != nil {
+	t, slot, ok := r.claim()
+	if !ok {
 		rp.flushVC(r)
-		if c, err = r.submit(descLine, false, OpMemWr, hpa, 0, nil, data, nil); err != nil {
-			return nil, portErr(rp.name, "MemWr", hpa, ErrRingFull, "submission ring full")
+		if t, slot, ok = r.claim(); !ok {
+			return nil, portErr(rp.name, op.String(), hpa, ErrRingFull, "submission ring full")
 		}
 	}
-	return c, nil
+	slot.desc.fill(descLine, false, op, hpa, 0, out, data, nil)
+	r.publish(slot, t)
+	return &slot.comp, nil
 }
 
 // Flush rings the doorbell on every VC with queued submissions: each
@@ -671,10 +741,7 @@ func (rp *RootPort) WriteLine(hpa uint64, data *[LineSize]byte) error {
 func (rp *RootPort) writePartial(base uint64, lo int, p []byte) error {
 	var data [LineSize]byte
 	copy(data[lo:lo+len(p)], p)
-	var mask uint64
-	for i := lo; i < lo+len(p); i++ {
-		mask |= 1 << uint(i)
-	}
+	mask := (uint64(1)<<len(p) - 1) << lo // all ones when len(p) == LineSize
 	return rp.syncTransact(descLine, OpMemWrPtl, base, mask, nil, &data, nil)
 }
 
@@ -694,135 +761,11 @@ func (rp *RootPort) writePartial(base uint64, lo int, p []byte) error {
 // span [hpa, hpa+len). Through an *interleaved* decoder it covers the
 // next len/LineSize lines *owned by that target* starting at hpa —
 // the device never sees other targets' granules, so Lines counts its
-// own (see Type3Device.decodeSpan). A host talking to one leg of an
+// own (see Type3Device.HandleMemBurst). A host talking to one leg of an
 // interleave set must therefore be interleave-aware: use
 // InterleaveSet, which performs the granule fan-out and hands each
 // port exactly its owned lines, rather than issuing HPA-contiguous
 // bursts at an interleaved window directly.
-
-// sendHeader pushes one burst header flit over the wire with link-level
-// retry — a flit corrupted in flight fails its CRC at the receiver,
-// which NAKs, and the sender retransmits from its retry buffer — and
-// returns the decoded form the device sees. Retries are charged to the
-// issuing VC's ring.
-func (rp *RootPort) sendHeader(s *portSession, h *portHooks, r *vcRing, req *MemReq, decoded *MemReq) error {
-	var f Flit
-	var err error
-	for attempt := 0; ; attempt++ {
-		EncodeReqInto(&f, req)
-		rp.moveFlit(h, &f)
-		if err = DecodeReqInto(decoded, &f); err == nil {
-			return nil
-		}
-		h.flitErr(&f)
-		cfg := rp.cfg.Load()
-		if attempt >= cfg.MaxLinkRetries {
-			s.uncorrectable()
-			return portErr(rp.name, req.Opcode.String(), req.Addr, ErrUncorrectable, "uncorrectable link error: "+err.Error())
-		}
-		s.retry(r)
-		rp.backoff(cfg, attempt, req.Addr)
-	}
-}
-
-// moveData pushes one burst data beat (src line seq) over the wire with
-// retry and lands it in dst. f is caller-owned scratch, reused across
-// the beats of a burst so the wire loop does not re-zero a flit per
-// line.
-func (rp *RootPort) moveData(s *portSession, h *portHooks, r *vcRing, f *Flit, op MemOpcode, addr uint64, tag uint16, seq uint32, src, dst *[LineSize]byte) error {
-	for attempt := 0; ; attempt++ {
-		EncodeDataInto(f, tag, seq, src)
-		rp.moveFlit(h, f)
-		gotTag, gotSeq, err := DecodeDataInto(dst, f)
-		if err == nil && gotTag == tag && gotSeq == seq {
-			return nil
-		}
-		if err == nil {
-			// A valid flit with the wrong tag/seq is a reordered delivery:
-			// the sequence check NAKs it and the sender retransmits, same
-			// as a CRC failure.
-			err = portErr(rp.name, op.String(), addr, ErrTagMismatch, fmt.Sprintf("data flit tag/seq mismatch: sent %d/%d got %d/%d", tag, seq, gotTag, gotSeq))
-		}
-		h.flitErr(f)
-		cfg := rp.cfg.Load()
-		if attempt >= cfg.MaxLinkRetries {
-			s.uncorrectable()
-			return portErr(rp.name, op.String(), addr, ErrUncorrectable, "uncorrectable link error on data flit: "+err.Error())
-		}
-		s.retry(r)
-		rp.backoff(cfg, attempt, addr)
-	}
-}
-
-// recvResp pushes one completion/response flit back over the wire with
-// the same retry protection and enforces tag matching.
-func (rp *RootPort) recvResp(s *portSession, h *portHooks, r *vcRing, op MemOpcode, addr uint64, tag uint16, resp *MemResp, out *MemResp) error {
-	var f Flit
-	var err error
-	for attempt := 0; ; attempt++ {
-		EncodeRespInto(&f, resp)
-		rp.moveFlit(h, &f)
-		if err = DecodeRespInto(out, &f); err == nil {
-			if out.Tag == tag {
-				return nil
-			}
-			// Reordered response: NAK and retransmit, like a CRC failure.
-			err = portErr(rp.name, op.String(), addr, ErrTagMismatch, fmt.Sprintf("tag mismatch: sent %d got %d", tag, out.Tag))
-		}
-		h.flitErr(&f)
-		cfg := rp.cfg.Load()
-		if attempt >= cfg.MaxLinkRetries {
-			s.uncorrectable()
-			return portErr(rp.name, op.String(), addr, ErrUncorrectable, "uncorrectable link error: "+err.Error())
-		}
-		s.retry(r)
-		rp.backoff(cfg, attempt, addr)
-	}
-}
-
-// handleBurst dispatches a decoded burst to the endpoint: natively when
-// it implements BurstHandler, otherwise line by line through HandleMem.
-// The fallback preserves the native path's no-partial-effects contract:
-// a write burst first probes every target line with MemRd (validating
-// decode and poison) and only then writes, so a burst failing on any
-// line leaves the media untouched either way.
-func (rp *RootPort) handleBurst(ep Endpoint, req MemReq, payload []byte) MemResp {
-	if bh, ok := ep.(BurstHandler); ok {
-		return bh.HandleMemBurst(req, payload)
-	}
-	lines := int(req.Lines)
-	if req.Opcode == OpMemWrBurst {
-		for i := 0; i < lines; i++ {
-			probe := MemReq{Opcode: OpMemRd, Tag: req.Tag, Addr: req.Addr + uint64(i*LineSize)}
-			if resp := ep.HandleMem(probe); resp.Opcode != RespMemData {
-				return MemResp{Tag: req.Tag, Opcode: resp.Opcode}
-			}
-		}
-	}
-	for i := 0; i < lines; i++ {
-		var lr MemReq
-		lr.Tag = req.Tag
-		lr.Addr = req.Addr + uint64(i*LineSize)
-		if req.Opcode == OpMemWrBurst {
-			lr.Opcode = OpMemWr
-			copy(lr.Data[:], payload[i*LineSize:(i+1)*LineSize])
-			if resp := ep.HandleMem(lr); resp.Opcode != RespCmp {
-				return MemResp{Tag: req.Tag, Opcode: resp.Opcode}
-			}
-		} else {
-			lr.Opcode = OpMemRd
-			resp := ep.HandleMem(lr)
-			if resp.Opcode != RespMemData {
-				return MemResp{Tag: req.Tag, Opcode: resp.Opcode}
-			}
-			copy(payload[i*LineSize:(i+1)*LineSize], resp.Data[:])
-		}
-	}
-	if req.Opcode == OpMemWrBurst {
-		return MemResp{Tag: req.Tag, Opcode: RespCmp}
-	}
-	return MemResp{Tag: req.Tag, Opcode: RespMemData}
-}
 
 // WriteBurst stores p at the line-aligned HPA hpa using burst
 // transactions; len(p) must be a multiple of LineSize.
@@ -848,67 +791,70 @@ func (rp *RootPort) ReadBurst(hpa uint64, p []byte) error {
 	return rp.syncTransact(descBurst, OpMemRdBurst, hpa, 0, nil, nil, p)
 }
 
-// writeBurstChunk moves one ≤maxBurstBytes write burst chunk for a ring
-// burst descriptor: header, data beats, device, completion.
-func (rp *RootPort) writeBurstChunk(s *portSession, h *portHooks, r *vcRing, tag uint16, hpa uint64, p []byte) error {
-	lines := len(p) / LineSize
-	req := MemReq{Opcode: OpMemWrBurst, Addr: hpa, Lines: uint16(lines), Tag: tag}
-	var decoded MemReq
-	if err := rp.sendHeader(s, h, r, &req, &decoded); err != nil {
-		return err
-	}
-	buf := burstBufPool.Get().(*[maxBurstBytes]byte)
-	var f Flit
-	for i := 0; i < lines; i++ {
-		src := (*[LineSize]byte)(p[i*LineSize:])
-		dst := (*[LineSize]byte)(buf[i*LineSize:])
-		if err := rp.moveData(s, h, r, &f, OpMemWrBurst, hpa, req.Tag, uint32(i), src, dst); err != nil {
-			burstBufPool.Put(buf)
+// ringBurst streams one burst descriptor in ≤maxBurstBytes chunks,
+// reusing the descriptor's tag for every chunk (chunks are strictly
+// sequential, so the tag is never ambiguous in flight).
+func (rp *RootPort) ringBurst(s *portSession, hk *portHooks, r *vcRing, d *ringDesc, tag uint16) error {
+	var hdr MemReq
+	m := wireMsg{op: d.op, tag: tag, addr: d.addr, req: &hdr}
+	for p := d.p; len(p) > 0; {
+		n := len(p)
+		if n > maxBurstBytes {
+			n = maxBurstBytes
+		}
+		if err := rp.burstChunk(s, hk, r, &m, p[:n]); err != nil {
 			return err
 		}
-	}
-	resp := rp.handleBurst(s.endpoint, decoded, buf[:len(p)])
-	burstBufPool.Put(buf)
-	var out MemResp
-	if err := rp.recvResp(s, h, r, OpMemWrBurst, hpa, req.Tag, &resp, &out); err != nil {
-		return err
-	}
-	if out.Opcode != RespCmp {
-		return portErr(rp.name, "MemWrBurst", hpa, ErrBadResponse, "response "+out.Opcode.String())
+		p = p[n:]
+		m.addr += uint64(n)
 	}
 	return nil
 }
 
-// readBurstChunk moves one ≤maxBurstBytes read burst chunk for a ring
-// burst descriptor.
-func (rp *RootPort) readBurstChunk(s *portSession, h *portHooks, r *vcRing, tag uint16, hpa uint64, p []byte) error {
-	lines := len(p) / LineSize
-	req := MemReq{Opcode: OpMemRdBurst, Addr: hpa, Lines: uint16(lines), Tag: tag}
-	var decoded MemReq
-	if err := rp.sendHeader(s, h, r, &req, &decoded); err != nil {
+// burstChunk moves one ≤maxBurstBytes chunk of a burst at m.addr: the
+// header flit (decoded into m.req), the data beats (before the device
+// for a write, after the completion for a read), the device's single
+// media access and the completion flit.
+func (rp *RootPort) burstChunk(s *portSession, hk *portHooks, r *vcRing, m *wireMsg, p []byte) error {
+	var f Flit
+	tag := m.tag
+	m.kind, m.lines, m.src = flitKindReq, uint16(len(p)/LineSize), nil
+	if err := rp.move(s, hk, r, &f, m); err != nil {
 		return err
 	}
 	buf := burstBufPool.Get().(*[maxBurstBytes]byte)
-	resp := rp.handleBurst(s.endpoint, decoded, buf[:len(p)])
-	var out MemResp
-	if err := rp.recvResp(s, h, r, OpMemRdBurst, hpa, req.Tag, &resp, &out); err != nil {
-		burstBufPool.Put(buf)
-		return err
+	wire := buf[:len(p)]
+	write := m.op == OpMemWrBurst
+	var err error
+	if write {
+		err = rp.moveBeats(s, hk, r, &f, m, p, wire)
 	}
-	if out.Opcode != RespMemData {
-		burstBufPool.Put(buf)
-		return portErr(rp.name, "MemRdBurst", hpa, ErrBadResponse, "response "+out.Opcode.String())
+	if err == nil {
+		resp := s.endpoint.HandleMemBurst(*m.req, wire)
+		m.kind, m.resp, m.tag = flitKindResp, resp.Opcode, resp.Tag
+		if err = rp.move(s, hk, r, &f, m); err == nil {
+			err = rp.respErr(m.op, m.addr, tag, m.tag, m.resp)
+		}
 	}
-	var f Flit
-	for i := 0; i < lines; i++ {
-		src := (*[LineSize]byte)(buf[i*LineSize:])
-		dst := (*[LineSize]byte)(p[i*LineSize:])
-		if err := rp.moveData(s, h, r, &f, OpMemRdBurst, hpa, req.Tag, uint32(i), src, dst); err != nil {
-			burstBufPool.Put(buf)
+	if err == nil && !write {
+		err = rp.moveBeats(s, hk, r, &f, m, wire, p)
+	}
+	burstBufPool.Put(buf)
+	return err
+}
+
+// moveBeats moves a burst chunk's data beats from src to dst, one flit
+// per line in sequence order.
+func (rp *RootPort) moveBeats(s *portSession, hk *portHooks, r *vcRing, f *Flit, m *wireMsg, src, dst []byte) error {
+	m.kind = flitKindData
+	for i := 0; i < len(src)/LineSize; i++ {
+		m.seq = uint32(i)
+		m.src = (*[LineSize]byte)(src[i*LineSize:])
+		m.dst = (*[LineSize]byte)(dst[i*LineSize:])
+		if err := rp.move(s, hk, r, f, m); err != nil {
 			return err
 		}
 	}
-	burstBufPool.Put(buf)
 	return nil
 }
 
@@ -924,23 +870,21 @@ func (rp *RootPort) ReadAt(p []byte, off int64) error {
 		if n > len(p) {
 			n = len(p)
 		}
-		var line [LineSize]byte
-		if err := rp.ReadLine(hpa-uint64(lo), &line); err != nil {
+		if err := rp.readPartial(hpa-uint64(lo), lo, p[:n]); err != nil {
 			return err
 		}
-		copy(p[:n], line[lo:lo+n])
 		p = p[n:]
 		hpa += uint64(n)
 	}
 	// Line-aligned interior: burst.
 	if n := len(p) &^ (LineSize - 1); n > 0 {
+		var err error
 		if n == LineSize {
-			var line [LineSize]byte
-			if err := rp.ReadLine(hpa, &line); err != nil {
-				return err
-			}
-			copy(p[:LineSize], line[:])
-		} else if err := rp.ReadBurst(hpa, p[:n]); err != nil {
+			err = rp.ReadLine(hpa, (*[LineSize]byte)(p))
+		} else {
+			err = rp.ReadBurst(hpa, p[:n])
+		}
+		if err != nil {
 			return err
 		}
 		p = p[n:]
@@ -948,13 +892,20 @@ func (rp *RootPort) ReadAt(p []byte, off int64) error {
 	}
 	// Partial tail.
 	if len(p) > 0 {
-		var line [LineSize]byte
-		if err := rp.ReadLine(hpa, &line); err != nil {
-			return err
-		}
-		copy(p, line[:len(p)])
+		return rp.readPartial(hpa, 0, p)
 	}
 	return nil
+}
+
+// readPartial fills p from offset lo of the line at base. The line
+// stages through a pooled buffer: its address rides the ring
+// descriptor, so a stack buffer would escape to the heap.
+func (rp *RootPort) readPartial(base uint64, lo int, p []byte) error {
+	line := linePool.Get().(*[LineSize]byte)
+	err := rp.ReadLine(base, line)
+	copy(p, line[lo:])
+	linePool.Put(line)
+	return err
 }
 
 // WriteAt stores p at HPA off. Full interior lines stream through the

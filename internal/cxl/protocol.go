@@ -212,24 +212,22 @@ func (f *Flit) seal() {
 // EncodeReqInto serialises a request into a caller-held flit buffer
 // without allocating.
 func EncodeReqInto(f *Flit, r *MemReq) {
-	binary.LittleEndian.PutUint64(f.raw[0:8],
-		flitKindReq|uint64(r.Opcode)<<8|uint64(r.Tag)<<16|uint64(r.Lines)<<32)
-	binary.LittleEndian.PutUint64(f.raw[8:16], r.Addr)
-	binary.LittleEndian.PutUint64(f.raw[16:24], r.Mask)
-	copy(f.raw[flitHeaderSize:flitHeaderSize+LineSize], r.Data[:])
-	f.seal()
+	encodeReq(f, r.Opcode, r.Tag, r.Lines, r.Addr, r.Mask, &r.Data)
 }
 
-// EncodeReqFieldsInto serialises a single-line request held as loose
-// fields (the ring descriptor's layout), so the ring's write path moves
-// the payload onto the wire without staging an intermediate MemReq.
-// Wire format matches EncodeReqInto with Lines=0.
-func EncodeReqFieldsInto(f *Flit, op MemOpcode, tag uint16, addr, mask uint64, data *[LineSize]byte) {
+// encodeReq serialises a request held as loose fields, so the data path
+// moves a descriptor's payload onto the wire without staging a MemReq.
+// A nil data sends a zero payload, as a burst header carries none.
+func encodeReq(f *Flit, op MemOpcode, tag, lines uint16, addr, mask uint64, data *[LineSize]byte) {
 	binary.LittleEndian.PutUint64(f.raw[0:8],
-		flitKindReq|uint64(op)<<8|uint64(tag)<<16)
+		flitKindReq|uint64(op)<<8|uint64(tag)<<16|uint64(lines)<<32)
 	binary.LittleEndian.PutUint64(f.raw[8:16], addr)
 	binary.LittleEndian.PutUint64(f.raw[16:24], mask)
-	copy(f.raw[flitHeaderSize:flitHeaderSize+LineSize], data[:])
+	if data != nil {
+		copy(f.raw[flitHeaderSize:flitHeaderSize+LineSize], data[:])
+	} else {
+		clearFlitPayload(f)
+	}
 	f.seal()
 }
 

@@ -18,7 +18,7 @@ import (
 // acquisition: session and hook snapshots are loaded once, header-only
 // submissions pack four to a CRC-protected flit (see flitKindSQ),
 // data-bearing messages ride one flit per line, the endpoint services
-// the decoded batch through one QueueHandler call (coalescing adjacent
+// the decoded batch through one HandleMemQueue call (coalescing adjacent
 // lines into single media accesses), and completions return packed four
 // to a flit. Per-flit CRC/retry/trace/fault semantics are identical to
 // the pre-ring path — a fault injected on one descriptor's flit retries
@@ -97,9 +97,7 @@ func (c *Completion) Tag() uint16 { return c.tag }
 // reports the stored error and recycles the token.
 var immediatePool = sync.Pool{New: func() any { return new(Completion) }}
 
-func immediateCompletion(op MemOpcode, addr uint64, err error) *Completion {
-	_ = op // the token carries only its outcome; op/addr context is in err
-	_ = addr
+func immediateCompletion(err error) *Completion {
 	c := immediatePool.Get().(*Completion)
 	c.ring, c.pos, c.tag, c.err = nil, 0, 0, err
 	return c
@@ -108,25 +106,7 @@ func immediateCompletion(op MemOpcode, addr uint64, err error) *Completion {
 // Wait blocks until the descriptor completes (flushing its ring if
 // nobody else has rung the doorbell yet) and returns the transaction's
 // error. It consumes the token: the caller must not touch it again.
-func (c *Completion) Wait() error {
-	r := c.ring
-	if r == nil {
-		err := c.err
-		c.err = nil
-		immediatePool.Put(c)
-		return err
-	}
-	slot := &r.slots[c.pos&ringMask]
-	if slot.seq.Load() < c.pos+2 {
-		r.rp.flushVC(r)
-		for slot.seq.Load() < c.pos+2 {
-			runtime.Gosched()
-		}
-	}
-	err := c.err
-	slot.seq.CompareAndSwap(c.pos+2, c.pos+RingSlots)
-	return err
-}
+func (c *Completion) Wait() error { return c.WaitTimeout(0) }
 
 // WaitTimeout is Wait with a per-descriptor deadline. On expiry it
 // returns ErrTimeout and abandons the token: whoever eventually
@@ -137,15 +117,21 @@ func (c *Completion) Wait() error {
 // non-positive d degenerates to Wait.
 func (c *Completion) WaitTimeout(d time.Duration) error {
 	r := c.ring
-	if r == nil || d <= 0 {
-		return c.Wait()
+	if r == nil {
+		err := c.err
+		c.err = nil
+		immediatePool.Put(c)
+		return err
 	}
 	slot := &r.slots[c.pos&ringMask]
 	if slot.seq.Load() < c.pos+2 {
 		r.rp.flushVC(r)
-		deadline := time.Now().Add(d)
+		var deadline time.Time
+		if d > 0 {
+			deadline = time.Now().Add(d)
+		}
 		for slot.seq.Load() < c.pos+2 {
-			if time.Now().After(deadline) {
+			if d > 0 && time.Now().After(deadline) {
 				return c.abandon(slot)
 			}
 			runtime.Gosched()
@@ -256,33 +242,39 @@ func (r *vcRing) tagAt(pos uint64) uint16 {
 	return uint16(r.idx)<<vcTagBits | uint16(pos)&vcSeqMask
 }
 
-// submit claims one SQ slot and publishes the descriptor. errRingFull
-// (unwrapped) reports a full ring; callers wrap or flush-and-retry.
-func (r *vcRing) submit(kind uint8, noCQ bool, op MemOpcode, addr, mask uint64, out *[LineSize]byte, data *[LineSize]byte, p []byte) (*Completion, error) {
+// claim reserves the next SQ position, reporting false when the
+// slot's previous-lap occupant has not been consumed (the ring is full).
+func (r *vcRing) claim() (uint64, *sqSlot, bool) {
 	for {
 		t := r.tail.Load()
 		slot := &r.slots[t&ringMask]
 		seq := slot.seq.Load()
 		if seq != t {
 			if seq < t {
-				// The slot's previous-lap occupant has not been consumed:
-				// the ring is full.
-				return nil, ErrRingFull
+				return 0, nil, false
 			}
 			continue // tail moved under us; reload
 		}
-		if !r.tail.CompareAndSwap(t, t+1) {
-			continue
+		if r.tail.CompareAndSwap(t, t+1) {
+			return t, slot, true
 		}
-		d := &slot.desc
-		d.kind, d.noCQ, d.op, d.addr, d.mask, d.out, d.p = kind, noCQ, op, addr, mask, out, p
-		if data != nil {
-			d.data = *data
-		}
-		slot.comp.pos, slot.comp.tag, slot.comp.err = t, r.tagAt(t), nil
-		slot.seq.Store(t + 1)
-		return &slot.comp, nil
 	}
+}
+
+// fill writes a claimed slot's descriptor; data is staged by value, so
+// the caller's buffer may be reused at once.
+func (d *ringDesc) fill(kind uint8, noCQ bool, op MemOpcode, addr, mask uint64, out, data *[LineSize]byte, p []byte) {
+	d.kind, d.noCQ, d.op, d.addr, d.mask, d.out, d.p = kind, noCQ, op, addr, mask, out, p
+	if data != nil {
+		d.data = *data
+	}
+}
+
+// publish arms a filled slot's completion token and hands the
+// descriptor at position t to the flushers.
+func (r *vcRing) publish(slot *sqSlot, t uint64) {
+	slot.comp.pos, slot.comp.tag, slot.comp.err = t, r.tagAt(t), nil
+	slot.seq.Store(t + 1)
 }
 
 // complete fills a descriptor's token and publishes the done state.
@@ -398,7 +390,9 @@ func (rp *RootPort) flushVC(r *vcRing) {
 
 // processSpan moves the claimed descriptor span [h, t) across the link:
 // line descriptors accumulate into batches (flushed in order around any
-// burst descriptor), bursts stream through the chunked burst path.
+// burst descriptor), bursts stream through the chunked burst path. A
+// span of one descriptor — the synchronous submit+flush+wait shape —
+// never touches the batch scratch.
 func (rp *RootPort) processSpan(r *vcRing, h, t uint64) {
 	rp.doorbells.Add(1)
 	s, serr := rp.ringSession()
@@ -406,25 +400,7 @@ func (rp *RootPort) processSpan(r *vcRing, h, t uint64) {
 	if hist != nil {
 		defer hist.RecordSince(t0)
 	}
-	if t == h+1 {
-		// Single descriptor (the synchronous submit+flush+wait shape):
-		// process on the stack, skipping the batch scratch entirely.
-		slot := &r.slots[h&ringMask]
-		for slot.seq.Load() != h+1 {
-			runtime.Gosched()
-		}
-		d := &slot.desc
-		switch {
-		case serr != nil:
-			r.finish(slot, h, portErr(rp.name, d.op.String(), d.addr, serr, serr.Error()))
-		case d.kind == descBurst:
-			r.finish(slot, h, rp.ringBurst(s, hk, r, d, slot.comp.tag))
-		default:
-			r.finish(slot, h, rp.processSingle(r, slot, h, s, hk, slot.comp.tag))
-		}
-		return
-	}
-	sc := flushScratchPool.Get().(*flushScratch)
+	var sc *flushScratch
 	n := 0
 	for pos := h; pos < t; pos++ {
 		slot := &r.slots[pos&ringMask]
@@ -435,17 +411,16 @@ func (rp *RootPort) processSpan(r *vcRing, h, t uint64) {
 			runtime.Gosched()
 		}
 		d := &slot.desc
-		if serr != nil {
-			r.finish(slot, pos, portErr(rp.name, d.op.String(), d.addr, serr, serr.Error()))
-			continue
-		}
-		if d.kind == descBurst {
+		if t == h+1 || serr != nil || d.kind == descBurst {
 			if n > 0 {
 				rp.runLineBatch(r, s, hk, sc, n)
 				n = 0
 			}
-			r.finish(slot, pos, rp.ringBurst(s, hk, r, d, slot.comp.tag))
+			r.finish(slot, pos, rp.processSingle(r, d, pos, s, serr, hk))
 			continue
+		}
+		if sc == nil {
+			sc = flushScratchPool.Get().(*flushScratch)
 		}
 		sc.pos[n] = pos
 		sc.slotp[n] = slot
@@ -454,7 +429,17 @@ func (rp *RootPort) processSpan(r *vcRing, h, t uint64) {
 	if n > 0 {
 		rp.runLineBatch(r, s, hk, sc, n)
 	}
-	flushScratchPool.Put(sc)
+	if sc != nil {
+		flushScratchPool.Put(sc)
+	}
+}
+
+// descErr re-labels a link error on a packed flit, which carried
+// several descriptors, with one descriptor's own transaction.
+func descErr(err error, d *ringDesc) error {
+	e := *err.(*PortError)
+	e.Op, e.Addr = d.op.String(), d.addr
+	return &e
 }
 
 // runLineBatch moves one batch of line descriptors: submissions across
@@ -466,6 +451,7 @@ func (rp *RootPort) processSpan(r *vcRing, h, t uint64) {
 // descriptors that flit carried.
 func (rp *RootPort) runLineBatch(r *vcRing, s *portSession, hk *portHooks, sc *flushScratch, n int) {
 	var f Flit
+	m := wireMsg{sq: &sc.sqes, sqDec: &sc.dec, cq: &sc.cqes, cqDec: &sc.decCQ}
 
 	// Phase 1: submissions out. nErr counts link-failed descriptors so
 	// the clean (overwhelmingly common) batch skips every per-line error
@@ -476,12 +462,12 @@ func (rp *RootPort) runLineBatch(r *vcRing, s *portSession, hk *portHooks, sc *f
 		if pk == 0 {
 			return
 		}
-		_, err := rp.moveSQ(s, hk, r, &f, sc.sqes[:pk], &sc.dec)
+		m.kind, m.n, m.op, m.addr = flitKindSQ, uint8(pk), sc.sqes[0].Op, sc.sqes[0].Addr
+		err := rp.move(s, hk, r, &f, &m)
 		for j := 0; j < pk; j++ {
 			i := sc.sqIdx[j]
 			if err != nil {
-				d := &sc.slotp[i].desc
-				sc.errs[i] = portErr(rp.name, d.op.String(), d.addr, ErrUncorrectable, "uncorrectable link error: "+err.Error())
+				sc.errs[i] = descErr(err, &sc.slotp[i].desc)
 				nErr++
 				continue
 			}
@@ -505,8 +491,10 @@ func (rp *RootPort) runLineBatch(r *vcRing, s *portSession, hk *portHooks, sc *f
 			}
 		default: // OpMemWr, OpMemWrPtl: payload rides a full request flit.
 			flushPack()
-			if err := rp.moveReq(s, hk, r, &f, d, slot.comp.tag, &sc.reqs[i]); err != nil {
-				sc.errs[i] = portErr(rp.name, d.op.String(), d.addr, ErrUncorrectable, "uncorrectable link error: "+err.Error())
+			m.kind, m.op, m.tag, m.addr, m.mask = flitKindReq, d.op, slot.comp.tag, d.addr, d.mask
+			m.src, m.req = &d.data, &sc.reqs[i]
+			if err := rp.move(s, hk, r, &f, &m); err != nil {
+				sc.errs[i] = err
 				nErr++
 			}
 		}
@@ -514,9 +502,8 @@ func (rp *RootPort) runLineBatch(r *vcRing, s *portSession, hk *portHooks, sc *f
 	flushPack()
 
 	// Phase 2: the endpoint services the decoded batch in one call.
-	clean := nErr == 0
-	if clean && s.queue != nil {
-		s.queue.HandleMemQueue(sc.reqs[:n], sc.resps[:n])
+	if nErr == 0 {
+		s.endpoint.HandleMemQueue(sc.reqs[:n], sc.resps[:n])
 	} else {
 		for i := 0; i < n; i++ {
 			if sc.errs[i] == nil {
@@ -541,29 +528,19 @@ func (rp *RootPort) runLineBatch(r *vcRing, s *portSession, hk *portHooks, sc *f
 		if pk == 0 {
 			return
 		}
-		_, err := rp.moveCQ(s, hk, r, &f, sc.cqes[:pk], &sc.decCQ)
+		first := &sc.slotp[sc.cqIdx[0]].desc
+		m.kind, m.n, m.op, m.addr = flitKindCQ, uint8(pk), first.op, first.addr
+		err := rp.move(s, hk, r, &f, &m)
 		for j := 0; j < pk; j++ {
 			i := sc.cqIdx[j]
 			slot := sc.slotp[i]
 			d := &slot.desc
 			if err != nil {
-				done(i, portErr(rp.name, d.op.String(), d.addr, ErrUncorrectable, "uncorrectable link error: "+err.Error()))
+				done(i, descErr(err, d))
 				continue
 			}
 			e := &sc.decCQ[j]
-			if e.Tag != slot.comp.tag {
-				done(i, portErr(rp.name, d.op.String(), d.addr, ErrTagMismatch, "completion tag mismatch"))
-				continue
-			}
-			want := RespCmp
-			if d.op == OpMemRd {
-				want = RespMemData
-			}
-			if e.Status != want {
-				done(i, portErr(rp.name, d.op.String(), d.addr, ErrBadResponse, "response "+e.Status.String()))
-				continue
-			}
-			done(i, nil)
+			done(i, rp.respErr(d.op, d.addr, slot.comp.tag, e.Tag, e.Status))
 		}
 		pk = 0
 	}
@@ -581,7 +558,9 @@ func (rp *RootPort) runLineBatch(r *vcRing, s *portSession, hk *portHooks, sc *f
 			// Read data returns in its own flit, decoded straight into
 			// the caller's buffer.
 			flushCQ()
-			done(i, rp.moveRData(s, hk, r, &f, slot.comp.tag, uint32(sc.pos[i]), &resp.Data, d.out))
+			m.kind, m.op, m.tag, m.seq, m.addr = flitKindData, d.op, slot.comp.tag, uint32(sc.pos[i]), d.addr
+			m.src, m.dst = &resp.Data, d.out
+			done(i, rp.move(s, hk, r, &f, &m))
 			continue
 		}
 		sc.cqes[pk] = CQE{Status: resp.Opcode, Tag: resp.Tag, Addr: d.addr}
@@ -600,165 +579,48 @@ func (rp *RootPort) runLineBatch(r *vcRing, s *portSession, hk *portHooks, sc *f
 	}
 }
 
-// processSingle moves one line descriptor on the caller's stack — the
-// synchronous path's shape — and returns its outcome; the caller
-// finishes or frees the slot. Wire semantics match runLineBatch exactly
-// (reads/invalidates as one packed SQ entry, writes as a full request
-// flit, completions as read-data or one packed CQ entry).
-func (rp *RootPort) processSingle(r *vcRing, slot *sqSlot, pos uint64, s *portSession, hk *portHooks, tag uint16) error {
-	d := &slot.desc
+// processSingle moves one descriptor on the caller's stack and returns
+// its outcome; the caller finishes or frees the slot. The synchronous
+// path's fused claim, a one-descriptor flush, and a batch's bursts and
+// link-down failures all come through here. A line descriptor keeps
+// runLineBatch's wire semantics exactly (a read or invalidate as one
+// packed SQ entry, a write as a full request flit, the completion as
+// read data or one packed CQ entry) without touching the batch scratch.
+func (rp *RootPort) processSingle(r *vcRing, d *ringDesc, pos uint64, s *portSession, serr error, hk *portHooks) error {
+	switch {
+	case serr != nil:
+		return portErr(rp.name, d.op.String(), d.addr, serr, serr.Error())
+	case d.kind == descBurst:
+		return rp.ringBurst(s, hk, r, d, r.tagAt(pos))
+	}
 	var f Flit
 	var req MemReq
-	var err error
-	switch d.op {
-	case OpMemRd, OpMemInv:
-		var dec [SQEntriesPerFlit]SQE
-		if _, e := rp.moveSQ(s, hk, r, &f, []SQE{{Op: d.op, Tag: tag, Addr: d.addr}}, &dec); e != nil {
-			err = portErr(rp.name, d.op.String(), d.addr, ErrUncorrectable, "uncorrectable link error: "+e.Error())
-		} else {
-			req = MemReq{Opcode: dec[0].Op, Addr: dec[0].Addr, Tag: dec[0].Tag}
-		}
-	default: // OpMemWr, OpMemWrPtl
-		if e := rp.moveReq(s, hk, r, &f, d, tag, &req); e != nil {
-			err = portErr(rp.name, d.op.String(), d.addr, ErrUncorrectable, "uncorrectable link error: "+e.Error())
-		}
-	}
-	if err == nil {
-		resp := s.endpoint.HandleMem(req)
-		if d.op == OpMemRd && resp.Opcode == RespMemData {
-			err = rp.moveRData(s, hk, r, &f, tag, uint32(pos), &resp.Data, d.out)
-		} else {
-			var dec [CQEntriesPerFlit]CQE
-			if _, e := rp.moveCQ(s, hk, r, &f, []CQE{{Status: resp.Opcode, Tag: resp.Tag, Addr: d.addr}}, &dec); e != nil {
-				err = portErr(rp.name, d.op.String(), d.addr, ErrUncorrectable, "uncorrectable link error: "+e.Error())
-			} else if dec[0].Tag != tag {
-				err = portErr(rp.name, d.op.String(), d.addr, ErrTagMismatch, "completion tag mismatch")
-			} else {
-				want := RespCmp
-				if d.op == OpMemRd {
-					want = RespMemData
-				}
-				if dec[0].Status != want {
-					err = portErr(rp.name, d.op.String(), d.addr, ErrBadResponse, "response "+dec[0].Status.String())
-				}
-			}
-		}
-	}
-	return err
-}
-
-// moveSQ pushes one packed submission flit over the wire with
-// link-level retry, returning the decoded entries the device would see.
-func (rp *RootPort) moveSQ(s *portSession, h *portHooks, r *vcRing, f *Flit, entries []SQE, dst *[SQEntriesPerFlit]SQE) (int, error) {
-	for attempt := 0; ; attempt++ {
-		EncodeSQInto(f, entries)
-		rp.moveFlit(h, f)
-		n, err := DecodeSQInto(dst, f)
-		if err == nil {
-			return n, nil
-		}
-		h.flitErr(f)
-		cfg := rp.cfg.Load()
-		if attempt >= cfg.MaxLinkRetries {
-			s.uncorrectable()
-			return 0, err
-		}
-		s.retry(r)
-		rp.backoff(cfg, attempt, entries[0].Addr)
-	}
-}
-
-// moveCQ pushes one packed completion flit over the wire with retry.
-func (rp *RootPort) moveCQ(s *portSession, h *portHooks, r *vcRing, f *Flit, entries []CQE, dst *[CQEntriesPerFlit]CQE) (int, error) {
-	for attempt := 0; ; attempt++ {
-		EncodeCQInto(f, entries)
-		rp.moveFlit(h, f)
-		n, err := DecodeCQInto(dst, f)
-		if err == nil {
-			return n, nil
-		}
-		h.flitErr(f)
-		cfg := rp.cfg.Load()
-		if attempt >= cfg.MaxLinkRetries {
-			s.uncorrectable()
-			return 0, err
-		}
-		s.retry(r)
-		rp.backoff(cfg, attempt, entries[0].Addr)
-	}
-}
-
-// moveReq pushes one full request flit (payload-carrying submission)
-// over the wire with retry, encoding straight from the descriptor —
-// the payload crosses the wire without an intermediate MemReq copy —
-// and decoding into dst.
-func (rp *RootPort) moveReq(s *portSession, h *portHooks, r *vcRing, f *Flit, d *ringDesc, tag uint16, dst *MemReq) error {
-	for attempt := 0; ; attempt++ {
-		EncodeReqFieldsInto(f, d.op, tag, d.addr, d.mask, &d.data)
-		rp.moveFlit(h, f)
-		err := DecodeReqInto(dst, f)
-		if err == nil {
-			return nil
-		}
-		h.flitErr(f)
-		cfg := rp.cfg.Load()
-		if attempt >= cfg.MaxLinkRetries {
-			s.uncorrectable()
+	tag := r.tagAt(pos)
+	m := wireMsg{op: d.op, tag: tag, addr: d.addr, req: &req}
+	if d.op == OpMemRd || d.op == OpMemInv {
+		var sq, dec [SQEntriesPerFlit]SQE
+		sq[0] = SQE{Op: d.op, Tag: tag, Addr: d.addr}
+		m.kind, m.n, m.sq, m.sqDec = flitKindSQ, 1, &sq, &dec
+		if err := rp.move(s, hk, r, &f, &m); err != nil {
 			return err
 		}
-		s.retry(r)
-		rp.backoff(cfg, attempt, d.addr)
-	}
-}
-
-// moveRData pushes one read-data return flit over the wire with retry,
-// decoding the payload straight into the caller's line buffer. On error
-// the buffer contents are undefined.
-func (rp *RootPort) moveRData(s *portSession, h *portHooks, r *vcRing, f *Flit, tag uint16, seq uint32, src, dst *[LineSize]byte) error {
-	for attempt := 0; ; attempt++ {
-		EncodeDataInto(f, tag, seq, src)
-		rp.moveFlit(h, f)
-		gotTag, gotSeq, err := DecodeDataInto(dst, f)
-		if err == nil && gotTag == tag && gotSeq == seq {
-			return nil
-		}
-		if err == nil {
-			// Reordered delivery: NAK and retransmit, like a CRC failure.
-			err = portErr(rp.name, "MemRd", 0, ErrTagMismatch, "data flit tag/seq mismatch")
-		}
-		h.flitErr(f)
-		cfg := rp.cfg.Load()
-		if attempt >= cfg.MaxLinkRetries {
-			s.uncorrectable()
-			return portErr(rp.name, "MemRd", 0, ErrUncorrectable, "uncorrectable link error on data flit: "+err.Error())
-		}
-		s.retry(r)
-		rp.backoff(cfg, attempt, uint64(tag))
-	}
-}
-
-// ringBurst streams one burst descriptor through the chunked burst
-// path, reusing the descriptor's tag for every chunk (chunks are
-// strictly sequential, so the tag is never ambiguous in flight).
-func (rp *RootPort) ringBurst(s *portSession, hk *portHooks, r *vcRing, d *ringDesc, tag uint16) error {
-	hpa, p := d.addr, d.p
-	write := d.op == OpMemWrBurst
-	for len(p) > 0 {
-		n := len(p)
-		if n > maxBurstBytes {
-			n = maxBurstBytes
-		}
-		var err error
-		if write {
-			err = rp.writeBurstChunk(s, hk, r, tag, hpa, p[:n])
-		} else {
-			err = rp.readBurstChunk(s, hk, r, tag, hpa, p[:n])
-		}
-		if err != nil {
+		req.Opcode, req.Addr, req.Tag = dec[0].Op, dec[0].Addr, dec[0].Tag
+	} else { // OpMemWr, OpMemWrPtl
+		m.kind, m.mask, m.src = flitKindReq, d.mask, &d.data
+		if err := rp.move(s, hk, r, &f, &m); err != nil {
 			return err
 		}
-		p = p[n:]
-		hpa += uint64(n)
 	}
-	return nil
+	resp := s.endpoint.HandleMem(req)
+	if d.op == OpMemRd && resp.Opcode == RespMemData {
+		m.kind, m.seq, m.src, m.dst = flitKindData, uint32(pos), &resp.Data, d.out
+		return rp.move(s, hk, r, &f, &m)
+	}
+	var cq, dec [CQEntriesPerFlit]CQE
+	cq[0] = CQE{Status: resp.Opcode, Tag: resp.Tag, Addr: d.addr}
+	m.kind, m.n, m.cq, m.cqDec = flitKindCQ, 1, &cq, &dec
+	if err := rp.move(s, hk, r, &f, &m); err != nil {
+		return err
+	}
+	return rp.respErr(d.op, d.addr, tag, dec[0].Tag, dec[0].Status)
 }

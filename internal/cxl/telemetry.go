@@ -85,6 +85,17 @@ func flitRecordOf(f *Flit, errFlag bool) telemetry.FlitRecord {
 	}
 }
 
+// pass carries one flit across the modelled wire: the fault hook may
+// corrupt it, then the trace hook observes it.
+func (h *portHooks) pass(f *Flit) {
+	if h.fault != nil {
+		*f = h.fault(*f)
+	}
+	if h.trace != nil {
+		h.trace(*f)
+	}
+}
+
 // flitErr force-records a CRC-failed flit, regardless of sampling. The
 // retry loops call it on every failed decode; with telemetry off (nil
 // hooks or no recorder) it is a nil check.

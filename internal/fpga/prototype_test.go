@@ -220,16 +220,13 @@ func TestString(t *testing.T) {
 	}
 }
 
-// TestPrototypeServicesBursts checks the card is a native BurstHandler:
+// TestPrototypeServicesBursts checks the card services bursts natively:
 // a multi-line burst lands as one HDM access against the card DRAM and
 // round-trips bit-exact through a root port.
 func TestPrototypeServicesBursts(t *testing.T) {
 	card, err := New(Options{ChannelCapacity: 8 * units.MiB})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := interface{}(card).(cxl.BurstHandler); !ok {
-		t.Fatal("prototype does not implement cxl.BurstHandler")
 	}
 	rp := cxl.NewRootPort("rp0", card.Link())
 	if err := rp.Attach(card); err != nil {

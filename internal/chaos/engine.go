@@ -106,11 +106,6 @@ func NewEngine(plan Plan) (*Engine, error) {
 	return e, nil
 }
 
-// Plan returns the compiled plan.
-func (e *Engine) Plan() Plan {
-	return Plan{Seed: e.plan.Seed, Rules: append([]Rule(nil), e.plan.Rules...)}
-}
-
 // decide consumes one match ordinal for the rule and reports whether it
 // fires — a pure function of (seed, rule index, ordinal), so the same
 // event stream replays the same schedule.

@@ -88,17 +88,6 @@ func (th *Throttle) SetShare(name string, share float64) error {
 	return nil
 }
 
-// Allowance reports a tenant's current bandwidth budget.
-func (th *Throttle) Allowance(name string) (units.Bandwidth, error) {
-	th.mu.Lock()
-	defer th.mu.Unlock()
-	b, ok := th.tenants[name]
-	if !ok {
-		return 0, fmt.Errorf("cluster: qos: no tenant %s", name)
-	}
-	return units.Bandwidth(float64(th.total) * b.share), nil
-}
-
 // Measured reports a tenant's achieved bandwidth since its epoch start.
 func (th *Throttle) Measured(name string) (units.Bandwidth, error) {
 	th.mu.Lock()

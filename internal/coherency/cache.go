@@ -22,14 +22,6 @@ func NewMemIOAccessor(io cxl.MemIO, base uint64) Accessor {
 	return &memioAccessor{io: io, base: int64(base)}
 }
 
-// NewPortAccessor adapts a host's root port to the Accessor interface.
-//
-// Deprecated: a RootPort is a cxl.MemIO; use NewMemIOAccessor, which
-// also accepts interleave sets and device adapters.
-func NewPortAccessor(rp *cxl.RootPort, base uint64) Accessor {
-	return NewMemIOAccessor(rp, base)
-}
-
 type memioAccessor struct {
 	io   cxl.MemIO
 	base int64

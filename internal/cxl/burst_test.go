@@ -60,7 +60,7 @@ func TestBurstRejectsUnaligned(t *testing.T) {
 func TestBurstFlitCounts(t *testing.T) {
 	rp, _ := burstPort(t, 1<<20)
 	var flits int
-	rp.SetFlitTrace(func(Flit) { flits++ })
+	rp.SetFault(func(f Flit) Flit { flits++; return f })
 	const lines = 8
 	buf := make([]byte, lines*LineSize)
 	if err := rp.WriteBurst(0, buf); err != nil {

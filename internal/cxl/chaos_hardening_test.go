@@ -26,12 +26,12 @@ func withWatchdog(t *testing.T, d time.Duration, fn func()) {
 // TestDetachCompletesPublishedDescriptors is the surprise-removal
 // regression test: descriptors submitted (published, unflushed) before
 // a Detach must complete with ErrLinkDown instead of leaving their
-// waiters and harvesters blocked forever. Without the drainRings call
-// in Detach this test hangs.
+// waiters and harvesters blocked forever. Without the Flush in Detach
+// this test hangs.
 func TestDetachCompletesPublishedDescriptors(t *testing.T) {
 	rp := ringPort(t)
 	var bufs [8][LineSize]byte
-	var tokens []*Completion
+	var tokens []Completion
 	for i := 0; i < 8; i++ {
 		c, err := rp.SubmitRead(vcBlock(i)+uint64(i*LineSize), &bufs[i])
 		if err != nil {

@@ -50,7 +50,7 @@ func TestConcurrentMixedTrafficNoDuplicateTags(t *testing.T) {
 
 	var tagMu sync.Mutex
 	tags := make(map[uint16]int)
-	rp.SetFlitTrace(func(f Flit) {
+	rp.SetFault(func(f Flit) Flit {
 		// Submissions travel either as full request flits (writes, burst
 		// headers) or packed four-per-flit SQ entries (reads); both carry
 		// the wire tag.
@@ -58,7 +58,7 @@ func TestConcurrentMixedTrafficNoDuplicateTags(t *testing.T) {
 		case flitKindReq:
 			var req MemReq
 			if DecodeReqInto(&req, &f) != nil {
-				return
+				return f
 			}
 			tagMu.Lock()
 			tags[req.Tag]++
@@ -67,7 +67,7 @@ func TestConcurrentMixedTrafficNoDuplicateTags(t *testing.T) {
 			var sqes [SQEntriesPerFlit]SQE
 			n, err := DecodeSQInto(&sqes, &f)
 			if err != nil {
-				return
+				return f
 			}
 			tagMu.Lock()
 			for i := 0; i < n; i++ {
@@ -75,6 +75,7 @@ func TestConcurrentMixedTrafficNoDuplicateTags(t *testing.T) {
 			}
 			tagMu.Unlock()
 		}
+		return f
 	})
 
 	var issued atomic.Int64
@@ -231,10 +232,9 @@ func TestConcurrentTrafficWithFaultInjection(t *testing.T) {
 	}
 }
 
-// TestHookSwapDuringTraffic swaps the trace and fault hooks while
-// traffic is in flight: the snapshot pattern must keep every
-// transaction on a consistent hook pair (the race detector guards the
-// rest).
+// TestHookSwapDuringTraffic swaps the per-flit hook while traffic is in
+// flight: the snapshot pattern must keep every transaction on one
+// consistent hook snapshot (the race detector guards the rest).
 func TestHookSwapDuringTraffic(t *testing.T) {
 	rp, _ := concurrencyPort(t, 1<<20)
 	stop := make(chan struct{})
@@ -256,11 +256,10 @@ func TestHookSwapDuringTraffic(t *testing.T) {
 			}
 		}
 	}()
-	var traced atomic.Int64
+	var seen atomic.Int64
 	for i := 0; i < 200; i++ {
-		rp.SetFlitTrace(func(Flit) { traced.Add(1) })
+		rp.SetFault(func(f Flit) Flit { seen.Add(1); return f })
 		rp.SetFault(func(f Flit) Flit { return f })
-		rp.SetFlitTrace(nil)
 		rp.SetFault(nil)
 	}
 	close(stop)

@@ -323,7 +323,7 @@ func TestRootPortFlitTrace(t *testing.T) {
 	}
 	rp := trainedPort(t, dev)
 	var flits int
-	rp.SetFlitTrace(func(Flit) { flits++ })
+	rp.SetFault(func(f Flit) Flit { flits++; return f })
 	var line [LineSize]byte
 	if err := rp.WriteLine(0, &line); err != nil {
 		t.Fatal(err)
@@ -368,7 +368,7 @@ func TestType1RejectsMem(t *testing.T) {
 		t.Fatal(err)
 	}
 	rp.Flush()
-	for _, c := range []*Completion{c1, c2} {
+	for _, c := range []Completion{c1, c2} {
 		if err := c.Wait(); !errors.Is(err, ErrBadResponse) {
 			t.Errorf("Type1 batched descriptor: %v, want ErrBadResponse", err)
 		}

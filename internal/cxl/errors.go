@@ -13,9 +13,9 @@ import (
 //	if errors.Is(err, cxl.ErrLinkDown) { ... }
 //
 // The address shapes are uniform across the whole I/O surface (see the
-// MemIO contract in memio.go): line/burst/submit entry points take a
-// host physical address as uint64; ReadAt/WriteAt take a byte offset
-// as int64.
+// MemIO contract in memio.go): line and burst entry points take a host
+// physical address as uint64; ReadAt/WriteAt take a byte offset as
+// int64.
 var (
 	// ErrLinkDown — the port has no trained endpoint.
 	ErrLinkDown = errors.New("link down")
@@ -39,6 +39,9 @@ var (
 	// completions are not being consumed; Wait or Harvest outstanding
 	// tokens, then resubmit.
 	ErrRingFull = errors.New("submission ring full")
+	// ErrConsumed — Completion.Wait on a token whose completion Harvest
+	// already drained: the outcome surfaced there, exactly once.
+	ErrConsumed = errors.New("completion already consumed")
 	// ErrTimeout — a bounded wait expired: a descriptor deadline
 	// (Completion.WaitTimeout), a retrain that never completed, or a
 	// command deadline. The operation's outcome is unknown; the caller

@@ -48,9 +48,6 @@ func NewExtentAllocator(capacity units.Size) (*ExtentAllocator, error) {
 	}, nil
 }
 
-// Capacity reports the size of the managed address space.
-func (a *ExtentAllocator) Capacity() units.Size { return units.Size(a.capacity) }
-
 // Remaining sums the free extents.
 func (a *ExtentAllocator) Remaining() units.Size {
 	var n uint64

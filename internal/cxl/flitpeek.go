@@ -10,12 +10,6 @@ import "encoding/binary"
 // PeekKind returns the flit's kind byte as encoded on the wire.
 func (f *Flit) PeekKind() uint8 { return f.raw[0] }
 
-// PeekOp returns the flit's opcode byte as encoded on the wire.
-func (f *Flit) PeekOp() uint8 { return f.raw[1] }
-
-// PeekTag returns the flit's tag field as encoded on the wire.
-func (f *Flit) PeekTag() uint16 { return binary.LittleEndian.Uint16(f.raw[2:4]) }
-
 // PeekAddr returns the flit's address field as encoded on the wire.
 // Data flits carry payload there; the value is only meaningful for
 // request/response kinds, which is fine for address-range fault

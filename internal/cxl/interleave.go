@@ -20,7 +20,7 @@ import (
 //
 // The wire semantics per leg are unchanged: each leg's traffic moves
 // through its own RootPort — multi-VC tagging, per-flit CRC, LRSM
-// retry, trace/fault hooks — so a fault injected on one link retries on
+// retry, the per-flit hook — so a fault injected on one link retries on
 // that link alone and never perturbs the other legs. The endpoint
 // services a leg burst with a single media access because consecutive
 // target-owned lines of an interleaved window map to a contiguous DPA
@@ -47,10 +47,6 @@ type stripeJob struct {
 	wg    *sync.WaitGroup
 	leg   int
 	write bool
-	// flush marks a doorbell job: instead of moving a span, the worker
-	// rings the leg port's doorbell so all legs flush their rings in
-	// parallel (InterleaveSet.Flush).
-	flush bool
 	hpa   uint64
 	p     []byte
 	err   error
@@ -78,12 +74,7 @@ func legWorker(ch chan *stripeJob) {
 // than queue, so N callers drive a leg's port N-wide over its virtual
 // channels instead of serialising behind one worker).
 func runStripeJob(j *stripeJob) {
-	if j.flush {
-		j.set.legs()[j.leg].Flush()
-		j.err = nil
-	} else {
-		j.err = j.set.runLeg(j.leg, j.write, j.hpa, j.p)
-	}
+	j.err = j.set.runLeg(j.leg, j.write, j.hpa, j.p)
 	j.wg.Done()
 }
 
@@ -615,78 +606,6 @@ func (s *InterleaveSet) smallAccess(write bool, hpa uint64, p []byte) error {
 		return rp.WriteAt(p, int64(hpa))
 	}
 	return rp.ReadAt(p, int64(hpa))
-}
-
-// SubmitRead enqueues a line read on the owning leg's ring without
-// ringing its doorbell; the set's Flush (or the token's Wait) completes
-// it. A granule mid-evacuation is serviced immediately through the
-// reroute path and returns an already-completed token.
-func (s *InterleaveSet) SubmitRead(hpa uint64, out *[LineSize]byte) (*Completion, error) {
-	if !lineAligned(hpa) {
-		return nil, portErr(s.name, "MemRd", hpa, ErrUnaligned, "unaligned")
-	}
-	defer s.exit(s.enter())
-	if ev := s.evac.Load(); ev != nil && s.evacOwned(ev, hpa) {
-		return immediateCompletion(s.evacSmall(ev, false, hpa, out[:])), nil
-	}
-	return s.Route(hpa).SubmitRead(hpa, out)
-}
-
-// SubmitWrite enqueues a line write on the owning leg's ring without
-// ringing its doorbell; evacuating granules complete immediately, like
-// SubmitRead.
-func (s *InterleaveSet) SubmitWrite(hpa uint64, data *[LineSize]byte) (*Completion, error) {
-	if !lineAligned(hpa) {
-		return nil, portErr(s.name, "MemWr", hpa, ErrUnaligned, "unaligned")
-	}
-	defer s.exit(s.enter())
-	if ev := s.evac.Load(); ev != nil && s.evacOwned(ev, hpa) {
-		return immediateCompletion(s.evacSmall(ev, true, hpa, data[:])), nil
-	}
-	return s.Route(hpa).SubmitWrite(hpa, data)
-}
-
-// Flush rings every leg's doorbell in parallel over the persistent leg
-// workers (leg 0 inline), so a batch submitted across the stripe
-// crosses all member links concurrently.
-func (s *InterleaveSet) Flush() {
-	defer s.exit(s.enter())
-	legs := s.legs()
-	n := len(legs)
-	if n == 1 {
-		legs[0].Flush()
-		return
-	}
-	c := stripeCallPool.Get().(*stripeCall)
-	c.wg.Add(n - 1)
-	for leg := 1; leg < n; leg++ {
-		j := &c.jobs[leg]
-		j.set, j.wg, j.leg, j.flush, j.err = s, &c.wg, leg, true, nil
-		select {
-		case s.workers[leg-1] <- j:
-		default:
-			go runStripeJob(j)
-		}
-	}
-	legs[0].Flush()
-	c.wg.Wait()
-	for leg := 1; leg < n; leg++ {
-		c.jobs[leg].set, c.jobs[leg].flush = nil, false
-	}
-	stripeCallPool.Put(c)
-}
-
-// Harvest drains completions from the member ports' CQs, in leg order.
-func (s *InterleaveSet) Harvest(dst []Completed) int {
-	defer s.exit(s.enter())
-	n := 0
-	for _, rp := range s.legs() {
-		n += rp.Harvest(dst[n:])
-		if n == len(dst) {
-			break
-		}
-	}
-	return n
 }
 
 func (s *InterleaveSet) String() string {

@@ -13,22 +13,16 @@ import (
 //
 // Address shapes are uniform across implementations:
 //
-//   - Line, burst and submit entry points take a host physical address
-//     as uint64, line-aligned for line ops and line-granular for bursts.
+//   - Line and burst entry points take a host physical address as
+//     uint64, line-aligned for line ops and line-granular for bursts.
 //   - ReadAt/WriteAt take an arbitrary byte offset as int64 and handle
 //     unaligned heads/tails internally.
 //
-// Every failure is a *PortError wrapping one of the package sentinels
-// (errors.go), so callers classify with errors.Is.
-//
-// The synchronous methods are implemented as submit+flush+wait over the
-// same rings the asynchronous path uses. The asynchronous contract:
-// Submit* enqueues a descriptor and returns a pooled completion token
-// without moving data; Flush rings the doorbell, moving every queued
-// descriptor across the link in batched back-to-back flits; each
-// completion is then consumed exactly once — Wait the token, or drain
-// it through Harvest into a caller-owned slice. Both directions are
-// allocation-free in steady state.
+// Every method is synchronous: the transfer has completed at the device
+// when it returns. Every failure is a *PortError wrapping one of the
+// package sentinels (errors.go), so callers classify with errors.Is.
+// Over a port, each call is submit+flush+wait on the port's rings
+// (ring.go) and allocates nothing in steady state.
 type MemIO interface {
 	// ReadLine fetches the 64-byte line at the line-aligned HPA.
 	ReadLine(hpa uint64, out *[LineSize]byte) error
@@ -42,17 +36,6 @@ type MemIO interface {
 	ReadAt(p []byte, off int64) error
 	// WriteAt stores p at byte offset off.
 	WriteAt(p []byte, off int64) error
-	// SubmitRead enqueues a line read; out must stay valid until the
-	// completion is consumed.
-	SubmitRead(hpa uint64, out *[LineSize]byte) (*Completion, error)
-	// SubmitWrite enqueues a line write; data is staged at submit time.
-	SubmitWrite(hpa uint64, data *[LineSize]byte) (*Completion, error)
-	// Flush rings the doorbell: queued submissions cross the link in
-	// batched flits, one VC acquisition per ring.
-	Flush()
-	// Harvest drains up to len(dst) completions into dst, returning the
-	// count. Completions consumed via Wait never surface here.
-	Harvest(dst []Completed) int
 }
 
 // Compile-time interface checks: every data path presents MemIO.
@@ -65,9 +48,7 @@ var (
 
 // NewDeviceIO adapts a raw media device to MemIO — the data path for
 // direct-attached (non-CXL) tiers, so consumers drive DRAM and fabric
-// memory through one interface. Submissions complete at submit time
-// (there is no link to batch over); Flush is a no-op and Harvest always
-// returns 0 because every token is handed back already completed.
+// memory through one interface.
 func NewDeviceIO(dev memdev.Device) MemIO { return &deviceIO{dev: dev} }
 
 type deviceIO struct {
@@ -104,18 +85,6 @@ func (d *deviceIO) WriteBurst(hpa uint64, p []byte) error {
 
 func (d *deviceIO) ReadAt(p []byte, off int64) error  { return d.dev.ReadAt(p, off) }
 func (d *deviceIO) WriteAt(p []byte, off int64) error { return d.dev.WriteAt(p, off) }
-
-func (d *deviceIO) SubmitRead(hpa uint64, out *[LineSize]byte) (*Completion, error) {
-	return immediateCompletion(d.ReadLine(hpa, out)), nil
-}
-
-func (d *deviceIO) SubmitWrite(hpa uint64, data *[LineSize]byte) (*Completion, error) {
-	return immediateCompletion(d.WriteLine(hpa, data)), nil
-}
-
-func (d *deviceIO) Flush() {}
-
-func (d *deviceIO) Harvest(dst []Completed) int { return 0 }
 
 // NewWindowIO presents a base-translated view of another MemIO: every
 // HPA/offset the caller passes is shifted by base before reaching the
@@ -157,15 +126,3 @@ func (w *windowIO) ReadAt(p []byte, off int64) error {
 func (w *windowIO) WriteAt(p []byte, off int64) error {
 	return w.inner.WriteAt(p, off+int64(w.base))
 }
-
-func (w *windowIO) SubmitRead(hpa uint64, out *[LineSize]byte) (*Completion, error) {
-	return w.inner.SubmitRead(w.base+hpa, out)
-}
-
-func (w *windowIO) SubmitWrite(hpa uint64, data *[LineSize]byte) (*Completion, error) {
-	return w.inner.SubmitWrite(w.base+hpa, data)
-}
-
-func (w *windowIO) Flush() { w.inner.Flush() }
-
-func (w *windowIO) Harvest(dst []Completed) int { return w.inner.Harvest(dst) }

@@ -89,18 +89,19 @@ type PortStats struct {
 	VCs [NumVCs]VCStat
 }
 
-// portHooks is the immutable snapshot of the port's observation and
-// fault-injection hooks. The hot path loads it once per transaction, so
-// hooks can be swapped at runtime while traffic is in flight: every
-// transaction sees either the old pair or the new pair, never a torn
-// mix.
+// portHooks is the immutable snapshot of the port's per-flit hooks. The
+// hot path loads it once per transaction, so the fault hook can be
+// swapped at runtime while traffic is in flight: every transaction sees
+// either the old snapshot or the new one, never a torn mix.
 type portHooks struct {
-	trace func(Flit)
 	fault func(Flit) Flit
 	// rec, when non-nil, is the flight recorder that force-captures
 	// CRC-failed flits regardless of sampling (see telemetry.go). It is
-	// set only on the tap-built hook variants, never by SetFlitTrace.
+	// set only on the tap-built hook variants, never by SetFault.
 	rec *telemetry.FlightRecorder
+	// recordAll makes pass record every flit into rec: the variant a
+	// sampled transaction rides.
+	recordAll bool
 }
 
 // portSession is the immutable snapshot of link training state: which
@@ -134,20 +135,21 @@ func (s *portSession) uncorrectable() {
 // RootPort is a host-side CXL port: the CPU's view of one PCIe/CXL slot.
 // It owns the physical link, performs link training against an attached
 // endpoint, and carries CXL.mem traffic to it over per-VC
-// submission/completion rings (ring.go) — the synchronous methods are
-// submit+flush+wait over the same rings the async Submit* path uses, so
-// there is exactly one data path. Every request/response genuinely
-// round-trips through the flit codec so protocol tests observe real
-// wire behaviour; the steady-state data path allocates nothing and is
-// safe for concurrent use by many goroutines.
+// submission/completion rings (ring.go) — the synchronous MemIO methods
+// are submit+flush+wait over the same rings the port's Submit*/Flush/
+// Harvest methods drive directly, so there is exactly one data path.
+// Every request/response genuinely round-trips through the flit codec
+// so protocol tests observe real wire behaviour; the steady-state data
+// path allocates nothing and is safe for concurrent use by many
+// goroutines.
 //
 // RootPort implements MemIO (memio.go).
 type RootPort struct {
 	name string
 	link *interconnect.Link
 
-	// mu serialises the cold path only: Attach/Detach, hook swaps, and
-	// telemetry attachment.
+	// mu serialises the cold path only: Attach/Detach, fault-hook swaps,
+	// and telemetry attachment.
 	mu    sync.Mutex
 	sess  atomic.Pointer[portSession]
 	hooks atomic.Pointer[portHooks]
@@ -307,38 +309,24 @@ func (rp *RootPort) Endpoint() Endpoint {
 	return nil
 }
 
-// setHooks publishes a new hook snapshot derived from the current one:
-// read-merge-store under mu so concurrent setters never lose each
-// other's hook, while in-flight transactions keep the snapshot they
-// loaded at issue time.
-func (rp *RootPort) setHooks(mutate func(*portHooks)) {
+// SetFault installs (or, with nil, removes) the port's one per-flit
+// hook: it sees every flit the port moves and returns the flit to
+// deliver, so it may corrupt one in flight (fault injection) or just
+// observe it (a hook that returns its input). The link-level retry
+// state machine detects a CRC failure and retransmits, as CXL's LRSM
+// does. Safe to call while traffic is in flight: transactions already
+// issued keep the hook snapshot they started with.
+func (rp *RootPort) SetFault(f func(Flit) Flit) {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
 	var h portHooks
 	if cur := rp.hooks.Load(); cur != nil {
 		h = *cur
 	}
-	mutate(&h)
+	h.fault = f
 	rp.hooks.Store(&h)
-	// Hook swaps must propagate into the prebuilt telemetry variants so
-	// sampled transactions keep chaining the user's current trace.
+	// The prebuilt telemetry variants carry the fault hook too.
 	rp.rebuildTapLocked()
-}
-
-// SetFlitTrace installs (or, with nil, removes) the hook that receives
-// every flit the port moves (fault injection and protocol tests). Safe
-// to call while traffic is in flight: transactions already issued keep
-// the hook snapshot they started with.
-func (rp *RootPort) SetFlitTrace(f func(Flit)) {
-	rp.setHooks(func(h *portHooks) { h.trace = f })
-}
-
-// SetFault installs (or, with nil, removes) the hook that may corrupt a
-// flit in flight (fault injection). The link-level retry state machine
-// detects the CRC failure and retransmits, as CXL's LRSM does. Safe to
-// swap at runtime, like SetFlitTrace.
-func (rp *RootPort) SetFault(f func(Flit) Flit) {
-	rp.setHooks(func(h *portHooks) { h.fault = f })
 }
 
 // Attach trains the link against ep. Training succeeds only if the
@@ -381,18 +369,7 @@ func (rp *RootPort) Detach() {
 	rp.mu.Lock()
 	rp.sess.Store(&portSession{state: LinkDown})
 	rp.mu.Unlock()
-	rp.drainRings()
-}
-
-// drainRings flushes every VC so descriptors published before the link
-// went down complete (with ErrLinkDown, now that the session is down)
-// instead of sitting unflushed forever.
-func (rp *RootPort) drainRings() {
-	for i := range rp.rings {
-		if rp.rings[i].pending() {
-			rp.flushVC(&rp.rings[i])
-		}
-	}
+	rp.Flush() // now that the session is down, queued work fails with ErrLinkDown
 }
 
 // StartRetrain takes a trained link out of L0 into Retraining (a link
@@ -431,7 +408,7 @@ func (rp *RootPort) CompleteRetrain(up bool) {
 	}
 	rp.sess.Store(&portSession{state: LinkDown})
 	rp.mu.Unlock()
-	rp.drainRings()
+	rp.Flush() // now that the session is down, queued work fails with ErrLinkDown
 }
 
 // awaitRetrain parks until a Retraining link settles: the LinkUp
@@ -501,7 +478,7 @@ func (rp *RootPort) syncTransact(kind uint8, op MemOpcode, addr, mask uint64, ou
 	if !fused {
 		r.publish(slot, t)
 		rp.flushVC(r)
-		return slot.comp.Wait()
+		return Completion{ring: r, pos: t}.Wait()
 	}
 	rp.doorbells.Add(1)
 	s, serr := rp.ringSession()
@@ -555,8 +532,8 @@ var flitKindNames = [...]string{
 }
 
 // move carries one message across the link with link-level retry, as
-// CXL's LRSM does: encode, pass the flit through the fault and trace
-// hooks of the snapshot the transaction was issued with, then decode
+// CXL's LRSM does: encode, pass the flit through the hook snapshot the
+// transaction was issued with (fault hook, sampled recording), then decode
 // and check it at the receiver. A flit that fails its CRC or arrives
 // out of sequence is force-recorded (flitErr) and NAKed, and the sender
 // retransmits it from its retry buffer after the configured backoff.
@@ -652,40 +629,43 @@ func (rp *RootPort) respErr(op MemOpcode, addr uint64, tag, got uint16, status R
 	return nil
 }
 
-// --- MemIO: submission path ----------------------------------------------
+// --- Ring API: submission path -------------------------------------------
+//
+// The port exposes its rings directly for the ring tests and benchmarks;
+// MemIO consumers use the synchronous methods below.
 
 // SubmitRead enqueues a line read at hpa into out without ringing the
 // doorbell; the returned token completes after a Flush (or its Wait,
 // which flushes on demand). out must stay valid until the completion is
 // consumed.
-func (rp *RootPort) SubmitRead(hpa uint64, out *[LineSize]byte) (*Completion, error) {
+func (rp *RootPort) SubmitRead(hpa uint64, out *[LineSize]byte) (Completion, error) {
 	return rp.submitLine(OpMemRd, hpa, out, nil)
 }
 
 // SubmitWrite enqueues a line write at hpa without ringing the
 // doorbell. data is staged into the descriptor at submit time, so the
 // caller's buffer may be reused immediately.
-func (rp *RootPort) SubmitWrite(hpa uint64, data *[LineSize]byte) (*Completion, error) {
+func (rp *RootPort) SubmitWrite(hpa uint64, data *[LineSize]byte) (Completion, error) {
 	return rp.submitLine(OpMemWr, hpa, nil, data)
 }
 
 // submitLine publishes one line descriptor, flushing its VC once when
 // the ring is full.
-func (rp *RootPort) submitLine(op MemOpcode, hpa uint64, out, data *[LineSize]byte) (*Completion, error) {
+func (rp *RootPort) submitLine(op MemOpcode, hpa uint64, out, data *[LineSize]byte) (Completion, error) {
 	if !lineAligned(hpa) {
-		return nil, portErr(rp.name, op.String(), hpa, ErrUnaligned, "unaligned")
+		return Completion{}, portErr(rp.name, op.String(), hpa, ErrUnaligned, "unaligned")
 	}
 	r := rp.ringFor(hpa)
 	t, slot, ok := r.claim()
 	if !ok {
 		rp.flushVC(r)
 		if t, slot, ok = r.claim(); !ok {
-			return nil, portErr(rp.name, op.String(), hpa, ErrRingFull, "submission ring full")
+			return Completion{}, portErr(rp.name, op.String(), hpa, ErrRingFull, "submission ring full")
 		}
 	}
 	slot.desc.fill(descLine, false, op, hpa, 0, out, data, nil)
 	r.publish(slot, t)
-	return &slot.comp, nil
+	return Completion{ring: r, pos: t}, nil
 }
 
 // Flush rings the doorbell on every VC with queued submissions: each

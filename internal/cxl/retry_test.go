@@ -34,7 +34,7 @@ func TestEveryFlitKindRetriesAndFails(t *testing.T) {
 	const burstLen = 4 * LineSize
 	cases := []flitKindCase{
 		{"burst header", "MemWrBurst", true, true, func(f *Flit) bool {
-			return f.PeekKind() == flitKindReq && MemOpcode(f.PeekOp()) == OpMemWrBurst
+			return f.PeekKind() == flitKindReq && MemOpcode(f.raw[1]) == OpMemWrBurst
 		}},
 		{"write beat", "MemWrBurst", true, true, isKind(flitKindData)},
 		{"read beat", "MemRdBurst", false, true, isKind(flitKindData)},
@@ -173,7 +173,7 @@ func TestPackedFlitFailureNamesEachDescriptor(t *testing.T) {
 			// Adjacent lines share a VC, so one flush moves both as a batch.
 			addrs := [2]uint64{0x1040, 0x1080}
 			var lines [2][LineSize]byte
-			var toks [2]*Completion
+			var toks [2]Completion
 			for i, a := range addrs {
 				var err error
 				if tc.write {

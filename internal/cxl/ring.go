@@ -1,28 +1,32 @@
 package cxl
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Submission/completion rings: the io_uring-shaped small-op data path.
+// Submission/completion rings: the io_uring-shaped small-op data path
+// under every RootPort.
 //
-// Every virtual channel owns one SQ/CQ ring pair. Callers enqueue
-// fixed-size descriptors into the SQ lock-free (SubmitRead/SubmitWrite,
-// and the synchronous methods, which are submit+flush+wait over the
-// same path — there is exactly one data path through a port). A
-// doorbell (Flush, or the first waiter) claims the queued span with a
-// single CAS and moves the whole batch across the link in one VC
-// acquisition: session and hook snapshots are loaded once, header-only
-// submissions pack four to a CRC-protected flit (see flitKindSQ),
-// data-bearing messages ride one flit per line, the endpoint services
-// the decoded batch through one HandleMemQueue call (coalescing adjacent
-// lines into single media accesses), and completions return packed four
-// to a flit. Per-flit CRC/retry/trace/fault semantics are identical to
-// the pre-ring path — a fault injected on one descriptor's flit retries
-// that flit alone and never disturbs the rest of the batch.
+// Every virtual channel owns one SQ/CQ ring pair. The port's
+// synchronous MemIO methods are submit+flush+wait over these rings, so
+// there is exactly one data path through a port; RootPort also exposes
+// the ring directly (SubmitRead/SubmitWrite, Flush, Harvest) for the
+// ring tests and benchmarks. Callers enqueue fixed-size descriptors
+// into the SQ lock-free. A doorbell (Flush, or the first waiter) claims
+// the queued span with a single CAS and moves the whole batch across
+// the link in one VC acquisition: session and hook snapshots are loaded
+// once, header-only submissions pack four to a CRC-protected flit (see
+// flitKindSQ), data-bearing messages ride one flit per line, the
+// endpoint services the decoded batch through one HandleMemQueue call
+// (coalescing adjacent lines into single media accesses), and
+// completions return packed four to a flit. Per-flit CRC/retry/fault
+// semantics are those of a lone transaction — a fault injected on one
+// descriptor's flit retries that flit alone and never disturbs the rest
+// of the batch.
 //
 // Ring discipline (slot states are per-position sequence numbers, the
 // classic bounded-MPMC scheme, so wraparound is explicit and tested):
@@ -30,14 +34,17 @@ import (
 //	seq == pos            free: a producer may claim position pos
 //	seq == pos+1          published: descriptor written, awaiting flush
 //	seq == pos+2          done: completion filled in, awaiting consumption
+//	seq == pos+3          claimed: a waiter is reading the outcome
 //	seq == pos+RingSlots  consumed: free for the next lap's producer
 //
 // Head (flushHead) and tail are published with atomics; flushers claim
 // disjoint [head, tail) spans by CAS, so concurrent submitters on one
 // VC flush in parallel without a lock on the hot path. Every completion
-// must be consumed exactly once — either Wait the token or drain it via
-// Harvest; a submission stream that consumes neither eventually fills
-// the ring and Submit* reports ErrRingFull.
+// is consumed exactly once — Wait the token or drain it via Harvest;
+// both consume by CAS on the slot's done state, so when they race
+// exactly one wins and the loser's Wait reports ErrConsumed. A
+// submission stream that consumes neither eventually fills the ring and
+// Submit* reports ErrRingFull.
 const (
 	// RingSlots is the per-VC submission-queue depth (power of two).
 	RingSlots = 64
@@ -77,36 +84,26 @@ type ringDesc struct {
 	data [LineSize]byte  // MemWr/MemWrPtl payload, staged at submit
 }
 
-// Completion is a pooled completion token: submission returns one, and
-// the caller consumes it exactly once — Wait, or implicitly by draining
-// it with Harvest (then Wait must not be called). Tokens live in the
-// ring's fixed slot pool; consuming one recycles its slot, so the
-// steady state allocates nothing.
+// Completion is a completion token: submission returns one, and the
+// caller consumes it exactly once — Wait, or implicitly by draining it
+// with Harvest. The token is a value naming its ring position; the
+// outcome lives in the ring slot, so the steady state allocates
+// nothing, and a token whose slot was already consumed can never read a
+// later lap's descriptor.
 type Completion struct {
-	ring *vcRing // nil for immediately-completed (adapter) tokens
+	ring *vcRing
 	pos  uint64
-	tag  uint16
-	err  error
 }
 
 // Tag returns the wire tag the descriptor carried.
-func (c *Completion) Tag() uint16 { return c.tag }
-
-// immediatePool feeds tokens for data paths that complete at submit
-// time (DeviceIO, evacuation reroutes): no ring is involved, Wait just
-// reports the stored error and recycles the token.
-var immediatePool = sync.Pool{New: func() any { return new(Completion) }}
-
-func immediateCompletion(err error) *Completion {
-	c := immediatePool.Get().(*Completion)
-	c.ring, c.pos, c.tag, c.err = nil, 0, 0, err
-	return c
-}
+func (c Completion) Tag() uint16 { return c.ring.tagAt(c.pos) }
 
 // Wait blocks until the descriptor completes (flushing its ring if
 // nobody else has rung the doorbell yet) and returns the transaction's
-// error. It consumes the token: the caller must not touch it again.
-func (c *Completion) Wait() error { return c.WaitTimeout(0) }
+// error. It consumes the token; if Harvest consumed it first, Wait
+// returns an error wrapping ErrConsumed and the outcome is the one
+// Harvest delivered.
+func (c Completion) Wait() error { return c.WaitTimeout(0) }
 
 // WaitTimeout is Wait with a per-descriptor deadline. On expiry it
 // returns ErrTimeout and abandons the token: whoever eventually
@@ -115,14 +112,8 @@ func (c *Completion) Wait() error { return c.WaitTimeout(0) }
 // completion is discarded (it never surfaces through Harvest either);
 // the caller decides whether to requeue the operation or fail. A
 // non-positive d degenerates to Wait.
-func (c *Completion) WaitTimeout(d time.Duration) error {
+func (c Completion) WaitTimeout(d time.Duration) error {
 	r := c.ring
-	if r == nil {
-		err := c.err
-		c.err = nil
-		immediatePool.Put(c)
-		return err
-	}
 	slot := &r.slots[c.pos&ringMask]
 	if slot.seq.Load() < c.pos+2 {
 		r.rp.flushVC(r)
@@ -137,20 +128,33 @@ func (c *Completion) WaitTimeout(d time.Duration) error {
 			runtime.Gosched()
 		}
 	}
-	err := c.err
-	slot.seq.CompareAndSwap(c.pos+2, c.pos+RingSlots)
-	return err
+	if ok, err := c.take(slot); ok {
+		return err
+	}
+	return portErr(r.rp.name, "Wait", 0, ErrConsumed, fmt.Sprintf("completion tag %#x already consumed", c.Tag()))
+}
+
+// take claims the done slot (pos+2 → pos+3) so no other consumer and
+// no next-lap producer can touch it, reads the outcome, then frees the
+// slot. It reports false when another consumer got there first.
+func (c Completion) take(slot *sqSlot) (bool, error) {
+	if !slot.seq.CompareAndSwap(c.pos+2, c.pos+3) {
+		return false, nil
+	}
+	err := slot.err
+	slot.seq.Store(c.pos + RingSlots)
+	return true, err
 }
 
 // abandon marks the slot so its completer self-consumes it, then
 // double-checks for a completion that raced the deadline — if one
 // landed, it is claimed as a normal wait would.
-func (c *Completion) abandon(slot *sqSlot) error {
+func (c Completion) abandon(slot *sqSlot) error {
 	slot.abandoned.Store(c.pos + 1)
 	if slot.seq.Load() >= c.pos+2 {
-		if slot.seq.CompareAndSwap(c.pos+2, c.pos+RingSlots) {
+		if ok, err := c.take(slot); ok {
 			slot.abandoned.CompareAndSwap(c.pos+1, 0)
-			return c.err
+			return err
 		}
 		// Someone else consumed it (the completer's abandoned sweep);
 		// clear our mark if it is still ours.
@@ -180,16 +184,16 @@ type cqRec struct {
 	pos uint64
 }
 
-// sqSlot is one SQ ring slot: the descriptor, its embedded completion
-// token, and the position-based state word. abandoned carries pos+1
-// when the waiter for that position gave up (WaitTimeout); the
-// completer consumes such a slot itself so the ring never wedges on a
-// departed waiter. The value is generation-tagged (not a bool) so a
-// stale mark from a previous lap can never discard a live descriptor.
+// sqSlot is one SQ ring slot: the descriptor, its outcome, and the
+// position-based state word. abandoned carries pos+1 when the waiter
+// for that position gave up (WaitTimeout); the completer consumes such
+// a slot itself so the ring never wedges on a departed waiter. The
+// value is generation-tagged (not a bool) so a stale mark from a
+// previous lap can never discard a live descriptor.
 type sqSlot struct {
 	seq       atomic.Uint64
 	abandoned atomic.Uint64
-	comp      Completion
+	err       error
 	desc      ringDesc
 }
 
@@ -230,7 +234,6 @@ func (r *vcRing) init(rp *RootPort, idx int) {
 	r.idx = uint32(idx)
 	for i := range r.slots {
 		r.slots[i].seq.Store(uint64(i))
-		r.slots[i].comp.ring = r
 	}
 }
 
@@ -270,20 +273,16 @@ func (d *ringDesc) fill(kind uint8, noCQ bool, op MemOpcode, addr, mask uint64, 
 	}
 }
 
-// publish arms a filled slot's completion token and hands the
-// descriptor at position t to the flushers.
-func (r *vcRing) publish(slot *sqSlot, t uint64) {
-	slot.comp.pos, slot.comp.tag, slot.comp.err = t, r.tagAt(t), nil
-	slot.seq.Store(t + 1)
-}
+// publish hands the filled descriptor at position t to the flushers.
+func (r *vcRing) publish(slot *sqSlot, t uint64) { slot.seq.Store(t + 1) }
 
-// complete fills a descriptor's token and publishes the done state.
+// complete stores a descriptor's outcome and publishes the done state.
 // The CQ record is posted separately (postLocked) so a batch pays one
 // lock, not one per descriptor. A slot whose waiter abandoned it
 // (WaitTimeout expired) is consumed on the spot: the waiter is gone,
 // and its stale CQ record, if any, will be skipped by Harvest.
 func (r *vcRing) complete(slot *sqSlot, pos uint64, err error) {
-	slot.comp.err = err
+	slot.err = err
 	slot.seq.Store(pos + 2)
 	if slot.abandoned.Load() == pos+1 && slot.seq.CompareAndSwap(pos+2, pos+RingSlots) {
 		slot.abandoned.CompareAndSwap(pos+1, 0)
@@ -322,7 +321,7 @@ func (r *vcRing) finish(slot *sqSlot, pos uint64, err error) {
 		r.complete(slot, pos, err)
 		return
 	}
-	rec := cqRec{c: Completed{Tag: slot.comp.tag, Op: slot.desc.op, Addr: slot.desc.addr, Err: err}, pos: pos}
+	rec := cqRec{c: Completed{Tag: r.tagAt(pos), Op: slot.desc.op, Addr: slot.desc.addr, Err: err}, pos: pos}
 	r.complete(slot, pos, err)
 	r.postLocked([]cqRec{rec})
 }
@@ -478,12 +477,12 @@ func (rp *RootPort) runLineBatch(r *vcRing, s *portSession, hk *portHooks, sc *f
 		pk = 0
 	}
 	for i := 0; i < n; i++ {
-		slot := sc.slotp[i]
-		d := &slot.desc
+		d := &sc.slotp[i].desc
+		tag := r.tagAt(sc.pos[i])
 		sc.errs[i] = nil
 		switch d.op {
 		case OpMemRd, OpMemInv:
-			sc.sqes[pk] = SQE{Op: d.op, Tag: slot.comp.tag, Addr: d.addr}
+			sc.sqes[pk] = SQE{Op: d.op, Tag: tag, Addr: d.addr}
 			sc.sqIdx[pk] = i
 			pk++
 			if pk == SQEntriesPerFlit {
@@ -491,7 +490,7 @@ func (rp *RootPort) runLineBatch(r *vcRing, s *portSession, hk *portHooks, sc *f
 			}
 		default: // OpMemWr, OpMemWrPtl: payload rides a full request flit.
 			flushPack()
-			m.kind, m.op, m.tag, m.addr, m.mask = flitKindReq, d.op, slot.comp.tag, d.addr, d.mask
+			m.kind, m.op, m.tag, m.addr, m.mask = flitKindReq, d.op, tag, d.addr, d.mask
 			m.src, m.req = &d.data, &sc.reqs[i]
 			if err := rp.move(s, hk, r, &f, &m); err != nil {
 				sc.errs[i] = err
@@ -518,7 +517,7 @@ func (rp *RootPort) runLineBatch(r *vcRing, s *portSession, hk *portHooks, sc *f
 		pos := sc.pos[i]
 		slot := sc.slotp[i]
 		if !slot.desc.noCQ {
-			sc.post[postN] = cqRec{c: Completed{Tag: slot.comp.tag, Op: slot.desc.op, Addr: slot.desc.addr, Err: err}, pos: pos}
+			sc.post[postN] = cqRec{c: Completed{Tag: r.tagAt(pos), Op: slot.desc.op, Addr: slot.desc.addr, Err: err}, pos: pos}
 			postN++
 		}
 		r.complete(slot, pos, err)
@@ -533,14 +532,13 @@ func (rp *RootPort) runLineBatch(r *vcRing, s *portSession, hk *portHooks, sc *f
 		err := rp.move(s, hk, r, &f, &m)
 		for j := 0; j < pk; j++ {
 			i := sc.cqIdx[j]
-			slot := sc.slotp[i]
-			d := &slot.desc
+			d := &sc.slotp[i].desc
 			if err != nil {
 				done(i, descErr(err, d))
 				continue
 			}
 			e := &sc.decCQ[j]
-			done(i, rp.respErr(d.op, d.addr, slot.comp.tag, e.Tag, e.Status))
+			done(i, rp.respErr(d.op, d.addr, r.tagAt(sc.pos[i]), e.Tag, e.Status))
 		}
 		pk = 0
 	}
@@ -551,14 +549,13 @@ func (rp *RootPort) runLineBatch(r *vcRing, s *portSession, hk *portHooks, sc *f
 			sc.errs[i] = nil
 			continue
 		}
-		slot := sc.slotp[i]
-		d := &slot.desc
+		d := &sc.slotp[i].desc
 		resp := &sc.resps[i]
 		if d.op == OpMemRd && resp.Opcode == RespMemData {
 			// Read data returns in its own flit, decoded straight into
 			// the caller's buffer.
 			flushCQ()
-			m.kind, m.op, m.tag, m.seq, m.addr = flitKindData, d.op, slot.comp.tag, uint32(sc.pos[i]), d.addr
+			m.kind, m.op, m.tag, m.seq, m.addr = flitKindData, d.op, r.tagAt(sc.pos[i]), uint32(sc.pos[i]), d.addr
 			m.src, m.dst = &resp.Data, d.out
 			done(i, rp.move(s, hk, r, &f, &m))
 			continue

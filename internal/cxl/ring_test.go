@@ -90,7 +90,7 @@ func TestRingOutOfOrderDelivery(t *testing.T) {
 	// index order, so delivery cannot match submission order.
 	order := []int{3, 1, 2, 0}
 	want := make(map[uint16]bool)
-	var tokens []*Completion
+	var tokens []Completion
 	var submitted []uint16
 	for _, vc := range order {
 		for j := 0; j < 4; j++ {
@@ -151,7 +151,7 @@ func reqFlitTag(f *Flit) (uint16, bool) {
 func TestRingFaultRetriesOnlyFailedDescriptor(t *testing.T) {
 	rp := ringPort(t)
 	const batch = 8
-	var tokens []*Completion
+	var tokens []Completion
 	var lines [batch][LineSize]byte
 	for j := range lines {
 		for b := range lines[j] {
@@ -203,7 +203,7 @@ func TestRingPersistentFaultFailsOnlyDescriptorK(t *testing.T) {
 	rp := ringPort(t)
 	const batch = 6
 	var line [LineSize]byte
-	var tokens []*Completion
+	var tokens []Completion
 	for j := 0; j < batch; j++ {
 		c, err := rp.SubmitWrite(vcBlock(0)+uint64(j*LineSize), &line)
 		if err != nil {
@@ -267,7 +267,9 @@ func TestRingFullBackpressure(t *testing.T) {
 // TestRingConcurrentSubmittersOneVC hammers a single VC from several
 // goroutines — submitters using both consumption styles (Wait and
 // Flush+Harvest) — under -race. Every submission must complete, the
-// ring must keep cycling across many laps, and the data must land.
+// ring must keep cycling across many laps, and the data must land. A
+// harvester running beside Wait-style submitters can consume their
+// tokens first; each outcome still surfaces exactly once.
 func TestRingConcurrentSubmittersOneVC(t *testing.T) {
 	rp := ringPort(t)
 	const (
@@ -302,7 +304,7 @@ func TestRingConcurrentSubmittersOneVC(t *testing.T) {
 			line[0] = byte(w + 1)
 			addr := vcBlock(0) + uint64(w*LineSize) // distinct line, same VC
 			for i := 0; i < iters; i++ {
-				var c *Completion
+				var c Completion
 				var err error
 				for {
 					c, err = rp.SubmitWrite(addr, &line)
@@ -316,8 +318,10 @@ func TestRingConcurrentSubmittersOneVC(t *testing.T) {
 					runtime.Gosched() // backpressure: let the harvester drain
 				}
 				if w%2 == 0 {
-					// Wait-style consumer.
-					if err := c.Wait(); err != nil {
+					// Wait-style consumer. The harvester may drain the
+					// completion first; then Wait reports ErrConsumed
+					// and the outcome surfaced there instead.
+					if err := c.Wait(); err != nil && !errors.Is(err, ErrConsumed) {
 						errCh <- err
 						return
 					}
@@ -355,6 +359,41 @@ func TestRingConcurrentSubmittersOneVC(t *testing.T) {
 	}
 	rp.Flush()
 	drain(t, rp, RingSlots)
+}
+
+// TestRingWaitAfterHarvestIsConsumed waits on a token that Harvest
+// already drained, after its slot has been reused by the next lap: the
+// Wait must report ErrConsumed and leave the later descriptor to
+// Harvest, not consume the slot's new occupant.
+func TestRingWaitAfterHarvestIsConsumed(t *testing.T) {
+	rp := ringPort(t)
+	var line [LineSize]byte
+	old, err := rp.SubmitWrite(vcBlock(0), &line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp.Flush()
+	if n := rp.Harvest(make([]Completed, 1)); n != 1 {
+		t.Fatalf("harvested %d completions, want 1", n)
+	}
+	// One full lap on the same VC: old's slot now holds a later descriptor.
+	for j := 0; j < RingSlots; j++ {
+		if _, err := rp.SubmitWrite(vcBlock(0)+uint64((j%vcStride)*LineSize), &line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rp.Flush()
+	if err := old.Wait(); !errors.Is(err, ErrConsumed) {
+		t.Fatalf("Wait on a harvested token = %v, want ErrConsumed", err)
+	}
+	for _, c := range drain(t, rp, RingSlots) {
+		if c.Err != nil {
+			t.Fatalf("completion %#x: %v", c.Tag, c.Err)
+		}
+	}
+	if n := rp.Harvest(make([]Completed, 1)); n != 0 {
+		t.Fatalf("harvest after drain returned %d stale completions", n)
+	}
 }
 
 // TestRingZeroAllocSteadyState guards the rings' 0 allocs/op claim on

@@ -506,15 +506,6 @@ func (m *MLD) Release(ld *LogicalDevice) error {
 	return nil
 }
 
-// Partitions snapshots the currently carved logical devices.
-func (m *MLD) Partitions() []*LogicalDevice {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]*LogicalDevice, len(m.partitions))
-	copy(out, m.partitions)
-	return out
-}
-
 // LogicalDevice is one partition of an MLD, usable as an Endpoint.
 type LogicalDevice struct {
 	*Type3Device

@@ -13,19 +13,20 @@ import (
 // The design constraint is the CI-gated overhead budget: tier-1 benches
 // with telemetry enabled must stay within 3% of disabled. Per-flit
 // bookkeeping cannot meet that (a 4 KiB burst moves ~66 flits), so the
-// port taps per *transaction*: a per-VC counter picks every N-th
-// doorbell claim, and only that sampled transaction pays the clock
-// reads and rides hooks whose trace chains into the flight recorder.
-// Unsampled transactions see hooks identical to the user's own — their
-// only extra cost is one atomic pointer load and one counter add —
-// except that CRC-failed flits are force-recorded regardless of
-// sampling (flitErr below), so the flight recorder never misses the
+// port taps per *transaction*: the transaction's ring position picks
+// every N-th one, and only that sampled transaction pays the clock
+// reads and rides the hook variant whose recordAll flag makes pass
+// record every flit into the flight recorder. Unsampled transactions
+// ride a variant that differs from the port's own hooks only in
+// carrying the recorder, at the cost of one atomic pointer load and a
+// mask test; through it CRC-failed flits are force-recorded regardless
+// of sampling (flitErr below), so the flight recorder never misses the
 // wire history that health events are made of. With telemetry disabled
 // the data path pays a single nil pointer load.
 //
 // The sampled/unsampled hook variants are prebuilt off the hot path:
-// EnableTelemetry and every SetFlitTrace/SetFault swap rebuild them
-// under rp.mu, and the data path picks one with no allocation.
+// EnableTelemetry and every SetFault swap rebuild them under rp.mu, and
+// the data path picks one with no allocation.
 
 // DefaultSampleN is the default transaction sampling rate (1-in-N).
 const DefaultSampleN = 64
@@ -86,13 +87,13 @@ func flitRecordOf(f *Flit, errFlag bool) telemetry.FlitRecord {
 }
 
 // pass carries one flit across the modelled wire: the fault hook may
-// corrupt it, then the trace hook observes it.
+// corrupt it, then a sampled transaction records what arrives.
 func (h *portHooks) pass(f *Flit) {
 	if h.fault != nil {
 		*f = h.fault(*f)
 	}
-	if h.trace != nil {
-		h.trace(*f)
+	if h.recordAll {
+		h.rec.Record(flitRecordOf(f, false))
 	}
 }
 
@@ -106,29 +107,20 @@ func (h *portHooks) flitErr(f *Flit) {
 }
 
 // rebuildTapLocked derives the sampled/unsampled hook variants from the
-// current user hooks and publishes them. Callers hold rp.mu.
+// port's current hooks and publishes them. Callers hold rp.mu.
 func (rp *RootPort) rebuildTapLocked() {
 	cfg := rp.tapCfg
 	if cfg == nil {
 		rp.tap.Store(nil)
 		return
 	}
-	var base portHooks
+	var unsampled portHooks
 	if cur := rp.hooks.Load(); cur != nil {
-		base = *cur
+		unsampled = *cur
 	}
-	unsampled := base
 	unsampled.rec = cfg.rec
 	sampled := unsampled
-	rec := cfg.rec
-	if user := base.trace; user != nil {
-		sampled.trace = func(f Flit) {
-			user(f)
-			rec.Record(flitRecordOf(&f, false))
-		}
-	} else {
-		sampled.trace = func(f Flit) { rec.Record(flitRecordOf(&f, false)) }
-	}
+	sampled.recordAll = true
 	rp.tap.Store(&portTap{tapConfig: *cfg, sampled: &sampled, unsampled: &unsampled})
 }
 
@@ -157,10 +149,10 @@ func (rp *RootPort) tapPick(pos uint64, hk *portHooks, kind uint8, op MemOpcode,
 // EnableTelemetry attaches the port to a registry: latency histograms
 // (cxl_port_latency_ns, op=read|write|burst|flush), a collector for the
 // ring/link counters (cxl_port_*_total and per-VC cxl_vc_*_total), and
-// a flight recorder fed from the trace hook slot per the sampling
-// policy above. Returns the recorder (also reachable via
-// FlightRecorder). Call once per port per registry — registration is
-// append-only.
+// a flight recorder fed by sampled transactions' flits and every
+// CRC-failed flit, per the policy above. Returns the recorder (also
+// reachable via FlightRecorder). Call once per port per registry —
+// registration is append-only.
 func (rp *RootPort) EnableTelemetry(reg *telemetry.Registry, opts TelemetryOptions) *telemetry.FlightRecorder {
 	n := uint64(DefaultSampleN)
 	if opts.SampleN > 0 {
@@ -221,16 +213,6 @@ func (rp *RootPort) FlightRecorder() *telemetry.FlightRecorder {
 		return t.rec
 	}
 	return nil
-}
-
-// EnableTelemetry enables telemetry on every leg port of the set with
-// the same options, so a striped data path is observed end to end
-// (each leg keeps its own histograms, counters and flight recorder,
-// labelled by port name).
-func (s *InterleaveSet) EnableTelemetry(reg *telemetry.Registry, opts TelemetryOptions) {
-	for _, rp := range s.Ports() {
-		rp.EnableTelemetry(reg, opts)
-	}
 }
 
 // RegisterDeviceMetrics exposes a Type-3 endpoint's transaction

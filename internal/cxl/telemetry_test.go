@@ -121,30 +121,31 @@ func TestPortTelemetryForcedErrorCapture(t *testing.T) {
 	}
 }
 
-// TestPortTelemetryHookChaining checks that a user trace installed
-// after telemetry still fires on sampled transactions (the tap chains
-// it) and survives a swap.
+// TestPortTelemetryHookChaining checks that a per-flit hook installed
+// after telemetry still sees every flit of a sampled transaction while
+// the recorder is fed, and that the recorder survives the hook's
+// removal.
 func TestPortTelemetryHookChaining(t *testing.T) {
 	rp, _, rec := telemetryPort(t)
-	traced := 0
-	rp.SetFlitTrace(func(Flit) { traced++ })
+	seen := 0
+	rp.SetFault(func(f Flit) Flit { seen++; return f })
 	var line [LineSize]byte
 	if err := rp.WriteLine(0, &line); err != nil {
 		t.Fatal(err)
 	}
-	if traced == 0 {
-		t.Fatal("user trace not chained through telemetry tap")
+	if seen == 0 {
+		t.Fatal("per-flit hook not carried by the telemetry tap")
 	}
 	before := rec.Recorded()
-	if before == 0 {
-		t.Fatal("recorder not fed alongside user trace")
+	if before != uint64(seen) {
+		t.Fatalf("recorder captured %d flits of a sampled transaction, hook saw %d", before, seen)
 	}
-	rp.SetFlitTrace(nil)
+	rp.SetFault(nil)
 	if err := rp.WriteLine(0, &line); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Recorded() == before {
-		t.Fatal("recorder stopped after trace removal")
+		t.Fatal("recorder stopped after hook removal")
 	}
 	rp.DisableTelemetry()
 	after := rec.Recorded()

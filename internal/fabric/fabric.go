@@ -277,18 +277,6 @@ func (m *Manager) PoolHealthy(name string) bool {
 	return p != nil && p.healthy
 }
 
-// SetPoolHealthy marks a pool (un)grantable without moving anything.
-func (m *Manager) SetPoolHealthy(name string, healthy bool) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p := m.poolLocked(name)
-	if p == nil {
-		return fmt.Errorf("fabric: no pool %s", name)
-	}
-	p.healthy = healthy
-	return nil
-}
-
 func (m *Manager) poolLocked(name string) *pool {
 	for _, p := range m.pools {
 		if p.name == name {

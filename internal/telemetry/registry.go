@@ -180,13 +180,6 @@ func (r *Registry) NewHistogram(name, labels string) *Histogram {
 	return h
 }
 
-// RegisterHistogram registers an externally-owned histogram.
-func (r *Registry) RegisterHistogram(name, labels string, h *Histogram) {
-	r.mu.Lock()
-	r.hists = append(r.hists, namedHist{name: name, labels: labels, h: h})
-	r.mu.Unlock()
-}
-
 // RegisterCollector adds a subsystem hook to the Gather walk.
 func (r *Registry) RegisterCollector(c Collector) {
 	r.mu.Lock()

@@ -147,7 +147,7 @@ func (n *Node) EffectiveCap(readFrac float64) units.Bandwidth {
 // node-relative address space (offset 0 is the node's first byte): the
 // striped interleave set for a multi-leg CXL node, the window-translated
 // root port for a single-leg one, and a direct device adapter for
-// DRAM/PMem nodes (immediate completions, no link traversal). Consumers
+// DRAM/PMem nodes (no link traversal). Consumers
 // program against the interface, never against the concrete plumbing.
 func (n *Node) DataPath() cxl.MemIO {
 	switch {

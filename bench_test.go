@@ -412,55 +412,44 @@ func BenchmarkCXLPortLine(b *testing.B) {
 	}
 }
 
-// BenchmarkRingOps measures the asynchronous submission/completion ring
-// path at queue depth 1/8/32/128: depth line descriptors submitted,
-// one Flush doorbell moving them across the link as packed back-to-back
-// flits (4 SQ entries per flit, device-side run coalescing), then the
-// completion queue drained in bulk through Harvest into a caller-owned
-// slice. Per-op time = ns/op ÷ depth; compare against half of
-// BenchmarkCXLPortLine's ns/op (its iteration is a write+read pair).
-// The ≥5× per-op speedup at depth 32 is the ring acceptance criterion,
-// enforced by the CI batching gate. Steady state allocates nothing.
-func BenchmarkRingOps(b *testing.B) {
-	for _, dir := range []string{"write", "read"} {
-		for _, depth := range []int{1, 8, 32, 128} {
-			b.Run(fmt.Sprintf("%s/depth=%d", dir, depth), func(b *testing.B) {
-				rp, base := benchCXLPort(b)
-				span := 128 * depth * cxl.LineSize // cycled region, ≤1 MiB
-				seed := make([]byte, span)
-				if err := rp.WriteBurst(base, seed); err != nil {
-					b.Fatal(err) // pre-touch: measure the wire, not first-touch
-				}
-				bufs := make([][cxl.LineSize]byte, depth)
-				done := make([]cxl.Completed, depth)
-				write := dir == "write"
-				b.SetBytes(int64(depth * cxl.LineSize))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					addr := base + uint64(i%128)*uint64(depth*cxl.LineSize)
-					for k := 0; k < depth; k++ {
-						var err error
-						if write {
-							_, err = rp.SubmitWrite(addr+uint64(k*cxl.LineSize), &bufs[k])
-						} else {
-							_, err = rp.SubmitRead(addr+uint64(k*cxl.LineSize), &bufs[k])
-						}
-						if err != nil {
-							b.Fatal(err)
-						}
-					}
-					rp.Flush()
-					for got := 0; got < depth; {
-						got += rp.Harvest(done[got:])
-					}
-					for k := range done {
-						if done[k].Err != nil {
-							b.Fatal(done[k].Err)
-						}
-					}
-				}
-			})
+// BenchmarkTxUpdateCXL times the paper's small undo-log transaction on
+// Setup #1's 1-way CXL mount: a 64 B Pool.Update, which crosses the root
+// port as seven CXL.mem transactions (one line read, one line write and
+// five MemWrPtls). Objects and offsets rotate, so consecutive
+// transactions touch different lines.
+func BenchmarkTxUpdateCXL(b *testing.B) {
+	rt, err := NewSetup1(Setup1Options{FPGA: fpga.Options{ChannelCapacity: 8 * units.MiB}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	n, ok := rt.CXLNode()
+	if !ok {
+		b.Fatal("no CXL node")
+	}
+	p, err := rt.CreatePool(n.ID, "bench-tx", "bench", 4<<20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const objects, objSize, txBytes = 64, 256, 64
+	oids := make([]pmem.OID, objects)
+	for i := range oids {
+		if oids[i], err = p.Alloc(objSize); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var data [txBytes]byte
+	store := func(v []byte) error {
+		copy(v, data[:])
+		return nil
+	}
+	b.SetBytes(txBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		data[0] = byte(i)
+		off := uint64(i / objects % (objSize / txBytes) * txBytes)
+		if err := p.Update(oids[i%objects], off, txBytes, store); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -303,7 +303,7 @@ func runChaosCell(t *testing.T, cell chaosCell, phase string) {
 		t.Errorf("foreground p99 = %v under %s, bound %v", p99, cell.name, chaosP99Bound)
 	}
 
-	// Zero goroutine leaks: stall timers and parked flushers all drain.
+	// Zero goroutine leaks: stall timers and parked transactions all drain.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseGoroutines+2 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)

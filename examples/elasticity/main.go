@@ -43,9 +43,10 @@ func main() {
 	fmt.Print(e.Describe())
 
 	// One registry observes everything below: every host port's latency
-	// histograms and ring counters, the fabric manager's grant/reclaim
-	// ledger, and (wired later) the tiering manager's migrations. The
-	// same registry is what `fabricctl top -serve` exports over HTTP.
+	// histograms and transaction counters, the fabric manager's
+	// grant/reclaim ledger, and (wired later) the tiering manager's
+	// migrations. The same registry is what `fabricctl top -serve`
+	// exports over HTTP.
 	// The demo moves only a few hundred transactions per host, so sample
 	// densely; a long-lived deployment would keep the 1-in-64 default.
 	reg := telemetry.NewRegistry()

@@ -33,8 +33,8 @@ const (
 	// retry budget).
 	SitePort Site = iota
 	// SiteLink — the link state machine (flap into Retraining,
-	// surprise-remove mid-flight; recovered by park-and-replay or
-	// ErrLinkDown completion draining).
+	// surprise-remove mid-flight; recovered by park-and-replay, or
+	// failed cleanly with ErrLinkDown).
 	SiteLink
 	// SiteMailbox — the device command plane (stall, garbled response;
 	// bounded by ExecuteTimeout command deadlines).
@@ -97,10 +97,10 @@ const (
 	// a transient protocol violation the tag/sequence checks detect.
 	ActReorder
 	// ActFlap drops the link into Retraining for the rule's Delay, then
-	// brings it back up; in-flight descriptors park and replay.
+	// brings it back up; transactions issued meanwhile park and replay.
 	ActFlap
 	// ActRemove surprise-removes the endpoint (Detach) mid-flight:
-	// queued descriptors complete with ErrLinkDown.
+	// later and parked transactions fail with ErrLinkDown.
 	ActRemove
 	// ActStall sleeps the rule's Delay before letting the command
 	// execute (a slow mailbox; command deadlines bound the damage).

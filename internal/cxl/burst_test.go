@@ -2,6 +2,7 @@ package cxl
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -304,6 +305,45 @@ func TestWrPtlMaskCorrectness(t *testing.T) {
 	}
 }
 
+// TestRootPortAtFailsNamingSegment splits an unaligned ReadAt and
+// WriteAt into head line, burst interior and tail line, and breaks one
+// segment at a time: the call fails with that segment's own opcode and
+// address.
+func TestRootPortAtFailsNamingSegment(t *testing.T) {
+	const off = 40 // head [40, 64), interior [64, 192), tail [192, 202)
+	p := make([]byte, 162)
+	for _, tc := range []struct {
+		write bool
+		addr  uint64
+		op    string
+	}{
+		{true, 0, "MemWrPtl"},
+		{true, 64, "MemWrBurst"},
+		{true, 192, "MemWrPtl"},
+		{false, 0, "MemRd"},
+		{false, 64, "MemRdBurst"},
+		{false, 192, "MemRd"},
+	} {
+		rp, _ := burstPort(t, 1<<20)
+		rp.SetFault(func(f Flit) Flit {
+			if f.PeekKind() == flitKindReq && f.PeekAddr() == tc.addr {
+				return f.Corrupt(9)
+			}
+			return f
+		})
+		var err error
+		if tc.write {
+			err = rp.WriteAt(p, off)
+		} else {
+			err = rp.ReadAt(p, off)
+		}
+		var pe *PortError
+		if !errors.Is(err, ErrUncorrectable) || !errors.As(err, &pe) || pe.Op != tc.op || pe.Addr != tc.addr {
+			t.Errorf("write=%v, segment @%#x broken: %v, want ErrUncorrectable naming %s @%#x", tc.write, tc.addr, err, tc.op, tc.addr)
+		}
+	}
+}
+
 // TestZeroAllocSteadyState is the allocation-regression guard: the
 // line and burst data paths must not allocate per operation.
 func TestZeroAllocSteadyState(t *testing.T) {
@@ -323,14 +363,11 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		"WriteBurst": func() { _ = rp.WriteBurst(0, buf) },
 		"ReadBurst":  func() { _ = rp.ReadBurst(0, buf) },
 		"WriteAt/4":  func() { _ = rp.WriteAt(buf[:4], 8) },
-	}
-	// ReadAt stages sub-line reads through a pooled line, whose address
-	// rides the ring descriptor. sync.Pool drops Puts under the race
-	// detector, and an unaligned line read recycles four staging lines.
-	if !raceEnabled {
-		cases["ReadAt/4"] = func() { _ = rp.ReadAt(buf[:4], 8) }
-		cases["ReadAt/64"] = func() { _ = rp.ReadAt(buf[:LineSize], 0) }
-		cases["ReadAt/64-unaligned"] = func() { _ = rp.ReadAt(buf[:LineSize], 32) }
+		// ReadAt stages sub-line reads through a line on its stack, so
+		// these hold under the race detector too.
+		"ReadAt/4":            func() { _ = rp.ReadAt(buf[:4], 8) },
+		"ReadAt/64":           func() { _ = rp.ReadAt(buf[:LineSize], 0) },
+		"ReadAt/64-unaligned": func() { _ = rp.ReadAt(buf[:LineSize], 32) },
 	}
 	for name, fn := range cases {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {

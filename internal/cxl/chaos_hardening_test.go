@@ -2,13 +2,13 @@ package cxl
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 )
 
 // withWatchdog fails the test if fn does not return within d — the
-// chaos-hardening tests' hang detector (before the Detach drain fix,
-// several of these scenarios wedged forever).
+// chaos-hardening tests' hang detector for link-state transitions.
 func withWatchdog(t *testing.T, d time.Duration, fn func()) {
 	t.Helper()
 	done := make(chan struct{})
@@ -24,71 +24,90 @@ func withWatchdog(t *testing.T, d time.Duration, fn func()) {
 }
 
 // TestDetachCompletesPublishedDescriptors is the surprise-removal
-// regression test: descriptors submitted (published, unflushed) before
-// a Detach must complete with ErrLinkDown instead of leaving their
-// waiters and harvesters blocked forever. Without the Flush in Detach
-// this test hangs.
+// test: a read held mid-flight in the fault hook when Detach runs
+// finishes on the session it loaded, and eight concurrent reads issued
+// after the Detach each fail with ErrLinkDown instead of blocking.
 func TestDetachCompletesPublishedDescriptors(t *testing.T) {
-	rp := ringPort(t)
-	var bufs [8][LineSize]byte
-	var tokens []Completion
-	for i := 0; i < 8; i++ {
-		c, err := rp.SubmitRead(vcBlock(i)+uint64(i*LineSize), &bufs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		tokens = append(tokens, c)
+	rp := testPort(t)
+	want := [LineSize]byte{0: 0xA5, LineSize - 1: 0x5A}
+	if err := rp.WriteLine(0, &want); err != nil {
+		t.Fatal(err)
 	}
-	// No Flush: the descriptors are published but nothing has moved.
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	rp.SetFault(func(f Flit) Flit {
+		once.Do(func() {
+			close(entered)
+			<-gate // hold the read's request flit on the wire
+		})
+		return f
+	})
+	held := make(chan error, 1)
+	var got [LineSize]byte
+	go func() { held <- rp.ReadLine(0, &got) }()
+	<-entered
 	rp.Detach()
+	close(gate)
 	withWatchdog(t, 10*time.Second, func() {
-		for i, c := range tokens {
-			if err := c.Wait(); !errors.Is(err, ErrLinkDown) {
-				t.Errorf("token %d: %v, want ErrLinkDown", i, err)
-			}
+		if err := <-held; err != nil {
+			t.Errorf("read in flight across Detach: %v, want it to finish on its session", err)
 		}
 	})
-	// The rings must stay usable as error sources, not wedge: a
-	// post-detach submission publishes fine (link state is a flush-time
-	// property) and completes with ErrLinkDown.
-	var line [LineSize]byte
-	c, err := rp.SubmitRead(0, &line)
-	if err != nil {
-		t.Fatalf("post-detach submit: %v", err)
+	if got != want {
+		t.Error("read in flight across Detach returned the wrong line")
 	}
 	withWatchdog(t, 10*time.Second, func() {
-		if err := c.Wait(); !errors.Is(err, ErrLinkDown) {
-			t.Errorf("post-detach completion: %v, want ErrLinkDown", err)
+		var wg sync.WaitGroup
+		var errs [8]error
+		for i := range errs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				var line [LineSize]byte
+				errs[i] = rp.ReadLine(vcBlock(i)+uint64(i*LineSize), &line)
+			}(i)
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if !errors.Is(err, ErrLinkDown) {
+				t.Errorf("read %d after Detach: %v, want ErrLinkDown", i, err)
+			}
 		}
 	})
 }
 
 // TestFailedRetrainDrainsDescriptors: CompleteRetrain(false) is a
-// surprise removal from the Retraining state — queued descriptors
-// complete with ErrLinkDown, parked transactions unblock.
+// surprise removal from the Retraining state — eight writers parked on
+// eight different VCs all unblock with ErrLinkDown.
 func TestFailedRetrainDrainsDescriptors(t *testing.T) {
-	rp := ringPort(t)
+	rp := testPort(t)
 	if err := rp.StartRetrain(); err != nil {
 		t.Fatal(err)
 	}
-	var line [LineSize]byte
-	c, err := rp.SubmitWrite(0, &line)
-	if err != nil {
-		t.Fatal(err)
+	parked := make(chan error, NumVCs)
+	for i := 0; i < NumVCs; i++ {
+		go func(i int) {
+			var line [LineSize]byte
+			parked <- rp.WriteLine(vcBlock(i), &line)
+		}(i)
 	}
-	parked := make(chan error, 1)
-	go func() {
-		var l [LineSize]byte
-		parked <- rp.WriteLine(uint64(LineSize), &l)
-	}()
-	time.Sleep(2 * time.Millisecond) // let the sync op park
+	// Each writer takes its sequence number before it parks.
+	withWatchdog(t, 10*time.Second, func() {
+		for rp.Stats().Issued < NumVCs {
+			time.Sleep(100 * time.Microsecond)
+		}
+	})
+	for i, vc := range rp.Stats().VCs {
+		if vc.Issued != 1 {
+			t.Fatalf("VC %d issued %d writes, want 1", i, vc.Issued)
+		}
+	}
 	rp.CompleteRetrain(false)
 	withWatchdog(t, 10*time.Second, func() {
-		if err := c.Wait(); !errors.Is(err, ErrLinkDown) {
-			t.Errorf("queued descriptor: %v, want ErrLinkDown", err)
-		}
-		if err := <-parked; !errors.Is(err, ErrLinkDown) {
-			t.Errorf("parked transaction: %v, want ErrLinkDown", err)
+		for i := 0; i < NumVCs; i++ {
+			if err := <-parked; !errors.Is(err, ErrLinkDown) {
+				t.Errorf("parked writer: %v, want ErrLinkDown", err)
+			}
 		}
 	})
 	if rp.State() != LinkDown {
@@ -100,7 +119,7 @@ func TestFailedRetrainDrainsDescriptors(t *testing.T) {
 // retrains park and replay when it comes back up — no error surfaces
 // and the data round-trips.
 func TestRetrainParkAndReplay(t *testing.T) {
-	rp := ringPort(t)
+	rp := testPort(t)
 	if err := rp.StartRetrain(); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +156,7 @@ func TestRetrainParkAndReplay(t *testing.T) {
 // transaction at RetrainTimeout with ErrTimeout, counts it, and the
 // port recovers fully once the link finally trains.
 func TestRetrainTimeout(t *testing.T) {
-	rp := ringPort(t)
+	rp := testPort(t)
 	rp.SetOptions(PortOptions{RetrainTimeout: 10 * time.Millisecond})
 	if err := rp.StartRetrain(); err != nil {
 		t.Fatal(err)
@@ -157,80 +176,12 @@ func TestRetrainTimeout(t *testing.T) {
 	}
 }
 
-// TestWaitTimeoutAbandon: a waiter whose deadline expires while another
-// flusher is stuck mid-span gets ErrTimeout; when the completion lands
-// late, the completer self-consumes the abandoned slot and the ring
-// keeps working for several more laps.
-func TestWaitTimeoutAbandon(t *testing.T) {
-	rp := ringPort(t)
-	block := make(chan struct{})
-	var gated bool
-	rp.SetFault(func(f Flit) Flit {
-		if !gated {
-			gated = true
-			<-block // strand the flusher mid-transaction
-		}
-		return f
-	})
-	var line [LineSize]byte
-	c, err := rp.SubmitWrite(0, &line)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flushed := make(chan struct{})
-	go func() {
-		rp.Flush() // claims the span, blocks in the fault hook
-		close(flushed)
-	}()
-	time.Sleep(2 * time.Millisecond)
-	start := time.Now()
-	err = c.WaitTimeout(5 * time.Millisecond)
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("WaitTimeout = %v, want ErrTimeout", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("WaitTimeout took %v: deadline not honoured", elapsed)
-	}
-	if got := rp.Stats().Timeouts; got == 0 {
-		t.Error("abandoned wait not counted in Timeouts")
-	}
-	close(block)
-	<-flushed
-	rp.SetFault(nil)
-	// The abandoned slot must have been self-consumed: the same VC runs
-	// several full laps without wedging.
-	withWatchdog(t, 10*time.Second, func() {
-		for i := 0; i < 3*RingSlots; i++ {
-			if err := rp.WriteLine(0, &line); err != nil {
-				t.Fatalf("post-abandon write %d: %v", i, err)
-			}
-		}
-	})
-}
-
-// TestWaitTimeoutCompletedFast: a deadline far in the future degrades
-// to a normal wait and returns the real completion.
-func TestWaitTimeoutCompletedFast(t *testing.T) {
-	rp := ringPort(t)
-	var line [LineSize]byte
-	c, err := rp.SubmitWrite(0, &line)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WaitTimeout(5 * time.Second); err != nil {
-		t.Fatalf("WaitTimeout with ample deadline: %v", err)
-	}
-	if got := rp.Stats().Timeouts; got != 0 {
-		t.Errorf("successful wait counted as timeout (%d)", got)
-	}
-}
-
 // TestRetryBackoffBudget: PortOptions govern the retransmission budget
 // and pace retries with exponential backoff — a permanently corrupted
 // link burns the enlarged budget, takes at least the deterministic
 // minimum backoff time, and reports ErrUncorrectable.
 func TestRetryBackoffBudget(t *testing.T) {
-	rp := ringPort(t)
+	rp := testPort(t)
 	rp.SetOptions(PortOptions{MaxLinkRetries: 5, RetryBackoff: time.Millisecond})
 	if got := rp.Options().MaxLinkRetries; got != 5 {
 		t.Fatalf("MaxLinkRetries = %d after SetOptions, want 5", got)

@@ -51,28 +51,12 @@ func TestConcurrentMixedTrafficNoDuplicateTags(t *testing.T) {
 	var tagMu sync.Mutex
 	tags := make(map[uint16]int)
 	rp.SetFault(func(f Flit) Flit {
-		// Submissions travel either as full request flits (writes, burst
-		// headers) or packed four-per-flit SQ entries (reads); both carry
-		// the wire tag.
-		switch f.raw[0] {
-		case flitKindReq:
-			var req MemReq
-			if DecodeReqInto(&req, &f) != nil {
-				return f
-			}
+		// Every transaction — line read, line write, burst — leaves as
+		// one request flit carrying its wire tag.
+		var req MemReq
+		if DecodeReqInto(&req, &f) == nil {
 			tagMu.Lock()
 			tags[req.Tag]++
-			tagMu.Unlock()
-		case flitKindSQ:
-			var sqes [SQEntriesPerFlit]SQE
-			n, err := DecodeSQInto(&sqes, &f)
-			if err != nil {
-				return f
-			}
-			tagMu.Lock()
-			for i := 0; i < n; i++ {
-				tags[sqes[i].Tag]++
-			}
 			tagMu.Unlock()
 		}
 		return f

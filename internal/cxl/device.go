@@ -27,7 +27,7 @@ const (
 func (t DeviceType) String() string { return fmt.Sprintf("Type%d", int(t)) }
 
 // Endpoint is any CXL device that can be attached to a root port (or a
-// switch downstream port). The three Handle methods are the CXL.mem
+// switch downstream port). The two Handle methods are the CXL.mem
 // transaction layer; responses echo the request's tag. Type 1 devices
 // answer every request with RespErr.
 type Endpoint interface {
@@ -45,11 +45,6 @@ type Endpoint interface {
 	// store for a write, the buffer to fill for a read. A failing burst
 	// has no partial effects.
 	HandleMemBurst(req MemReq, payload []byte) MemResp
-	// HandleMemQueue services a flushed ring batch: len(reqs) ==
-	// len(resps), and resps[i] answers reqs[i]. Requests are independent
-	// line transactions (a failing request fails alone), but a device
-	// may exploit the batch's shape.
-	HandleMemQueue(reqs []MemReq, resps []MemResp)
 }
 
 // MemStats counts CXL.mem transactions at an endpoint. Reads/Writes
@@ -258,9 +253,9 @@ func (d *Type3Device) poisonHit() {
 }
 
 // access is the media step full-line reads and writes share — single
-// lines, bursts and coalesced queue runs alike — once their span has
-// decoded and passed the poison probe: one media read or write,
-// charging one error on failure. The caller charges success.
+// lines and bursts alike — once their span has decoded and passed the
+// poison probe: one media read or write, charging one error on failure.
+// The caller charges success.
 func (d *Type3Device) access(write bool, dpa uint64, p []byte) bool {
 	var err error
 	if write {
@@ -338,75 +333,6 @@ func (d *Type3Device) HandleMem(req MemReq) MemResp {
 		d.stats.Errors.Add(1)
 	}
 	return resp
-}
-
-// HandleMemQueue services one flushed ring batch. Runs of adjacent
-// same-opcode MemRd/MemWr lines (contiguous in DPA space) collapse into
-// one media access staged through the burst buffer pool, and the
-// read/write counters are charged once per run — the device-side half
-// of doorbell batching. Everything else goes through HandleMem with
-// identical semantics: MemWrPtl, MemInv, unmapped lines, run breaks,
-// and runs touching poison, whose lines must fail one by one.
-func (d *Type3Device) HandleMemQueue(reqs []MemReq, resps []MemResp) {
-	s := d.snapshot()
-	for i := 0; i < len(reqs); {
-		op := reqs[i].Opcode
-		n := 1
-		var dpa uint64
-		if op == OpMemRd || op == OpMemWr {
-			var ok bool
-			dpa, ok = s.decode(reqs[i].Addr)
-			for ok && i+n < len(reqs) && n < MaxBurstLines && reqs[i+n].Opcode == op {
-				next, hit := s.decode(reqs[i+n].Addr)
-				if !hit || next != dpa+uint64(n*LineSize) {
-					break
-				}
-				n++
-			}
-		}
-		if n == 1 || s.poisonedAt(dpa, uint64(n*LineSize)) {
-			resps[i] = d.HandleMem(reqs[i])
-			i++
-			continue
-		}
-		d.serveRun(s, op == OpMemWr, dpa, reqs[i:i+n], resps[i:i+n])
-		i += n
-	}
-}
-
-// serveRun moves one coalesced queue run of full-line reads or writes
-// with a single media access.
-func (d *Type3Device) serveRun(s *deviceSnapshot, write bool, dpa uint64, reqs []MemReq, resps []MemResp) {
-	buf := burstBufPool.Get().(*[maxBurstBytes]byte)
-	span := buf[:len(reqs)*LineSize]
-	if write {
-		for k := range reqs {
-			copy(span[k*LineSize:], reqs[k].Data[:])
-		}
-	}
-	ok := d.access(write, dpa, span)
-	for k := range resps {
-		r := &resps[k]
-		r.Tag, r.Opcode = reqs[k].Tag, RespErr
-		switch {
-		case !ok:
-		case write:
-			r.Opcode = RespCmp
-		default:
-			copy(r.Data[:], span[k*LineSize:])
-			r.Opcode = RespMemData
-		}
-	}
-	burstBufPool.Put(buf)
-	n := int64(len(reqs))
-	switch {
-	case !ok:
-		d.stats.Errors.Add(n - 1) // access charged one; every line fails
-	case write:
-		d.stats.Writes.Add(n)
-	default:
-		d.stats.Reads.Add(n)
-	}
 }
 
 // HandleMemBurst services a multi-line burst with a single media access
@@ -539,13 +465,6 @@ func (d *Type1Device) HandleMem(req MemReq) MemResp {
 // HandleMemBurst always fails, like HandleMem.
 func (d *Type1Device) HandleMemBurst(req MemReq, _ []byte) MemResp {
 	return d.HandleMem(req)
-}
-
-// HandleMemQueue fails every request, like HandleMem.
-func (d *Type1Device) HandleMemQueue(reqs []MemReq, resps []MemResp) {
-	for i := range reqs {
-		resps[i] = d.HandleMem(reqs[i])
-	}
 }
 
 // Type2Device is an accelerator with attached memory: it embeds the

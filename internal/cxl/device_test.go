@@ -228,11 +228,6 @@ func (d *nonCXLEndpoint) HandleMem(req MemReq) MemResp {
 func (d *nonCXLEndpoint) HandleMemBurst(req MemReq, _ []byte) MemResp {
 	return d.HandleMem(req)
 }
-func (d *nonCXLEndpoint) HandleMemQueue(reqs []MemReq, resps []MemResp) {
-	for i := range reqs {
-		resps[i] = d.HandleMem(reqs[i])
-	}
-}
 
 func TestTrainingRejectsNonCXL(t *testing.T) {
 	link, _ := interconnect.NewPCIe("p", interconnect.KindPCIe5, 16, 0)
@@ -345,33 +340,17 @@ func TestType1RejectsMem(t *testing.T) {
 	if resp := d.HandleMemBurst(burst, make([]byte, 2*LineSize)); resp.Opcode != RespErr || resp.Tag != 5 {
 		t.Errorf("Type1 burst response %v tag %d, want Err tag 5", resp.Opcode, resp.Tag)
 	}
-	reqs := []MemReq{{Opcode: OpMemRd, Tag: 1}, {Opcode: OpMemWr, Tag: 2, Addr: 64}}
-	resps := make([]MemResp, len(reqs))
-	d.HandleMemQueue(reqs, resps)
-	for i, resp := range resps {
-		if resp.Opcode != RespErr || resp.Tag != reqs[i].Tag {
-			t.Errorf("Type1 batch response %d: %v tag %d", i, resp.Opcode, resp.Tag)
-		}
-	}
 	// Through a port the rejections surface as ErrBadResponse.
 	rp := trainedPort(t, d)
 	if err := rp.WriteBurst(0, make([]byte, 2*LineSize)); !errors.Is(err, ErrBadResponse) {
 		t.Errorf("Type1 burst through a port: %v, want ErrBadResponse", err)
 	}
 	var line [LineSize]byte
-	c1, err := rp.SubmitWrite(0, &line)
-	if err != nil {
-		t.Fatal(err)
+	if err := rp.WriteLine(0, &line); !errors.Is(err, ErrBadResponse) {
+		t.Errorf("Type1 line write through a port: %v, want ErrBadResponse", err)
 	}
-	c2, err := rp.SubmitRead(uint64(LineSize), &line)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp.Flush()
-	for _, c := range []Completion{c1, c2} {
-		if err := c.Wait(); !errors.Is(err, ErrBadResponse) {
-			t.Errorf("Type1 batched descriptor: %v, want ErrBadResponse", err)
-		}
+	if err := rp.ReadLine(uint64(LineSize), &line); !errors.Is(err, ErrBadResponse) {
+		t.Errorf("Type1 line read through a port: %v, want ErrBadResponse", err)
 	}
 	info, ok := d.Config().FindCXLDVSEC()
 	if !ok || info.Caps&CapMem != 0 || info.Caps&CapCache == 0 {

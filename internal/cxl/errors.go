@@ -35,17 +35,9 @@ var (
 	// ErrTagMismatch — a response or data flit carried a tag/sequence
 	// that does not match the request (protocol violation).
 	ErrTagMismatch = errors.New("tag mismatch")
-	// ErrRingFull — the virtual channel's submission queue is full and
-	// completions are not being consumed; Wait or Harvest outstanding
-	// tokens, then resubmit.
-	ErrRingFull = errors.New("submission ring full")
-	// ErrConsumed — Completion.Wait on a token whose completion Harvest
-	// already drained: the outcome surfaced there, exactly once.
-	ErrConsumed = errors.New("completion already consumed")
-	// ErrTimeout — a bounded wait expired: a descriptor deadline
-	// (Completion.WaitTimeout), a retrain that never completed, or a
-	// command deadline. The operation's outcome is unknown; the caller
-	// decides whether to requeue or fail.
+	// ErrTimeout — a transaction parked on a retrain longer than
+	// PortOptions.RetrainTimeout. It never reached the device; the
+	// caller decides whether to retry or fail.
 	ErrTimeout = errors.New("operation timed out")
 )
 

@@ -196,6 +196,16 @@ func TestInterleaveGeometryValidation(t *testing.T) {
 	if _, err := NewInterleaveSet("bad", 0, 256, down); err == nil {
 		t.Error("untrained leg accepted")
 	}
+	accel := trainedPort(t, NewType1("accel", 0x8086, 0x0001))
+	if _, err := NewInterleaveSet("bad", 0, 256, append(mk(1), accel)...); err == nil {
+		t.Error("leg with no HDM accepted")
+	}
+	if _, err := NewInterleaveSetOpts("bad", InterleaveOptions{Granule: 256, Share: 100}, mk(2)...); err == nil {
+		t.Error("share below one granule accepted")
+	}
+	if _, err := NewInterleaveSetOpts("bad", InterleaveOptions{Granule: 256, Share: 32 << 20}, mk(2)...); err == nil {
+		t.Error("share above the smallest member HDM accepted")
+	}
 	// Mixed-capacity members: the share is the smallest HDM.
 	small, err := NewType3("small", 0x8086, 0x0D93, testMedia(t, "small-ddr"))
 	if err != nil {

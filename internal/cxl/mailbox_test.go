@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func testMailbox(t *testing.T) (*Mailbox, *Type3Device) {
@@ -105,6 +106,11 @@ func TestMailboxPoisonLifecycle(t *testing.T) {
 	if err != nil || len(list) != 1 || list[0] != 0x1000 {
 		t.Errorf("poison list = %v, %v", list, err)
 	}
+	// So does the per-line probe the RAS plane polls, for any DPA
+	// inside the line.
+	if !mb.IsPoisoned(0x1000) || !mb.IsPoisoned(0x1010) || mb.IsPoisoned(0x1040) {
+		t.Error("IsPoisoned disagrees with the poison list")
+	}
 	// Health counts it.
 	hb, _ := mb.Execute(OpGetHealthInfo, nil)
 	h, _ := DecodeHealth(hb)
@@ -117,6 +123,53 @@ func TestMailboxPoisonLifecycle(t *testing.T) {
 	}
 	if resp := dev.HandleMem(MemReq{Opcode: OpMemRd, Addr: 0x1000}); resp.Opcode != RespMemData {
 		t.Error("cleared line still failing")
+	}
+	if mb.IsPoisoned(0x1000) {
+		t.Error("IsPoisoned still reports the cleared line")
+	}
+}
+
+// TestMailboxExecuteTimeout: a command the fault hook stalls returns
+// MboxTimeout once its deadline passes and charges one CommandTimeouts
+// to the device; without the stall it answers in time, a non-positive
+// deadline degenerates to Execute, and an intercepting hook answers in
+// the device's place.
+func TestMailboxExecuteTimeout(t *testing.T) {
+	mb, dev := testMailbox(t)
+	timeouts := &dev.Media().Stats().CommandTimeouts
+	release := make(chan struct{})
+	mb.SetFault(func(op MailboxOpcode) (MailboxStatus, bool) {
+		if op == OpIdentifyMemDevice {
+			<-release // a stalled firmware command
+		}
+		return MboxSuccess, false
+	})
+	const d = 5 * time.Millisecond
+	start := time.Now()
+	out, status := mb.ExecuteTimeout(OpIdentifyMemDevice, nil, d)
+	if elapsed := time.Since(start); status != MboxTimeout || out != nil || elapsed < d {
+		t.Fatalf("stalled command = %v after %v (out %v), want %v after at least %v", status, elapsed, out, MboxTimeout, d)
+	}
+	if got := timeouts.Load(); got != 1 {
+		t.Errorf("CommandTimeouts = %d, want 1", got)
+	}
+	close(release) // the stalled command finishes device-side; its result is discarded
+	mb.SetFault(nil)
+	if _, status := mb.ExecuteTimeout(OpIdentifyMemDevice, nil, 10*time.Second); status != MboxSuccess {
+		t.Errorf("unstalled command = %v, want %v", status, MboxSuccess)
+	}
+	if _, status := mb.ExecuteTimeout(OpGetHealthInfo, nil, 0); status != MboxSuccess {
+		t.Errorf("command with no deadline = %v, want %v", status, MboxSuccess)
+	}
+	if got := timeouts.Load(); got != 1 {
+		t.Errorf("CommandTimeouts = %d after commands that answered, want 1", got)
+	}
+	mb.SetFault(func(MailboxOpcode) (MailboxStatus, bool) { return MboxInternalError, true })
+	if _, status := mb.Execute(OpGetHealthInfo, nil); status != MboxInternalError {
+		t.Errorf("intercepted command = %v, want %v", status, MboxInternalError)
+	}
+	if MboxTimeout.String() != "timeout" || MboxInternalError.String() != "internal-error" {
+		t.Errorf("status strings %q, %q", MboxTimeout, MboxInternalError)
 	}
 }
 

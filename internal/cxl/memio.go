@@ -21,8 +21,9 @@ import (
 // Every method is synchronous: the transfer has completed at the device
 // when it returns. Every failure is a *PortError wrapping one of the
 // package sentinels (errors.go), so callers classify with errors.Is.
-// Over a port, each call is submit+flush+wait on the port's rings
-// (ring.go) and allocates nothing in steady state.
+// Over a port, each line or burst is one transaction moved on the
+// caller's stack (RootPort.transact), allocating nothing in steady
+// state.
 type MemIO interface {
 	// ReadLine fetches the 64-byte line at the line-aligned HPA.
 	ReadLine(hpa uint64, out *[LineSize]byte) error

@@ -2,7 +2,6 @@ package cxl
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,23 +37,38 @@ func (s LinkState) String() string {
 	}
 }
 
-// Multi-queue issue model. The port exposes NumVCs virtual channels,
-// mirroring the per-QoS-class request queues of a real CXL host bridge.
-// Each VC owns an SQ/CQ ring pair (see ring.go) and a slice of the tag
-// space: the VC index in the high bits, the ring position in the low
-// bits. Submissions are dispatched by address in vcStride-line runs
-// (ringFor), so a burst of neighbouring submissions lands on one ring —
-// one doorbell, one batch — while sustained load still spreads over all
-// channels. Two in-flight transactions always differ in VC bits or
-// sequence bits.
+// Transaction model. The port exposes NumVCs virtual channels, mirroring
+// the per-QoS-class request queues of a real CXL host bridge. A
+// transaction's VC comes from its address: runs of vcStride consecutive
+// lines share one (vcFor), the address-interleaved channel selection
+// real memory controllers use, so sustained traffic spreads over every
+// VC without a shared counter. Each VC owns a sequence counter. A
+// transaction takes the next number with one atomic add; that number
+// gives its wire tag (the VC index in the high bits, the sequence's low
+// vcTagBits bits below) and the telemetry sampling clock. Two in-flight
+// transactions differ in VC bits or sequence bits unless more than
+// 2^vcTagBits are in flight on one VC at once. The transaction then
+// moves its flits on the caller's stack.
 const (
 	// NumVCs is the number of virtual channels per port (power of two).
 	NumVCs = 8
+	// vcStride is how many consecutive lines share one VC.
+	vcStride = 32
 	// vcTagBits is the per-VC sequence width inside the 16-bit tag; the
 	// top bits carry the VC index.
 	vcTagBits = 13
 	vcSeqMask = 1<<vcTagBits - 1
 )
+
+// portVC is one virtual channel's counters, padded apart so traffic on
+// neighbouring VCs does not false-share.
+type portVC struct {
+	// seq is the next sequence number; it also counts issued
+	// transactions.
+	seq     atomic.Uint64
+	retries atomic.Int64
+	_       [48]byte
+}
 
 // VCStat is a snapshot of one virtual channel's counters.
 type VCStat struct {
@@ -62,26 +76,17 @@ type VCStat struct {
 	Retries int64
 }
 
-// PortStats is one atomic-snapshot view of a port's ring and link
-// counters — the successor of the Retries()/VCStats() pair, extended
-// with the ring-path counters.
+// PortStats is one snapshot of a port's transaction and link counters.
 type PortStats struct {
-	// Issued counts descriptors submitted across all VCs.
+	// Issued counts transactions across all VCs.
 	Issued int64
-	// Flushed counts descriptors claimed by doorbell flushes.
-	Flushed int64
 	// Retries counts link-level retransmissions across all VCs.
 	Retries int64
-	// Doorbells counts flush claims (each moves a whole batch in one VC
-	// acquisition); Issued/Doorbells is the realised batch depth.
+	// Doorbells counts doorbells rung. Every transaction rings its own,
+	// so it equals Issued.
 	Doorbells int64
-	// Harvested counts completions drained through Harvest.
-	Harvested int64
-	// CQOverflows counts live completion-queue entries dropped because
-	// the CQ filled faster than Harvest drained it.
-	CQOverflows int64
-	// Timeouts counts expired bounded waits: descriptor deadlines
-	// (WaitTimeout) and retrains that exceeded RetrainTimeout.
+	// Timeouts counts transactions that parked on a retrain longer than
+	// RetrainTimeout.
 	Timeouts int64
 	// Retrains counts LinkUp→Retraining transitions (link flaps).
 	Retrains int64
@@ -116,10 +121,10 @@ type portSession struct {
 	ras      *memdev.Stats
 }
 
-// retry charges one link-level retransmission to the issuing VC's ring
-// and to the attached device's RAS counters.
-func (s *portSession) retry(r *vcRing) {
-	r.retries.Add(1)
+// retry charges one link-level retransmission to the issuing VC and to
+// the attached device's RAS counters.
+func (s *portSession) retry(vc *portVC) {
+	vc.retries.Add(1)
 	if s.ras != nil {
 		s.ras.LinkRetries.Add(1)
 	}
@@ -134,10 +139,9 @@ func (s *portSession) uncorrectable() {
 
 // RootPort is a host-side CXL port: the CPU's view of one PCIe/CXL slot.
 // It owns the physical link, performs link training against an attached
-// endpoint, and carries CXL.mem traffic to it over per-VC
-// submission/completion rings (ring.go) — the synchronous MemIO methods
-// are submit+flush+wait over the same rings the port's Submit*/Flush/
-// Harvest methods drive directly, so there is exactly one data path.
+// endpoint, and carries CXL.mem traffic to it. Every MemIO call is one
+// synchronous transaction per line or burst (transact): the data path
+// has no queue, so a call has completed at the device when it returns.
 // Every request/response genuinely round-trips through the flit codec
 // so protocol tests observe real wire behaviour; the steady-state data
 // path allocates nothing and is safe for concurrent use by many
@@ -162,11 +166,9 @@ type RootPort struct {
 	// it on retry/park paths, never on a clean transaction.
 	cfg atomic.Pointer[PortOptions]
 
-	doorbells atomic.Int64
-	harvested atomic.Int64
-	timeouts  atomic.Int64
-	retrains  atomic.Int64
-	rings     [NumVCs]vcRing
+	timeouts atomic.Int64
+	retrains atomic.Int64
+	vcs      [NumVCs]portVC
 }
 
 // maxLinkRetries is the default retransmission budget before the port
@@ -260,30 +262,20 @@ func NewRootPort(name string, link *interconnect.Link) *RootPort {
 	rp := &RootPort{name: name, link: link}
 	cfg := PortOptions{}.resolve()
 	rp.cfg.Store(&cfg)
-	for i := range rp.rings {
-		rp.rings[i].init(rp, i)
-	}
 	return rp
 }
 
-// Stats returns one consistent snapshot of the port's ring and link
-// counters.
+// Stats returns a snapshot of the port's transaction and link counters.
 func (rp *RootPort) Stats() PortStats {
-	var st PortStats
-	st.Doorbells = rp.doorbells.Load()
-	st.Harvested = rp.harvested.Load()
-	st.Timeouts = rp.timeouts.Load()
-	st.Retrains = rp.retrains.Load()
-	for i := range rp.rings {
-		r := &rp.rings[i]
-		issued := int64(r.tail.Load())
-		retries := r.retries.Load()
+	st := PortStats{Timeouts: rp.timeouts.Load(), Retrains: rp.retrains.Load()}
+	for i := range rp.vcs {
+		issued := int64(rp.vcs[i].seq.Load())
+		retries := rp.vcs[i].retries.Load()
 		st.VCs[i] = VCStat{Issued: issued, Retries: retries}
 		st.Issued += issued
-		st.Flushed += int64(r.flushHead.Load())
 		st.Retries += retries
-		st.CQOverflows += r.overflows.Load()
 	}
+	st.Doorbells = st.Issued
 	return st
 }
 
@@ -360,16 +352,14 @@ func (rp *RootPort) Attach(ep Endpoint) error {
 	return nil
 }
 
-// Detach brings the link down and releases the endpoint. Transactions
-// already in flight complete against the endpoint they started with;
-// descriptors still queued on the rings are drained and completed with
-// ErrLinkDown (posted to the CQs), so no Wait or Harvest consumer ever
-// blocks on a surprise-removed port.
+// Detach brings the link down and releases the endpoint. A transaction
+// already in flight finishes against the session it loaded, one parked
+// on a retrain unblocks with ErrLinkDown, and every later one fails
+// with ErrLinkDown.
 func (rp *RootPort) Detach() {
 	rp.mu.Lock()
+	defer rp.mu.Unlock()
 	rp.sess.Store(&portSession{state: LinkDown})
-	rp.mu.Unlock()
-	rp.Flush() // now that the session is down, queued work fails with ErrLinkDown
 }
 
 // StartRetrain takes a trained link out of L0 into Retraining (a link
@@ -390,25 +380,22 @@ func (rp *RootPort) StartRetrain() error {
 }
 
 // CompleteRetrain finishes a retrain: back to LinkUp on success, or
-// LinkDown (draining queued descriptors, like Detach) on failure. A
-// no-op unless the link is Retraining.
+// LinkDown on failure, which unblocks every parked transaction with
+// ErrLinkDown, as Detach does. A no-op unless the link is Retraining.
 func (rp *RootPort) CompleteRetrain(up bool) {
 	rp.mu.Lock()
+	defer rp.mu.Unlock()
 	s := rp.sess.Load()
 	if s == nil || s.state != Retraining {
-		rp.mu.Unlock()
 		return
 	}
-	if up {
-		next := *s
-		next.state = LinkUp
-		rp.sess.Store(&next)
-		rp.mu.Unlock()
+	if !up {
+		rp.sess.Store(&portSession{state: LinkDown})
 		return
 	}
-	rp.sess.Store(&portSession{state: LinkDown})
-	rp.mu.Unlock()
-	rp.Flush() // now that the session is down, queued work fails with ErrLinkDown
+	next := *s
+	next.state = LinkUp
+	rp.sess.Store(&next)
 }
 
 // awaitRetrain parks until a Retraining link settles: the LinkUp
@@ -432,10 +419,9 @@ func (rp *RootPort) awaitRetrain() (*portSession, error) {
 	}
 }
 
-// ringSession returns the hot-path link snapshot, or the sentinel error
-// when the link is down (callers build per-descriptor errors). A
-// Retraining link parks (bounded) and replays.
-func (rp *RootPort) ringSession() (*portSession, error) {
+// session returns the hot-path link snapshot, or the sentinel error
+// when the link is down. A Retraining link parks (bounded) and replays.
+func (rp *RootPort) session() (*portSession, error) {
 	s := rp.sess.Load()
 	if s != nil && s.state == Retraining {
 		return rp.awaitRetrain()
@@ -446,49 +432,65 @@ func (rp *RootPort) ringSession() (*portSession, error) {
 	return s, nil
 }
 
-// ringFor selects the VC ring for a submission by address: runs of
-// vcStride consecutive lines share a VC, so neighbouring submissions
-// land on one ring (one doorbell, device-side run coalescing) while
-// sustained traffic still spreads across all NumVCs — the address-
-// interleaved channel selection real memory controllers use, and it
-// costs no shared-counter RMW on the submit path.
-func (rp *RootPort) ringFor(hpa uint64) *vcRing {
-	return &rp.rings[(hpa/uint64(LineSize*vcStride))&(NumVCs-1)]
-}
+// vcFor returns the index of the VC that carries a transaction at hpa.
+func vcFor(hpa uint64) uint64 { return hpa / uint64(LineSize*vcStride) & (NumVCs - 1) }
 
-// syncTransact is the synchronous submit+flush+wait path with the
-// flush claim fused into the submit: when this descriptor is the next
-// to flush, its one-entry span is claimed *before* the publish store,
-// so no concurrent flusher can ever observe the descriptor — it is
-// processed on this stack and the slot freed with a single release
-// store (done and consumed fused; the submitter is also the waiter, so
-// nobody else reads the token). When earlier descriptors are queued,
-// it degrades to the generic publish + flush + wait shape.
-func (rp *RootPort) syncTransact(kind uint8, op MemOpcode, addr, mask uint64, out, data *[LineSize]byte, p []byte) error {
-	r := rp.ringFor(addr)
-	t, slot, ok := r.claim()
-	for !ok {
-		// Ring full: drain (waiters consume their slots) and retry.
-		rp.flushVC(r)
-		runtime.Gosched()
-		t, slot, ok = r.claim()
+// transact is the port's one transaction path. It takes the next
+// sequence number on addr's VC, loads the session and hook snapshots,
+// and moves the transaction's flits on the caller's stack: a burst over
+// p, or else one line op (MemRd into line, MemWr or MemWrPtl from it).
+func (rp *RootPort) transact(op MemOpcode, addr, mask uint64, line *[LineSize]byte, p []byte) error {
+	i := vcFor(addr)
+	vc := &rp.vcs[i]
+	seq := vc.seq.Add(1) - 1
+	s, err := rp.session()
+	if err != nil {
+		return portErr(rp.name, op.String(), addr, err, err.Error())
 	}
-	fused := r.flushHead.CompareAndSwap(t, t+1)
-	slot.desc.fill(kind, true, op, addr, mask, out, data, p)
-	if !fused {
-		r.publish(slot, t)
-		rp.flushVC(r)
-		return Completion{ring: r, pos: t}.Wait()
+	hk, hist, t0 := rp.tapPick(seq, rp.hooks.Load(), op)
+	m := wireMsg{
+		op:   op,
+		tag:  uint16(i)<<vcTagBits | uint16(seq)&vcSeqMask,
+		seq:  uint32(seq),
+		addr: addr,
+		mask: mask,
 	}
-	rp.doorbells.Add(1)
-	s, serr := rp.ringSession()
-	hk, hist, t0 := rp.tapPick(t, rp.hooks.Load(), kind, op, false)
-	err := rp.processSingle(r, &slot.desc, t, s, serr, hk)
-	slot.seq.Store(t + RingSlots)
+	if p != nil {
+		err = rp.moveBurst(s, hk, vc, m, p)
+	} else {
+		err = rp.moveLine(s, hk, vc, m, line)
+	}
 	if hist != nil {
 		hist.RecordSince(t0)
 	}
 	return err
+}
+
+// moveLine moves one line transaction: the request flit, carrying a
+// write's payload; the device access; then a read's data into line as
+// one data flit, or the completion as one response flit. m arrives by
+// value so that pointing it at line keeps line off the heap.
+func (rp *RootPort) moveLine(s *portSession, hk *portHooks, vc *portVC, m wireMsg, line *[LineSize]byte) error {
+	var f Flit
+	var req MemReq
+	op, tag := m.op, m.tag
+	m.kind, m.req = flitKindReq, &req
+	if op != OpMemRd {
+		m.src = line
+	}
+	if err := rp.move(s, hk, vc, &f, &m); err != nil {
+		return err
+	}
+	resp := s.endpoint.HandleMem(req)
+	if op == OpMemRd && resp.Opcode == RespMemData {
+		m.kind, m.src, m.dst = flitKindData, &resp.Data, line
+		return rp.move(s, hk, vc, &f, &m)
+	}
+	m.kind, m.resp, m.tag = flitKindResp, resp.Opcode, resp.Tag
+	if err := rp.move(s, hk, vc, &f, &m); err != nil {
+		return err
+	}
+	return rp.respErr(op, m.addr, tag, m.tag, m.resp)
 }
 
 // wireMsg is one CXL.mem message crossing the modelled link, held as
@@ -498,10 +500,9 @@ func (rp *RootPort) syncTransact(kind uint8, op MemOpcode, addr, mask uint64, ou
 // neither closures nor type parameters: either would move the flit to
 // the heap.
 type wireMsg struct {
-	kind uint8      // flitKindReq, -Resp, -Data, -SQ or -CQ
+	kind uint8      // flitKindReq, -Resp or -Data
 	op   MemOpcode  // the transaction's opcode; with addr it names errors
 	resp RespOpcode // response status; a response decodes it and tag back
-	n    uint8      // packed SQ/CQ entry count
 	tag  uint16     // a data flit must arrive with the tag and seq it was sent with
 	// lines is a burst header's data-flit count.
 	lines uint16
@@ -511,10 +512,6 @@ type wireMsg struct {
 	src   *[LineSize]byte // request or data payload; nil sends zeros
 	dst   *[LineSize]byte // where a data flit's payload lands
 	req   *MemReq         // where a request flit decodes
-	sq    *[SQEntriesPerFlit]SQE
-	sqDec *[SQEntriesPerFlit]SQE
-	cq    *[CQEntriesPerFlit]CQE
-	cqDec *[CQEntriesPerFlit]CQE
 }
 
 // errSeqMismatch is the receiver's NAK cause for a data flit that
@@ -527,8 +524,6 @@ var flitKindNames = [...]string{
 	flitKindReq:  "request",
 	flitKindResp: "response",
 	flitKindData: "data",
-	flitKindSQ:   "submission",
-	flitKindCQ:   "completion",
 }
 
 // move carries one message across the link with link-level retry, as
@@ -540,7 +535,7 @@ var flitKindNames = [...]string{
 // Retries are charged to the issuing VC and the attached device; an
 // exhausted budget fails the transaction with ErrUncorrectable, naming
 // m.op at m.addr.
-func (rp *RootPort) move(s *portSession, h *portHooks, r *vcRing, f *Flit, m *wireMsg) error {
+func (rp *RootPort) move(s *portSession, h *portHooks, vc *portVC, f *Flit, m *wireMsg) error {
 	for attempt := 0; ; attempt++ {
 		var err error
 		switch m.kind {
@@ -550,12 +545,6 @@ func (rp *RootPort) move(s *portSession, h *portHooks, r *vcRing, f *Flit, m *wi
 				h.pass(f)
 			}
 			err = DecodeReqInto(m.req, f)
-		case flitKindCQ:
-			EncodeCQInto(f, m.cq[:m.n])
-			if h != nil {
-				h.pass(f)
-			}
-			_, err = DecodeCQInto(m.cqDec, f)
 		case flitKindData:
 			EncodeDataInto(f, m.tag, m.seq, m.src)
 			if h != nil {
@@ -566,12 +555,6 @@ func (rp *RootPort) move(s *portSession, h *portHooks, r *vcRing, f *Flit, m *wi
 			if tag, seq, err = DecodeDataInto(m.dst, f); err == nil && (tag != m.tag || seq != m.seq) {
 				err = errSeqMismatch
 			}
-		case flitKindSQ:
-			EncodeSQInto(f, m.sq[:m.n])
-			if h != nil {
-				h.pass(f)
-			}
-			_, err = DecodeSQInto(m.sqDec, f)
 		default:
 			err = m.crossResp(h, f)
 		}
@@ -584,7 +567,7 @@ func (rp *RootPort) move(s *portSession, h *portHooks, r *vcRing, f *Flit, m *wi
 			s.uncorrectable()
 			return rp.linkFail(m, err)
 		}
-		s.retry(r)
+		s.retry(vc)
 		rp.backoff(cfg, attempt, m.addr)
 	}
 }
@@ -629,83 +612,14 @@ func (rp *RootPort) respErr(op MemOpcode, addr uint64, tag, got uint16, status R
 	return nil
 }
 
-// --- Ring API: submission path -------------------------------------------
-//
-// The port exposes its rings directly for the ring tests and benchmarks;
-// MemIO consumers use the synchronous methods below.
-
-// SubmitRead enqueues a line read at hpa into out without ringing the
-// doorbell; the returned token completes after a Flush (or its Wait,
-// which flushes on demand). out must stay valid until the completion is
-// consumed.
-func (rp *RootPort) SubmitRead(hpa uint64, out *[LineSize]byte) (Completion, error) {
-	return rp.submitLine(OpMemRd, hpa, out, nil)
-}
-
-// SubmitWrite enqueues a line write at hpa without ringing the
-// doorbell. data is staged into the descriptor at submit time, so the
-// caller's buffer may be reused immediately.
-func (rp *RootPort) SubmitWrite(hpa uint64, data *[LineSize]byte) (Completion, error) {
-	return rp.submitLine(OpMemWr, hpa, nil, data)
-}
-
-// submitLine publishes one line descriptor, flushing its VC once when
-// the ring is full.
-func (rp *RootPort) submitLine(op MemOpcode, hpa uint64, out, data *[LineSize]byte) (Completion, error) {
-	if !lineAligned(hpa) {
-		return Completion{}, portErr(rp.name, op.String(), hpa, ErrUnaligned, "unaligned")
-	}
-	r := rp.ringFor(hpa)
-	t, slot, ok := r.claim()
-	if !ok {
-		rp.flushVC(r)
-		if t, slot, ok = r.claim(); !ok {
-			return Completion{}, portErr(rp.name, op.String(), hpa, ErrRingFull, "submission ring full")
-		}
-	}
-	slot.desc.fill(descLine, false, op, hpa, 0, out, data, nil)
-	r.publish(slot, t)
-	return Completion{ring: r, pos: t}, nil
-}
-
-// Flush rings the doorbell on every VC with queued submissions: each
-// ring's batch crosses the link in one VC acquisition.
-func (rp *RootPort) Flush() {
-	for i := range rp.rings {
-		if rp.rings[i].pending() {
-			rp.flushVC(&rp.rings[i])
-		}
-	}
-}
-
-// Harvest drains up to len(dst) completions from the port's CQs into
-// the caller-owned slice, consuming them. Completions already consumed
-// via Wait never surface here.
-func (rp *RootPort) Harvest(dst []Completed) int {
-	n := 0
-	for i := range rp.rings {
-		if rp.rings[i].cqN.Load() == 0 {
-			continue
-		}
-		n += rp.rings[i].harvest(dst[n:])
-		if n == len(dst) {
-			break
-		}
-	}
-	if n > 0 {
-		rp.harvested.Add(int64(n))
-	}
-	return n
-}
-
-// --- MemIO: synchronous path (submit+flush+wait over the same rings) -----
+// --- MemIO: line transactions --------------------------------------------
 
 // ReadLine fetches the 64-byte line at hpa.
 func (rp *RootPort) ReadLine(hpa uint64, out *[LineSize]byte) error {
 	if !lineAligned(hpa) {
 		return portErr(rp.name, "MemRd", hpa, ErrUnaligned, "unaligned")
 	}
-	return rp.syncTransact(descLine, OpMemRd, hpa, 0, out, nil, nil)
+	return rp.transact(OpMemRd, hpa, 0, out, nil)
 }
 
 // WriteLine stores a full 64-byte line at hpa.
@@ -713,7 +627,7 @@ func (rp *RootPort) WriteLine(hpa uint64, data *[LineSize]byte) error {
 	if !lineAligned(hpa) {
 		return portErr(rp.name, "MemWr", hpa, ErrUnaligned, "unaligned")
 	}
-	return rp.syncTransact(descLine, OpMemWr, hpa, 0, nil, data, nil)
+	return rp.transact(OpMemWr, hpa, 0, data, nil)
 }
 
 // writePartial issues one MemWrPtl for the sub-line [lo, lo+n) of the
@@ -722,7 +636,7 @@ func (rp *RootPort) writePartial(base uint64, lo int, p []byte) error {
 	var data [LineSize]byte
 	copy(data[lo:lo+len(p)], p)
 	mask := (uint64(1)<<len(p) - 1) << lo // all ones when len(p) == LineSize
-	return rp.syncTransact(descLine, OpMemWrPtl, base, mask, nil, &data, nil)
+	return rp.transact(OpMemWrPtl, base, mask, &data, nil)
 }
 
 // --- Burst transactions --------------------------------------------------
@@ -733,8 +647,8 @@ func (rp *RootPort) writePartial(base uint64, lo int, p []byte) error {
 // fault injection, tracing and CRC/retry fire per flit — but the
 // endpoint services the whole burst with a single HDM access, so bulk
 // transfers cost O(bytes) instead of O(lines × codec round trips).
-// Bursts ride the rings as single descriptors (descBurst), so they
-// interleave with line submissions in descriptor order.
+// A burst is one transaction: one sequence number and one tag for all
+// its chunks.
 //
 // Addressing semantics follow the endpoint's HDM decoder, as on real
 // hardware. Through a plain decoder a burst covers the contiguous HPA
@@ -756,7 +670,7 @@ func (rp *RootPort) WriteBurst(hpa uint64, p []byte) error {
 	if len(p) == 0 {
 		return nil
 	}
-	return rp.syncTransact(descBurst, OpMemWrBurst, hpa, 0, nil, nil, p)
+	return rp.transact(OpMemWrBurst, hpa, 0, nil, p)
 }
 
 // ReadBurst fetches len(p) bytes from the line-aligned HPA hpa using
@@ -768,21 +682,21 @@ func (rp *RootPort) ReadBurst(hpa uint64, p []byte) error {
 	if len(p) == 0 {
 		return nil
 	}
-	return rp.syncTransact(descBurst, OpMemRdBurst, hpa, 0, nil, nil, p)
+	return rp.transact(OpMemRdBurst, hpa, 0, nil, p)
 }
 
-// ringBurst streams one burst descriptor in ≤maxBurstBytes chunks,
-// reusing the descriptor's tag for every chunk (chunks are strictly
-// sequential, so the tag is never ambiguous in flight).
-func (rp *RootPort) ringBurst(s *portSession, hk *portHooks, r *vcRing, d *ringDesc, tag uint16) error {
+// moveBurst streams one burst in ≤maxBurstBytes chunks, reusing its tag
+// for every chunk (chunks are strictly sequential, so the tag is never
+// ambiguous in flight).
+func (rp *RootPort) moveBurst(s *portSession, hk *portHooks, vc *portVC, m wireMsg, p []byte) error {
 	var hdr MemReq
-	m := wireMsg{op: d.op, tag: tag, addr: d.addr, req: &hdr}
-	for p := d.p; len(p) > 0; {
+	m.req = &hdr
+	for len(p) > 0 {
 		n := len(p)
 		if n > maxBurstBytes {
 			n = maxBurstBytes
 		}
-		if err := rp.burstChunk(s, hk, r, &m, p[:n]); err != nil {
+		if err := rp.burstChunk(s, hk, vc, &m, p[:n]); err != nil {
 			return err
 		}
 		p = p[n:]
@@ -795,11 +709,11 @@ func (rp *RootPort) ringBurst(s *portSession, hk *portHooks, r *vcRing, d *ringD
 // header flit (decoded into m.req), the data beats (before the device
 // for a write, after the completion for a read), the device's single
 // media access and the completion flit.
-func (rp *RootPort) burstChunk(s *portSession, hk *portHooks, r *vcRing, m *wireMsg, p []byte) error {
+func (rp *RootPort) burstChunk(s *portSession, hk *portHooks, vc *portVC, m *wireMsg, p []byte) error {
 	var f Flit
 	tag := m.tag
 	m.kind, m.lines, m.src = flitKindReq, uint16(len(p)/LineSize), nil
-	if err := rp.move(s, hk, r, &f, m); err != nil {
+	if err := rp.move(s, hk, vc, &f, m); err != nil {
 		return err
 	}
 	buf := burstBufPool.Get().(*[maxBurstBytes]byte)
@@ -807,17 +721,17 @@ func (rp *RootPort) burstChunk(s *portSession, hk *portHooks, r *vcRing, m *wire
 	write := m.op == OpMemWrBurst
 	var err error
 	if write {
-		err = rp.moveBeats(s, hk, r, &f, m, p, wire)
+		err = rp.moveBeats(s, hk, vc, &f, m, p, wire)
 	}
 	if err == nil {
 		resp := s.endpoint.HandleMemBurst(*m.req, wire)
 		m.kind, m.resp, m.tag = flitKindResp, resp.Opcode, resp.Tag
-		if err = rp.move(s, hk, r, &f, m); err == nil {
+		if err = rp.move(s, hk, vc, &f, m); err == nil {
 			err = rp.respErr(m.op, m.addr, tag, m.tag, m.resp)
 		}
 	}
 	if err == nil && !write {
-		err = rp.moveBeats(s, hk, r, &f, m, wire, p)
+		err = rp.moveBeats(s, hk, vc, &f, m, wire, p)
 	}
 	burstBufPool.Put(buf)
 	return err
@@ -825,13 +739,13 @@ func (rp *RootPort) burstChunk(s *portSession, hk *portHooks, r *vcRing, m *wire
 
 // moveBeats moves a burst chunk's data beats from src to dst, one flit
 // per line in sequence order.
-func (rp *RootPort) moveBeats(s *portSession, hk *portHooks, r *vcRing, f *Flit, m *wireMsg, src, dst []byte) error {
+func (rp *RootPort) moveBeats(s *portSession, hk *portHooks, vc *portVC, f *Flit, m *wireMsg, src, dst []byte) error {
 	m.kind = flitKindData
 	for i := 0; i < len(src)/LineSize; i++ {
 		m.seq = uint32(i)
 		m.src = (*[LineSize]byte)(src[i*LineSize:])
 		m.dst = (*[LineSize]byte)(dst[i*LineSize:])
-		if err := rp.move(s, hk, r, f, m); err != nil {
+		if err := rp.move(s, hk, vc, f, m); err != nil {
 			return err
 		}
 	}
@@ -877,14 +791,12 @@ func (rp *RootPort) ReadAt(p []byte, off int64) error {
 	return nil
 }
 
-// readPartial fills p from offset lo of the line at base. The line
-// stages through a pooled buffer: its address rides the ring
-// descriptor, so a stack buffer would escape to the heap.
+// readPartial fills p from offset lo of the line at base, staged
+// through a line on the stack.
 func (rp *RootPort) readPartial(base uint64, lo int, p []byte) error {
-	line := linePool.Get().(*[LineSize]byte)
-	err := rp.ReadLine(base, line)
+	var line [LineSize]byte
+	err := rp.ReadLine(base, &line)
 	copy(p, line[lo:])
-	linePool.Put(line)
 	return err
 }
 

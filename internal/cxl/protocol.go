@@ -132,7 +132,7 @@ const FlitSize = 68
 // aligned words (partial stores into a word the checksum immediately
 // reloads would stall on store forwarding):
 //
-//	0     kind: 0 = request, 1 = response, 2 = burst data
+//	0     kind: 0 = request, 1 = response, 2 = data, 3 = BISnp, 4 = BIRsp
 //	1     opcode
 //	2:4   tag (little endian)
 //	4:6   burst line count (MemRdBurst/MemWrBurst) / zero
@@ -151,14 +151,6 @@ const (
 	flitKindData  = 2
 	flitKindBISnp = 3
 	flitKindBIRsp = 4
-	// flitKindSQ packs up to 4 header-only submission entries (MemRd /
-	// MemInv descriptors: opcode, tag, address) into one flit's payload
-	// slots — the ring data path's slot packing (CXL flits genuinely
-	// carry multiple slots; see ring.go).
-	flitKindSQ = 5
-	// flitKindCQ packs up to 4 completion entries (status, tag,
-	// address) into one flit — the completion-queue return path.
-	flitKindCQ = 6
 )
 
 // Flit is the wire representation of a single request, response or burst
@@ -216,7 +208,7 @@ func EncodeReqInto(f *Flit, r *MemReq) {
 }
 
 // encodeReq serialises a request held as loose fields, so the data path
-// moves a descriptor's payload onto the wire without staging a MemReq.
+// moves a caller's payload onto the wire without staging a MemReq.
 // A nil data sends a zero payload, as a burst header carries none.
 func encodeReq(f *Flit, op MemOpcode, tag, lines uint16, addr, mask uint64, data *[LineSize]byte) {
 	binary.LittleEndian.PutUint64(f.raw[0:8],
@@ -564,132 +556,6 @@ func DecodeBIRspInto(r *BIRsp, f *Flit) error {
 	r.Tag = uint16(w0 >> 16)
 	r.Dirty = w0>>32&1 == 1
 	return nil
-}
-
-// --- Packed submission/completion flits (ring data path) -----------------
-//
-// The ring path amortises header traffic the way CXL's multi-slot flits
-// do: data-less messages are 16-byte slot entries, four to a flit. A
-// MemRd or MemInv submission carries only opcode+tag+address, so four
-// descriptors ride one CRC-protected flit out; a completion carries
-// only status+tag+address, so four completions ride one flit back.
-// Data-bearing messages (MemWr submissions, MemRd data returns) still
-// occupy a full flit each — payload bytes cannot pack.
-
-// SQEntriesPerFlit / CQEntriesPerFlit is the slot-packing factor: four
-// 16-byte entries in the 64-byte payload region.
-const (
-	SQEntriesPerFlit = 4
-	CQEntriesPerFlit = 4
-)
-
-// SQE is one packed submission entry: a header-only descriptor.
-type SQE struct {
-	Op   MemOpcode
-	Tag  uint16
-	Addr uint64
-}
-
-// CQE is one packed completion entry.
-type CQE struct {
-	Status RespOpcode
-	Tag    uint16
-	Addr   uint64
-}
-
-// Packed entry layout (16 bytes, little endian):
-//
-//	0    opcode / status
-//	1    reserved
-//	2:4  tag
-//	4:8  reserved
-//	8:16 address
-
-// EncodeSQInto serialises 1..4 submission entries into a caller-held
-// flit without allocating. The entry count travels in the header's
-// Lines slot.
-func EncodeSQInto(f *Flit, entries []SQE) {
-	n := len(entries)
-	binary.LittleEndian.PutUint64(f.raw[0:8], flitKindSQ|uint64(n)<<32)
-	binary.LittleEndian.PutUint64(f.raw[8:16], 0)
-	binary.LittleEndian.PutUint64(f.raw[16:24], 0)
-	clearFlitPayload(f)
-	for i := 0; i < n; i++ {
-		off := flitHeaderSize + i*16
-		binary.LittleEndian.PutUint64(f.raw[off:off+8],
-			uint64(entries[i].Op)|uint64(entries[i].Tag)<<16)
-		binary.LittleEndian.PutUint64(f.raw[off+8:off+16], entries[i].Addr)
-	}
-	f.seal()
-}
-
-// DecodeSQInto parses a packed submission flit into dst, returning the
-// entry count.
-func DecodeSQInto(dst *[SQEntriesPerFlit]SQE, f *Flit) (int, error) {
-	if err := f.check(); err != nil {
-		return 0, err
-	}
-	if f.raw[0] != flitKindSQ {
-		return 0, &ErrFlit{Reason: "not a packed submission flit"}
-	}
-	n := int(binary.LittleEndian.Uint64(f.raw[0:8]) >> 32 & 0xffff)
-	if n < 1 || n > SQEntriesPerFlit {
-		return 0, &ErrFlit{Reason: fmt.Sprintf("submission flit carries %d entries", n)}
-	}
-	for i := 0; i < n; i++ {
-		off := flitHeaderSize + i*16
-		w := binary.LittleEndian.Uint64(f.raw[off : off+8])
-		dst[i].Op = MemOpcode(w)
-		if dst[i].Op > OpMemWrBurst {
-			return 0, &ErrFlit{Reason: fmt.Sprintf("unknown opcode %d in submission entry %d", uint8(w), i)}
-		}
-		dst[i].Tag = uint16(w >> 16)
-		dst[i].Addr = binary.LittleEndian.Uint64(f.raw[off+8 : off+16])
-	}
-	return n, nil
-}
-
-// EncodeCQInto serialises 1..4 completion entries into a caller-held
-// flit without allocating.
-func EncodeCQInto(f *Flit, entries []CQE) {
-	n := len(entries)
-	binary.LittleEndian.PutUint64(f.raw[0:8], flitKindCQ|uint64(n)<<32)
-	binary.LittleEndian.PutUint64(f.raw[8:16], 0)
-	binary.LittleEndian.PutUint64(f.raw[16:24], 0)
-	clearFlitPayload(f)
-	for i := 0; i < n; i++ {
-		off := flitHeaderSize + i*16
-		binary.LittleEndian.PutUint64(f.raw[off:off+8],
-			uint64(entries[i].Status)|uint64(entries[i].Tag)<<16)
-		binary.LittleEndian.PutUint64(f.raw[off+8:off+16], entries[i].Addr)
-	}
-	f.seal()
-}
-
-// DecodeCQInto parses a packed completion flit into dst, returning the
-// entry count.
-func DecodeCQInto(dst *[CQEntriesPerFlit]CQE, f *Flit) (int, error) {
-	if err := f.check(); err != nil {
-		return 0, err
-	}
-	if f.raw[0] != flitKindCQ {
-		return 0, &ErrFlit{Reason: "not a packed completion flit"}
-	}
-	n := int(binary.LittleEndian.Uint64(f.raw[0:8]) >> 32 & 0xffff)
-	if n < 1 || n > CQEntriesPerFlit {
-		return 0, &ErrFlit{Reason: fmt.Sprintf("completion flit carries %d entries", n)}
-	}
-	for i := 0; i < n; i++ {
-		off := flitHeaderSize + i*16
-		w := binary.LittleEndian.Uint64(f.raw[off : off+8])
-		dst[i].Status = RespOpcode(w)
-		if dst[i].Status > RespErr {
-			return 0, &ErrFlit{Reason: fmt.Sprintf("unknown status %d in completion entry %d", uint8(w), i)}
-		}
-		dst[i].Tag = uint16(w >> 16)
-		dst[i].Addr = binary.LittleEndian.Uint64(f.raw[off+8 : off+16])
-	}
-	return n, nil
 }
 
 // clearFlitPayload zeroes the 64-byte payload slot of a header-only

@@ -39,10 +39,10 @@ func TestEveryFlitKindRetriesAndFails(t *testing.T) {
 		{"write beat", "MemWrBurst", true, true, isKind(flitKindData)},
 		{"read beat", "MemRdBurst", false, true, isKind(flitKindData)},
 		{"burst completion", "MemRdBurst", false, true, isKind(flitKindResp)},
-		{"packed SQ", "MemRd", false, false, isKind(flitKindSQ)},
+		{"read request", "MemRd", false, false, isKind(flitKindReq)},
 		{"request flit", "MemWr", true, false, isKind(flitKindReq)},
 		{"read return", "MemRd", false, false, isKind(flitKindData)},
-		{"packed CQ", "MemWr", true, false, isKind(flitKindCQ)},
+		{"write completion", "MemWr", true, false, isKind(flitKindResp)},
 	}
 	for _, tc := range cases {
 		for _, persistent := range []bool{false, true} {
@@ -143,59 +143,5 @@ func TestEveryFlitKindRetriesAndFails(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestPackedFlitFailureNamesEachDescriptor exhausts the retry budget on
-// a packed submission or completion flit that carries two descriptors
-// of one batch: each fails with ErrUncorrectable naming its own
-// transaction, and the device counts one uncorrectable error for the
-// one flit.
-func TestPackedFlitFailureNamesEachDescriptor(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		kind  uint8
-		write bool
-		op    string
-	}{
-		{"packed SQ", flitKindSQ, false, "MemRd"},
-		{"packed CQ", flitKindCQ, true, "MemWr"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rp, dev := burstPort(t, 1<<20)
-			rp.SetFault(func(f Flit) Flit {
-				if f.PeekKind() == tc.kind {
-					return f.Corrupt(9)
-				}
-				return f
-			})
-			uncorr0 := dev.Media().Stats().Uncorrectable.Load()
-			// Adjacent lines share a VC, so one flush moves both as a batch.
-			addrs := [2]uint64{0x1040, 0x1080}
-			var lines [2][LineSize]byte
-			var toks [2]Completion
-			for i, a := range addrs {
-				var err error
-				if tc.write {
-					toks[i], err = rp.SubmitWrite(a, &lines[i])
-				} else {
-					toks[i], err = rp.SubmitRead(a, &lines[i])
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			rp.Flush()
-			for i, c := range toks {
-				err := c.Wait()
-				var pe *PortError
-				if !errors.Is(err, ErrUncorrectable) || !errors.As(err, &pe) || pe.Op != tc.op || pe.Addr != addrs[i] {
-					t.Errorf("descriptor %d: %v, want ErrUncorrectable naming %s @%#x", i, err, tc.op, addrs[i])
-				}
-			}
-			if d := dev.Media().Stats().Uncorrectable.Load() - uncorr0; d != 1 {
-				t.Errorf("device Uncorrectable rose by %d, want 1", d)
-			}
-		})
 	}
 }

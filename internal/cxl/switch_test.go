@@ -265,6 +265,102 @@ func TestSwitchRebind(t *testing.T) {
 	}
 }
 
+// TestSwitchBindShared checks the shared-FAM binding rules: a shared
+// bind needs an existing downstream, a free vPPB and a downstream no
+// vPPB holds exclusively; many vPPBs then reach one endpoint, the
+// downstream refuses exclusive binds while shared, and the last unbind
+// makes it exclusive-bindable again.
+func TestSwitchBindShared(t *testing.T) {
+	sw := NewSwitch("sw0")
+	fam, other := testType3(t), testType3(t)
+	if err := sw.AddDownstream("gfam", fam); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.AddDownstream("d1", other); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.BindShared("host0", "nope"); err == nil {
+		t.Error("shared bind to a missing downstream accepted")
+	}
+	if err := sw.Bind("host0", "d1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.BindShared("host0", "gfam"); err == nil {
+		t.Error("shared bind of an already-bound vPPB accepted")
+	}
+	if err := sw.BindShared("host1", "d1"); err == nil {
+		t.Error("shared bind onto an exclusively bound downstream accepted")
+	}
+	for _, vppb := range []string{"host1", "host2"} {
+		if err := sw.BindShared(vppb, "gfam"); err != nil {
+			t.Fatalf("shared bind %s: %v", vppb, err)
+		}
+		if ep, ok := sw.EndpointFor(vppb); !ok || ep != Endpoint(fam) {
+			t.Errorf("%s does not reach the shared endpoint", vppb)
+		}
+	}
+	if err := sw.Bind("host3", "gfam"); err == nil {
+		t.Error("exclusive bind onto a shared downstream accepted")
+	}
+	for _, vppb := range []string{"host1", "host2"} {
+		if err := sw.Unbind(vppb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Bind("host3", "gfam"); err != nil {
+		t.Errorf("exclusive bind after the last shared unbind: %v", err)
+	}
+}
+
+// TestSwitchSnoopRefusalsAndFaults checks the back-invalidate channel's
+// failure paths: RegisterSnooper refuses a nil snooper and an unbound
+// vPPB, a snoop to a vPPB with no snooper fails, and a snoop or its
+// response corrupted in flight fails at the receiver's CRC check
+// instead of reaching the directory as a wrong answer.
+func TestSwitchSnoopRefusalsAndFaults(t *testing.T) {
+	sw := NewSwitch("sw0")
+	if err := sw.AddDownstream("gfam", testType3(t)); err != nil {
+		t.Fatal(err)
+	}
+	for _, vppb := range []string{"host0", "host1"} {
+		if err := sw.BindShared(vppb, "gfam"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sw.Snoop("host0", BISnp{Tag: 1}); err == nil {
+		t.Error("snoop with no snooper registered anywhere succeeded")
+	}
+	host := snooperFunc(func(s BISnp) BIRsp { return BIRsp{Opcode: RspIHit} })
+	if err := sw.RegisterSnooper("host0", nil); err == nil {
+		t.Error("nil snooper accepted")
+	}
+	if err := sw.RegisterSnooper("host9", host); err == nil {
+		t.Error("snooper on an unbound vPPB accepted")
+	}
+	if err := sw.RegisterSnooper("host0", host); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sw.Snoop("host1", BISnp{Tag: 2}); err == nil {
+		t.Error("snoop to a vPPB with no snooper succeeded")
+	}
+	for _, kind := range []uint8{flitKindBISnp, flitKindBIRsp} {
+		sw.SetSnoopFault(func(f Flit) Flit {
+			if f.PeekKind() == kind {
+				f.FlipBit(70) // an address bit: only the CRC check can tell
+			}
+			return f
+		})
+		if _, err := sw.Snoop("host0", BISnp{Opcode: SnpInv, Tag: 3, Addr: 4096}); err == nil {
+			t.Errorf("snoop with a corrupted kind-%d flit succeeded", kind)
+		}
+	}
+	sw.SetSnoopFault(nil)
+	rsp, err := sw.Snoop("host0", BISnp{Opcode: SnpInv, Tag: 4, Addr: 4096})
+	if err != nil || rsp.Opcode != RspIHit || rsp.Tag != 4 {
+		t.Errorf("snoop after the fault was removed = %+v, %v", rsp, err)
+	}
+}
+
 func TestMLDPartitionsAreIsolated(t *testing.T) {
 	media := testMedia(t, "pool")
 	mld, err := NewMLD("mld0", media)

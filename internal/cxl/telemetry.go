@@ -13,8 +13,8 @@ import (
 // The design constraint is the CI-gated overhead budget: tier-1 benches
 // with telemetry enabled must stay within 3% of disabled. Per-flit
 // bookkeeping cannot meet that (a 4 KiB burst moves ~66 flits), so the
-// port taps per *transaction*: the transaction's ring position picks
-// every N-th one, and only that sampled transaction pays the clock
+// port taps per *transaction*: the transaction's VC sequence number
+// picks every N-th one, and only that sampled transaction pays the clock
 // reads and rides the hook variant whose recordAll flag makes pass
 // record every flit into the flight recorder. Unsampled transactions
 // ride a variant that differs from the port's own hooks only in
@@ -49,7 +49,6 @@ type tapConfig struct {
 	latRead  *telemetry.Histogram
 	latWrite *telemetry.Histogram
 	latBurst *telemetry.Histogram
-	latFlush *telemetry.Histogram
 }
 
 // portTap is the hot-path telemetry snapshot: the config plus the two
@@ -61,12 +60,12 @@ type portTap struct {
 	unsampled *portHooks
 }
 
-// histFor picks the latency histogram for a transaction shape.
-func (t *portTap) histFor(kind uint8, op MemOpcode) *telemetry.Histogram {
-	if kind == descBurst {
+// histFor picks the latency histogram for a transaction's opcode.
+func (t *portTap) histFor(op MemOpcode) *telemetry.Histogram {
+	switch op {
+	case OpMemRdBurst, OpMemWrBurst:
 		return t.latBurst
-	}
-	if op == OpMemRd {
+	case OpMemRd:
 		return t.latRead
 	}
 	return t.latWrite
@@ -126,29 +125,26 @@ func (rp *RootPort) rebuildTapLocked() {
 
 // tapPick selects the hook variant for one transaction and, when the
 // transaction is sampled, returns the histogram to record into and the
-// start time. The sampling clock is the transaction's already-claimed
-// ring position — monotonically increasing per VC — so the unsampled
-// fast path costs one atomic pointer load and a mask test, no extra
-// atomic traffic.
-func (rp *RootPort) tapPick(pos uint64, hk *portHooks, kind uint8, op MemOpcode, flush bool) (*portHooks, *telemetry.Histogram, time.Time) {
+// start time. The sampling clock is the transaction's sequence number
+// on its VC, already taken, so the unsampled fast path costs one atomic
+// pointer load and a mask test, no extra atomic traffic.
+func (rp *RootPort) tapPick(seq uint64, hk *portHooks, op MemOpcode) (*portHooks, *telemetry.Histogram, time.Time) {
 	tap := rp.tap.Load()
 	if tap == nil {
 		return hk, nil, time.Time{}
 	}
-	if (pos+1)&tap.mask != 0 {
-		// Phase-shifted so position 0 — the first transaction after
-		// enable — is not unconditionally sampled at any rate.
+	if (seq+1)&tap.mask != 0 {
+		// Phase-shifted so sequence number 0 — the first transaction on
+		// a VC — is not unconditionally sampled at any rate.
 		return tap.unsampled, nil, time.Time{}
 	}
-	if flush {
-		return tap.sampled, tap.latFlush, time.Now()
-	}
-	return tap.sampled, tap.histFor(kind, op), time.Now()
+	return tap.sampled, tap.histFor(op), time.Now()
 }
 
 // EnableTelemetry attaches the port to a registry: latency histograms
-// (cxl_port_latency_ns, op=read|write|burst|flush), a collector for the
-// ring/link counters (cxl_port_*_total and per-VC cxl_vc_*_total), and
+// (cxl_port_latency_ns, op=read|write|burst), a collector for the
+// transaction and link counters (cxl_port_*_total and per-VC
+// cxl_vc_*_total), and
 // a flight recorder fed by sampled transactions' flits and every
 // CRC-failed flit, per the policy above. Returns the recorder (also
 // reachable via FlightRecorder). Call once per port per registry —
@@ -169,7 +165,6 @@ func (rp *RootPort) EnableTelemetry(reg *telemetry.Registry, opts TelemetryOptio
 		latRead:  reg.NewHistogram("cxl_port_latency_ns", telemetry.Labels("port", rp.name, "op", "read")),
 		latWrite: reg.NewHistogram("cxl_port_latency_ns", telemetry.Labels("port", rp.name, "op", "write")),
 		latBurst: reg.NewHistogram("cxl_port_latency_ns", telemetry.Labels("port", rp.name, "op", "burst")),
-		latFlush: reg.NewHistogram("cxl_port_latency_ns", telemetry.Labels("port", rp.name, "op", "flush")),
 	}
 	var vcLabels [NumVCs]string
 	for i := range vcLabels {
@@ -178,11 +173,8 @@ func (rp *RootPort) EnableTelemetry(reg *telemetry.Registry, opts TelemetryOptio
 	reg.RegisterCollector(func(e *telemetry.Emitter) {
 		st := rp.Stats()
 		e.Counter("cxl_port_issued_total", port, st.Issued)
-		e.Counter("cxl_port_flushed_total", port, st.Flushed)
 		e.Counter("cxl_port_retries_total", port, st.Retries)
 		e.Counter("cxl_port_doorbells_total", port, st.Doorbells)
-		e.Counter("cxl_port_harvested_total", port, st.Harvested)
-		e.Counter("cxl_port_cq_overflows_total", port, st.CQOverflows)
 		e.Counter("cxl_port_timeouts_total", port, st.Timeouts)
 		e.Counter("cxl_port_retrains_total", port, st.Retrains)
 		for i := range st.VCs {

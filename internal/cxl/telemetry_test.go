@@ -56,7 +56,7 @@ func TestPortTelemetryCapture(t *testing.T) {
 		}
 		kinds[r.Kind] = true
 	}
-	// A write + read round trip crosses SQ/CQ (or request) and data
+	// A write + read round trip crosses request, response and data
 	// flits; at minimum two distinct kinds must appear.
 	if len(kinds) < 2 {
 		t.Fatalf("dump kinds = %v, want >= 2 distinct", kinds)

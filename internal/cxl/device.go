@@ -205,25 +205,6 @@ func (d *Type3Device) ProgramDecoder(dec *HDMDecoder) error {
 	return nil
 }
 
-// RemoveDecoder uninstalls a previously programmed decoder (matched by
-// identity) and republishes the hot-path snapshot. Hot-add uses this to
-// tear down the temporary spare windows an evacuation programmed, so a
-// later evacuation onto the same device starts from a clean decoder
-// list. In-flight transactions that already resolved an address through
-// the removed decoder complete normally — they hold the old snapshot.
-func (d *Type3Device) RemoveDecoder(dec *HDMDecoder) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for i, have := range d.decoders {
-		if have == dec {
-			d.decoders = append(append([]*HDMDecoder{}, d.decoders[:i]...), d.decoders[i+1:]...)
-			d.publish()
-			return nil
-		}
-	}
-	return fmt.Errorf("cxl: %s: decoder %v not programmed here", d.name, dec)
-}
-
 // Decoders returns the committed decoders.
 func (d *Type3Device) Decoders() []*HDMDecoder {
 	d.mu.RLock()

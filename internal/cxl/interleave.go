@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // Host-side interleave sets. CXL scales bandwidth the way DRAM channels
@@ -83,55 +82,24 @@ func runStripeJob(j *stripeJob) {
 // endpoints, with bulk transfers split into per-leg sub-bursts issued
 // concurrently. It exposes the same transfer surface as a single
 // RootPort (ReadBurst/WriteBurst/ReadAt/WriteAt plus line ops routed to
-// the owning leg), so callers swap one for the other.
+// the owning leg), so callers swap one for the other. The stripe is
+// fixed for the set's lifetime: ways, granule, share and member ports
+// never change, so the data path reads them without synchronisation.
+// The set never moves data between legs; draining a failing device is
+// the fabric manager's job (fabric.EvacuatePool, for pooled capacity).
 type InterleaveSet struct {
 	name    string
-	ways    int // interleave width; fixed geometry for the set's lifetime
+	ways    int // interleave width
 	base    uint64
 	size    uint64 // ways × share
 	share   uint64 // per-target bytes
 	granule uint64
-	// live is the published member-port slice, one entry per leg. It is
-	// an immutable snapshot behind an atomic pointer so hot-add can swap
-	// a replacement port into a leg while traffic is in flight; the
-	// geometry (ways/granule/share) never changes with it.
-	live atomic.Pointer[[]*RootPort]
-	// epoch/inflight implement an RCU-style grace period: every transfer
-	// registers on the current epoch's counter for its lifetime, and a
-	// state change (publish evacuation, swap a port, retire spares)
-	// flips the epoch and waits only for the old counter to drain. New
-	// transfers land on the new counter, so the wait is bounded by the
-	// transfers in flight at the flip — it never requires continuous
-	// foreground traffic to quiesce.
-	epoch    atomic.Uint64
-	inflight [2]atomic.Int64
-	// evacMu serialises the evacuation control plane (begin, migrate,
-	// detach, reattach); evac is its published hot-path state, nil when
-	// the set runs at full width.
-	evacMu sync.Mutex
-	evac   atomic.Pointer[evacuation]
+	legs    []*RootPort // member ports in target order
 	// workers feed legs 1..ways-1; leg 0 needs none, because do runs
 	// it on the caller's goroutine whenever a span touches it, so a
 	// 1-way set degenerates to the plain port path with no hand-off at
 	// all.
 	workers []chan *stripeJob
-}
-
-// legs returns the current member ports (immutable snapshot).
-func (s *InterleaveSet) legs() []*RootPort { return *s.live.Load() }
-
-// InterleaveOptions tunes NewInterleaveSetOpts. Zero values select the
-// defaults NewInterleaveSet uses.
-type InterleaveOptions struct {
-	// Base is the window's first HPA (DefaultCXLWindowBase if zero).
-	Base uint64
-	// Granule is the stripe unit (DefaultInterleaveGranule if zero).
-	Granule uint64
-	// Share caps the per-target bytes below the natural minimum-HDM
-	// share, leaving the rest of each member device as headroom — the
-	// spare capacity BeginEvacuation redistributes a dying leg onto.
-	// Zero uses the full minimum HDM.
-	Share uint64
 }
 
 // NewInterleaveSet builds and commits an interleave set: every port
@@ -142,12 +110,6 @@ type InterleaveOptions struct {
 // A granule of 0 selects DefaultInterleaveGranule; a base of 0 selects
 // DefaultCXLWindowBase.
 func NewInterleaveSet(name string, base, granule uint64, ports ...*RootPort) (*InterleaveSet, error) {
-	return NewInterleaveSetOpts(name, InterleaveOptions{Base: base, Granule: granule}, ports...)
-}
-
-// NewInterleaveSetOpts is NewInterleaveSet with the full option set.
-func NewInterleaveSetOpts(name string, opts InterleaveOptions, ports ...*RootPort) (*InterleaveSet, error) {
-	base, granule := opts.Base, opts.Granule
 	ways := len(ports)
 	if ways < 1 || ways > MaxInterleaveWays {
 		return nil, fmt.Errorf("cxl: %s: %d interleave ways outside 1..%d", name, ways, MaxInterleaveWays)
@@ -184,16 +146,6 @@ func NewInterleaveSetOpts(name string, opts InterleaveOptions, ports ...*RootPor
 		}
 	}
 	share -= share % granule
-	if opts.Share != 0 {
-		want := opts.Share - opts.Share%granule
-		if want == 0 {
-			return nil, fmt.Errorf("cxl: %s: share %d smaller than one %d-byte granule", name, opts.Share, granule)
-		}
-		if want > share {
-			return nil, fmt.Errorf("cxl: %s: share %d exceeds smallest member HDM (%d usable)", name, opts.Share, share)
-		}
-		share = want
-	}
 	if share == 0 {
 		return nil, fmt.Errorf("cxl: %s: member HDM smaller than one %d-byte granule", name, granule)
 	}
@@ -205,9 +157,8 @@ func NewInterleaveSetOpts(name string, opts InterleaveOptions, ports ...*RootPor
 		size:    share * uint64(ways),
 		share:   share,
 		granule: granule,
+		legs:    append([]*RootPort(nil), ports...),
 	}
-	members := append([]*RootPort(nil), ports...)
-	s.live.Store(&members)
 	for i, rp := range ports {
 		dec := &HDMDecoder{
 			Base:              base,
@@ -266,38 +217,26 @@ func (s *InterleaveSet) Size() uint64 { return s.size }
 
 // Ports lists the member root ports in target order.
 func (s *InterleaveSet) Ports() []*RootPort {
-	legs := s.legs()
-	out := make([]*RootPort, len(legs))
-	copy(out, legs)
-	return out
+	return append([]*RootPort(nil), s.legs...)
 }
 
 // Route returns the member port owning the granule at hpa (port 0 for
 // addresses outside the window — the port's own decode then reports the
 // error).
 func (s *InterleaveSet) Route(hpa uint64) *RootPort {
-	legs := s.legs()
 	if s.ways == 1 || hpa < s.base || hpa >= s.base+s.size {
-		return legs[0]
+		return s.legs[0]
 	}
-	return legs[((hpa-s.base)/s.granule)%uint64(s.ways)]
+	return s.legs[((hpa-s.base)/s.granule)%uint64(s.ways)]
 }
 
 // ReadLine fetches one line through the owning leg.
 func (s *InterleaveSet) ReadLine(hpa uint64, out *[LineSize]byte) error {
-	defer s.exit(s.enter())
-	if ev := s.evac.Load(); ev != nil && s.evacOwned(ev, hpa) {
-		return s.evacSmall(ev, false, hpa, out[:])
-	}
 	return s.Route(hpa).ReadLine(hpa, out)
 }
 
 // WriteLine stores one line through the owning leg.
 func (s *InterleaveSet) WriteLine(hpa uint64, data *[LineSize]byte) error {
-	defer s.exit(s.enter())
-	if ev := s.evac.Load(); ev != nil && s.evacOwned(ev, hpa) {
-		return s.evacSmall(ev, true, hpa, data[:])
-	}
 	return s.Route(hpa).WriteLine(hpa, data)
 }
 
@@ -332,7 +271,6 @@ func (s *InterleaveSet) do(write bool, hpa uint64, p []byte) error {
 	if len(p) == 0 {
 		return nil
 	}
-	defer s.exit(s.enter())
 	ways := uint64(s.ways)
 	first := (hpa - s.base) / s.granule
 	touched := (hpa-s.base+uint64(len(p))-1)/s.granule - first + 1
@@ -398,12 +336,7 @@ func (s *InterleaveSet) op(write bool) string {
 // header and one media access per MaxBurstLines lines — never as
 // per-line transactions.
 func (s *InterleaveSet) runLeg(leg int, write bool, hpa uint64, p []byte) error {
-	if ev := s.evac.Load(); ev != nil && leg == ev.leg {
-		// The leg is mid-evacuation: its granules live on the old device,
-		// the spare windows, or the reattached replacement, per-granule.
-		return s.runLegEvac(ev, write, hpa, p)
-	}
-	rp := s.legs()[leg]
+	rp := s.legs[leg]
 	g := s.granule
 	stride := g * uint64(s.ways)
 	off := hpa - s.base
@@ -592,15 +525,10 @@ func (s *InterleaveSet) WriteAt(p []byte, off int64) error {
 	return nil
 }
 
-// smallAccess moves a sub-line fragment through the owning leg,
-// rerouting it per-granule when that leg is mid-evacuation. Fragments
-// never cross a line (let alone a granule), so the start address alone
-// picks the home.
+// smallAccess moves a sub-line fragment through the owning leg.
+// Fragments never cross a line (let alone a granule), so the start
+// address alone picks the leg.
 func (s *InterleaveSet) smallAccess(write bool, hpa uint64, p []byte) error {
-	defer s.exit(s.enter())
-	if ev := s.evac.Load(); ev != nil && s.evacOwned(ev, hpa) {
-		return s.evacSmall(ev, write, hpa, p)
-	}
 	rp := s.Route(hpa)
 	if write {
 		return rp.WriteAt(p, int64(hpa))

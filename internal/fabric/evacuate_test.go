@@ -2,12 +2,14 @@ package fabric
 
 import (
 	"bytes"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"cxlpmem/internal/cxl"
 	"cxlpmem/internal/memdev"
+	"cxlpmem/internal/telemetry"
 	"cxlpmem/internal/units"
 )
 
@@ -281,5 +283,169 @@ func TestEvacuateMixedExtentStates(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("active extent bytes %v after mixed-state drain, want %v", got, want)
+	}
+}
+
+// errMediaFault is the injected failure of flakyMedia.
+var errMediaFault = errors.New("injected media fault")
+
+// flakyMedia wraps a pool's media and fails its reads or writes while
+// the matching switch is set.
+type flakyMedia struct {
+	memdev.Device
+	failReads, failWrites atomic.Bool
+}
+
+func (f *flakyMedia) ReadAt(p []byte, off int64) error {
+	if f.failReads.Load() {
+		return errMediaFault
+	}
+	return f.Device.ReadAt(p, off)
+}
+
+func (f *flakyMedia) WriteAt(p []byte, off int64) error {
+	if f.failWrites.Load() {
+		return errMediaFault
+	}
+	return f.Device.WriteAt(p, off)
+}
+
+// flakyPool builds an MLD over flaky DRAM of the given size.
+func flakyPool(t *testing.T, name string, size units.Size) (*cxl.MLD, *flakyMedia) {
+	t.Helper()
+	dram, err := memdev.NewDRAM(memdev.DRAMConfig{
+		Name: name + "-dram", Rate: 3200, Channels: 1,
+		CapacityPerChannel: size,
+		BatteryBacked:      true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	media := &flakyMedia{Device: dram}
+	mld, err := cxl.NewMLD(name, media)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mld, media
+}
+
+// TestEvacuateMediaFaultLeavesExtentHome fails one side of an extent's
+// copy: EvacuatePool must return the fault and leave the extent on the
+// source pool, thawed, with the tenant's bytes intact and the spare's
+// reservation rolled back. Once the fault clears, a retry re-homes it.
+func TestEvacuateMediaFaultLeavesExtentHome(t *testing.T) {
+	for _, name := range []string{"source-read", "spare-write"} {
+		t.Run(name, func(t *testing.T) {
+			srcMLD, src := flakyPool(t, "pool", 4*units.MiB)
+			m, err := New(cxl.NewSwitch("flaky-sw"), srcMLD, Config{Granule: 64 * units.KiB})
+			if err != nil {
+				t.Fatal(err)
+			}
+			spareMLD, spare := flakyPool(t, "spare", 4*units.MiB)
+			if err := m.AddPool(spareMLD); err != nil {
+				t.Fatal(err)
+			}
+			reg := telemetry.NewRegistry()
+			m.RegisterMetrics(reg)
+			metric := func(name, labels string) float64 {
+				for _, s := range reg.Gather() {
+					if s.Name == name && s.Labels == labels {
+						return s.Value
+					}
+				}
+				t.Fatalf("no sample %s%s", name, labels)
+				return 0
+			}
+			tn, err := m.AddTenant("host", 2*units.MiB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Grant("host", 256*units.KiB); err != nil {
+				t.Fatal(err)
+			}
+			accept(t, tn)
+			want := make([]byte, 256*units.KiB)
+			for i := range want {
+				want[i] = byte(i*5 + 1)
+			}
+			if err := tn.Device().WriteAt(want, 0); err != nil {
+				t.Fatal(err)
+			}
+
+			fault := &spare.failWrites
+			if name == "source-read" {
+				fault = &src.failReads
+			}
+			fault.Store(true)
+			if moved, err := m.EvacuatePool("pool"); !errors.Is(err, errMediaFault) || moved != 0 {
+				t.Fatalf("EvacuatePool = %d, %v; want 0, the media fault", moved, err)
+			}
+			fault.Store(false)
+			exts, err := m.Extents("host")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(exts) != 1 || exts[0].Pool != "pool" || exts[0].frozen {
+				t.Fatalf("extents after failed move = %+v, want one thawed extent on pool", exts)
+			}
+			if free := spareMLD.Remaining(); free != spareMLD.Media().Capacity() {
+				t.Errorf("spare holds %v free of %v after the failed move", free, spareMLD.Media().Capacity())
+			}
+			if n := metric("fabric_evacuated_extents_total", ""); n != 0 {
+				t.Errorf("failed move counted %v evacuated extents", n)
+			}
+			got := make([]byte, len(want))
+			if err := tn.Device().ReadAt(got, 0); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("tenant bytes after failed move: err %v, intact %v", err, bytes.Equal(got, want))
+			}
+			// Thawed: a write lands instead of backing off forever.
+			want[0] ^= 0xFF
+			if err := tn.Device().WriteAt(want[:1], 0); err != nil {
+				t.Fatal(err)
+			}
+
+			if moved, err := m.EvacuatePool("pool"); err != nil || moved != 1 {
+				t.Fatalf("retry after the fault cleared = %d, %v; want 1 moved", moved, err)
+			}
+			if exts, _ := m.Extents("host"); exts[0].Pool != "spare" {
+				t.Fatalf("extent %+v not re-homed onto the spare", exts[0])
+			}
+			if err := tn.Device().ReadAt(got, 0); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("tenant bytes after the move: err %v, intact %v", err, bytes.Equal(got, want))
+			}
+			if n, b := metric("fabric_evacuated_extents_total", ""), metric("fabric_evacuated_bytes_total", ""); n != 1 || b != float64(len(want)) {
+				t.Errorf("evacuation counters = %v extents, %v bytes; want 1, %d", n, b, len(want))
+			}
+			if metric("fabric_pool_healthy", telemetry.Labels("pool", "pool")) != 0 || metric("fabric_pool_healthy", telemetry.Labels("pool", "spare")) != 1 {
+				t.Error("pool health gauges do not show the drained source")
+			}
+		})
+	}
+}
+
+// TestEvacuateSkipsTooShortSpare offers a spare smaller than the
+// extent first: the short reservation is rolled back and the move lands
+// on the next pool that holds the extent whole.
+func TestEvacuateSkipsTooShortSpare(t *testing.T) {
+	m := testFabric(t)
+	tn, err := m.AddTenant("host", 2*units.MiB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Grant("host", 256*units.KiB); err != nil {
+		t.Fatal(err)
+	}
+	accept(t, tn)
+	small := sparePool(t, m, "small", 128*units.KiB)
+	sparePool(t, m, "big", 4*units.MiB)
+
+	if moved, err := m.EvacuatePool(m.MLD().Name()); err != nil || moved != 1 {
+		t.Fatalf("EvacuatePool = %d, %v; want 1 moved", moved, err)
+	}
+	if exts, _ := m.Extents("host"); exts[0].Pool != "big" {
+		t.Fatalf("extent %+v landed on %s, want big", exts[0], exts[0].Pool)
+	}
+	if free := small.Remaining(); free != small.Media().Capacity() {
+		t.Errorf("too-short spare holds %v free of %v: its reservation leaked", free, small.Media().Capacity())
 	}
 }

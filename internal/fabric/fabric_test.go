@@ -174,6 +174,71 @@ func TestGrantUseReleaseRegrant(t *testing.T) {
 	}
 }
 
+// TestPoliteReleaseRoundTrip drives the cooperative shrink: the fabric
+// asks for the most recent active extents covering the request, a host
+// agent answers exactly those events through the mailbox while leaving
+// unrelated events queued, and only the answer frees the capacity.
+func TestPoliteReleaseRoundTrip(t *testing.T) {
+	m := testFabric(t)
+	if _, err := m.RequestRelease("nobody", units.MiB); err == nil {
+		t.Error("release request for an unknown tenant accepted")
+	}
+	tn, err := m.AddTenant("bob", 4*units.MiB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exts []ExtentInfo
+	for i := 0; i < 3; i++ {
+		if _, err := m.Grant("bob", 64*units.KiB); err != nil {
+			t.Fatal(err)
+		}
+		exts = append(exts, accept(t, tn)...)
+	}
+	if _, err := m.Grant("bob", 64*units.KiB); err != nil { // left pending
+		t.Fatal(err)
+	}
+	if _, err := m.RequestRelease("bob", 256*units.KiB); err == nil {
+		t.Error("release request beyond the active capacity accepted")
+	}
+	if n := len(tn.TakeEvents(func(ev Event) bool { return ev.Type == EventReleaseRequest })); n != 0 {
+		t.Fatalf("a refused request queued %d release events", n)
+	}
+
+	before := m.Remaining()
+	asked, err := m.RequestRelease("bob", 100*units.KiB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(asked) != 2 || asked[0].Tag != exts[2].Tag || asked[1].Tag != exts[1].Tag {
+		t.Fatalf("asked %+v, want the two most recent active extents", asked)
+	}
+	select {
+	case <-tn.Notify():
+	default:
+		t.Error("release request left no notification")
+	}
+	if tn.Active() != 192*units.KiB || m.Remaining() != before {
+		t.Fatal("capacity changed before the host answered")
+	}
+
+	// Answer the first request only; the pending grant's offer and the
+	// second request stay queued, in order.
+	first := tn.TakeEvents(func(ev Event) bool {
+		return ev.Type == EventReleaseRequest && ev.Extent.Tag == asked[0].Tag
+	})
+	if len(first) != 1 {
+		t.Fatalf("took %d events for tag %d, want 1", len(first), asked[0].Tag)
+	}
+	release(t, tn, []ExtentInfo{first[0].Extent})
+	if tn.Active() != 128*units.KiB || m.Remaining() != before+64*units.KiB {
+		t.Errorf("after one answer: active %v, remaining %v", tn.Active(), m.Remaining())
+	}
+	rest := tn.Events()
+	if len(rest) != 2 || rest[0].Type != EventAddCapacity || rest[1].Type != EventReleaseRequest || rest[1].Extent.Tag != asked[1].Tag {
+		t.Fatalf("queue after TakeEvents = %+v, want the pending offer then the second request", rest)
+	}
+}
+
 // TestForcedReclaimPoisonsAccess checks the unresponsive-tenant path:
 // revoked extents poison subsequent access, the capacity is
 // immediately re-grantable to another tenant (scrubbed), and the

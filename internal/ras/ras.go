@@ -36,8 +36,8 @@ const (
 	// Degraded — a threshold tripped; the device still serves traffic
 	// but should be drained.
 	Degraded
-	// Evacuating — the fabric/interleave layer is migrating data off
-	// the device while traffic continues.
+	// Evacuating — the fabric manager is migrating data off the device
+	// while traffic continues.
 	Evacuating
 	// Offline — drained and removed; no traffic reaches the device.
 	Offline

@@ -92,10 +92,6 @@ type Setup1Options struct {
 	// InterleaveGranule is the stripe unit in bytes
 	// (cxl.DefaultInterleaveGranule if zero).
 	InterleaveGranule uint64
-	// InterleaveShare caps the striped per-card bytes below each card's
-	// full HDM, leaving headroom the RAS plane uses as spare capacity
-	// when it evacuates a degraded leg (zero = full HDM, no headroom).
-	InterleaveShare uint64
 }
 
 // Setup1 builds the paper's Setup #1 (Figure 2): two SPR sockets, one
@@ -191,11 +187,7 @@ func Setup1(opts Setup1Options) (*Machine, *fpga.Prototype, error) {
 	} else {
 		// Striped configuration: the interleave set programs the
 		// per-target decoders itself, standing in for enumeration.
-		stripe, err := cxl.NewInterleaveSetOpts("cxl-stripe", cxl.InterleaveOptions{
-			Base:    cxl.DefaultCXLWindowBase,
-			Granule: opts.InterleaveGranule,
-			Share:   opts.InterleaveShare,
-		}, ports...)
+		stripe, err := cxl.NewInterleaveSet("cxl-stripe", cxl.DefaultCXLWindowBase, opts.InterleaveGranule, ports...)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -53,8 +53,11 @@ type Manager struct {
 	// lastReused counts chunks deduplicated by the most recent Save.
 	lastReused int
 	// desc stages Save's descriptor before AllocFrom copies it into
-	// the pool; it is reused from one Save to the next.
-	desc []byte
+	// the pool. refs holds the entries of the snapshot being saved or
+	// deleted, base those of Save's base snapshot. All three are reused
+	// from one call to the next.
+	desc       []byte
+	refs, base []chunkRef
 }
 
 const dirRootSize = uint64(dirHeader + MaxSlots*slotSize)
@@ -119,7 +122,7 @@ func Open(pool *pmem.Pool) (*Manager, error) {
 	return &Manager{pool: pool, root: root, slots: int(stored)}, nil
 }
 
-// slotView returns the 24-byte slot record.
+// slot returns the 24-byte slot record i.
 func (m *Manager) slot(i int) (id, descOff, size uint64, err error) {
 	b, err := m.pool.View(m.root, dirRootSize)
 	if err != nil {
@@ -131,18 +134,19 @@ func (m *Manager) slot(i int) (id, descOff, size uint64, err error) {
 		binary.LittleEndian.Uint64(b[off+16:]), nil
 }
 
-// findSlot returns the slot index holding id, or -1.
-func (m *Manager) findSlot(id uint64) (int, error) {
+// findSlot returns the slot index holding id, or -1, with the slot's
+// descriptor offset and snapshot size.
+func (m *Manager) findSlot(id uint64) (int, uint64, uint64, error) {
 	for i := 0; i < m.slots; i++ {
-		sid, desc, _, err := m.slot(i)
+		sid, descOff, size, err := m.slot(i)
 		if err != nil {
-			return -1, err
+			return -1, 0, 0, err
 		}
-		if desc != 0 && sid == id {
-			return i, nil
+		if descOff != 0 && sid == id {
+			return i, descOff, size, nil
 		}
 	}
-	return -1, nil
+	return -1, 0, 0, nil
 }
 
 // freeSlot returns an empty slot index, or -1.
@@ -159,10 +163,12 @@ func (m *Manager) freeSlot() (int, error) {
 	return -1, nil
 }
 
-// Save writes a snapshot under id. Chunks identical (by CRC and
-// content offset) to the previous snapshot prev are reused rather than
-// rewritten; pass prev = 0 for a full checkpoint. The snapshot becomes
-// visible atomically; a crash mid-save leaves the directory untouched.
+// Save writes a snapshot under id. Each chunk whose bytes equal, at
+// the same index and length, the chunk of the previous snapshot prev
+// is reused rather than rewritten, keeping prev's CRC; pass prev = 0 for
+// a full checkpoint. Only the chunks Save writes are checksummed. The
+// snapshot becomes visible atomically; a crash mid-save leaves the
+// directory untouched.
 func (m *Manager) Save(id uint64, prev uint64, data []byte) error {
 	if id == 0 {
 		return fmt.Errorf("checkpoint: id 0 is reserved")
@@ -170,7 +176,7 @@ func (m *Manager) Save(id uint64, prev uint64, data []byte) error {
 	if len(data) == 0 {
 		return fmt.Errorf("checkpoint: empty snapshot")
 	}
-	if existing, err := m.findSlot(id); err != nil {
+	if existing, _, _, err := m.findSlot(id); err != nil {
 		return err
 	} else if existing >= 0 {
 		return fmt.Errorf("checkpoint: id %d already saved", id)
@@ -183,47 +189,46 @@ func (m *Manager) Save(id uint64, prev uint64, data []byte) error {
 		return fmt.Errorf("checkpoint: all %d slots full; delete one first", m.slots)
 	}
 
-	// Previous descriptor for dedup.
-	var prevChunks []chunkRef
+	// Base descriptor for dedup.
+	base, baseSize := m.base[:0], uint64(0)
 	if prev != 0 {
-		if prevChunks, _, err = m.loadDescriptor(prev); err != nil {
+		if base, baseSize, err = m.loadDescriptor(prev, base); err != nil {
 			return fmt.Errorf("checkpoint: base snapshot %d: %w", prev, err)
 		}
+		m.base = base
 	}
 
 	// Until the publishing Update below, nothing on media references
 	// the chunks and descriptor allocated here, so every failure before
 	// it frees them (release) instead of leaking them.
 	nChunks := (len(data) + ChunkSize - 1) / ChunkSize
-	refs := make([]chunkRef, nChunks)
+	if cap(m.refs) < nChunks {
+		m.refs = make([]chunkRef, nChunks)
+	}
+	refs := m.refs[:nChunks]
 	reused := 0
-	for c := 0; c < nChunks; c++ {
+	for c := range refs {
 		lo := c * ChunkSize
-		hi := lo + ChunkSize
-		if hi > len(data) {
-			hi = len(data)
-		}
-		crc := crc32.Checksum(data[lo:hi], crcTable)
-		if c < len(prevChunks) && prevChunks[c].crc == crc {
-			// Verify content equality, not just CRC, before reuse.
-			pb, err := m.pool.View(pmem.OID{PoolID: m.pool.PoolID(), Off: prevChunks[c].off}, uint64(hi-lo))
+		hi := min(lo+ChunkSize, len(data))
+		if c < len(base) && chunkLen(baseSize, c) == hi-lo {
+			pb, err := m.pool.View(pmem.OID{PoolID: m.pool.PoolID(), Off: base[c].off}, uint64(hi-lo))
 			if err == nil && bytes.Equal(pb, data[lo:hi]) {
-				refs[c] = prevChunks[c]
+				refs[c] = base[c]
 				reused++
 				continue
 			}
 		}
 		oid, err := m.pool.AllocFrom(data[lo:hi])
 		if err != nil {
-			return m.release(err, refs, prevChunks)
+			return m.release(err, refs[:c], base)
 		}
-		refs[c] = chunkRef{off: oid.Off, crc: crc}
+		refs[c] = chunkRef{off: oid.Off, crc: crc32.Checksum(data[lo:hi], crcTable)}
 	}
 	m.lastReused = reused
 
 	desc, err := m.pool.AllocFrom(m.descriptor(refs))
 	if err != nil {
-		return m.release(err, refs, prevChunks)
+		return m.release(err, refs, base)
 	}
 	m.pool.Drain()
 
@@ -235,6 +240,11 @@ func (m *Manager) Save(id uint64, prev uint64, data []byte) error {
 		binary.LittleEndian.PutUint64(b[16:], uint64(len(data)))
 		return nil
 	})
+}
+
+// chunkLen is the length of chunk c of a snapshot of size bytes.
+func chunkLen(size uint64, c int) int {
+	return int(min(size-uint64(c)*ChunkSize, ChunkSize))
 }
 
 type chunkRef struct {
@@ -259,12 +269,12 @@ func (m *Manager) descriptor(refs []chunkRef) []byte {
 	return db
 }
 
-// release frees the chunks a failed Save allocated, every filled entry
-// of refs not taken over from base, and returns the Save's error.
+// release frees the chunks a failed Save allocated, every entry of
+// refs not taken over from base, and returns the Save's error.
 func (m *Manager) release(cause error, refs, base []chunkRef) error {
 	var freeErr error
 	for c, r := range refs {
-		if r.off == 0 || c < len(base) && r.off == base[c].off {
+		if c < len(base) && r.off == base[c].off {
 			continue
 		}
 		if err := m.pool.Free(pmem.OID{PoolID: m.pool.PoolID(), Off: r.off}); err != nil && freeErr == nil {
@@ -277,52 +287,68 @@ func (m *Manager) release(cause error, refs, base []chunkRef) error {
 	return cause
 }
 
-func (m *Manager) loadDescriptor(id uint64) ([]chunkRef, uint64, error) {
-	slot, err := m.findSlot(id)
+// loadDescriptor appends snapshot id's descriptor entries to refs and
+// returns them with the snapshot's size.
+func (m *Manager) loadDescriptor(id uint64, refs []chunkRef) ([]chunkRef, uint64, error) {
+	slot, descOff, size, err := m.findSlot(id)
 	if err != nil {
-		return nil, 0, err
+		return refs, 0, err
 	}
 	if slot < 0 {
-		return nil, 0, fmt.Errorf("checkpoint: no snapshot %d", id)
+		return refs, 0, fmt.Errorf("checkpoint: no snapshot %d", id)
 	}
-	_, descOff, size, err := m.slot(slot)
+	db, err := m.entries(id, descOff, size)
 	if err != nil {
-		return nil, 0, err
+		return refs, 0, err
 	}
+	return decode(refs, db), size, nil
+}
+
+// decode appends the chunk refs in descriptor entries db to refs.
+func decode(refs []chunkRef, db []byte) []chunkRef {
+	for e := 0; e < len(db); e += descEntry {
+		refs = append(refs, chunkRef{
+			off: binary.LittleEndian.Uint64(db[e:]),
+			crc: binary.LittleEndian.Uint32(db[e+8:]),
+		})
+	}
+	return refs
+}
+
+// entries returns a view of the entries of snapshot id's descriptor. It
+// rejects a descriptor whose chunk count, read from media, is not the
+// one the slot's size needs, so a corrupt count is never used as a
+// length or allowed to steer a Free.
+func (m *Manager) entries(id, descOff, size uint64) ([]byte, error) {
 	desc := pmem.OID{PoolID: m.pool.PoolID(), Off: descOff}
 	nb, err := m.pool.View(desc, descHeader)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	n := binary.LittleEndian.Uint64(nb)
+	n := size / ChunkSize
+	if size%ChunkSize != 0 {
+		n++
+	}
+	if got := binary.LittleEndian.Uint64(nb); got != n {
+		return nil, fmt.Errorf("checkpoint: snapshot %d descriptor corrupt: %d chunks for %d bytes, want %d", id, got, size, n)
+	}
 	db, err := m.pool.View(desc, descHeader+n*descEntry)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	refs := make([]chunkRef, n)
-	for c := range refs {
-		e := descHeader + c*descEntry
-		refs[c] = chunkRef{
-			off: binary.LittleEndian.Uint64(db[e:]),
-			crc: binary.LittleEndian.Uint32(db[e+8:]),
-		}
-	}
-	return refs, size, nil
+	return db[descHeader:], nil
 }
 
 // Load reads snapshot id, verifying every chunk CRC.
 func (m *Manager) Load(id uint64) ([]byte, error) {
-	refs, size, err := m.loadDescriptor(id)
+	refs, size, err := m.loadDescriptor(id, nil)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]byte, size)
 	for c, r := range refs {
 		lo := c * ChunkSize
-		hi := lo + ChunkSize
-		if hi > int(size) {
-			hi = int(size)
-		}
+		hi := lo + chunkLen(size, c)
 		v, err := m.pool.View(pmem.OID{PoolID: m.pool.PoolID(), Off: r.off}, uint64(hi-lo))
 		if err != nil {
 			return nil, err
@@ -373,37 +399,41 @@ func (m *Manager) Latest() (uint64, []byte, error) {
 // with other snapshots stays allocated; exclusively owned chunks are
 // freed.
 func (m *Manager) Delete(id uint64) error {
-	slot, err := m.findSlot(id)
+	slot, descOff, size, err := m.findSlot(id)
 	if err != nil {
 		return err
 	}
 	if slot < 0 {
 		return fmt.Errorf("checkpoint: no snapshot %d", id)
 	}
-	refs, _, err := m.loadDescriptor(id)
+	db, err := m.entries(id, descOff, size)
 	if err != nil {
 		return err
 	}
-	_, descOff, _, err := m.slot(slot)
-	if err != nil {
-		return err
-	}
-	// Collect chunks referenced by other snapshots.
-	shared := map[uint64]bool{}
-	ids, err := m.List()
-	if err != nil {
-		return err
-	}
-	for _, other := range ids {
-		if other == id {
+	refs := decode(m.refs[:0], db)
+	m.refs = refs
+	// Save reuses a base chunk only at its own index, so chunk c is
+	// shared exactly when another live snapshot holds its offset at
+	// index c. Shared entries are zeroed so the loop below skips them.
+	for i := 0; i < m.slots; i++ {
+		if i == slot {
 			continue
 		}
-		oRefs, _, err := m.loadDescriptor(other)
+		other, otherDesc, otherSize, err := m.slot(i)
 		if err != nil {
 			return err
 		}
-		for _, r := range oRefs {
-			shared[r.off] = true
+		if otherDesc == 0 {
+			continue
+		}
+		db, err := m.entries(other, otherDesc, otherSize)
+		if err != nil {
+			return err
+		}
+		for c := range min(len(refs), len(db)/descEntry) {
+			if refs[c].off == binary.LittleEndian.Uint64(db[c*descEntry:]) {
+				refs[c].off = 0
+			}
 		}
 	}
 	// Unpublish first (atomic), then reclaim.
@@ -418,7 +448,7 @@ func (m *Manager) Delete(id uint64) error {
 		return err
 	}
 	for _, r := range refs {
-		if !shared[r.off] {
+		if r.off != 0 {
 			if err := m.pool.Free(pmem.OID{PoolID: m.pool.PoolID(), Off: r.off}); err != nil {
 				return err
 			}

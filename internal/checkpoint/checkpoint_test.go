@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"sync"
 	"testing"
@@ -264,7 +265,7 @@ func TestCorruptChunkDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt a chunk in place through the descriptor.
-	refs, _, err := m.loadDescriptor(1)
+	refs, _, err := m.loadDescriptor(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,5 +464,183 @@ func TestSaveDeleteCrashAtEveryWrite(t *testing.T) {
 		if rep, err := pool2.Check(); err != nil || rep.Corrupt {
 			t.Fatalf("cut %d: heap check: %+v, %v", cut, rep, err)
 		}
+	}
+}
+
+// TestCorruptDescriptorCountRejected: a descriptor whose chunk count
+// disagrees with its slot's size is refused before any write, whether
+// the count wraps the descriptor's byte length (2^60 entries of 16
+// bytes is 0 bytes) or merely overstates it.
+func TestCorruptDescriptorCountRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		count uint64
+	}{{"count 2^60", 1 << 60}, {"count 5", 5}} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, pool, _ := newManager(t, 4)
+			data := pattern(2*ChunkSize, 1)
+			if err := m.Save(1, 0, data); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Save(2, 0, pattern(ChunkSize, 2)); err != nil {
+				t.Fatal(err)
+			}
+			_, descOff, _, err := m.findSlot(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nb, err := pool.View(pmem.OID{PoolID: pool.PoolID(), Off: descOff}, descHeader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.LittleEndian.PutUint64(nb, tc.count)
+			live, blocks := occupancy(t, pool)
+
+			if _, err := m.Load(1); err == nil {
+				t.Error("Load accepted the corrupt descriptor")
+			}
+			if err := m.Save(3, 1, data); err == nil {
+				t.Error("Save accepted the corrupt descriptor as its base")
+			}
+			if err := m.Delete(1); err == nil {
+				t.Error("Delete accepted the corrupt descriptor")
+			}
+			if ids, err := m.List(); err != nil || len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
+				t.Errorf("List = %v, %v; want [1 2]", ids, err)
+			}
+			if gotLive, gotBlocks := occupancy(t, pool); gotLive != live || gotBlocks != blocks {
+				t.Errorf("refused calls left %d live bytes in %d blocks, want %d in %d", gotLive, gotBlocks, live, blocks)
+			}
+			// Nothing was written: with the count restored, the snapshot
+			// loads byte-exact.
+			binary.LittleEndian.PutUint64(nb, 2)
+			if got, err := m.Load(1); err != nil || !bytes.Equal(got, data) {
+				t.Errorf("Load after restoring the count: %v", err)
+			}
+		})
+	}
+}
+
+// TestReuseNeedsEqualLength: Save reuses a base chunk only when its
+// bytes and its length both match, and only against the base's bytes
+// as they are now.
+func TestReuseNeedsEqualLength(t *testing.T) {
+	m, pool, _ := newManager(t, 4)
+	base := pattern(2*ChunkSize+2048, 6)
+	if err := m.Save(1, 0, base); err != nil {
+		t.Fatal(err)
+	}
+	refs, _, err := m.loadDescriptor(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The 4096 bytes the view holds at the base's short third chunk:
+	// its 2048 bytes, then the next block's.
+	tail, err := pool.View(pmem.OID{PoolID: pool.PoolID(), Off: refs[2].off}, ChunkSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := append(append([]byte(nil), base[:2*ChunkSize]...), tail...)
+	if err := m.Save(2, 1, next); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.LastReused(); got != 2 {
+		t.Errorf("reused %d chunks, want 2 (the short base chunk must not match)", got)
+	}
+	if got, err := m.Load(2); err != nil || !bytes.Equal(got, next) {
+		t.Errorf("Load(2): %v", err)
+	}
+
+	// A base chunk changed in the view no longer matches the bytes it
+	// was saved from, so saving those bytes writes a fresh chunk.
+	v, err := pool.View(pmem.OID{PoolID: pool.PoolID(), Off: refs[0].off}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v[0] ^= 0xFF
+	if err := m.Save(3, 1, base); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.LastReused(); got != 2 {
+		t.Errorf("reused %d chunks, want 2 (the changed base chunk must not match)", got)
+	}
+	if got, err := m.Load(3); err != nil || !bytes.Equal(got, base) {
+		t.Errorf("Load(3): %v", err)
+	}
+}
+
+// TestDeleteFreesExactlyItsOwnChunks deletes the middle of a chain:
+// s2's chunk 3 is held by s2 alone, its chunk 5 also by s3, and the
+// rest also by s1 and s3. Only chunk 3 and s2's descriptor are freed.
+func TestDeleteFreesExactlyItsOwnChunks(t *testing.T) {
+	m, pool, _ := newManager(t, 8)
+	s1 := pattern(8*ChunkSize, 1)
+	s2 := append([]byte(nil), s1...)
+	s2[3*ChunkSize] ^= 0xFF
+	s2[5*ChunkSize] ^= 0xFF
+	s3 := append([]byte(nil), s2...)
+	s3[3*ChunkSize+1] ^= 0xFF
+	s3 = append(s3, pattern(700, 3)...) // a partial ninth chunk
+	s4 := pattern(8*ChunkSize, 4)
+	for _, s := range []struct {
+		id, prev uint64
+		data     []byte
+		reused   int
+	}{{1, 0, s1, 0}, {2, 1, s2, 6}, {3, 2, s3, 7}, {4, 0, s4, 0}} {
+		if err := m.Save(s.id, s.prev, s.data); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.LastReused(); got != s.reused {
+			t.Fatalf("Save(%d, %d) reused %d chunks, want %d", s.id, s.prev, got, s.reused)
+		}
+	}
+	_, blocks := occupancy(t, pool)
+	if err := m.Delete(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, after := occupancy(t, pool); blocks-after != 2 {
+		t.Errorf("Delete(2) freed %d blocks, want 2 (its own chunk and its descriptor)", blocks-after)
+	}
+	for id, want := range map[uint64][]byte{1: s1, 3: s3, 4: s4} {
+		if got, err := m.Load(id); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("Load(%d) after Delete(2): %v", id, err)
+		}
+	}
+}
+
+// TestStepAllocsIndependentOfChunkCount: a steady-state checkpoint step
+// (dirty a tenth of the chunks, Save against the latest snapshot,
+// Delete the one four back) makes the same number of Go allocations
+// whatever the snapshot's chunk count.
+func TestStepAllocsIndependentOfChunkCount(t *testing.T) {
+	var got []float64
+	for _, chunks := range []int{16, 64, 256} {
+		m, _, _ := newManager(t, 8)
+		state := pattern(chunks*ChunkSize, 1)
+		id := uint64(1)
+		if err := m.Save(id, 0, state); err != nil {
+			t.Fatal(err)
+		}
+		step := func() {
+			for c := 0; c < chunks; c += 10 {
+				state[(c+int(id))%chunks*ChunkSize] ^= 0xFF
+			}
+			id++
+			if err := m.Save(id, id-1, state); err != nil {
+				t.Fatal(err)
+			}
+			if id > 4 {
+				if err := m.Delete(id - 4); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for id < 8 { // four live snapshots, every buffer grown
+			step()
+		}
+		got = append(got, testing.AllocsPerRun(20, step))
+	}
+	if got[0] != got[1] || got[1] != got[2] {
+		t.Errorf("allocs per step at 16, 64, 256 chunks = %v, want equal", got)
 	}
 }

@@ -276,7 +276,6 @@ func BenchmarkMemtierDaemon(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer d.Close()
 	ids := make([]tiering.PageID, 16)
 	for i := range ids {
 		if ids[i], err = mgr.Alloc(); err != nil {

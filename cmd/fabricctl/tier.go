@@ -15,10 +15,10 @@ import (
 )
 
 // runTier demonstrates the memtier policy plane from both ends: the
-// hybrid DDR5/CXL/DCPMM hierarchy with the background daemon converging
-// a zipfian workload out of cold start, and the per-tenant memory-type
-// masks steering elastic-pool grants onto matching media. Ends with the
-// tiering_* telemetry the registry exposes.
+// hybrid DDR5/CXL/DCPMM hierarchy with the policy daemon's epochs
+// converging a zipfian workload out of cold start, and the per-tenant
+// memory-type masks steering elastic-pool grants onto matching media.
+// Ends with the tiering_* telemetry the registry exposes.
 func runTier(e *cluster.Elastic, args []string) {
 	fs := flag.NewFlagSet("tier", flag.ExitOnError)
 	pages := fs.Int("pages", 16, "managed pages (2 MiB each)")
@@ -45,7 +45,6 @@ func runTier(e *cluster.Elastic, args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer d.Close()
 	d.RegisterMetrics(reg)
 	c0, err := hybrid.Core(0)
 	if err != nil {

@@ -1,9 +1,9 @@
 // Hybrid memory architecture — the paper's §6 future-work item #2:
 // DDR5 + CXL + DCPMM combined in one tiered hierarchy. Pages are
 // allocated cold (far tier first — memtier's cold-start placement);
-// the background policy daemon watches device-side heat windows and
-// promotes the hot set one tier per epoch toward DDR5, within a
-// per-epoch migration budget, and the average access latency drops.
+// each policy-daemon epoch reads device-side heat windows and promotes
+// the hot set one tier toward DDR5, within a per-epoch migration
+// budget, and the average access latency drops.
 package main
 
 import (
@@ -33,7 +33,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer daemon.Close()
 
 	// Allocate 16 pages; cold start lands every one of them on DCPMM —
 	// they must earn their way up through observed heat.

@@ -12,7 +12,7 @@
 //
 // The Engine compiles a Plan and arms it against live components
 // (AttachPort, AttachSwitch, AttachMailbox, AttachMedia). Every fire is
-// appended to a bounded schedule log (Schedule), which is both the
+// appended to a bounded schedule log (ScheduleString), which is both the
 // replay-determinism witness and the operator's view of what the plan
 // did. When every rule of an attachment is exhausted the engine
 // uninstalls its hooks, so a drained plan costs the data path nothing —
@@ -148,7 +148,7 @@ func ParseAction(s string) (Action, error) {
 	return 0, fmt.Errorf("chaos: unknown action %q", s)
 }
 
-// siteActions is the site/action compatibility matrix Validate enforces.
+// siteActions is the site/action compatibility matrix validate enforces.
 var siteActions = map[Site][]Action{
 	SitePort:    {ActCorrupt, ActDrop, ActDelay, ActReorder},
 	SiteLink:    {ActFlap, ActRemove},
@@ -178,7 +178,7 @@ type Trigger struct {
 	// hooks are uninstalled.
 	Count uint64
 	// Kind filters flit kinds: 0 matches any; otherwise 1 + the wire
-	// kind byte (use FilterKind).
+	// kind byte.
 	Kind int16
 	// Op filters mailbox opcodes (0 = any).
 	Op uint16
@@ -186,9 +186,6 @@ type Trigger struct {
 	// AddrHi > 0. For SiteMedia, this is the poison placement window.
 	AddrLo, AddrHi uint64
 }
-
-// FilterKind builds a Trigger.Kind filter for a wire flit kind byte.
-func FilterKind(kind uint8) int16 { return int16(kind) + 1 }
 
 // Rule arms one fault: Action at Site when Trigger fires. Delay is the
 // action duration where one applies (delay/stall length, flap retrain
@@ -208,8 +205,8 @@ type Plan struct {
 	Rules []Rule
 }
 
-// Validate checks site/action compatibility and trigger sanity.
-func (p *Plan) Validate() error {
+// validate checks site/action compatibility and trigger sanity.
+func (p *Plan) validate() error {
 	for i, r := range p.Rules {
 		ok := false
 		for _, a := range siteActions[r.Site] {

@@ -336,7 +336,7 @@ func TestChaosValidate(t *testing.T) {
 		{Rules: []Rule{{Site: SitePort, Action: ActDelay, Trigger: Trigger{Nth: 1}, Delay: -time.Second}}},
 	}
 	for i, p := range bad {
-		if err := p.Validate(); err == nil {
+		if err := p.validate(); err == nil {
 			t.Errorf("bad plan %d validated", i)
 		}
 	}
@@ -344,7 +344,7 @@ func TestChaosValidate(t *testing.T) {
 		{Site: SiteLink, Action: ActFlap, Trigger: Trigger{Prob: 0.5}},
 		{Site: SiteMedia, Action: ActPoison, Trigger: Trigger{Nth: 1, AddrHi: 4096}},
 	}}
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Errorf("good plan rejected: %v", err)
 	}
 }

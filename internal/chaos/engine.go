@@ -96,7 +96,7 @@ type Engine struct {
 
 // NewEngine validates the plan and compiles its rule state.
 func NewEngine(plan Plan) (*Engine, error) {
-	if err := plan.Validate(); err != nil {
+	if err := plan.validate(); err != nil {
 		return nil, err
 	}
 	e := &Engine{plan: Plan{Seed: plan.Seed, Rules: append([]Rule(nil), plan.Rules...)}}
@@ -172,18 +172,13 @@ func (e *Engine) record(rs *ruleState, m uint64, kind uint8, addr uint64) {
 	e.mu.Unlock()
 }
 
-// Schedule returns a copy of the fire log so far.
-func (e *Engine) Schedule() []Fire {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]Fire(nil), e.fires...)
-}
-
-// ScheduleString renders the fire log one fire per line — the replay
-// determinism witness (two runs with the same seed and event stream
-// produce byte-identical strings).
+// ScheduleString renders the fire log so far one fire per line — the
+// replay determinism witness (two runs with the same seed and event
+// stream produce byte-identical strings).
 func (e *Engine) ScheduleString() string {
-	fires := e.Schedule()
+	e.mu.Lock()
+	fires := append([]Fire(nil), e.fires...)
+	e.mu.Unlock()
 	var b strings.Builder
 	for _, f := range fires {
 		b.WriteString(f.String())

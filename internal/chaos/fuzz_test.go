@@ -9,7 +9,7 @@ import (
 )
 
 // decodePlan turns arbitrary fuzz bytes into a plan — deliberately NOT
-// forced valid, so the fuzzer exercises both Validate's rejections and
+// forced valid, so the fuzzer exercises both validate's rejections and
 // the engine's behaviour under every plan that survives them. Delays
 // are clamped so a surviving plan always runs in bounded time.
 func decodePlan(data []byte) Plan {
@@ -45,7 +45,7 @@ func decodePlan(data []byte) Plan {
 	return p
 }
 
-// FuzzChaosPlan: any plan that passes Validate must run a small
+// FuzzChaosPlan: any plan that passes validate must run a small
 // workload to completion — no panic, no deadlock, no error other than
 // the fault-induced ones — and replay deterministically.
 func FuzzChaosPlan(f *testing.F) {
@@ -62,7 +62,7 @@ func FuzzChaosPlan(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		plan := decodePlan(data)
-		if err := plan.Validate(); err != nil {
+		if err := plan.validate(); err != nil {
 			return
 		}
 		if len(plan.Rules) == 0 {

@@ -218,13 +218,10 @@ func (c *Cluster) Scalability(threadsPerHost int) ([]ScalePoint, error) {
 	return out, nil
 }
 
-// TotalPooled reports the appliance capacity.
-func (c *Cluster) TotalPooled() units.Size { return c.media.Capacity() }
-
 // Describe renders the fabric.
 func (c *Cluster) Describe() string {
 	s := fmt.Sprintf("CXL memory pool: %d host(s), appliance %s (%s media), switch %s\n",
-		len(c.Hosts), c.TotalPooled(), c.media.Name(), c.Switch.Name())
+		len(c.Hosts), c.media.Capacity(), c.media.Name(), c.Switch.Name())
 	for _, h := range c.Hosts {
 		base, size := h.LD.Partition()
 		s += fmt.Sprintf("  host%d: window [%#x,%#x) -> partition [%#x,%#x)\n",

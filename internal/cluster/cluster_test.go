@@ -22,8 +22,8 @@ func TestClusterAssembly(t *testing.T) {
 	if len(c.Hosts) != 4 {
 		t.Fatalf("hosts = %d", len(c.Hosts))
 	}
-	if c.TotalPooled() != 256*units.MiB {
-		t.Errorf("pooled = %v", c.TotalPooled())
+	if c.media.Capacity() != 256*units.MiB {
+		t.Errorf("pooled = %v", c.media.Capacity())
 	}
 	if c.MLD.Remaining() != 0 {
 		t.Errorf("remaining = %v", c.MLD.Remaining())
@@ -209,21 +209,5 @@ func TestRunParallelValidation(t *testing.T) {
 	}
 	if _, err := c.RunParallel(1, 100, 10); err == nil {
 		t.Error("non-burst-multiple byte count accepted")
-	}
-}
-
-func TestRunParallelSweep(t *testing.T) {
-	c := testCluster(t, 2)
-	pts, err := c.RunParallelSweep(1<<20, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 {
-		t.Fatalf("sweep points = %d", len(pts))
-	}
-	for _, pt := range pts {
-		if pt.Aggregate <= 0 || pt.Analytical <= 0 {
-			t.Errorf("empty sweep point: %+v", pt)
-		}
 	}
 }

@@ -122,7 +122,7 @@ func NewElastic(cfg ElasticConfig) (*Elastic, error) {
 		Fabric:   mgr,
 		Switch:   sw,
 		MLD:      mld,
-		Throttle: NewThrottle(units.GBps(pipeline)),
+		Throttle: newThrottle(units.GBps(pipeline)),
 		media:    media,
 	}
 	for i := 0; i < cfg.Hosts; i++ {
@@ -150,7 +150,7 @@ func NewElastic(cfg ElasticConfig) (*Elastic, error) {
 		if len(h.Windows) != 1 {
 			return nil, fmt.Errorf("cluster: host %d enumerated %d windows", i, len(h.Windows))
 		}
-		if err := e.Throttle.Register(name, t.Device().Stats(), 1/float64(cfg.Hosts)); err != nil {
+		if err := e.Throttle.register(name, t.Device().Stats(), 1/float64(cfg.Hosts)); err != nil {
 			return nil, err
 		}
 		e.Hosts = append(e.Hosts, &ElasticHost{Index: i, Port: rp, IO: rp, Window: h.Windows[0], Tenant: t})
@@ -335,7 +335,7 @@ func (e *Elastic) Drive(i int, total units.Size) (units.Bandwidth, error) {
 			span = 1 << 20
 		}
 		addr := h.Window.Base + x.DPA + uint64(n)*elasticBurst%span
-		if _, err := e.Throttle.Pace(name); err != nil {
+		if _, err := e.Throttle.pace(name); err != nil {
 			return 0, err
 		}
 		if n%2 == 0 {

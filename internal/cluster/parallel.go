@@ -141,17 +141,3 @@ func (c *Cluster) scalabilityCached(threadsPerHost int) ([]ScalePoint, error) {
 	c.scaleCache[threadsPerHost] = pts
 	return pts, nil
 }
-
-// RunParallelSweep measures ParallelPoints for every host count
-// 1..len(Hosts), the measured counterpart of Scalability's table.
-func (c *Cluster) RunParallelSweep(bytesPerHost units.Size, threadsPerHost int) ([]*ParallelPoint, error) {
-	out := make([]*ParallelPoint, 0, len(c.Hosts))
-	for k := 1; k <= len(c.Hosts); k++ {
-		pt, err := c.RunParallel(k, bytesPerHost, threadsPerHost)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pt)
-	}
-	return out, nil
-}

@@ -39,17 +39,14 @@ type tenantBudget struct {
 	base  int64
 }
 
-// NewThrottle builds a throttle over a total pipeline budget.
-func NewThrottle(total units.Bandwidth) *Throttle {
+// newThrottle builds a throttle over a total pipeline budget.
+func newThrottle(total units.Bandwidth) *Throttle {
 	return &Throttle{total: total, tenants: make(map[string]*tenantBudget)}
 }
 
-// Total reports the pipeline budget being shared.
-func (th *Throttle) Total() units.Bandwidth { return th.total }
-
-// Register adds a tenant metered by the given stats with a fractional
+// register adds a tenant metered by the given stats with a fractional
 // share of the total budget.
-func (th *Throttle) Register(name string, stats *memdev.Stats, share float64) error {
+func (th *Throttle) register(name string, stats *memdev.Stats, share float64) error {
 	if stats == nil {
 		return fmt.Errorf("cluster: qos: %s: nil stats", name)
 	}
@@ -88,26 +85,11 @@ func (th *Throttle) SetShare(name string, share float64) error {
 	return nil
 }
 
-// Measured reports a tenant's achieved bandwidth since its epoch start.
-func (th *Throttle) Measured(name string) (units.Bandwidth, error) {
-	th.mu.Lock()
-	b, ok := th.tenants[name]
-	th.mu.Unlock()
-	if !ok {
-		return 0, fmt.Errorf("cluster: qos: no tenant %s", name)
-	}
-	elapsed := time.Since(b.start)
-	if elapsed <= 0 {
-		return 0, nil
-	}
-	return units.RateOf(units.Size(movedBytes(b.stats)-b.base), elapsed), nil
-}
-
-// Pace blocks the calling tenant until its achieved bandwidth is back
+// pace blocks the calling tenant until its achieved bandwidth is back
 // inside its share of the budget, returning how long it slept. Call it
 // before each transfer unit (e.g. each burst): a tenant within budget
 // proceeds immediately; one running ahead sleeps exactly the deficit.
-func (th *Throttle) Pace(name string) (time.Duration, error) {
+func (th *Throttle) pace(name string) (time.Duration, error) {
 	th.mu.Lock()
 	b, ok := th.tenants[name]
 	if !ok {

@@ -22,8 +22,8 @@ import (
 // per fabric pool (scrubbed directly on the appliance media) and one
 // per tenant window (scrubbed through the tenant's root port, so patrol
 // exercises link, switch and DCD mapping — and retry storms land on the
-// right tenant). Call Plane.Start for background patrol or drive
-// ScrubStep/Evaluate from tests.
+// right tenant). Callers step patrol with ScrubPass and run the
+// threshold policy with Evaluate.
 func (e *Elastic) EnableRAS(th ras.Thresholds, cfg ras.ScrubConfig) (*ras.Plane, error) {
 	p := ras.NewPlane(th, cfg)
 	for _, name := range e.Fabric.Pools() {
@@ -118,25 +118,4 @@ func (e *Elastic) EvacuatePool(p *ras.Plane, name string) (moved int, err error)
 		}
 	}
 	return moved, err
-}
-
-// DegradedPools returns the pool devices the plane currently reports
-// as not Healthy. Pools the plane was never told about (a spare added
-// after EnableRAS, say) are skipped — Health would call any unknown
-// name Offline.
-func (e *Elastic) DegradedPools(p *ras.Plane) []string {
-	known := make(map[string]bool)
-	for _, name := range p.Devices() {
-		known[name] = true
-	}
-	var out []string
-	for _, name := range e.Fabric.Pools() {
-		if !known["pool:"+name] {
-			continue
-		}
-		if h := p.Health("pool:" + name); h.State != ras.Healthy {
-			out = append(out, name)
-		}
-	}
-	return out
 }

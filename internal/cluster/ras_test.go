@@ -27,6 +27,23 @@ func injectTenantPoison(t *testing.T, e *Elastic, host int, lines int) uint64 {
 	return exts[0].DPA
 }
 
+// degraded evaluates every registered device and returns the ones the
+// threshold policy left Degraded.
+func degraded(t *testing.T, p *ras.Plane) []string {
+	t.Helper()
+	var out []string
+	for _, name := range p.Devices() {
+		st, err := p.Evaluate(name)
+		if err != nil {
+			t.Fatalf("evaluate %s: %v", name, err)
+		}
+		if st == ras.Degraded {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
 // TestEnableRASPatrolDegradesPoisonedTenant wires the plane over a live
 // elastic pool and proves the division of labour the registration
 // encodes: tenant windows are scrubbed through their root ports, latent
@@ -47,7 +64,7 @@ func TestEnableRASPatrolDegradesPoisonedTenant(t *testing.T) {
 			t.Fatalf("baseline scrub %s: %v", name, err)
 		}
 	}
-	if bad := p.EvaluateAll(); len(bad) != 0 {
+	if bad := degraded(t, p); len(bad) != 0 {
 		t.Fatalf("healthy pool evaluated to %v", bad)
 	}
 
@@ -55,7 +72,7 @@ func TestEnableRASPatrolDegradesPoisonedTenant(t *testing.T) {
 	if _, err := p.ScrubPass("tenant:host0"); err != nil {
 		t.Fatal(err)
 	}
-	bad := p.EvaluateAll()
+	bad := degraded(t, p)
 	if len(bad) != 1 || bad[0] != "tenant:host0" {
 		t.Fatalf("degraded set = %v, want [tenant:host0]", bad)
 	}
@@ -68,12 +85,6 @@ func TestEnableRASPatrolDegradesPoisonedTenant(t *testing.T) {
 	}
 	if st := p.Health("pool:appliance").State; st != ras.Healthy {
 		t.Errorf("appliance state = %v", st)
-	}
-
-	// Unregister drops the device from patrol and the listing.
-	p.Unregister("tenant:host1")
-	if devs := p.Devices(); len(devs) != 2 {
-		t.Errorf("devices after unregister = %v", devs)
 	}
 }
 
@@ -125,9 +136,6 @@ func TestEvacuatePoolWithPlane(t *testing.T) {
 	}
 	if st := p.Health("pool:" + primary).State; st != ras.Offline {
 		t.Errorf("pool state after evacuation = %v, want offline", st)
-	}
-	if got := e.DegradedPools(p); len(got) != 1 || got[0] != primary {
-		t.Errorf("DegradedPools = %v, want [%s]", got, primary)
 	}
 
 	out := make([]byte, len(in))

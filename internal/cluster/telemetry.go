@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 
-	"cxlpmem/internal/coherency"
 	"cxlpmem/internal/cxl"
 	"cxlpmem/internal/ras"
 	"cxlpmem/internal/telemetry"
@@ -46,13 +45,4 @@ func (e *Elastic) AttachFlightRecorders(p *ras.Plane) error {
 		}
 	}
 	return nil
-}
-
-// RegisterCoherencyMetrics exposes a coherent segment's directory and
-// per-host cache counters through the registry.
-func (c *Cluster) RegisterCoherencyMetrics(reg *telemetry.Registry, cs *CoherentSegment) {
-	coherency.RegisterDirectoryMetrics(reg, "hdm", cs.Directory)
-	for i, cache := range cs.Caches {
-		coherency.RegisterCacheMetrics(reg, fmt.Sprintf("host%d", i), cache)
-	}
 }

@@ -155,8 +155,8 @@ func NewCoherentCache(id int, dir *Directory, acc Accessor, seg Segment, capLine
 	if acc == nil {
 		return nil, fmt.Errorf("coherency: nil accessor")
 	}
-	if id < 0 || id >= dir.Hosts() {
-		return nil, fmt.Errorf("coherency: host id %d outside directory's 0..%d", id, dir.Hosts()-1)
+	if id < 0 || id >= len(dir.vppbs) {
+		return nil, fmt.Errorf("coherency: host id %d outside directory's 0..%d", id, len(dir.vppbs)-1)
 	}
 	if capLines < 1 {
 		return nil, fmt.Errorf("coherency: cache capacity %d lines, want >= 1", capLines)
@@ -178,9 +178,6 @@ func NewCoherentCache(id int, dir *Directory, acc Accessor, seg Segment, capLine
 	c.cond = sync.NewCond(&c.mu)
 	return c, nil
 }
-
-// ID returns the host index.
-func (c *CoherentCache) ID() int { return c.id }
 
 // grantSettled implements grantSink: the directory calls it inside its
 // settle critical section, atomically with this host becoming a
@@ -383,7 +380,7 @@ func (c *CoherentCache) fill(line uint64, excl, acquire bool) (*lineFrame, error
 			// We hold a grant for a line we could not fill: hand it
 			// back, or the directory would wait forever for our release
 			// the next time the line is snooped.
-			_ = c.dir.Release(c.id, line)
+			_ = c.dir.release(c.id, line)
 		}
 		return nil, err
 	}
@@ -409,13 +406,13 @@ func (c *CoherentCache) evictAndFill(fr *lineFrame, line, victim uint64, vstate 
 			// The victim's bytes are lost to this error; release anyway
 			// so the directory does not wait forever for a write-back
 			// that will never land. The caller sees the error.
-			_ = c.dir.Release(c.id, victim)
+			_ = c.dir.release(c.id, victim)
 			return granted, werr
 		}
 		c.stats.Writebacks.Add(1)
 	}
 	if vstate != csInvalid {
-		if rerr := c.dir.Release(c.id, victim); rerr != nil {
+		if rerr := c.dir.release(c.id, victim); rerr != nil {
 			return granted, rerr
 		}
 	}

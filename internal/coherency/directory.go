@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cxlpmem/internal/cxl"
 )
@@ -48,14 +47,6 @@ type DirStats struct {
 	MissWaits atomic.Int64
 	// Releases counts voluntary releases (evictions).
 	Releases atomic.Int64
-	// SnoopTimeouts counts RspMiss waits that exceeded the snoop
-	// deadline: the evicting host never released (dead or wedged).
-	SnoopTimeouts atomic.Int64
-	// ForcedInvalidations counts holders removed from the record
-	// without a clean handshake — a dead sharer force-invalidated after
-	// a snoop timeout or an unreachable snooper. The host's cached (and
-	// possibly dirty) copy is sacrificed to keep the directory live.
-	ForcedInvalidations atomic.Int64
 }
 
 // dirLine is one line's directory entry: a sharer bitmask plus the
@@ -94,25 +85,6 @@ type Directory struct {
 	// snoopDelay, when set, runs before every snoop is issued — test
 	// hook for widening the race windows linearizability tests probe.
 	snoopDelay atomic.Pointer[func()]
-	// snoopTimeoutNs bounds the RspMiss release wait; forceInv enables
-	// force-invalidating unreachable holders. See SetRecovery.
-	snoopTimeoutNs atomic.Int64
-	forceInv       atomic.Bool
-}
-
-// SetRecovery configures the directory's dead-holder policy. timeout
-// (when > 0) bounds how long a snoop waits for a RspMiss holder's
-// release before force-removing it from the record; forceInvalidate
-// additionally converts unreachable-snooper fabric errors (a mangled or
-// lost BISnp, a detached host) into forced invalidations instead of
-// failed grants. Both default off: an unconfigured directory waits
-// forever and surfaces fabric errors, exactly as before. Forcing a
-// holder out sacrifices that host's cached — possibly dirty — copy;
-// the directory stays live and every other host keeps coherent
-// semantics, which is the availability trade a dead sharer forces.
-func (d *Directory) SetRecovery(timeout time.Duration, forceInvalidate bool) {
-	d.snoopTimeoutNs.Store(int64(timeout))
-	d.forceInv.Store(forceInvalidate)
 }
 
 // NewDirectory builds the directory for a segment shared by the hosts
@@ -140,9 +112,6 @@ func NewDirectory(seg Segment, fabric SnoopPort, vppbs []string) (*Directory, er
 	d.cond = sync.NewCond(&d.mu)
 	return d, nil
 }
-
-// Hosts returns the number of hosts attached to the directory.
-func (d *Directory) Hosts() int { return len(d.vppbs) }
 
 // Lines returns the number of 64-byte lines the directory tracks.
 func (d *Directory) Lines() uint64 { return uint64(len(d.lines)) }
@@ -218,7 +187,7 @@ func (d *Directory) settleLine(line uint64, sink grantSink, mutate func(*dirLine
 //     writing any dirty copy back first;
 //   - RspMiss: a victim eviction is in flight — the host removed the
 //     line from its cache, is writing dirty data back through its own
-//     port, and will call Release when the media is current. snoop
+//     port, and will call release when the media is current. snoop
 //     waits for that release before returning (the grant must not
 //     read stale media), so a RspMiss return also means "host no
 //     longer holds the line";
@@ -236,14 +205,6 @@ func (d *Directory) snoop(host int, line uint64, op cxl.BISnpOpcode) (cxl.BIRsp,
 		Tag:    uint16(d.tag.Add(1)),
 	})
 	if err != nil {
-		if d.forceInv.Load() {
-			// The snooper is unreachable (lost/mangled BI flit, detached
-			// host): treat the holder as surrendered so the grant can
-			// proceed. Its cached copy — dirty data included — is lost;
-			// the alternative is a directory wedged on a dead host.
-			d.stats.ForcedInvalidations.Add(1)
-			return cxl.BIRsp{Opcode: cxl.RspIHit}, nil
-		}
 		return rsp, err
 	}
 	if rsp.Dirty {
@@ -264,38 +225,11 @@ func (d *Directory) snoop(host int, line uint64, op cxl.BISnpOpcode) (cxl.BIRsp,
 }
 
 // waitRelease blocks until host is no longer a recorded holder of line
-// (the RspMiss contract: a victim eviction's Release is coming). With a
-// snoop timeout configured, a holder that never releases is forced off
-// the record instead of wedging the directory — the dead-sharer
-// recovery the chaos plane exercises.
+// (the RspMiss contract: a victim eviction's release is coming).
 func (d *Directory) waitRelease(host int, line uint64) {
-	to := time.Duration(d.snoopTimeoutNs.Load())
-	var deadline time.Time
-	if to > 0 {
-		deadline = time.Now().Add(to)
-	}
 	d.mu.Lock()
 	for d.holdsLocked(host, line) {
-		if to <= 0 {
-			d.cond.Wait()
-			continue
-		}
-		if time.Now().After(deadline) {
-			l := &d.lines[line]
-			if int(l.owner) == host {
-				l.owner = -1
-			}
-			l.sharers &^= 1 << uint(host)
-			d.stats.SnoopTimeouts.Add(1)
-			d.stats.ForcedInvalidations.Add(1)
-			d.cond.Broadcast()
-			break
-		}
-		// sync.Cond has no timed wait: poll with a short sleep so the
-		// deadline is honoured even if the release never broadcasts.
-		d.mu.Unlock()
-		time.Sleep(20 * time.Microsecond)
-		d.mu.Lock()
+		d.cond.Wait()
 	}
 	d.mu.Unlock()
 }
@@ -307,14 +241,10 @@ func (d *Directory) holdsLocked(host int, line uint64) bool {
 	return int(l.owner) == host || l.sharers&(1<<uint(host)) != 0
 }
 
-// AcquireShared grants host a Shared copy of the line, recalling any
+// acquireShared grants host a Shared copy of the line, recalling any
 // remote exclusive owner first (SnpData: write back if dirty, keep a
 // Shared copy). On return the media holds the current data and the host
 // may cache the line Shared.
-func (d *Directory) AcquireShared(host int, line uint64) error {
-	return d.acquireShared(host, line, nil)
-}
-
 func (d *Directory) acquireShared(host int, line uint64, sink grantSink) error {
 	if err := d.checkReq(host, line); err != nil {
 		return err
@@ -355,7 +285,7 @@ func (d *Directory) acquireShared(host int, line uint64, sink grantSink) error {
 	return nil
 }
 
-// AcquireExclusive grants host exclusive ownership of the line,
+// acquireExclusive grants host exclusive ownership of the line,
 // invalidating every remote copy first (SnpInv: write back if dirty,
 // drop the line). On return the media holds the current data, no other
 // host caches the line, and the host may cache it Exclusive/Modified.
@@ -365,10 +295,6 @@ func (d *Directory) acquireShared(host int, line uint64, sink grantSink) error {
 // happen: hosts that already surrendered their copies must come off
 // the record, or the next acquire on the line would snoop a host that
 // holds nothing and wait forever for a release that cannot come.
-func (d *Directory) AcquireExclusive(host int, line uint64) error {
-	return d.acquireExclusive(host, line, nil)
-}
-
 func (d *Directory) acquireExclusive(host int, line uint64, sink grantSink) error {
 	if err := d.checkReq(host, line); err != nil {
 		return err
@@ -412,91 +338,13 @@ func (d *Directory) acquireExclusive(host int, line uint64, sink grantSink) erro
 	return nil
 }
 
-// SweepRange recalls every cached copy of the lines in [lo, hi) —
-// SnpInv to the exclusive owner or every sharer, flushing dirty data to
-// the media — and settles the entries invalid. It is the re-homing hook
-// the RAS plane drives before migrating a shared segment off a degraded
-// device: after a sweep the media holds the only current copy, so the
-// bytes can move and hosts re-fault their lines through the directory at
-// the new home. Sweeping contends with concurrent acquires line by line
-// (the in-flight table serialises them), so foreground coherent traffic
-// keeps flowing during the walk.
-//
-// Returns the number of lines that had cached copies recalled. A failing
-// snoop aborts the walk at that line but, like AcquireExclusive, commits
-// the invalidations that did happen.
-func (d *Directory) SweepRange(lo, hi uint64) (recalled int, err error) {
-	if hi > uint64(len(d.lines)) {
-		hi = uint64(len(d.lines))
-	}
-	for line := lo; line < hi; line++ {
-		hit, err := d.sweepLine(line)
-		if hit {
-			recalled++
-		}
-		if err != nil {
-			return recalled, err
-		}
-	}
-	return recalled, nil
-}
-
-// SweepAll recalls every cached line of the segment.
-func (d *Directory) SweepAll() (recalled int, err error) {
-	return d.SweepRange(0, uint64(len(d.lines)))
-}
-
-// sweepLine invalidates all holders of one line and settles it invalid.
-func (d *Directory) sweepLine(line uint64) (recalled bool, err error) {
-	st := d.claimLine(line)
-	if st.owner < 0 && st.sharers == 0 {
-		d.settleLine(line, nil, func(*dirLine) {})
-		return false, nil
-	}
-	var surrendered [MaxCoherentHosts]bool
-	abort := func(err error) error {
-		d.settleLine(line, nil, func(l *dirLine) {
-			for h := 0; h < len(d.vppbs); h++ {
-				if !surrendered[h] {
-					continue
-				}
-				if int(l.owner) == h {
-					l.owner = -1
-				}
-				l.sharers &^= 1 << uint(h)
-			}
-		})
-		return err
-	}
-	if st.owner >= 0 {
-		if _, err := d.snoop(int(st.owner), line, cxl.SnpInv); err != nil {
-			return true, abort(err)
-		}
-		surrendered[st.owner] = true
-	}
-	for h := 0; h < len(d.vppbs); h++ {
-		if st.sharers&(1<<uint(h)) == 0 {
-			continue
-		}
-		if _, err := d.snoop(h, line, cxl.SnpInv); err != nil {
-			return true, abort(err)
-		}
-		surrendered[h] = true
-	}
-	d.settleLine(line, nil, func(l *dirLine) {
-		l.owner = -1
-		l.sharers = 0
-	})
-	return true, nil
-}
-
-// Release drops host from the line's holder set — called by the host
+// release drops host from the line's holder set — called by the host
 // after a victim eviction, AFTER any dirty data reached the media
-// through the host's own port. Release never waits on the in-flight
+// through the host's own port. release never waits on the in-flight
 // table: an acquire that snooped the evicting host and got RspMiss is
 // blocked waiting for exactly this state change (deadlock-avoidance
 // ordering: acquires wait on releases, never the reverse).
-func (d *Directory) Release(host int, line uint64) error {
+func (d *Directory) release(host int, line uint64) error {
 	if err := d.checkReq(host, line); err != nil {
 		return err
 	}

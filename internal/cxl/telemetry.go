@@ -207,24 +207,6 @@ func (rp *RootPort) FlightRecorder() *telemetry.FlightRecorder {
 	return nil
 }
 
-// RegisterDeviceMetrics exposes a Type-3 endpoint's transaction
-// counters through the registry.
-func RegisterDeviceMetrics(reg *telemetry.Registry, d *Type3Device) {
-	labels := telemetry.Labels("dev", d.Name())
-	st := d.Stats()
-	reg.RegisterCollector(func(e *telemetry.Emitter) {
-		e.Counter("cxl_dev_reads_total", labels, st.Reads.Load())
-		e.Counter("cxl_dev_writes_total", labels, st.Writes.Load())
-		e.Counter("cxl_dev_partial_writes_total", labels, st.PartialWrites.Load())
-		e.Counter("cxl_dev_invalidates_total", labels, st.Invalidates.Load())
-		e.Counter("cxl_dev_errors_total", labels, st.Errors.Load())
-		e.Counter("cxl_dev_read_bursts_total", labels, st.ReadBursts.Load())
-		e.Counter("cxl_dev_write_bursts_total", labels, st.WriteBursts.Load())
-		e.Counter("cxl_dev_burst_lines_total", labels, st.BurstLines.Load())
-		e.Counter("cxl_dev_line_fallbacks_total", labels, st.LineFallbacks.Load())
-	})
-}
-
 // RecordSnoops wires a switch's back-invalidate channel into a flight
 // recorder: every BISnp/BIRsp flit crossing the switch is captured
 // unconditionally (snoops are rare and diagnostic gold, so they are

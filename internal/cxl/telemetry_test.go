@@ -191,27 +191,6 @@ func TestPortTelemetryBurst(t *testing.T) {
 	}
 }
 
-// TestDeviceMetrics checks the Type-3 counter collector.
-func TestDeviceMetrics(t *testing.T) {
-	rp, dev := burstPort(t, 1<<24)
-	reg := telemetry.NewRegistry()
-	RegisterDeviceMetrics(reg, dev)
-	var line [LineSize]byte
-	if err := rp.WriteLine(0, &line); err != nil {
-		t.Fatal(err)
-	}
-	if err := rp.ReadLine(0, &line); err != nil {
-		t.Fatal(err)
-	}
-	labels := telemetry.Labels("dev", dev.Name())
-	if got := gatherValue(t, reg, "cxl_dev_reads_total", labels); got < 1 {
-		t.Errorf("dev reads = %v, want >= 1", got)
-	}
-	if got := gatherValue(t, reg, "cxl_dev_writes_total", labels); got < 1 {
-		t.Errorf("dev writes = %v, want >= 1", got)
-	}
-}
-
 // TestSwitchSnoopTrace checks the always-on BISnp/BIRsp capture.
 func TestSwitchSnoopTrace(t *testing.T) {
 	sw := NewSwitch("sw0")

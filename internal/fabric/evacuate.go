@@ -79,7 +79,7 @@ func (m *Manager) EvacuatePool(name string) (moved int, err error) {
 // list mid-flight) and whose media kind the tenant's mask allows.
 func (m *Manager) allocExactLocked(size uint64, mask MemTypes) (cxl.Extent, *pool, bool) {
 	for _, p := range m.pools {
-		if !p.healthy || !mask.Allows(p.mld.Media().Profile().Kind) {
+		if !p.healthy || !mask.allows(p.mld.Media().Profile().Kind) {
 			continue
 		}
 		ext, ok := p.mld.AllocExtentAny(units.Size(size))

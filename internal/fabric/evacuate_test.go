@@ -93,7 +93,7 @@ func TestEvacuatePoolMovesExtentsUnderTraffic(t *testing.T) {
 	}()
 	<-started
 
-	moved, err := m.EvacuatePool(m.MLD().Name())
+	moved, err := m.EvacuatePool(m.mld.Name())
 	if err != nil {
 		t.Fatalf("EvacuatePool: %v (moved %d)", err, moved)
 	}
@@ -117,10 +117,10 @@ func TestEvacuatePoolMovesExtentsUnderTraffic(t *testing.T) {
 			t.Fatalf("extent %v still on pool %s", e, e.Pool)
 		}
 	}
-	if free := m.MLD().Remaining(); free != m.MLD().Media().Capacity() {
-		t.Fatalf("source pool has %v free of %v after evacuation", free, m.MLD().Media().Capacity())
+	if free := m.mld.Remaining(); free != m.mld.Media().Capacity() {
+		t.Fatalf("source pool has %v free of %v after evacuation", free, m.mld.Media().Capacity())
 	}
-	if m.PoolHealthy(m.MLD().Name()) {
+	if m.poolHealthy(m.mld.Name()) {
 		t.Fatal("evacuated pool still marked healthy")
 	}
 
@@ -165,7 +165,7 @@ func TestEvacuateWithoutSpareFailsCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	accept(t, tn)
-	if _, err := m.EvacuatePool(m.MLD().Name()); err == nil {
+	if _, err := m.EvacuatePool(m.mld.Name()); err == nil {
 		t.Fatal("evacuation with no healthy pool succeeded")
 	}
 	// The data survives the failed attempt and the tenant still works.
@@ -181,7 +181,7 @@ func TestEvacuateWithoutSpareFailsCleanly(t *testing.T) {
 	}
 	// Recovery: add a spare and finish the drain.
 	sparePool(t, m, "late-spare", 16*units.MiB)
-	if _, err := m.EvacuatePool(m.MLD().Name()); err != nil {
+	if _, err := m.EvacuatePool(m.mld.Name()); err != nil {
 		t.Fatalf("evacuation after adding spare: %v", err)
 	}
 	exts, err := m.Extents("lonely")
@@ -261,7 +261,7 @@ func TestEvacuateMixedExtentStates(t *testing.T) {
 	}
 
 	sparePool(t, m, "spare", 16*units.MiB)
-	moved, err := m.EvacuatePool(m.MLD().Name())
+	moved, err := m.EvacuatePool(m.mld.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +439,7 @@ func TestEvacuateSkipsTooShortSpare(t *testing.T) {
 	small := sparePool(t, m, "small", 128*units.KiB)
 	sparePool(t, m, "big", 4*units.MiB)
 
-	if moved, err := m.EvacuatePool(m.MLD().Name()); err != nil || moved != 1 {
+	if moved, err := m.EvacuatePool(m.mld.Name()); err != nil || moved != 1 {
 		t.Fatalf("EvacuatePool = %d, %v; want 1 moved", moved, err)
 	}
 	if exts, _ := m.Extents("host"); exts[0].Pool != "big" {

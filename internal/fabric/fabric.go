@@ -190,7 +190,6 @@ type Tenant struct {
 	quota uint64
 	mgr   *Manager
 	dev   *tenantMedia
-	ep    *cxl.Type3Device
 	mbox  *cxl.Mailbox
 	dsp   string
 
@@ -200,9 +199,8 @@ type Tenant struct {
 	memTypes MemTypes // memory-technology request mask for new grants
 
 	// Event queue, own lock (never held while calling out).
-	evMu   sync.Mutex
-	queue  []Event
-	notify chan struct{}
+	evMu  sync.Mutex
+	queue []Event
 }
 
 // New builds a fabric manager over an existing switch and MLD. The
@@ -269,8 +267,8 @@ func (m *Manager) PoolMedia(name string) (memdev.Device, bool) {
 	return p.mld.Media(), true
 }
 
-// PoolHealthy reports whether the named pool accepts grants.
-func (m *Manager) PoolHealthy(name string) bool {
+// poolHealthy reports whether the named pool accepts grants.
+func (m *Manager) poolHealthy(name string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	p := m.poolLocked(name)
@@ -285,12 +283,6 @@ func (m *Manager) poolLocked(name string) *pool {
 	}
 	return nil
 }
-
-// Switch returns the managed switch.
-func (m *Manager) Switch() *cxl.Switch { return m.sw }
-
-// MLD returns the managed pool device.
-func (m *Manager) MLD() *cxl.MLD { return m.mld }
 
 // Granule reports the extent allocation unit.
 func (m *Manager) Granule() units.Size { return units.Size(m.granule) }
@@ -317,7 +309,7 @@ func (m *Manager) remainingLocked() units.Size {
 // every pool).
 func (m *Manager) allocAnyLocked(size units.Size, mask MemTypes) (cxl.Extent, *pool, bool) {
 	for _, p := range m.pools {
-		if !p.healthy || !mask.Allows(p.mld.Media().Profile().Kind) {
+		if !p.healthy || !mask.allows(p.mld.Media().Profile().Kind) {
 			continue
 		}
 		if ext, ok := p.mld.AllocExtentAny(size); ok {
@@ -361,12 +353,10 @@ func (m *Manager) AddTenant(name string, quota units.Size) (*Tenant, error) {
 		quota:   uint64(quota),
 		mgr:     m,
 		dev:     dev,
-		ep:      ep,
 		mbox:    mbox,
 		dsp:     "dsp-" + name,
 		space:   space,
 		extents: make(map[uint64]*ExtentInfo),
-		notify:  make(chan struct{}, 1),
 	}
 	mbox.SetDCD(&tenantDCD{t})
 	// RAS hooks: revoked extents answer with poison, composed with the
@@ -390,16 +380,16 @@ func (m *Manager) AddTenant(name string, quota units.Size) (*Tenant, error) {
 	return t, nil
 }
 
-// Tenant looks up a registered tenant.
-func (m *Manager) Tenant(name string) (*Tenant, bool) {
+// tenant looks up a registered tenant.
+func (m *Manager) tenant(name string) (*Tenant, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	t, ok := m.tenants[name]
 	return t, ok
 }
 
-// Tenants lists tenant names in registration order.
-func (m *Manager) Tenants() []string {
+// tenantNames lists tenant names in registration order.
+func (m *Manager) tenantNames() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]string, len(m.order))
@@ -721,7 +711,7 @@ func (m *Manager) Describe() string {
 	s := fmt.Sprintf("fabric manager: switch %s, pool %s (%v free of %v), granule %v, %d tenant(s)\n",
 		m.sw.Name(), m.mld.Name(), m.mld.Remaining(), m.mld.Media().Capacity(), m.Granule(), len(names))
 	for _, name := range names {
-		t, ok := m.Tenant(name)
+		t, ok := m.tenant(name)
 		if !ok {
 			continue
 		}
@@ -768,12 +758,6 @@ func (b *tenantDCD) ReleaseCapacity(ext cxl.DCDExtent) error {
 // Name returns the tenant name (also its vPPB on the switch).
 func (t *Tenant) Name() string { return t.name }
 
-// Quota returns the tenant's address-space size.
-func (t *Tenant) Quota() units.Size { return units.Size(t.quota) }
-
-// Endpoint returns the tenant's DCD endpoint (what the switch binds).
-func (t *Tenant) Endpoint() *cxl.Type3Device { return t.ep }
-
 // Mailbox returns the tenant device's command mailbox — the host-side
 // handle for accepting and releasing capacity.
 func (t *Tenant) Mailbox() *cxl.Mailbox { return t.mbox }
@@ -796,27 +780,11 @@ func (t *Tenant) Active() units.Size {
 	return units.Size(n)
 }
 
-// Extents snapshots the tenant's extents, sorted by grant tag — the
-// placement view fabricctl renders.
-func (t *Tenant) Extents() []ExtentInfo {
-	t.mgr.mu.Lock()
-	defer t.mgr.mu.Unlock()
-	out := make([]ExtentInfo, 0, len(t.extents))
-	for _, e := range sortedLocked(t) {
-		out = append(out, e)
-	}
-	return out
-}
-
-// push queues an event and pokes the notifier.
+// push queues an event.
 func (t *Tenant) push(ev Event) {
 	t.evMu.Lock()
 	t.queue = append(t.queue, ev)
 	t.evMu.Unlock()
-	select {
-	case t.notify <- struct{}{}:
-	default:
-	}
 }
 
 // Events drains the tenant's pending capacity events.
@@ -848,7 +816,3 @@ func (t *Tenant) TakeEvents(match func(Event) bool) []Event {
 	t.queue = rest
 	return taken
 }
-
-// Notify returns a channel that receives a token whenever events are
-// queued; drain with Events.
-func (t *Tenant) Notify() <-chan struct{} { return t.notify }

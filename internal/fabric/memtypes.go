@@ -76,8 +76,8 @@ func kindMemType(k memdev.Kind) MemTypes {
 	}
 }
 
-// Allows reports whether media of kind k satisfies the mask.
-func (m MemTypes) Allows(k memdev.Kind) bool {
+// allows reports whether media of kind k satisfies the mask.
+func (m MemTypes) allows(k memdev.Kind) bool {
 	return m == MemAny || m&kindMemType(k) != 0
 }
 

@@ -37,11 +37,11 @@ func TestParseMemTypes(t *testing.T) {
 }
 
 func TestMemTypesAllows(t *testing.T) {
-	if !MemAny.Allows(memdev.KindDCPMM) || !MemAny.Allows(memdev.KindDRAM) {
+	if !MemAny.allows(memdev.KindDCPMM) || !MemAny.allows(memdev.KindDRAM) {
 		t.Error("zero mask must allow everything")
 	}
 	m := MemDRAM | MemCXL
-	if !m.Allows(memdev.KindDRAM) || !m.Allows(memdev.KindCXLHDM) || m.Allows(memdev.KindDCPMM) {
+	if !m.allows(memdev.KindDRAM) || !m.allows(memdev.KindCXLHDM) || m.allows(memdev.KindDCPMM) {
 		t.Errorf("dram,cxl mask misclassifies kinds")
 	}
 }
@@ -145,7 +145,11 @@ func TestEvacuationHonoursMemTypeMask(t *testing.T) {
 	if _, err := m.EvacuatePool("pmem-a"); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range tn.Extents() {
+	exts, err := m.Extents(tn.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range exts {
 		if e.Pool != "pmem-b" {
 			t.Errorf("evacuated extent landed on %s, want pmem-b", e.Pool)
 		}

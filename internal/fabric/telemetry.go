@@ -20,18 +20,18 @@ func (m *Manager) RegisterMetrics(reg *telemetry.Registry) {
 		e.Gauge("fabric_pool_remaining_bytes", "", float64(m.Remaining()))
 		for _, name := range m.Pools() {
 			healthy := 0.0
-			if m.PoolHealthy(name) {
+			if m.poolHealthy(name) {
 				healthy = 1
 			}
 			e.Gauge("fabric_pool_healthy", telemetry.Labels("pool", name), healthy)
 		}
-		for _, name := range m.Tenants() {
-			t, ok := m.Tenant(name)
+		for _, name := range m.tenantNames() {
+			t, ok := m.tenant(name)
 			if !ok {
 				continue
 			}
 			labels := telemetry.Labels("tenant", name)
-			e.Gauge("fabric_tenant_quota_bytes", labels, float64(t.Quota()))
+			e.Gauge("fabric_tenant_quota_bytes", labels, float64(t.quota))
 			e.Gauge("fabric_tenant_active_bytes", labels, float64(t.Active()))
 			st := t.Device().Stats()
 			e.Counter("fabric_tenant_reads_total", labels, st.Reads.Load())

@@ -151,9 +151,6 @@ func (m *hdmMedia) Profile() memdev.Profile {
 	return p
 }
 
-// Options returns the effective configuration.
-func (p *Prototype) Options() Options { return p.opts }
-
 // Link returns the card's host connection (for topology wiring).
 func (p *Prototype) Link() *interconnect.Link { return p.link }
 
@@ -166,15 +163,6 @@ func (p *Prototype) TheoreticalLinkPeak() units.Bandwidth { return p.link.RawPea
 
 // EffectiveCap is the post-protocol payload bandwidth of the link.
 func (p *Prototype) EffectiveCap() units.Bandwidth { return p.link.EffectiveCap() }
-
-// BurstEfficiency is the payload fraction of wire traffic when the host
-// streams maximal CXL.mem bursts at the card: one header flit and one
-// completion amortised over MaxBurstLines all-data flits (§2.2's point
-// that the observed bandwidth ceiling "does not reflect an intrinsic
-// limitation of the CXL standard" — the framing allows ~94% payload).
-func (p *Prototype) BurstEfficiency() float64 {
-	return cxl.BurstProtocolEfficiency(cxl.MaxBurstLines)
-}
 
 func (p *Prototype) String() string {
 	return fmt.Sprintf("%s: Agilex7 CXL Type3, %dx%s DDR4-%d, %s link",

@@ -22,7 +22,7 @@ func paperCard(t *testing.T) *Prototype {
 
 func TestPaperConfiguration(t *testing.T) {
 	p := paperCard(t)
-	opts := p.Options()
+	opts := p.opts
 	if opts.Channels != 2 {
 		t.Errorf("channels = %d, want 2", opts.Channels)
 	}
@@ -253,8 +253,5 @@ func TestPrototypeServicesBursts(t *testing.T) {
 	}
 	if card.Stats().WriteBursts.Load() != 1 || card.Stats().ReadBursts.Load() != 1 {
 		t.Error("card did not service the bursts natively")
-	}
-	if e := card.BurstEfficiency(); e <= 0.9 {
-		t.Errorf("burst efficiency = %v, want > 0.9", e)
 	}
 }

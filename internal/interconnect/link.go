@@ -147,19 +147,6 @@ func (p Path) Latency() units.Latency {
 	return total
 }
 
-// MinCap returns the narrowest effective cap along the path, or 0 for an
-// empty path (no fabric constraint).
-func (p Path) MinCap() units.Bandwidth {
-	var minCap units.Bandwidth
-	for i, l := range p.Links {
-		c := l.EffectiveCap()
-		if i == 0 || c < minCap {
-			minCap = c
-		}
-	}
-	return minCap
-}
-
 // Contains reports whether the path traverses the given link.
 func (p Path) Contains(l *Link) bool {
 	for _, x := range p.Links {

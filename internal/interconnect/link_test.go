@@ -88,10 +88,6 @@ func TestPathAccumulation(t *testing.T) {
 	if got := p.Latency().Ns(); got != 230 {
 		t.Errorf("path latency = %v, want 230", got)
 	}
-	// Narrowest link governs: UPI's 17.5 < PCIe5's 48.
-	if got := p.MinCap().GBps(); got != 17.5 {
-		t.Errorf("path min cap = %v, want 17.5", got)
-	}
 	if !p.Contains(upi) || !p.Contains(pcie) {
 		t.Error("Contains false negative")
 	}
@@ -105,9 +101,6 @@ func TestEmptyPathIsLocal(t *testing.T) {
 	var p Path
 	if p.Latency() != 0 {
 		t.Error("empty path latency != 0")
-	}
-	if p.MinCap() != 0 {
-		t.Error("empty path cap != 0")
 	}
 	if p.String() != "local" {
 		t.Errorf("empty path string = %q", p.String())

@@ -53,9 +53,6 @@ func NewDCPMM(cfg DCPMMConfig) (*DCPMM, error) {
 	}, nil
 }
 
-// Config returns the construction parameters.
-func (d *DCPMM) Config() DCPMMConfig { return d.cfg }
-
 func (d *DCPMM) String() string {
 	return fmt.Sprintf("%s: %dx%s Optane DCPMM", d.name, d.cfg.Modules, d.cfg.Capacity)
 }

@@ -412,7 +412,7 @@ func TestStringers(t *testing.T) {
 	if got := p.String(); got != "opt: 2x128GiB Optane DCPMM" {
 		t.Errorf("DCPMM.String = %q", got)
 	}
-	if d.Config().Rate != 4800 || p.Config().Modules != 2 {
-		t.Error("Config accessors mismatch")
+	if d.cfg.Rate != 4800 || p.cfg.Modules != 2 {
+		t.Error("construction parameters not kept")
 	}
 }

@@ -76,9 +76,6 @@ func NewDRAM(cfg DRAMConfig) (*DRAM, error) {
 	}, nil
 }
 
-// Config returns the construction parameters.
-func (d *DRAM) Config() DRAMConfig { return d.cfg }
-
 // String describes the module set (e.g. "ddr5-socket0: 1x64GiB DDR-4800").
 func (d *DRAM) String() string {
 	return fmt.Sprintf("%s: %dx%s DDR-%d", d.name, d.cfg.Channels, d.cfg.CapacityPerChannel, d.cfg.Rate)

@@ -14,7 +14,7 @@ import (
 // (typically one 2 MiB migration granule each); every ReadAt/WriteAt
 // the device serves bumps the counter of each region it touches, so
 // hotness is observed at the media itself, no matter which path (line,
-// burst, ring submission, direct) delivered the access.
+// burst, direct) delivered the access.
 //
 // Counters are windowed into epochs: the current window accumulates
 // atomically on the access path, and AdvanceEpoch retires it — the
@@ -42,16 +42,10 @@ func newHeat(capacity units.Size, granule int64) *Heat {
 	}
 }
 
-// Granule reports the region size in bytes.
-func (h *Heat) Granule() int64 { return h.granule }
-
-// Regions reports the number of tracked regions.
-func (h *Heat) Regions() int { return len(h.cur) }
-
-// Touch records one access covering [off, off+n). Accesses confined to
+// touch records one access covering [off, off+n). Accesses confined to
 // one region — every CXL line and every burst below the granule — cost
 // a single atomic add.
-func (h *Heat) Touch(off int64, n int) {
+func (h *Heat) touch(off int64, n int) {
 	if off < 0 || n <= 0 {
 		return
 	}
@@ -81,13 +75,6 @@ func (h *Heat) AdvanceEpoch() uint64 {
 	return h.epochs
 }
 
-// Epochs reports how many windows have been retired.
-func (h *Heat) Epochs() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.epochs
-}
-
 // EpochCount returns the retired-window access count of the region
 // containing off (0 before the first AdvanceEpoch or out of range).
 func (h *Heat) EpochCount(off int64) uint64 {
@@ -98,16 +85,6 @@ func (h *Heat) EpochCount(off int64) uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.prev[i]
-}
-
-// Current returns the accumulating-window count of the region
-// containing off — a live peek, monotone within the epoch.
-func (h *Heat) Current(off int64) uint64 {
-	i := off / h.granule
-	if off < 0 || i >= int64(len(h.cur)) {
-		return 0
-	}
-	return h.cur[i].Load()
 }
 
 // EnableHeat attaches a windowed per-region heat map to the stats,
@@ -133,15 +110,12 @@ func (s *Stats) EnableHeat(capacity units.Size, granule int64) (*Heat, error) {
 	}
 }
 
-// Heat returns the attached heat map, or nil when disabled.
-func (s *Stats) Heat() *Heat { return s.heat.Load() }
-
 // TouchHeat records an access against the heat map, if one is
 // attached. Device implementations call this next to the Reads/Writes
 // counters on their access paths; when heat is disabled it is one
 // atomic pointer load.
 func (s *Stats) TouchHeat(off int64, n int) {
 	if h := s.heat.Load(); h != nil {
-		h.Touch(off, n)
+		h.touch(off, n)
 	}
 }

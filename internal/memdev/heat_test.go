@@ -13,14 +13,14 @@ func TestHeatWindowedEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Regions() != 4 || h.Granule() != 2*units.MiB.Bytes() {
-		t.Fatalf("regions=%d granule=%d", h.Regions(), h.Granule())
+	if len(h.cur) != 4 || h.granule != 2*units.MiB.Bytes() {
+		t.Fatalf("regions=%d granule=%d", len(h.cur), h.granule)
 	}
 	// Touches accumulate in the current window, not the epoch snapshot.
-	h.Touch(0, 64)
-	h.Touch(64, 64)
-	h.Touch(2*units.MiB.Bytes(), 64)
-	if got := h.Current(0); got != 2 {
+	h.touch(0, 64)
+	h.touch(64, 64)
+	h.touch(2*units.MiB.Bytes(), 64)
+	if got := h.cur[0].Load(); got != 2 {
 		t.Errorf("current[0] = %d, want 2", got)
 	}
 	if got := h.EpochCount(0); got != 0 {
@@ -35,7 +35,7 @@ func TestHeatWindowedEpochs(t *testing.T) {
 	if got := h.EpochCount(2 * units.MiB.Bytes()); got != 1 {
 		t.Errorf("retired count[1] = %d, want 1", got)
 	}
-	if got := h.Current(0); got != 0 {
+	if got := h.cur[0].Load(); got != 0 {
 		t.Errorf("current window not reset: %d", got)
 	}
 	// A quiet epoch retires to zero.
@@ -43,8 +43,8 @@ func TestHeatWindowedEpochs(t *testing.T) {
 	if got := h.EpochCount(0); got != 0 {
 		t.Errorf("count after quiet epoch = %d, want 0", got)
 	}
-	if h.Epochs() != 2 {
-		t.Errorf("epochs = %d", h.Epochs())
+	if h.epochs != 2 {
+		t.Errorf("epochs = %d", h.epochs)
 	}
 }
 
@@ -55,22 +55,22 @@ func TestHeatSpanningTouch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A transfer crossing a region boundary counts in both regions.
-	h.Touch(2*units.MiB.Bytes()-32, 64)
+	h.touch(2*units.MiB.Bytes()-32, 64)
 	h.AdvanceEpoch()
 	if a, b := h.EpochCount(0), h.EpochCount(2*units.MiB.Bytes()); a != 1 || b != 1 {
 		t.Errorf("boundary touch counted %d/%d, want 1/1", a, b)
 	}
 	// Out-of-range touches are dropped, not panics.
-	h.Touch(-1, 64)
-	h.Touch(1<<40, 64)
-	if h.EpochCount(-1) != 0 || h.Current(1<<40) != 0 {
+	h.touch(-1, 64)
+	h.touch(1<<40, 64)
+	if h.EpochCount(-1) != 0 || h.EpochCount(1<<40) != 0 {
 		t.Error("out-of-range reads not zero")
 	}
 }
 
 func TestEnableHeatIdempotent(t *testing.T) {
 	var s Stats
-	if s.Heat() != nil {
+	if s.heat.Load() != nil {
 		t.Fatal("heat enabled before EnableHeat")
 	}
 	s.TouchHeat(0, 64) // no-op while disabled
@@ -136,7 +136,7 @@ func TestHeatConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				h.Touch(0, 64)
+				h.touch(0, 64)
 			}
 		}()
 	}
@@ -149,7 +149,7 @@ func TestHeatConcurrent(t *testing.T) {
 			default:
 				h.AdvanceEpoch()
 				h.EpochCount(0)
-				h.Current(0)
+				h.cur[0].Load()
 			}
 		}
 	}()

@@ -129,8 +129,8 @@ func NewPreferred(node topology.NodeID) *Policy {
 	return &Policy{Kind: Preferred, Nodes: []topology.NodeID{node}}
 }
 
-// Validate checks the policy against a machine.
-func (p *Policy) Validate(m *topology.Machine) error {
+// validate checks the policy against a machine.
+func (p *Policy) validate(m *topology.Machine) error {
 	if len(p.Nodes) == 0 {
 		return fmt.Errorf("numa: %s policy with no nodes", p.Kind)
 	}
@@ -150,7 +150,7 @@ func (p *Policy) Validate(m *topology.Machine) error {
 // the allocation; Membind fails when none of its nodes can, Preferred
 // falls back across the whole machine.
 func (p *Policy) Pick(m *topology.Machine, sizeAvailable func(*topology.Node) bool) (*topology.Node, error) {
-	if err := p.Validate(m); err != nil {
+	if err := p.validate(m); err != nil {
 		return nil, err
 	}
 	switch p.Kind {

@@ -186,13 +186,13 @@ func TestPreferredFallsBack(t *testing.T) {
 
 func TestPolicyValidation(t *testing.T) {
 	m := machine(t)
-	if err := (&Policy{Kind: Membind}).Validate(m); err == nil {
+	if err := (&Policy{Kind: Membind}).validate(m); err == nil {
 		t.Error("empty node list accepted")
 	}
-	if err := NewMembind(7).Validate(m); err == nil {
+	if err := NewMembind(7).validate(m); err == nil {
 		t.Error("missing node accepted")
 	}
-	if err := (&Policy{Kind: Preferred, Nodes: []topology.NodeID{0, 1}}).Validate(m); err == nil {
+	if err := (&Policy{Kind: Preferred, Nodes: []topology.NodeID{0, 1}}).validate(m); err == nil {
 		t.Error("multi-node preferred accepted")
 	}
 	if _, err := (&Policy{Kind: PolicyKind(9), Nodes: []topology.NodeID{0}}).Pick(m, nil); err == nil {

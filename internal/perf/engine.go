@@ -80,9 +80,9 @@ type Engine struct {
 // New builds an engine.
 func New(m *topology.Machine) *Engine { return &Engine{M: m} }
 
-// ThreadDemand is the unloaded per-thread streaming bandwidth of core c
+// threadDemand is the unloaded per-thread streaming bandwidth of core c
 // against node id (Little's law).
-func (e *Engine) ThreadDemand(c topology.Core, id topology.NodeID) (units.Bandwidth, error) {
+func (e *Engine) threadDemand(c topology.Core, id topology.NodeID) (units.Bandwidth, error) {
 	lat, err := e.M.AccessLatency(c, id)
 	if err != nil {
 		return 0, err
@@ -136,7 +136,7 @@ func (e *Engine) StreamBandwidth(cores []topology.Core, id topology.NodeID, mix 
 	}
 	flows := make([]Flow, len(cores))
 	for i, c := range cores {
-		d, err := e.ThreadDemand(c, id)
+		d, err := e.threadDemand(c, id)
 		if err != nil {
 			return Result{}, err
 		}

@@ -215,15 +215,15 @@ func TestClaimAffinityCXLConvergence(t *testing.T) {
 func TestThreadDemandOrdering(t *testing.T) {
 	e := engine1(t)
 	c0, _ := e.M.Core(0)
-	local, err := e.ThreadDemand(c0, 0)
+	local, err := e.threadDemand(c0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err := e.ThreadDemand(c0, 1)
+	remote, err := e.threadDemand(c0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cxl, err := e.ThreadDemand(c0, 2)
+	cxl, err := e.threadDemand(c0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestThreadDemandOrdering(t *testing.T) {
 	if got := local.GBps(); got < want*0.99 || got > want*1.01 {
 		t.Errorf("local demand = %.2f GB/s, want %.2f", got, want)
 	}
-	if _, err := e.ThreadDemand(c0, 9); err == nil {
+	if _, err := e.threadDemand(c0, 9); err == nil {
 		t.Error("missing node accepted")
 	}
 }
@@ -245,7 +245,7 @@ func TestSingleThreadUnconstrained(t *testing.T) {
 	e := engine1(t)
 	cores := socketCores(t, e, 0, 1)
 	r := run(t, e, cores, 0, mixCopy, MemoryMode)
-	d, _ := e.ThreadDemand(cores[0], 0)
+	d, _ := e.threadDemand(cores[0], 0)
 	if r.Total != d {
 		t.Errorf("1-thread total = %v, want raw demand %v", r.Total, d)
 	}

@@ -17,10 +17,10 @@ import (
 // memory controller's queues dominate and latency explodes.
 const maxUtilisation = 0.95
 
-// LoadedLatency returns the effective access latency from core c to
+// loadedLatency returns the effective access latency from core c to
 // node id when the node is already carrying `offered` of traffic with
 // the given mix.
-func (e *Engine) LoadedLatency(c topology.Core, id topology.NodeID, offered units.Bandwidth, mix Mix) (units.Latency, error) {
+func (e *Engine) loadedLatency(c topology.Core, id topology.NodeID, offered units.Bandwidth, mix Mix) (units.Latency, error) {
 	base, err := e.M.AccessLatency(c, id)
 	if err != nil {
 		return 0, err
@@ -64,7 +64,7 @@ func (e *Engine) LatencyBandwidthCurve(c topology.Core, id topology.NodeID, mix 
 	out := make([]LatencyPoint, 0, points)
 	for i := 0; i < points; i++ {
 		offered := units.Bandwidth(float64(cap) * float64(i) / float64(points-1))
-		lat, err := e.LoadedLatency(c, id, offered, mix)
+		lat, err := e.loadedLatency(c, id, offered, mix)
 		if err != nil {
 			return nil, err
 		}

@@ -13,7 +13,7 @@ func TestLoadedLatencyInflation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Unloaded: matches the topology latency.
-	l0, err := e.LoadedLatency(c0, 0, 0, mixCopy)
+	l0, err := e.loadedLatency(c0, 0, 0, mixCopy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestLoadedLatencyInflation(t *testing.T) {
 	// Half load doubles the latency (1/(1-0.5)).
 	node, _ := e.M.Node(0)
 	half := units.Bandwidth(float64(node.EffectiveCap(0.5)) / 2)
-	lHalf, err := e.LoadedLatency(c0, 0, half, mixCopy)
+	lHalf, err := e.loadedLatency(c0, 0, half, mixCopy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestLoadedLatencyInflation(t *testing.T) {
 		t.Errorf("half-load = %v, want ~190ns", lHalf)
 	}
 	// Beyond saturation the clamp bounds the blow-up.
-	lOver, err := e.LoadedLatency(c0, 0, node.EffectiveCap(0.5)*3, mixCopy)
+	lOver, err := e.loadedLatency(c0, 0, node.EffectiveCap(0.5)*3, mixCopy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,12 +40,12 @@ func TestLoadedLatencyInflation(t *testing.T) {
 		t.Errorf("overloaded = %v, want clamp at %vns", lOver, want)
 	}
 	// Negative offered load treated as zero.
-	lNeg, err := e.LoadedLatency(c0, 0, units.Bandwidth(-1), mixCopy)
+	lNeg, err := e.loadedLatency(c0, 0, units.Bandwidth(-1), mixCopy)
 	if err != nil || lNeg != l0 {
 		t.Errorf("negative load = %v", lNeg)
 	}
 	// Missing node errors.
-	if _, err := e.LoadedLatency(c0, 9, 0, mixCopy); err == nil {
+	if _, err := e.loadedLatency(c0, 9, 0, mixCopy); err == nil {
 		t.Error("missing node accepted")
 	}
 }

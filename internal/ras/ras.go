@@ -1,9 +1,9 @@
 // Package ras is the reliability/availability/serviceability control
 // plane for the memory pool: it closes the loop from fault detection to
 // recovery. A patrol scrubber (scrub.go) walks each registered device's
-// committed media in the background and surfaces latent poison before a
-// demand access can consume it; per-device error counters
-// (memdev.Stats) feed a health state machine that walks a device
+// committed media whenever its caller runs ScrubPass, and surfaces
+// latent poison before a demand access can consume it; per-device error
+// counters (memdev.Stats) feed a health state machine that walks a device
 // through Healthy → Degraded → Evacuating → Offline; structured events
 // record every detection and transition for operators (fabricctl
 // watch-events) and tests.
@@ -20,11 +20,9 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cxlpmem/internal/memdev"
 	"cxlpmem/internal/telemetry"
-	"cxlpmem/internal/units"
 )
 
 // State is a device's position in the health state machine.
@@ -199,9 +197,6 @@ type ScrubConfig struct {
 	// Stripe is the bytes fetched per media access (default 4 KiB —
 	// one maximal burst, so patrol costs one access per stripe).
 	Stripe int
-	// Throttle caps patrol bandwidth for the background loop. Zero
-	// means unthrottled.
-	Throttle units.Bandwidth
 }
 
 // DefaultStripe matches the burst path's maximal payload.
@@ -248,9 +243,6 @@ type Plane struct {
 
 	seq    atomic.Int64
 	events []Event // bounded ring, oldest dropped
-
-	stop chan struct{}
-	wg   sync.WaitGroup
 }
 
 // maxEvents bounds the event ring.
@@ -291,22 +283,6 @@ func (p *Plane) Register(name string, media memdev.Device, opts DeviceOptions) e
 	p.devs[name] = d
 	p.order = append(p.order, name)
 	return nil
-}
-
-// Unregister removes a device (hot-remove).
-func (p *Plane) Unregister(name string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.devs[name]; !ok {
-		return
-	}
-	delete(p.devs, name)
-	for i, n := range p.order {
-		if n == name {
-			p.order = append(p.order[:i], p.order[i+1:]...)
-			break
-		}
-	}
 }
 
 // counters folds the optional port-retry hook into the media counters.
@@ -420,25 +396,6 @@ func (p *Plane) AttachFlightRecorder(name string, dump func() []telemetry.FlitRe
 	return nil
 }
 
-// RegisterMetrics exposes every registered device's health state,
-// lifetime error counters, and patrol progress through the registry.
-func (p *Plane) RegisterMetrics(reg *telemetry.Registry) {
-	reg.RegisterCollector(func(e *telemetry.Emitter) {
-		for _, name := range p.Devices() {
-			h := p.Health(name)
-			labels := telemetry.Labels("dev", name)
-			e.Gauge("ras_health_state", labels, float64(h.State))
-			e.Counter("ras_correctable_total", labels, h.Counters.Correctable)
-			e.Counter("ras_uncorrectable_total", labels, h.Counters.Uncorrectable)
-			e.Counter("ras_link_retries_total", labels, h.Counters.LinkRetries)
-			e.Counter("ras_command_timeouts_total", labels, h.Counters.CommandTimeouts)
-			e.Gauge("ras_poisoned_lines", labels, float64(h.PoisonedLines))
-			e.Counter("ras_scrubbed_bytes_total", labels, h.ScrubbedBytes)
-			e.Counter("ras_scrub_passes_total", labels, h.Passes)
-		}
-	})
-}
-
 // Evaluate runs the threshold policy for one device: a Healthy device
 // whose error deltas (since it last entered Healthy) exceed any
 // threshold becomes Degraded. Returns the resulting state.
@@ -475,18 +432,6 @@ func (p *Plane) Evaluate(name string) (State, error) {
 	return Degraded, nil
 }
 
-// EvaluateAll runs Evaluate over every device and returns the names now
-// Degraded (newly or already).
-func (p *Plane) EvaluateAll() []string {
-	var out []string
-	for _, name := range p.Devices() {
-		if st, err := p.Evaluate(name); err == nil && st != Healthy && st != Offline {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
 // MarkEvacuating records that recovery has started draining the device.
 func (p *Plane) MarkEvacuating(name, detail string) error {
 	return p.mark(name, Evacuating, detail)
@@ -511,57 +456,4 @@ func (p *Plane) mark(name string, st State, detail string) error {
 		return fmt.Errorf("ras: unknown device %s", name)
 	}
 	return p.transitionLocked(d, st, detail)
-}
-
-// Start launches the background patrol loop: every interval it scrubs
-// a throttle-sized step of each device and re-evaluates thresholds.
-// Stop waits for the loop to exit.
-func (p *Plane) Start(interval time.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.stop != nil {
-		return
-	}
-	if interval <= 0 {
-		interval = 10 * time.Millisecond
-	}
-	step := int64(0)
-	if p.cfg.Throttle > 0 {
-		step = int64(float64(p.cfg.Throttle) * interval.Seconds())
-	}
-	p.stop = make(chan struct{})
-	stop := p.stop
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				for _, name := range p.Devices() {
-					budget := step
-					if budget <= 0 {
-						budget = int64(p.cfg.Stripe)
-					}
-					p.ScrubStep(name, budget)
-					p.Evaluate(name)
-				}
-			}
-		}
-	}()
-}
-
-// Stop halts the background patrol loop.
-func (p *Plane) Stop() {
-	p.mu.Lock()
-	stop := p.stop
-	p.stop = nil
-	p.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		p.wg.Wait()
-	}
 }

@@ -2,7 +2,6 @@ package ras
 
 import (
 	"testing"
-	"time"
 
 	"cxlpmem/internal/memdev"
 	"cxlpmem/internal/units"
@@ -76,7 +75,7 @@ func TestHealthStateMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Offline devices are not re-degraded and not scrubbed.
-	if n, done, err := p.ScrubStep("dev", 4096); n != 0 || done || err != nil {
+	if n, done, err := p.scrubStep("dev", 4096); n != 0 || done || err != nil {
 		t.Fatalf("offline scrub step = %d, %v, %v", n, done, err)
 	}
 	// Hot-add: back to healthy re-baselines the counters so the old
@@ -162,38 +161,17 @@ func TestScrubStepAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Prime the pass so the range walk is cached.
-	if _, _, err := p.ScrubStep("dev", 4096); err != nil {
+	if _, _, err := p.scrubStep("dev", 4096); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, _, err := p.ScrubStep("dev", 4096); err != nil {
+		if _, _, err := p.scrubStep("dev", 4096); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("patrol scrub steady state allocates %.1f/op, want 0", allocs)
 	}
-}
-
-func TestBackgroundPatrolLoop(t *testing.T) {
-	p := NewPlane(Thresholds{}, ScrubConfig{Stripe: 4096, Throttle: units.MBps(64)})
-	m := testMedia(t)
-	if err := m.WriteAt(make([]byte, 64*1024), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Register("dev", m, DeviceOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	p.Start(time.Millisecond)
-	defer p.Stop()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if p.Health("dev").Passes > 0 {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("background patrol made no complete pass; health %+v", p.Health("dev"))
 }
 
 // TestEventAndStateStrings pins the human-readable forms the CLI and

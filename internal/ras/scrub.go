@@ -99,12 +99,12 @@ func (p *Plane) scanStripeLocked(d *device, dpa uint64, n int, readErr error) {
 	}
 }
 
-// ScrubStep advances the patrol scrub of name by up to budget bytes
+// scrubStep advances the patrol scrub of name by up to budget bytes
 // (at least one stripe). It returns the bytes scrubbed and whether a
 // full pass over the committed footprint completed during this step.
 // Steady state allocates nothing: the stripe buffer is preallocated
 // and the committed-range walk reuses the pass's cached slice.
-func (p *Plane) ScrubStep(name string, budget int64) (scrubbed int64, passDone bool, err error) {
+func (p *Plane) scrubStep(name string, budget int64) (scrubbed int64, passDone bool, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	d := p.devs[name]
@@ -160,7 +160,7 @@ func (p *Plane) ScrubStep(name string, budget int64) (scrubbed int64, passDone b
 func (p *Plane) ScrubPass(name string) (int64, error) {
 	var total int64
 	for {
-		n, done, err := p.ScrubStep(name, 1<<20)
+		n, done, err := p.scrubStep(name, 1<<20)
 		total += n
 		if err != nil || done {
 			return total, err

@@ -95,7 +95,7 @@ func (b *Bench) Run(arr Arrays, cfg Config) ([]Result, error) {
 				}
 			}
 		}
-		if err := Validate(arr, cfg.NTimes, cfg.Scalar); err != nil {
+		if err := validate(arr, cfg.NTimes, cfg.Scalar); err != nil {
 			return nil, err
 		}
 		if err := arr.Persist(); err != nil {

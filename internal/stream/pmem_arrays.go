@@ -110,12 +110,6 @@ func (p *PmemArrays) B() []float64 { return p.b }
 // C returns the persistent c[] view.
 func (p *PmemArrays) C() []float64 { return p.c }
 
-// N returns the array length.
-func (p *PmemArrays) N() int { return p.n }
-
-// OIDs exposes the three object identities.
-func (p *PmemArrays) OIDs() (a, b, c pmem.OID) { return p.oa, p.ob, p.oc }
-
 // Persist flushes all three arrays to the pool's media and fences.
 func (p *PmemArrays) Persist() error {
 	for _, oid := range []pmem.OID{p.oa, p.ob, p.oc} {

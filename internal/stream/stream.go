@@ -228,10 +228,10 @@ func Execute(op Op, arr Arrays, scalar float64, workers int) error {
 	return nil
 }
 
-// Validate reproduces STREAM's checkSTREAMresults: it replays the
+// validate reproduces STREAM's checkSTREAMresults: it replays the
 // arithmetic scalar-wise for ntimes iterations and compares against the
 // arrays within the double-precision epsilon.
-func Validate(arr Arrays, ntimes int, scalar float64) error {
+func validate(arr Arrays, ntimes int, scalar float64) error {
 	aj, bj, cj := 1.0, 2.0, 0.0
 	aj = 2.0 * aj
 	for k := 0; k < ntimes; k++ {

@@ -79,12 +79,12 @@ func TestValidateAfterNIterations(t *testing.T) {
 			}
 		}
 	}
-	if err := Validate(arr, ntimes, DefaultScalar); err != nil {
+	if err := validate(arr, ntimes, DefaultScalar); err != nil {
 		t.Errorf("validation failed: %v", err)
 	}
 	// A corrupted element fails validation.
 	arr.A()[100] = math.Pi * 1e6
-	if err := Validate(arr, ntimes, DefaultScalar); err == nil {
+	if err := validate(arr, ntimes, DefaultScalar); err == nil {
 		t.Error("corruption passed validation")
 	}
 }
@@ -140,7 +140,7 @@ func TestPmemArraysAllocAndRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if arr.N() != 10000 {
+	if arr.n != 10000 {
 		t.Error("N mismatch")
 	}
 	Init(arr)
@@ -152,7 +152,7 @@ func TestPmemArraysAllocAndRun(t *testing.T) {
 			}
 		}
 	}
-	if err := Validate(arr, ntimes, DefaultScalar); err != nil {
+	if err := validate(arr, ntimes, DefaultScalar); err != nil {
 		t.Errorf("STREAM-PMem validation failed: %v", err)
 	}
 	if err := arr.Persist(); err != nil {
@@ -190,15 +190,14 @@ func TestPmemArraysSurviveReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if arr2.N() != 5000 {
-		t.Fatalf("N after reopen = %d", arr2.N())
+	if arr2.n != 5000 {
+		t.Fatalf("N after reopen = %d", arr2.n)
 	}
 	// a was doubled by Init (2.0), c holds the Copy of a.
 	if arr2.A()[4999] != 2.0 || arr2.C()[0] != 2.0 || arr2.B()[100] != 2.0 {
 		t.Errorf("array contents lost: a=%v b=%v c=%v", arr2.A()[4999], arr2.B()[100], arr2.C()[0])
 	}
-	oa, ob, oc := arr2.OIDs()
-	if oa.IsNull() || ob.IsNull() || oc.IsNull() {
+	if arr2.oa.IsNull() || arr2.ob.IsNull() || arr2.oc.IsNull() {
 		t.Error("OIDs null after reopen")
 	}
 }

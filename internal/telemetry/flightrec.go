@@ -26,8 +26,8 @@ type FlitRecord struct {
 	Seq uint64
 	// When is nanoseconds since the recorder started.
 	When int64
-	// Kind is the wire kind byte (request/response/data/BISnp/BIRsp/
-	// SQ/CQ — see the cxl flit header).
+	// Kind is the wire kind byte (request/response/data/BISnp/BIRsp —
+	// see the cxl flit header).
 	Kind uint8
 	// Op is the opcode byte for request-shaped kinds.
 	Op uint8
@@ -124,17 +124,4 @@ func (fr *FlightRecorder) Dump() []FlitRecord {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
-}
-
-// Reset clears the ring (the sequence keeps counting, so a dump after a
-// reset never mixes epochs).
-func (fr *FlightRecorder) Reset() {
-	for i := range fr.slots {
-		slot := &fr.slots[i]
-		for !slot.claim.CompareAndSwap(0, 1) {
-			runtime.Gosched()
-		}
-		slot.full.Store(0)
-		slot.claim.Store(0)
-	}
 }

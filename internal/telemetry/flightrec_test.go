@@ -44,15 +44,6 @@ func TestFlightRecorderPartial(t *testing.T) {
 			t.Fatalf("dump[%d] out of order: %+v", i, rec)
 		}
 	}
-	fr.Reset()
-	if len(fr.Dump()) != 0 {
-		t.Fatalf("dump after reset not empty")
-	}
-	fr.Record(FlitRecord{Kind: 1})
-	dump = fr.Dump()
-	if len(dump) != 1 || dump[0].Seq != 10 {
-		t.Fatalf("sequence must keep counting across Reset, got %+v", dump)
-	}
 }
 
 // TestFlightRecorderErrFlag checks the CRC-fail flag round-trips and

@@ -160,18 +160,6 @@ func (h *Histogram) Snapshot(s *HistSnapshot) {
 	}
 }
 
-// Merge adds other's buckets and counters into s.
-func (s *HistSnapshot) Merge(other *HistSnapshot) {
-	s.Count += other.Count
-	s.Sum += other.Sum
-	if other.Max > s.Max {
-		s.Max = other.Max
-	}
-	for i := range s.buckets {
-		s.buckets[i] += other.buckets[i]
-	}
-}
-
 // Quantile reports the value at quantile q (0 < q <= 1) as the midpoint
 // of the bucket holding the q·Count-th sample — within 2^-5 ≈ 3.1%
 // relative error of the true order statistic. Returns 0 on an empty
@@ -204,8 +192,8 @@ func (s *HistSnapshot) Quantile(q float64) int64 {
 	return s.Max
 }
 
-// Mean reports the arithmetic mean, exact (from Sum), not bucketed.
-func (s *HistSnapshot) Mean() float64 {
+// mean reports the arithmetic mean, exact (from Sum), not bucketed.
+func (s *HistSnapshot) mean() float64 {
 	if s.Count == 0 {
 		return 0
 	}

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Kind classifies a metric sample.
@@ -85,8 +84,8 @@ func (e *Emitter) Gauge(name, labels string, v float64) {
 	e.samples = append(e.samples, Sample{Name: name, Labels: labels, Kind: KindGauge, Value: v})
 }
 
-// Histogram emits a histogram snapshot.
-func (e *Emitter) Histogram(name, labels string, h *Histogram) {
+// histogram emits a registry-owned histogram's snapshot.
+func (e *Emitter) histogram(name, labels string, h *Histogram) {
 	s := new(HistSnapshot)
 	h.Snapshot(s)
 	e.samples = append(e.samples, Sample{Name: name, Labels: labels, Kind: KindHistogram, Hist: s})
@@ -99,15 +98,13 @@ func (e *Emitter) Histogram(name, labels string, h *Histogram) {
 // Load atomic counters.
 type Collector func(e *Emitter)
 
-// Registry is the process-wide metric namespace: owned scalar metrics
-// (counters and gauges allocated here), owned histograms, and the
-// collector hooks that pull in every subsystem's existing counters. All
-// registration is cold-path; Gather is the only reader and walks a
-// point-in-time snapshot of the registration lists.
+// Registry is the process-wide metric namespace: owned histograms and
+// the collector hooks that pull in every subsystem's existing counters
+// (scalars are always emitted by collectors). All registration is
+// cold-path; Gather is the only reader and walks a point-in-time
+// snapshot of the registration lists.
 type Registry struct {
 	mu         sync.Mutex
-	counters   []*Counter
-	gauges     []*Gauge
 	hists      []namedHist
 	collectors []Collector
 }
@@ -120,56 +117,6 @@ type namedHist struct {
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
-
-// Counter is a registry-owned monotonic counter.
-type Counter struct {
-	name   string
-	labels string
-	v      atomic.Int64
-}
-
-// Add increments the counter by d.
-func (c *Counter) Add(d int64) { c.v.Add(d) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Value reads the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a registry-owned instantaneous value.
-type Gauge struct {
-	name   string
-	labels string
-	v      atomic.Int64
-}
-
-// Set stores the gauge value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add moves the gauge by d.
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// Value reads the gauge.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// NewCounter allocates and registers a counter.
-func (r *Registry) NewCounter(name, labels string) *Counter {
-	c := &Counter{name: name, labels: labels}
-	r.mu.Lock()
-	r.counters = append(r.counters, c)
-	r.mu.Unlock()
-	return c
-}
-
-// NewGauge allocates and registers a gauge.
-func (r *Registry) NewGauge(name, labels string) *Gauge {
-	g := &Gauge{name: name, labels: labels}
-	r.mu.Lock()
-	r.gauges = append(r.gauges, g)
-	r.mu.Unlock()
-	return g
-}
 
 // NewHistogram allocates and registers a histogram.
 func (r *Registry) NewHistogram(name, labels string) *Histogram {
@@ -187,26 +134,18 @@ func (r *Registry) RegisterCollector(c Collector) {
 	r.mu.Unlock()
 }
 
-// Gather walks every owned metric and collector and returns the samples
-// sorted by name then label set — a deterministic exposition order, so
-// diffs of two gathers line up.
+// Gather walks every owned histogram and collector and returns the
+// samples sorted by name then label set — a deterministic exposition
+// order, so diffs of two gathers line up.
 func (r *Registry) Gather() []Sample {
 	r.mu.Lock()
-	counters := append([]*Counter(nil), r.counters...)
-	gauges := append([]*Gauge(nil), r.gauges...)
 	hists := append([]namedHist(nil), r.hists...)
 	collectors := append([]Collector(nil), r.collectors...)
 	r.mu.Unlock()
 
-	e := &Emitter{samples: make([]Sample, 0, len(counters)+len(gauges)+len(hists)+16)}
-	for _, c := range counters {
-		e.Counter(c.name, c.labels, c.v.Load())
-	}
-	for _, g := range gauges {
-		e.Gauge(g.name, g.labels, float64(g.v.Load()))
-	}
+	e := &Emitter{samples: make([]Sample, 0, len(hists)+16)}
 	for _, nh := range hists {
-		e.Histogram(nh.name, nh.labels, nh.h)
+		e.histogram(nh.name, nh.labels, nh.h)
 	}
 	for _, c := range collectors {
 		c(e)

@@ -6,24 +6,29 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
-// TestRegistryGather checks that owned metrics, registered histograms,
-// and collector hooks all land in one deterministically sorted gather.
+// TestRegistryGather checks that registered histograms and the scalars
+// of several collector hooks all land in one deterministically sorted
+// gather.
 func TestRegistryGather(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("zz_ops_total", "")
-	g := r.NewGauge("aa_depth", Labels("port", "0"))
+	var ops, depth atomic.Int64
 	h := r.NewHistogram("mm_latency_ns", Labels("vc", "3"))
+	r.RegisterCollector(func(e *Emitter) {
+		e.Counter("zz_ops_total", "", ops.Load())
+		e.Gauge("aa_depth", Labels("port", "0"), float64(depth.Load()))
+	})
 	r.RegisterCollector(func(e *Emitter) {
 		e.Counter("kk_hook_total", Labels("src", "collector"), 7)
 		e.Gauge("kk_hook_gauge", "", 2.5)
 	})
-	c.Add(41)
-	c.Inc()
-	g.Set(9)
-	g.Add(-2)
+	ops.Add(41)
+	ops.Add(1)
+	depth.Store(9)
+	depth.Add(-2)
 	h.Record(100)
 	h.Record(200)
 
@@ -52,6 +57,9 @@ func TestRegistryGather(t *testing.T) {
 	if s := byName["kk_hook_total"]; s.Value != 7 {
 		t.Fatalf("collector counter %+v", s)
 	}
+	if s := byName["kk_hook_gauge"]; s.Kind != KindGauge || s.Value != 2.5 {
+		t.Fatalf("collector gauge %+v", s)
+	}
 }
 
 // TestLabels checks rendering and escaping.
@@ -72,12 +80,12 @@ func TestLabels(t *testing.T) {
 // internally consistent, monotonically plausible values.
 func TestRegistryCollectDuringTraffic(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("traffic_ops_total", "")
+	var c atomic.Int64
 	h := r.NewHistogram("traffic_latency_ns", "")
 	var hookHits sync.Map
 	r.RegisterCollector(func(e *Emitter) {
 		hookHits.Store("hit", true)
-		e.Counter("traffic_hook_total", "", c.Value())
+		e.Counter("traffic_ops_total", "", c.Load())
 	})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -91,7 +99,7 @@ func TestRegistryCollectDuringTraffic(t *testing.T) {
 					return
 				default:
 				}
-				c.Inc()
+				c.Add(1)
 				h.Record(int64(i % 10000))
 			}
 		}()
@@ -119,22 +127,27 @@ func TestRegistryCollectDuringTraffic(t *testing.T) {
 	}
 }
 
-// TestWritePrometheus checks the text exposition format.
+// TestWritePrometheus checks the text exposition format for each kind.
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounter("ops_total", Labels("port", "1")).Add(3)
+	r.RegisterCollector(func(e *Emitter) {
+		e.Counter("ops_total", Labels("port", "1"), 3)
+		e.Gauge("queue_depth", Labels("port", "1"), 1.5)
+	})
 	h := r.NewHistogram("lat_ns", Labels("vc", "0"))
 	for i := int64(1); i <= 100; i++ {
 		h.Record(i * 1000)
 	}
 	var b strings.Builder
-	if err := WritePrometheus(&b, r.Gather()); err != nil {
+	if err := writePrometheus(&b, r.Gather()); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
 	for _, want := range []string{
 		"# TYPE ops_total counter",
 		`ops_total{port="1"} 3`,
+		"# TYPE queue_depth gauge",
+		`queue_depth{port="1"} 1.5`,
 		"# TYPE lat_ns summary",
 		`lat_ns{vc="0",quantile="0.5"}`,
 		`lat_ns{vc="0",quantile="0.999"}`,
@@ -150,7 +163,10 @@ func TestWritePrometheus(t *testing.T) {
 // and pprof respond.
 func TestServe(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounter("served_total", "").Add(5)
+	r.RegisterCollector(func(e *Emitter) {
+		e.Counter("served_total", "", 5)
+		e.Gauge("served_depth", "", 2)
+	})
 	h := r.NewHistogram("served_lat_ns", "")
 	h.Record(1000)
 	srv, err := Serve("127.0.0.1:0", r)
@@ -179,17 +195,29 @@ func TestServe(t *testing.T) {
 	if err := json.Unmarshal([]byte(get("/metrics.json")), &parsed); err != nil {
 		t.Fatalf("metrics.json does not parse: %v", err)
 	}
-	found := false
+	kinds := map[string]string{}
 	for _, m := range parsed {
-		if m["name"] == "served_lat_ns" {
-			found = true
+		name, _ := m["name"].(string)
+		kinds[name], _ = m["kind"].(string)
+		switch name {
+		case "served_lat_ns":
 			if m["count"].(float64) != 1 {
 				t.Errorf("json histogram count %v", m["count"])
 			}
+		case "served_total":
+			if m["value"].(float64) != 5 {
+				t.Errorf("json counter value %v", m["value"])
+			}
+		case "served_depth":
+			if m["value"].(float64) != 2 {
+				t.Errorf("json gauge value %v", m["value"])
+			}
 		}
 	}
-	if !found {
-		t.Errorf("metrics.json missing histogram")
+	for name, want := range map[string]string{"served_lat_ns": "histogram", "served_total": "counter", "served_depth": "gauge"} {
+		if kinds[name] != want {
+			t.Errorf("metrics.json %s kind = %q, want %q", name, kinds[name], want)
+		}
 	}
 	if out := get("/debug/pprof/cmdline"); len(out) == 0 {
 		t.Errorf("pprof cmdline empty")

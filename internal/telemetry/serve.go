@@ -35,10 +35,10 @@ func withLabel(labels, k, v string) string {
 	return strings.TrimSuffix(labels, "}") + "," + pair + "}"
 }
 
-// WritePrometheus renders samples in the Prometheus text exposition
+// writePrometheus renders samples in the Prometheus text exposition
 // format. Counters and gauges are scalar lines; histograms render as
 // summaries: quantile-labelled lines plus _sum and _count.
-func WritePrometheus(w io.Writer, samples []Sample) error {
+func writePrometheus(w io.Writer, samples []Sample) error {
 	lastTyped := ""
 	for i := range samples {
 		s := &samples[i]
@@ -91,15 +91,15 @@ type jsonSample struct {
 	P999   *int64   `json:"p999,omitempty"`
 }
 
-// WriteJSON renders samples as a JSON array.
-func WriteJSON(w io.Writer, samples []Sample) error {
+// writeJSON renders samples as a JSON array.
+func writeJSON(w io.Writer, samples []Sample) error {
 	out := make([]jsonSample, 0, len(samples))
 	for i := range samples {
 		s := &samples[i]
 		js := jsonSample{Name: s.Name, Labels: s.Labels, Kind: s.Kind.String()}
 		if s.Kind == KindHistogram {
 			h := s.Hist
-			mean := h.Mean()
+			mean := h.mean()
 			p50, p90 := h.Quantile(0.50), h.Quantile(0.90)
 			p99, p999 := h.Quantile(0.99), h.Quantile(0.999)
 			js.Count, js.Sum, js.Max, js.Mean = &h.Count, &h.Sum, &h.Max, &mean
@@ -127,17 +127,17 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Close shuts the endpoint down.
 func (s *Server) Close() error { return s.srv.Close() }
 
-// Handler builds the telemetry HTTP mux for a registry: /metrics
+// handler builds the telemetry HTTP mux for a registry: /metrics
 // (Prometheus text), /metrics.json (JSON snapshot), and /debug/pprof.
-func Handler(r *Registry) http.Handler {
+func handler(r *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = WritePrometheus(w, r.Gather())
+		_ = writePrometheus(w, r.Gather())
 	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		_ = WriteJSON(w, r.Gather())
+		_ = writeJSON(w, r.Gather())
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -154,7 +154,7 @@ func Serve(addr string, r *Registry) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: Handler(r), ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: handler(r), ReadHeaderTimeout: 5 * time.Second}
 	go func() { _ = srv.Serve(ln) }()
 	return &Server{ln: ln, srv: srv}, nil
 }

@@ -80,7 +80,7 @@ func TestSwapFailureAtomicity(t *testing.T) {
 			tr.IO = f
 			armed = append(armed, f)
 		}
-		err = mgr.Swap(a, b)
+		err = mgr.swap(a, b)
 		// Disarm so verification reads cannot trip the injector.
 		for _, f := range armed {
 			f.failAt = 0
@@ -182,7 +182,7 @@ func TestScrubOnMigrationVacatedSlot(t *testing.T) {
 	if err := mgr.Write(id, secret, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.MoveTo(id, 1); err != nil {
+	if err := mgr.moveTo(id, 1); err != nil {
 		t.Fatal(err)
 	}
 	// The vacated tier-2 slot is the only free far slot; cold start
@@ -331,8 +331,8 @@ func TestMoveToFailureLeavesSourceIntact(t *testing.T) {
 	var ops atomic.Int64
 	mid := mgr.Tiers()[1]
 	mid.IO = &faultIO{MemIO: mid.IO, ops: &ops, failAt: 3} // mid-pipe write
-	if err := mgr.MoveTo(id, 1); err == nil || !errors.Is(err, errInjected) {
-		t.Fatalf("MoveTo error = %v, want injected fault", err)
+	if err := mgr.moveTo(id, 1); err == nil || !errors.Is(err, errInjected) {
+		t.Fatalf("moveTo error = %v, want injected fault", err)
 	}
 	if tier, _ := mgr.TierOf(id); tier != 2 {
 		t.Fatalf("page on tier %d after failed move, want 2", tier)
@@ -348,7 +348,7 @@ func TestMoveToFailureLeavesSourceIntact(t *testing.T) {
 	// move plus alloc of the vacated slot still scrubs clean (exercised
 	// in TestScrubOnMigrationVacatedSlot; here just confirm capacity is
 	// not leaked).
-	if err := mgr.MoveTo(id, 1); err != nil {
+	if err := mgr.moveTo(id, 1); err != nil {
 		t.Fatalf("retry after failed move: %v", err)
 	}
 }
@@ -370,7 +370,7 @@ func TestFreeDoubleFree(t *testing.T) {
 	if err := mgr.Read(id, make([]byte, 8), 0); err == nil {
 		t.Error("read after free accepted")
 	}
-	if err := mgr.MoveTo(id, 0); err == nil {
+	if err := mgr.moveTo(id, 0); err == nil {
 		t.Error("move after free accepted")
 	}
 }

@@ -8,12 +8,8 @@ import (
 )
 
 // DaemonConfig tunes the policy daemon. Zero values take the defaults
-// noted per field.
+// noted per field. Epochs run when the caller calls RunEpoch.
 type DaemonConfig struct {
-	// Interval between background epochs when the daemon runs via
-	// Start. Default 10ms. Tests drive epochs manually with RunEpoch
-	// and never wait on the clock.
-	Interval time.Duration
 	// PromoteWatermark is the decayed-heat level at or above which a
 	// page is a promotion candidate. Default 8.
 	PromoteWatermark float64
@@ -40,9 +36,6 @@ type DaemonConfig struct {
 }
 
 func (c DaemonConfig) withDefaults() DaemonConfig {
-	if c.Interval == 0 {
-		c.Interval = 10 * time.Millisecond
-	}
 	if c.PromoteWatermark == 0 {
 		c.PromoteWatermark = 8
 	}
@@ -89,15 +82,15 @@ type EpochStats struct {
 // use distinct watermarks (hysteresis) and a minimum residency, so a
 // page hovering near a threshold settles instead of ping-ponging.
 //
-// The daemon is the only migrator while it runs; foreground Alloc,
-// Free, Read and Write proceed concurrently under the manager's
-// per-page locking.
+// RunEpoch calls are serialized against each other, and each move they
+// make takes the manager's migration lock; foreground Alloc, Free, Read
+// and Write proceed concurrently under the manager's per-page locking.
 type Daemon struct {
 	m   *Manager
 	cfg DaemonConfig
 
-	// epoch state, guarded by mu (RunEpoch is also called directly by
-	// tests and fabricctl, potentially next to a started daemon).
+	// epoch state, guarded by mu (RunEpoch may be called from several
+	// goroutines).
 	mu     sync.Mutex
 	epochs uint64
 	last   EpochStats
@@ -108,16 +101,11 @@ type Daemon struct {
 	// epochDur feeds the tiering_daemon_epoch_seconds histogram when
 	// metrics are registered; nil otherwise.
 	epochDur func(time.Duration)
-
-	startOnce sync.Once
-	closeOnce sync.Once
-	stop      chan struct{}
-	done      chan struct{}
 }
 
 // NewDaemon builds a policy daemon over a manager, enabling device-side
-// heat windows on every tier (page-granular). The daemon does not run
-// until Start.
+// heat windows on every tier (page-granular). Each RunEpoch call runs
+// one epoch.
 func NewDaemon(m *Manager, cfg DaemonConfig) (*Daemon, error) {
 	cfg = cfg.withDefaults()
 	if cfg.DemoteWatermark >= cfg.PromoteWatermark {
@@ -127,54 +115,10 @@ func NewDaemon(m *Manager, cfg DaemonConfig) (*Daemon, error) {
 	if cfg.BudgetPages < 0 {
 		return nil, fmt.Errorf("tiering: negative migration budget")
 	}
-	if err := m.EnableDeviceHeat(); err != nil {
+	if err := m.enableDeviceHeat(); err != nil {
 		return nil, err
 	}
-	return &Daemon{
-		m:    m,
-		cfg:  cfg,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}, nil
-}
-
-// Config returns the daemon's effective (defaulted) configuration.
-func (d *Daemon) Config() DaemonConfig { return d.cfg }
-
-// Start launches the background epoch loop. Safe to call once; use
-// Close to stop it.
-func (d *Daemon) Start() {
-	d.startOnce.Do(func() {
-		go func() {
-			defer close(d.done)
-			tick := time.NewTicker(d.cfg.Interval)
-			defer tick.Stop()
-			for {
-				select {
-				case <-d.stop:
-					return
-				case <-tick.C:
-					d.RunEpoch()
-				}
-			}
-		}()
-	})
-}
-
-// Close stops the epoch loop and waits for the in-flight epoch (if
-// any) to finish. Pages stay where the last epoch left them. Safe to
-// call multiple times, and before Start.
-func (d *Daemon) Close() {
-	d.closeOnce.Do(func() { close(d.stop) })
-	d.startOnce.Do(func() { close(d.done) }) // never started: nothing to wait for
-	<-d.done
-}
-
-// LastEpoch returns the most recent epoch's stats.
-func (d *Daemon) LastEpoch() EpochStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.last
+	return &Daemon{m: m, cfg: cfg}, nil
 }
 
 // candidate is one page under policy consideration this epoch.
@@ -275,7 +219,7 @@ func (d *Daemon) RunEpoch() EpochStats {
 			stats.Deferred++
 			continue
 		}
-		if err := d.m.MoveTo(c.id, c.tier+1); err != nil {
+		if err := d.m.moveTo(c.id, c.tier+1); err != nil {
 			continue // tier full or page freed mid-epoch: retry next time
 		}
 		budget--
@@ -289,7 +233,7 @@ func (d *Daemon) RunEpoch() EpochStats {
 			stats.Deferred++
 			continue
 		}
-		err := d.m.MoveTo(c.id, c.tier-1)
+		err := d.m.moveTo(c.id, c.tier-1)
 		if err == nil {
 			budget--
 			stats.Promoted++
@@ -310,7 +254,7 @@ func (d *Daemon) RunEpoch() EpochStats {
 			stats.Deferred++
 			continue
 		}
-		if err := d.m.Swap(c.id, victim.id); err != nil {
+		if err := d.m.swap(c.id, victim.id); err != nil {
 			continue
 		}
 		budget -= 2

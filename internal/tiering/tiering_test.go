@@ -94,19 +94,15 @@ func TestAllocColdStartPlacement(t *testing.T) {
 	}
 }
 
-func TestAllocFastFirstPolicy(t *testing.T) {
-	mgr, _ := hierarchy(t, 1, 1, 1)
-	mgr.SetAllocPolicy(AllocFastFirst)
-	want := []int{0, 1, 2}
-	for i := 0; i < 3; i++ {
-		id, err := mgr.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tier, _ := mgr.TierOf(id); tier != want[i] {
-			t.Errorf("page %d on tier %d, want %d", id, tier, want[i])
-		}
+// accesses reads a page's manager-path access count since the last
+// epoch or Rebalance.
+func accesses(t *testing.T, m *Manager, id PageID) uint64 {
+	t.Helper()
+	st, err := m.lookup(id)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return st.accesses.Load()
 }
 
 func TestReadWriteAndHeat(t *testing.T) {
@@ -126,9 +122,8 @@ func TestReadWriteAndHeat(t *testing.T) {
 	if !bytes.Equal(in, out) {
 		t.Error("round trip mismatch")
 	}
-	heat, err := mgr.Heat(id)
-	if err != nil || heat != 2 {
-		t.Errorf("heat = %d, %v; want 2", heat, err)
+	if heat := accesses(t, mgr, id); heat != 2 {
+		t.Errorf("heat = %d; want 2", heat)
 	}
 	if err := mgr.Read(id, out, PageSize-8); err == nil {
 		t.Error("out-of-page read accepted")
@@ -136,8 +131,8 @@ func TestReadWriteAndHeat(t *testing.T) {
 	if err := mgr.Write(id, out, -1); err == nil {
 		t.Error("negative write accepted")
 	}
-	if _, err := mgr.Heat(42); err == nil {
-		t.Error("heat of unknown page accepted")
+	if _, err := mgr.TierOf(42); err == nil {
+		t.Error("lookup of unknown page accepted")
 	}
 }
 
@@ -183,7 +178,7 @@ func TestRebalancePromotesHotDemotesCold(t *testing.T) {
 		t.Errorf("cold page on tier %d, want 2", tc)
 	}
 	// Heat resets after rebalance (checked before any further access).
-	if h, _ := mgr.Heat(a); h != 0 {
+	if h := accesses(t, mgr, a); h != 0 {
 		t.Errorf("heat after rebalance = %d", h)
 	}
 	// Content followed the page.
@@ -344,20 +339,20 @@ func TestMigrationUsesPooledScratch(t *testing.T) {
 	}
 	// Warm up: materialise the media pages on both sides and seed the
 	// scratch pool (the swap path below needs two pooled buffers).
-	if err := mgr.MoveTo(id, 1); err != nil {
+	if err := mgr.moveTo(id, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.MoveTo(id, 0); err != nil {
+	if err := mgr.moveTo(id, 0); err != nil {
 		t.Fatal(err)
 	}
 	id2, err := mgr.Alloc() // cold start: lands tier 2
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Swap(id, id2); err != nil {
+	if err := mgr.swap(id, id2); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Swap(id, id2); err != nil {
+	if err := mgr.swap(id, id2); err != nil {
 		t.Fatal(err)
 	}
 	before := mgr.bytesMigrated
@@ -369,7 +364,7 @@ func TestMigrationUsesPooledScratch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := mgr.MoveTo(id, 1-cur); err != nil {
+		if err := mgr.moveTo(id, 1-cur); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -389,7 +384,7 @@ func TestMigrationUsesPooledScratch(t *testing.T) {
 		t.Fatal("test setup: pages landed on the same tier")
 	}
 	before = mgr.bytesMigrated
-	if err := mgr.Swap(id, id2); err != nil {
+	if err := mgr.swap(id, id2); err != nil {
 		t.Fatal(err)
 	}
 	if got := mgr.bytesMigrated - before; got != 4*PageSize {

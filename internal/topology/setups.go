@@ -89,9 +89,6 @@ type Setup1Options struct {
 	// the node's device cap and fabric cap both multiply by the way
 	// count, and node 2's data path becomes a cxl.InterleaveSet.
 	InterleaveWays int
-	// InterleaveGranule is the stripe unit in bytes
-	// (cxl.DefaultInterleaveGranule if zero).
-	InterleaveGranule uint64
 }
 
 // Setup1 builds the paper's Setup #1 (Figure 2): two SPR sockets, one
@@ -187,7 +184,7 @@ func Setup1(opts Setup1Options) (*Machine, *fpga.Prototype, error) {
 	} else {
 		// Striped configuration: the interleave set programs the
 		// per-target decoders itself, standing in for enumeration.
-		stripe, err := cxl.NewInterleaveSet("cxl-stripe", cxl.DefaultCXLWindowBase, opts.InterleaveGranule, ports...)
+		stripe, err := cxl.NewInterleaveSet("cxl-stripe", cxl.DefaultCXLWindowBase, cxl.DefaultInterleaveGranule, ports...)
 		if err != nil {
 			return nil, nil, err
 		}

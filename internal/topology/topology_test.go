@@ -52,7 +52,7 @@ func TestSetup1Shape(t *testing.T) {
 	if n0.Persistent() {
 		t.Error("DDR5 node must be volatile")
 	}
-	if card.Options().Rate != 1333 {
+	if !strings.Contains(card.String(), "DDR4-1333") {
 		t.Error("prototype should default to the paper card")
 	}
 	if n2.Window.Size != uint64(16*units.GiB) {

@@ -15,17 +15,14 @@ import (
 // Size is a byte count.
 type Size int64
 
-// Common sizes. The paper (and STREAM) use decimal MB/GB for bandwidth but
+// Common sizes. The paper (and STREAM) use decimal GB for bandwidth but
 // binary capacities for DIMMs; we keep both.
 const (
-	Byte Size = 1
-	KiB  Size = 1 << 10
-	MiB  Size = 1 << 20
-	GiB  Size = 1 << 30
-	TiB  Size = 1 << 40
+	KiB Size = 1 << 10
+	MiB Size = 1 << 20
+	GiB Size = 1 << 30
+	TiB Size = 1 << 40
 
-	KB Size = 1e3
-	MB Size = 1e6
 	GB Size = 1e9
 )
 
@@ -58,9 +55,6 @@ type Bandwidth float64
 // GBps constructs a bandwidth from decimal gigabytes per second, the unit
 // STREAM reports ("Best Rate MB/s" scaled by 1000).
 func GBps(v float64) Bandwidth { return Bandwidth(v * 1e9) }
-
-// MBps constructs a bandwidth from decimal megabytes per second.
-func MBps(v float64) Bandwidth { return Bandwidth(v * 1e6) }
 
 // GBps reports the bandwidth in decimal gigabytes per second.
 func (b Bandwidth) GBps() float64 { return float64(b) / 1e9 }
@@ -98,9 +92,6 @@ func (l Latency) String() string { return fmt.Sprintf("%.0fns", l.Ns()) }
 // TransferRate is a DIMM or link signalling rate in mega-transfers per
 // second (e.g. DDR5-4800 is 4800 MT/s).
 type TransferRate int
-
-// MTps reports the rate in MT/s.
-func (r TransferRate) MTps() int { return int(r) }
 
 func (r TransferRate) String() string { return fmt.Sprintf("%dMT/s", int(r)) }
 

@@ -579,12 +579,13 @@ func benchInterleaveSet(b *testing.B, ways int, granule uint64) *cxl.InterleaveS
 // BenchmarkInterleavedBurst measures the striped burst data path: the
 // same 64 KiB write+read cycle BenchmarkCXLPortBurst performs per 4 KiB,
 // fanned across 1/2/4/8 interleave legs. Every leg's beats still cross
-// the modelled wire (encode, CRC, decode) on its own port, so the
-// scaling factor is real leg parallelism — compare the ways=1 GB/s
-// against BenchmarkCXLPortBurst and the higher way counts against each
-// other for the curve. Granule 4 KiB stripes zero-copy; the gather
-// sub-bench shows the 256 B-granule gather/scatter cost. Steady state
-// allocates nothing at any width.
+// the modelled wire (encode, CRC, decode) on its own port, so above one
+// P the scaling factor is real leg parallelism — compare the ways=1
+// GB/s against BenchmarkCXLPortBurst and the higher way counts against
+// each other for the curve. At GOMAXPROCS 1 the legs run in turn on the
+// caller, so the curve shows the stripe layer's own cost. Granule 4 KiB
+// stripes zero-copy; the gather sub-bench shows the 256 B-granule
+// gather/scatter cost. Steady state allocates nothing at any width.
 func BenchmarkInterleavedBurst(b *testing.B) {
 	const span = 64 << 10 // per-iteration transfer, each direction
 	run := func(b *testing.B, s *cxl.InterleaveSet) {

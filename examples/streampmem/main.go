@@ -37,9 +37,15 @@ func main() {
 	fmt.Println("\nSTREAM-PMem, pool on /mnt/pmem2 (CXL DDR4, pmem#2):")
 	runOn(rt, cores, 2)
 
-	if rt.Card.Stats().Writes.Load() > 0 {
-		fmt.Printf("\nCXL endpoint serviced %d MemWr and %d MemRd transactions\n",
-			rt.Card.Stats().Writes.Load(), rt.Card.Stats().Reads.Load())
+	// Persists reach the endpoint mostly as bursts, so the line counters
+	// alone would undercount the traffic by orders of magnitude.
+	st := rt.Card.Stats()
+	w, r := st.Writes.Load(), st.Reads.Load()
+	wb, rb := st.WriteBursts.Load(), st.ReadBursts.Load()
+	if w+r+wb+rb > 0 {
+		fmt.Printf("\nCXL endpoint serviced %d MemWr and %d MemRd line transactions,\n"+
+			"plus %d write and %d read bursts carrying %d lines\n",
+			w, r, wb, rb, st.BurstLines.Load())
 	}
 }
 

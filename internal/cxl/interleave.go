@@ -14,8 +14,10 @@ import (
 // it: nothing split a burst across ports. An InterleaveSet is that
 // missing host half. It owns one root port per interleave target,
 // programs the matching per-target decoders at enumeration time, and
-// fans every bulk transfer out into per-leg granule runs issued
-// concurrently over the member ports.
+// splits every bulk transfer into per-leg granule runs over the member
+// ports. With more than one P (Go scheduler processor) the legs run
+// concurrently on per-leg workers; with one P they run on the caller,
+// one after another, since nothing could run beside the caller anyway.
 //
 // The wire semantics per leg are unchanged: each leg's traffic moves
 // through its own RootPort — multi-VC tagging, per-flit CRC, LRSM
@@ -25,10 +27,10 @@ import (
 // target-owned lines of an interleaved window map to a contiguous DPA
 // span (see Type3Device.HandleMemBurst).
 //
-// Steady state allocates nothing: leg fan-out reuses pooled call frames
-// handed to persistent per-leg worker goroutines (a goroutine spawned
-// per call would heap-allocate its closure), and gather/scatter staging
-// comes from the same burst buffer pool the ports use.
+// Steady state allocates nothing: the worker fan-out reuses pooled call
+// frames handed to persistent per-leg worker goroutines (a goroutine
+// spawned per call would heap-allocate its closure), and gather/scatter
+// staging comes from the same burst buffer pool the ports use.
 
 // MaxInterleaveWays bounds the interleave width, matching CXL 2.0's
 // 8-way root-complex interleave limit.
@@ -79,10 +81,11 @@ func runStripeJob(j *stripeJob) {
 
 // InterleaveSet is a striped CXL.mem data path over N root ports: one
 // HPA window, interleaved at granule boundaries across the ports'
-// endpoints, with bulk transfers split into per-leg sub-bursts issued
-// concurrently. It exposes the same transfer surface as a single
-// RootPort (ReadBurst/WriteBurst/ReadAt/WriteAt plus line ops routed to
-// the owning leg), so callers swap one for the other. The stripe is
+// endpoints, with bulk transfers split into per-leg sub-bursts: issued
+// concurrently when GOMAXPROCS is above 1, in turn on the caller when
+// it is 1. It exposes the same transfer surface as a single RootPort
+// (ReadBurst/WriteBurst/ReadAt/WriteAt plus line ops routed to the
+// owning leg), so callers swap one for the other. The stripe is
 // fixed for the set's lifetime: ways, granule, share and member ports
 // never change, so the data path reads them without synchronisation.
 // The set never moves data between legs; draining a failing device is
@@ -95,10 +98,10 @@ type InterleaveSet struct {
 	share   uint64 // per-target bytes
 	granule uint64
 	legs    []*RootPort // member ports in target order
-	// workers feed legs 1..ways-1; leg 0 needs none, because do runs
-	// it on the caller's goroutine whenever a span touches it, so a
-	// 1-way set degenerates to the plain port path with no hand-off at
-	// all.
+	// workers feed legs 1..ways-1 above one P; leg 0 needs none,
+	// because do runs it on the caller's goroutine whenever a span
+	// touches it, so a 1-way set degenerates to the plain port path
+	// with no hand-off at all.
 	workers []chan *stripeJob
 }
 
@@ -187,8 +190,9 @@ func NewInterleaveSet(name string, base, granule uint64, ports ...*RootPort) (*I
 }
 
 // Close stops the leg workers (idempotent). In-flight transfers finish
-// — a worker drains its current job before seeing the closed channel —
-// but transfers issued after Close panic.
+// — a worker drains its current job before seeing the closed channel.
+// A transfer issued after Close panics if it would hand a leg to a
+// worker: a span over more than one leg while GOMAXPROCS is above 1.
 func (s *InterleaveSet) Close() {
 	runtime.SetFinalizer(s, nil)
 	for _, ch := range s.workers {
@@ -253,14 +257,16 @@ func (s *InterleaveSet) ReadBurst(hpa uint64, p []byte) error {
 	return s.do(false, hpa, p)
 }
 
-// do validates the span and fans it out to the legs that own a
-// granule of it; untouched legs are never woken. The caller runs one
-// leg itself — leg 0 when the span touches it, otherwise the span's
-// first leg — so a span inside one granule never leaves the caller,
-// and the other touched legs go to their workers. It gathers the first
-// error. A failing leg aborts its own remaining chunks only; striped
-// transfers are atomic per leg burst, not across legs (matching
-// multi-channel memory semantics — see DESIGN.md §2d).
+// do validates the span and runs it on the legs that own a granule of
+// it; untouched legs are never woken. The caller runs one leg itself —
+// the lead: leg 0 when the span touches it, otherwise the span's first
+// leg — so a span inside one granule never leaves the caller. With more
+// than one P the other touched legs go to their workers; with one P the
+// caller runs them too, in span order after the lead. Either way every
+// touched leg runs, and do returns the first error: the lead's, then
+// the other legs' in span order. A failing leg aborts its own remaining
+// chunks only; striped transfers are atomic per leg burst, not across
+// legs (matching multi-channel memory semantics — see DESIGN.md §2d).
 func (s *InterleaveSet) do(write bool, hpa uint64, p []byte) error {
 	if !lineAligned(hpa) || len(p)%LineSize != 0 {
 		return portErr(s.name, s.op(write), hpa, ErrUnaligned, "unaligned burst")
@@ -283,8 +289,22 @@ func (s *InterleaveSet) do(write bool, hpa uint64, p []byte) error {
 	if uint64(lead)+touched > ways {
 		lead = 0
 	}
-	if touched == 1 {
-		return s.runLeg(lead, write, hpa, p)
+	if touched == 1 || runtime.GOMAXPROCS(0) == 1 {
+		// A one-leg span needs no worker, and with one P a worker
+		// cannot run beside the caller, so a hand-off would buy no
+		// overlap, only switches. Every touched leg runs here, lead
+		// first and then in span order, which is the order the worker
+		// path reports errors in. GOMAXPROCS is read per call because
+		// callers change it after the set is built.
+		err := s.runLeg(lead, write, hpa, p)
+		for i := uint64(0); i < touched; i++ {
+			if leg := int((first + i) % ways); leg != lead {
+				if e := s.runLeg(leg, write, hpa, p); err == nil {
+					err = e
+				}
+			}
+		}
+		return err
 	}
 	c := stripeCallPool.Get().(*stripeCall)
 	c.wg.Add(int(touched) - 1)

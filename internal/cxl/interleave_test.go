@@ -2,6 +2,7 @@ package cxl
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -376,16 +377,15 @@ func countLegJobs(s *InterleaveSet) *atomic.Int64 {
 }
 
 // TestInterleaveFanOutTouchedLegsOnly pins the fan-out rule: a striped
-// span wakes only the legs owning one of its granules, runs one of
-// them on the caller, and still lands every byte on its owning leg.
+// span touches only the legs owning one of its granules and lands every
+// byte on its owning leg. With two Ps the caller runs one touched leg
+// and wakes the workers of the others; with one P it runs them all.
 func TestInterleaveFanOutTouchedLegsOnly(t *testing.T) {
 	const ways, g, line = 4, 256, uint64(LineSize)
-	s, devs := testInterleaveSet(t, ways, g)
-	jobs := countLegJobs(s)
 	cases := []struct {
 		name     string
 		off, n   uint64 // window offset and length
-		wantJobs int64
+		wantJobs int64  // hand-offs to leg workers above one P
 	}{
 		{"one line", 0, line, 0},
 		{"inside one granule of leg 2", 2*g + line, 2 * line, 0},
@@ -399,90 +399,174 @@ func TestInterleaveFanOutTouchedLegsOnly(t *testing.T) {
 		{"all legs from leg 3", 3 * g, ways * g, ways - 1},
 		{"many stripes", g + line, 16 << 10, ways - 1},
 	}
-	for i, tc := range cases {
-		hpa := s.Base() + tc.off
-		in := make([]byte, tc.n)
-		for k := range in {
-			in[k] = byte(k*7 + i + 1)
-		}
-		before := jobs.Load()
-		if err := s.WriteBurst(hpa, in); err != nil {
-			t.Fatalf("%s: WriteBurst: %v", tc.name, err)
-		}
-		if got := jobs.Load() - before; got != tc.wantJobs {
-			t.Errorf("%s: WriteBurst handed %d jobs to leg workers, want %d", tc.name, got, tc.wantJobs)
-		}
-		out := make([]byte, tc.n)
-		before = jobs.Load()
-		if err := s.ReadBurst(hpa, out); err != nil {
-			t.Fatalf("%s: ReadBurst: %v", tc.name, err)
-		}
-		if got := jobs.Load() - before; got != tc.wantJobs {
-			t.Errorf("%s: ReadBurst handed %d jobs to leg workers, want %d", tc.name, got, tc.wantJobs)
-		}
-		if !bytes.Equal(in, out) {
-			t.Errorf("%s: striped readback differs from what was written", tc.name)
-		}
-		// The routed line path reads each line from its owning leg, so
-		// a piece moved by the wrong leg shows here.
-		for k := uint64(0); k < tc.n; k += line {
-			var l [LineSize]byte
-			if err := s.ReadLine(hpa+k, &l); err != nil {
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			s, devs := testInterleaveSet(t, ways, g)
+			jobs := countLegJobs(s)
+			for i, tc := range cases {
+				want := tc.wantJobs
+				if procs == 1 {
+					want = 0
+				}
+				hpa := s.Base() + tc.off
+				in := make([]byte, tc.n)
+				for k := range in {
+					in[k] = byte(k*7 + i + 1)
+				}
+				before := jobs.Load()
+				if err := s.WriteBurst(hpa, in); err != nil {
+					t.Fatalf("%s: WriteBurst: %v", tc.name, err)
+				}
+				if got := jobs.Load() - before; got != want {
+					t.Errorf("%s: WriteBurst handed %d jobs to leg workers, want %d", tc.name, got, want)
+				}
+				out := make([]byte, tc.n)
+				before = jobs.Load()
+				if err := s.ReadBurst(hpa, out); err != nil {
+					t.Fatalf("%s: ReadBurst: %v", tc.name, err)
+				}
+				if got := jobs.Load() - before; got != want {
+					t.Errorf("%s: ReadBurst handed %d jobs to leg workers, want %d", tc.name, got, want)
+				}
+				if !bytes.Equal(in, out) {
+					t.Errorf("%s: striped readback differs from what was written", tc.name)
+				}
+				// The routed line path reads each line from its owning
+				// leg, so a piece moved by the wrong leg shows here.
+				for k := uint64(0); k < tc.n; k += line {
+					var l [LineSize]byte
+					if err := s.ReadLine(hpa+k, &l); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(l[:], in[k:k+line]) {
+						t.Fatalf("%s: line at offset %d landed off its owning leg", tc.name, tc.off+k)
+					}
+				}
+			}
+			assertNoLineFallbacks(t, devs)
+		})
+	}
+}
+
+// TestInterleaveFailedLegLeavesOthersWritten pins the error contract
+// at one P and at two: when a non-lead leg's link corrupts every data
+// flit, the striped write returns that leg's *PortError, every other
+// leg still writes its granules, and the failed leg keeps its old
+// bytes, since a failed burst has no partial effects.
+func TestInterleaveFailedLegLeavesOthersWritten(t *testing.T) {
+	const ways, g, faulted = 4, 256, 2
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			s, _ := testInterleaveSet(t, ways, g)
+			old := make([]byte, 4<<10)
+			for i := range old {
+				old[i] = byte(i*5 + 1)
+			}
+			if err := s.WriteBurst(s.Base(), old); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(l[:], in[k:k+line]) {
-				t.Fatalf("%s: line at offset %d landed off its owning leg", tc.name, tc.off+k)
+			bad := s.Ports()[faulted]
+			bad.SetFault(func(f Flit) Flit {
+				if f.raw[0] == flitKindData {
+					return f.Corrupt(50)
+				}
+				return f
+			})
+			in := make([]byte, len(old))
+			for i := range in {
+				in[i] = byte(i*11 + 3)
 			}
-		}
+			err := s.WriteBurst(s.Base(), in)
+			var pe *PortError
+			if !errors.As(err, &pe) {
+				t.Fatalf("WriteBurst = %v, want the faulted leg's *PortError", err)
+			}
+			if s.Route(pe.Addr) != bad {
+				t.Errorf("error at %#x is not on faulted leg %d: %v", pe.Addr, faulted, err)
+			}
+			check := func(leg int, want []byte) {
+				t.Helper()
+				for k := uint64(leg) * g; k < uint64(len(in)); k += ways * g {
+					for l := k; l < k+g; l += uint64(LineSize) {
+						var got [LineSize]byte
+						if err := s.ReadLine(s.Base()+l, &got); err != nil {
+							t.Fatalf("leg %d: ReadLine at offset %d: %v", leg, l, err)
+						}
+						if !bytes.Equal(got[:], want[l:l+uint64(LineSize)]) {
+							t.Fatalf("leg %d: line at offset %d holds the wrong bytes", leg, l)
+						}
+					}
+				}
+			}
+			for leg := 0; leg < ways; leg++ {
+				if leg != faulted {
+					check(leg, in)
+				}
+			}
+			bad.SetFault(nil)
+			check(faulted, old)
+		})
 	}
-	assertNoLineFallbacks(t, devs)
 }
 
 // TestInterleaveZeroAllocSteadyState guards the striped path's
 // allocation discipline: leg fan-out (pooled call frames + persistent
-// workers) and gather/scatter staging (pooled burst buffers) must not
-// allocate per operation, for both the narrow-granule gather path and
-// the wide-granule zero-copy path, and neither may the line and
-// sub-line accesses routed to one leg.
+// workers above one P, the caller alone at one P) and gather/scatter
+// staging (pooled burst buffers) must not allocate per operation, for
+// both the narrow-granule gather path and the wide-granule zero-copy
+// path, and neither may the line and sub-line accesses routed to one
+// leg.
 func TestInterleaveZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
 	}
 	for _, granule := range []uint64{256, 4096} {
 		t.Run(fmt.Sprintf("granule=%d", granule), func(t *testing.T) {
-			s, _ := testInterleaveSet(t, 4, granule)
-			buf := make([]byte, 32<<10)
-			if err := s.WriteBurst(s.Base(), buf); err != nil { // warm pools + pages
-				t.Fatal(err)
-			}
-			two := buf[:2*granule]
-			// The small accesses are the header writes a checkpoint
-			// step issues: whole lines, 8-byte fields, and unaligned
-			// runs that split into a partial head, a striped interior
-			// and a partial tail.
-			var line [LineSize]byte
-			word, run := buf[:8], buf[:300]
-			odd := int64(s.Base()) + 40
-			cases := map[string]func(){
-				"WriteBurst":             func() { _ = s.WriteBurst(s.Base(), buf) },
-				"ReadBurst":              func() { _ = s.ReadBurst(s.Base(), buf) },
-				"WriteBurst/one-line":    func() { _ = s.WriteBurst(s.Base(), buf[:LineSize]) },
-				"ReadBurst/one-line":     func() { _ = s.ReadBurst(s.Base(), buf[:LineSize]) },
-				"WriteBurst/2-granules":  func() { _ = s.WriteBurst(s.Base()+granule, two) },
-				"ReadBurst/2-granules":   func() { _ = s.ReadBurst(s.Base()+granule, two) },
-				"WriteLine":              func() { _ = s.WriteLine(s.Base()+granule, &line) },
-				"ReadLine":               func() { _ = s.ReadLine(s.Base()+granule, &line) },
-				"WriteAt/8B":             func() { _ = s.WriteAt(word, int64(s.Base()+granule)+8) },
-				"ReadAt/8B":              func() { _ = s.ReadAt(word, int64(s.Base()+granule)+8) },
-				"WriteAt/300B-unaligned": func() { _ = s.WriteAt(run, odd) },
-				"ReadAt/300B-unaligned":  func() { _ = s.ReadAt(run, odd) },
-			}
-			for name, fn := range cases {
-				if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
-					t.Errorf("%s: %v allocs/op, want 0", name, allocs)
-				}
+			for _, procs := range []int{1, 2} {
+				t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					zeroAllocCases(t, granule)
+				})
 			}
 		})
+	}
+}
+
+// zeroAllocCases runs TestInterleaveZeroAllocSteadyState's cases on a
+// fresh 4-way set at the given granule and the current GOMAXPROCS.
+func zeroAllocCases(t *testing.T, granule uint64) {
+	s, _ := testInterleaveSet(t, 4, granule)
+	buf := make([]byte, 32<<10)
+	if err := s.WriteBurst(s.Base(), buf); err != nil { // warm pools + pages
+		t.Fatal(err)
+	}
+	two := buf[:2*granule]
+	// The small accesses are the header writes a checkpoint step
+	// issues: whole lines, 8-byte fields, and unaligned runs that split
+	// into a partial head, a striped interior and a partial tail.
+	var line [LineSize]byte
+	word, run := buf[:8], buf[:300]
+	odd := int64(s.Base()) + 40
+	cases := map[string]func(){
+		"WriteBurst":             func() { _ = s.WriteBurst(s.Base(), buf) },
+		"ReadBurst":              func() { _ = s.ReadBurst(s.Base(), buf) },
+		"WriteBurst/one-line":    func() { _ = s.WriteBurst(s.Base(), buf[:LineSize]) },
+		"ReadBurst/one-line":     func() { _ = s.ReadBurst(s.Base(), buf[:LineSize]) },
+		"WriteBurst/2-granules":  func() { _ = s.WriteBurst(s.Base()+granule, two) },
+		"ReadBurst/2-granules":   func() { _ = s.ReadBurst(s.Base()+granule, two) },
+		"WriteLine":              func() { _ = s.WriteLine(s.Base()+granule, &line) },
+		"ReadLine":               func() { _ = s.ReadLine(s.Base()+granule, &line) },
+		"WriteAt/8B":             func() { _ = s.WriteAt(word, int64(s.Base()+granule)+8) },
+		"ReadAt/8B":              func() { _ = s.ReadAt(word, int64(s.Base()+granule)+8) },
+		"WriteAt/300B-unaligned": func() { _ = s.WriteAt(run, odd) },
+		"ReadAt/300B-unaligned":  func() { _ = s.ReadAt(run, odd) },
+	}
+	for name, fn := range cases {
+		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
+		}
 	}
 }
 

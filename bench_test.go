@@ -585,7 +585,9 @@ func benchInterleaveSet(b *testing.B, ways int, granule uint64) *cxl.InterleaveS
 // each other for the curve. At GOMAXPROCS 1 the legs run in turn on the
 // caller, so the curve shows the stripe layer's own cost. Granule 4 KiB
 // stripes zero-copy; the gather sub-bench shows the 256 B-granule
-// gather/scatter cost. Steady state allocates nothing at any width.
+// gather/scatter cost. -benchmem reads 0 allocs/op at any width;
+// above one P that rounds down the rare job that overflows onto a
+// transient goroutine (EXPERIMENTS §2d).
 func BenchmarkInterleavedBurst(b *testing.B) {
 	const span = 64 << 10 // per-iteration transfer, each direction
 	run := func(b *testing.B, s *cxl.InterleaveSet) {

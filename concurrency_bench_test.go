@@ -80,6 +80,61 @@ func BenchmarkParallelPorts(b *testing.B) {
 	})
 }
 
+// BenchmarkInterleavedStripes4K measures 4 KiB striped write+read
+// cycles over a 4-way, 256 B-granule interleave set, the span a
+// checkpoint step flushes per chunk: one caller ("serial") against 8
+// goroutines on private 256 KiB regions ("parallel8"). Above one P
+// both take the leg-worker path, and parallel callers overflow onto
+// transient goroutines while a leg's worker is busy, so parallel8
+// allocates (3 allocs/op at -cpu 2); at one P every leg runs on its
+// caller.
+func BenchmarkInterleavedStripes4K(b *testing.B) {
+	const span, regionBytes = 4 << 10, 256 << 10
+	cycle := func(s *cxl.InterleaveSet, region uint64, buf []byte, i int) error {
+		addr := region + uint64(i%(regionBytes/span))*span
+		if err := s.WriteBurst(addr, buf); err != nil {
+			return err
+		}
+		return s.ReadBurst(addr, buf)
+	}
+	setup := func(b *testing.B) *cxl.InterleaveSet {
+		s := benchInterleaveSet(b, 4, 256)
+		if err := s.WriteBurst(s.Base(), make([]byte, 16*regionBytes)); err != nil { // pre-touch
+			b.Fatal(err)
+		}
+		b.SetBytes(2 * span)
+		b.ReportAllocs()
+		b.ResetTimer()
+		return s
+	}
+
+	b.Run("serial", func(b *testing.B) {
+		s := setup(b)
+		buf := make([]byte, span)
+		for i := 0; i < b.N; i++ {
+			if err := cycle(s, s.Base(), buf, i); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	b.Run("parallel8", func(b *testing.B) {
+		s := setup(b)
+		var nextWorker atomic.Uint64
+		setParallelism(b)
+		b.RunParallel(func(pb *testing.PB) {
+			region := s.Base() + (nextWorker.Add(1)%16)*regionBytes
+			buf := make([]byte, span)
+			for i := 0; pb.Next(); i++ {
+				if err := cycle(s, region, buf, i); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+	})
+}
+
 // BenchmarkConcurrentTx measures transactional update throughput —
 // pmemobj-style Begin/AddRange/Commit over 4 KiB objects — serial vs
 // many goroutines on disjoint objects. The multi-lane undo log lets

@@ -17,7 +17,9 @@ import (
 // splits every bulk transfer into per-leg granule runs over the member
 // ports. With more than one P (Go scheduler processor) the legs run
 // concurrently on per-leg workers; with one P they run on the caller,
-// one after another, since nothing could run beside the caller anyway.
+// one after another: no two legs compute at once on one P, though legs
+// that wait (retry backoff, link retrain, an injected delay) now wait
+// in turn instead of together.
 //
 // The wire semantics per leg are unchanged: each leg's traffic moves
 // through its own RootPort — multi-VC tagging, per-flit CRC, LRSM
@@ -27,10 +29,12 @@ import (
 // target-owned lines of an interleaved window map to a contiguous DPA
 // span (see Type3Device.HandleMemBurst).
 //
-// Steady state allocates nothing: the worker fan-out reuses pooled call
-// frames handed to persistent per-leg worker goroutines (a goroutine
-// spawned per call would heap-allocate its closure), and gather/scatter
-// staging comes from the same burst buffer pool the ports use.
+// Steady state allocates nothing on the caller-only path. The worker
+// fan-out reuses pooled call frames handed to persistent per-leg worker
+// goroutines (a goroutine spawned per call would heap-allocate its
+// closure), and gather/scatter staging comes from the same burst buffer
+// pool the ports use. A job that finds its worker not parked overflows
+// onto a transient goroutine, which does allocate.
 
 // MaxInterleaveWays bounds the interleave width, matching CXL 2.0's
 // 8-way root-complex interleave limit.
@@ -290,12 +294,17 @@ func (s *InterleaveSet) do(write bool, hpa uint64, p []byte) error {
 		lead = 0
 	}
 	if touched == 1 || runtime.GOMAXPROCS(0) == 1 {
-		// A one-leg span needs no worker, and with one P a worker
-		// cannot run beside the caller, so a hand-off would buy no
-		// overlap, only switches. Every touched leg runs here, lead
-		// first and then in span order, which is the order the worker
-		// path reports errors in. GOMAXPROCS is read per call because
-		// callers change it after the set is built.
+		// A one-leg span needs no worker. With one P a worker cannot
+		// compute beside the caller, so a hand-off buys no compute
+		// overlap, only switches. It would overlap waits: a leg asleep
+		// in retry backoff, parked for a link retrain (up to
+		// RetrainTimeout) or slowed by an injected delay. Here those
+		// waits add up across the touched legs, so a striped call's
+		// fault latency is their sum, not their maximum. Every touched
+		// leg runs here, lead first and then in span order, which is
+		// the order the worker path reports errors in. GOMAXPROCS is
+		// read per call because callers change it after the set is
+		// built.
 		err := s.runLeg(lead, write, hpa, p)
 		for i := uint64(0); i < touched; i++ {
 			if leg := int((first + i) % ways); leg != lead {
@@ -321,8 +330,9 @@ func (s *InterleaveSet) do(write bool, hpa uint64, p []byte) error {
 			// Leg worker mid-job (a concurrent striped call): overflow
 			// onto a transient goroutine so callers fan out over the
 			// port's virtual channels instead of queueing. A lone
-			// caller always finds its workers parked, keeping the
-			// steady state allocation-free.
+			// caller mostly finds its workers parked, but the worker
+			// that finished its last job may not have parked again
+			// yet when the caller, woken on another P, sends again.
 			go runStripeJob(j)
 		}
 	}

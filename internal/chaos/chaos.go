@@ -40,7 +40,7 @@ const (
 	// bounded by ExecuteTimeout command deadlines).
 	SiteMailbox
 	// SiteSnoop — the switch's back-invalidate channel (corrupt, drop,
-	// delay; recovered by the directory's force-invalidate policy).
+	// delay; a failed snoop fails the acquire that sent it).
 	SiteSnoop
 	// SiteMedia — device media (latent stuck-at poison, surfaced by
 	// patrol scrub or a demand read; fired by Engine.Pulse).

@@ -193,10 +193,10 @@ func NewInterleaveSet(name string, base, granule uint64, ports ...*RootPort) (*I
 	return s, nil
 }
 
-// Close stops the leg workers (idempotent). In-flight transfers finish
-// — a worker drains its current job before seeing the closed channel.
-// A transfer issued after Close panics if it would hand a leg to a
-// worker: a span over more than one leg while GOMAXPROCS is above 1.
+// Close stops the leg workers (idempotent). Transfers issued after
+// Close still work: the caller runs every touched leg itself, as it
+// does at one P. Close must not race transfers; the caller first lets
+// every in-flight transfer on the set return.
 func (s *InterleaveSet) Close() {
 	runtime.SetFinalizer(s, nil)
 	for _, ch := range s.workers {
@@ -265,12 +265,13 @@ func (s *InterleaveSet) ReadBurst(hpa uint64, p []byte) error {
 // it; untouched legs are never woken. The caller runs one leg itself —
 // the lead: leg 0 when the span touches it, otherwise the span's first
 // leg — so a span inside one granule never leaves the caller. With more
-// than one P the other touched legs go to their workers; with one P the
-// caller runs them too, in span order after the lead. Either way every
-// touched leg runs, and do returns the first error: the lead's, then
-// the other legs' in span order. A failing leg aborts its own remaining
-// chunks only; striped transfers are atomic per leg burst, not across
-// legs (matching multi-channel memory semantics — see DESIGN.md §2d).
+// than one P the other touched legs go to their workers; with one P, or
+// once Close has stopped the workers, the caller runs them too, in span
+// order after the lead. Either way every touched leg runs, and do
+// returns the first error: the lead's, then the other legs' in span
+// order. A failing leg aborts its own remaining chunks only; striped
+// transfers are atomic per leg burst, not across legs (matching
+// multi-channel memory semantics — see DESIGN.md §2d).
 func (s *InterleaveSet) do(write bool, hpa uint64, p []byte) error {
 	if !lineAligned(hpa) || len(p)%LineSize != 0 {
 		return portErr(s.name, s.op(write), hpa, ErrUnaligned, "unaligned burst")
@@ -293,18 +294,18 @@ func (s *InterleaveSet) do(write bool, hpa uint64, p []byte) error {
 	if uint64(lead)+touched > ways {
 		lead = 0
 	}
-	if touched == 1 || runtime.GOMAXPROCS(0) == 1 {
-		// A one-leg span needs no worker. With one P a worker cannot
-		// compute beside the caller, so a hand-off buys no compute
-		// overlap, only switches. It would overlap waits: a leg asleep
-		// in retry backoff, parked for a link retrain (up to
-		// RetrainTimeout) or slowed by an injected delay. Here those
-		// waits add up across the touched legs, so a striped call's
-		// fault latency is their sum, not their maximum. Every touched
-		// leg runs here, lead first and then in span order, which is
-		// the order the worker path reports errors in. GOMAXPROCS is
-		// read per call because callers change it after the set is
-		// built.
+	if touched == 1 || s.workers == nil || runtime.GOMAXPROCS(0) == 1 {
+		// A one-leg span needs no worker, and a closed set has none.
+		// With one P a worker cannot compute beside the caller, so a
+		// hand-off buys no compute overlap, only switches. It would
+		// overlap waits: a leg asleep in retry backoff, parked for a
+		// link retrain (up to RetrainTimeout) or slowed by an injected
+		// delay. Here those waits add up across the touched legs, so a
+		// striped call's fault latency is their sum, not their
+		// maximum. Every touched leg runs here, lead first and then in
+		// span order, which is the order the worker path reports
+		// errors in. GOMAXPROCS is read per call because callers
+		// change it after the set is built.
 		err := s.runLeg(lead, write, hpa, p)
 		for i := uint64(0); i < touched; i++ {
 			if leg := int((first + i) % ways); leg != lead {

@@ -619,6 +619,38 @@ func TestInterleaveCloseStopsWorkers(t *testing.T) {
 	}
 }
 
+// TestInterleaveTransfersAfterClose: a set keeps moving data after
+// Close at any GOMAXPROCS, running every touched leg on the caller
+// instead of on the stopped workers.
+func TestInterleaveTransfersAfterClose(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			s, devs := testInterleaveSet(t, 4, 256)
+			s.Close()
+			in := make([]byte, 4<<10)
+			for i := range in {
+				in[i] = byte(i*7 + procs)
+			}
+			if err := s.WriteBurst(s.Base(), in); err != nil {
+				t.Fatalf("WriteBurst after Close: %v", err)
+			}
+			out := make([]byte, len(in))
+			if err := s.ReadBurst(s.Base(), out); err != nil {
+				t.Fatalf("ReadBurst after Close: %v", err)
+			}
+			if !bytes.Equal(in, out) {
+				t.Error("4 KiB round trip after Close read back different bytes")
+			}
+			for i, d := range devs {
+				if d.Stats().WriteBursts.Load() == 0 {
+					t.Errorf("leg %d saw no burst", i)
+				}
+			}
+		})
+	}
+}
+
 // TestStridedBurstSemantics exercises the endpoint half in isolation: a
 // burst addressed into an interleaved window names consecutive
 // target-owned lines, crosses granule boundaries without fallback, and

@@ -236,9 +236,7 @@ func (s *sparseStore) readAt(p []byte, off int64) {
 			copy(p[:n], pg.buf[po:po+n])
 			pg.mu.RUnlock()
 		} else {
-			for i := range p[:n] {
-				p[i] = 0
-			}
+			clear(p[:n])
 		}
 		p = p[n:]
 		off += n

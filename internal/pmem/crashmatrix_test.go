@@ -335,8 +335,8 @@ func TestTornCommitThenTornBegin(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tx2.lane != tx.lane {
-				t.Fatalf("second Begin took lane %d, want the torn commit's lane %d", tx2.lane, tx.lane)
+			if tx2.lane.idx != tx.lane.idx {
+				t.Fatalf("second Begin took lane %d, want the torn commit's lane %d", tx2.lane.idx, tx.lane.idx)
 			}
 			p2.SimulateCrash()
 			reopen(r)

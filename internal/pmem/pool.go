@@ -35,7 +35,9 @@ import (
 )
 
 // Region is the byte store a pool sits on (pmemfs.File satisfies this).
-// Implementations must be safe for concurrent use.
+// Implementations must be safe for concurrent use. ReadAt and WriteAt
+// must not keep p after they return: the pool reuses its undo-log
+// lanes' buffers across transactions.
 type Region interface {
 	ReadAt(p []byte, off int64) error
 	WriteAt(p []byte, off int64) error
@@ -134,12 +136,14 @@ type Pool struct {
 	heap              *heap
 	rootOff, rootSize uint64
 
-	// lanes hands out free undo-log lanes; Begin blocks when all
-	// TxLanes are in flight. activeTx counts open transactions so
-	// Close can refuse while one is live. lanesLost counts lanes
-	// permanently retired after I/O failures mid-Abort (their undo
-	// entries must survive for recovery, so they are never reissued).
-	lanes     chan uint64
+	// lane holds each undo-log lane's state, and lanes hands out the
+	// free ones; Begin blocks when all TxLanes are in flight. activeTx
+	// counts open transactions so Close can refuse while one is live.
+	// lanesLost counts lanes permanently retired after I/O failures
+	// mid-Abort (their undo entries must survive for recovery, so they
+	// are never reissued).
+	lane      [TxLanes]txLane
+	lanes     chan *txLane
 	activeTx  atomic.Int32
 	lanesLost atomic.Int32
 
@@ -159,11 +163,13 @@ func (e *PoolError) Error() string {
 	return fmt.Sprintf("pmem: %s(%q): %s", e.Op, e.Layout, e.Why)
 }
 
-// fillLanes populates the lane free list; called once at Create/Open.
-func (p *Pool) fillLanes() {
-	p.lanes = make(chan uint64, TxLanes)
-	for i := uint64(0); i < TxLanes; i++ {
-		p.lanes <- i
+// initLanes numbers the lanes and populates their free list; called
+// once at Create/Open, before the log is touched.
+func (p *Pool) initLanes() {
+	p.lanes = make(chan *txLane, TxLanes)
+	for i := range p.lane {
+		p.lane[i].idx = uint64(i)
+		p.lanes <- &p.lane[i]
 	}
 }
 
@@ -199,6 +205,7 @@ func Create(region Region, layout string) (*Pool, error) {
 	}
 	p.heapOff = alignUp64(p.logOff+p.logSize, heapAlign)
 	p.poolID = poolIDFor(layout, size)
+	p.initLanes()
 	p.heap = newHeap(p, p.heapOff, uint64(size))
 	if err := p.heap.format(); err != nil {
 		return nil, err
@@ -210,7 +217,6 @@ func Create(region Region, layout string) (*Pool, error) {
 	if err := p.persistRaw(0, headerSize); err != nil {
 		return nil, err
 	}
-	p.fillLanes()
 	return p, nil
 }
 
@@ -260,6 +266,7 @@ func Open(region Region, layout string) (*Pool, error) {
 	if p.logSize < TxLanes*laneHeaderSize || p.logSize%TxLanes != 0 {
 		return nil, &PoolError{Op: "open", Layout: layout, Why: "undo log size not divisible into lanes"}
 	}
+	p.initLanes()
 	// Map the view with a single media scan (over a CXL region this is
 	// the dominant open cost — one burst-path read of the whole pool),
 	// then run undo-log recovery from the in-memory image: the log
@@ -279,7 +286,6 @@ func Open(region Region, layout string) (*Pool, error) {
 	if err := p.heap.rebuild(); err != nil {
 		return nil, err
 	}
-	p.fillLanes()
 	return p, nil
 }
 

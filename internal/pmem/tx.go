@@ -70,17 +70,42 @@ func (e *TxError) Error() string { return fmt.Sprintf("pmem: tx %s: %s", e.Op, e
 // by the goroutine that began it; its methods must not be called
 // concurrently (PMDK scopes transactions per-thread the same way).
 type Tx struct {
-	p      *Pool
-	lane   uint64 // lane index in [0, TxLanes)
+	p    *Pool
+	lane *txLane
+	done bool
+}
+
+// txLane is one undo-log lane's pool-owned state. A lane carries one
+// transaction at a time, so every transaction it carries reuses its
+// buffers, and Update, which runs on the lane's own Tx, allocates
+// nothing. The buffers reach Region.ReadAt and WriteAt, which must not
+// keep them.
+type txLane struct {
+	idx    uint64 // lane index in [0, TxLanes)
 	cursor uint64 // next free byte in the lane, relative to lane base
 	count  uint32 // entries written
 	ranges []txRange
-	done   bool
+	// entry stages one undo entry, header and snapshot, on its way to
+	// or from the media; it grows to the largest entry the lane has
+	// carried.
+	entry []byte
+	// words stages the lane's state and count words, laid out as the
+	// lane header is.
+	words [laneHeaderSize]byte
+	tx    Tx // the transaction Update runs on
 }
 
 type txRange struct {
 	off uint64
 	n   uint64
+}
+
+// buf returns the lane's entry buffer sized to n bytes.
+func (l *txLane) buf(n uint64) []byte {
+	if uint64(cap(l.entry)) < n {
+		l.entry = make([]byte, n)
+	}
+	return l.entry[:n]
 }
 
 // laneSize is the per-lane byte budget.
@@ -100,8 +125,20 @@ func (p *Pool) laneBase(lane uint64) uint64 { return p.logOff + lane*p.laneSize(
 
 // Begin opens a transaction (TX_BEGIN), claiming a free undo-log lane.
 // When all TxLanes lanes carry in-flight transactions, Begin blocks
-// until one commits or aborts.
+// until one commits or aborts. The Tx is fresh, so one kept after it
+// finishes keeps failing and never touches the lane's next
+// transaction.
 func (p *Pool) Begin() (*Tx, error) {
+	l, err := p.claimLane()
+	if err != nil {
+		return nil, err
+	}
+	return &Tx{p: p, lane: l}, nil
+}
+
+// claimLane takes a free lane, resets its state and marks it active,
+// with no entries, on media.
+func (p *Pool) claimLane() (*txLane, error) {
 	p.stateMu.RLock()
 	err := p.checkLive("tx-begin")
 	p.stateMu.RUnlock()
@@ -111,21 +148,21 @@ func (p *Pool) Begin() (*Tx, error) {
 	if p.lanesLost.Load() >= TxLanes {
 		return nil, &TxError{Op: "begin", Why: "all undo-log lanes lost to I/O failures; reopen the pool to recover"}
 	}
-	lane := <-p.lanes
+	l := <-p.lanes
 	p.stateMu.RLock()
 	defer p.stateMu.RUnlock()
 	if err := p.checkLive("tx-begin"); err != nil {
-		p.lanes <- lane
+		p.lanes <- l
 		return nil, err
 	}
-	tx := &Tx{p: p, lane: lane, cursor: laneHeaderSize}
+	l.cursor, l.count, l.ranges = laneHeaderSize, 0, l.ranges[:0]
 	// Mark the lane active, with no entries, before any entry lands.
-	if err := p.laneWriteHeader(lane, logActive); err != nil {
-		p.lanes <- lane
+	if err := p.laneWriteHeader(l, logActive); err != nil {
+		p.lanes <- l
 		return nil, err
 	}
 	p.activeTx.Add(1)
-	return tx, nil
+	return l, nil
 }
 
 // release returns the transaction's lane to the free list; called once
@@ -151,7 +188,7 @@ func (tx *Tx) abandon() {
 // AddRange snapshots [oid.Off+off, +n) so it can be rolled back
 // (pmemobj_tx_add_range). Must be called before mutating the range.
 func (tx *Tx) AddRange(oid OID, off, n uint64) error {
-	p := tx.p
+	p, l := tx.p, tx.lane
 	if tx.done {
 		return &TxError{Op: "add-range", Why: "transaction finished"}
 	}
@@ -169,30 +206,32 @@ func (tx *Tx) AddRange(oid OID, off, n uint64) error {
 	start := oid.Off + off
 	padded := alignUp64(n, 8)
 	need := entryHeaderSize + padded
-	if tx.cursor+need > p.laneSize() {
+	if l.cursor+need > p.laneSize() {
 		return &TxError{Op: "add-range", Why: "undo log lane full"}
 	}
 	// Snapshot MEDIA content (the pre-transaction persistent state),
-	// not the view: rollback must restore what recovery would see.
-	snap := make([]byte, padded)
+	// not the view: rollback must restore what recovery would see. It
+	// lands straight behind the entry header.
+	entry := l.buf(need)
+	snap := entry[entryHeaderSize:]
 	if err := p.region.ReadAt(snap[:n], int64(start)); err != nil {
 		return err
 	}
-	entry := make([]byte, entryHeaderSize+len(snap))
+	clear(snap[n:])
 	binary.LittleEndian.PutUint64(entry[0:], start)
 	binary.LittleEndian.PutUint64(entry[8:], n)
 	binary.LittleEndian.PutUint32(entry[16:], crc32.Checksum(snap[:n], crcTable))
-	copy(entry[entryHeaderSize:], snap)
-	if err := p.region.WriteAt(entry, int64(p.laneBase(tx.lane)+tx.cursor)); err != nil {
+	binary.LittleEndian.PutUint32(entry[20:], 0)
+	if err := p.region.WriteAt(entry, int64(p.laneBase(l.idx)+l.cursor)); err != nil {
 		return err
 	}
 	// Entry persisted; only then bump the count (the recovery fence).
-	tx.cursor += need
-	tx.count++
-	if err := p.laneWriteCount(tx.lane, tx.count); err != nil {
+	l.cursor += need
+	l.count++
+	if err := p.laneWriteCount(l); err != nil {
 		return err
 	}
-	tx.ranges = append(tx.ranges, txRange{off: start, n: n})
+	l.ranges = append(l.ranges, txRange{off: start, n: n})
 	p.stats.Persists.Add(1)
 	p.stats.PersistBytes.Add(int64(len(entry)))
 	return nil
@@ -217,7 +256,7 @@ func (tx *Tx) Commit() error {
 		tx.release()
 		return err
 	}
-	for _, r := range tx.ranges {
+	for _, r := range tx.lane.ranges {
 		if err := p.persistRaw(int64(r.off), int64(r.n)); err != nil {
 			return err
 		}
@@ -254,7 +293,7 @@ func (tx *Tx) Abort() error {
 		return err
 	}
 	// Refresh the view from the restored media.
-	for _, r := range tx.ranges {
+	for _, r := range tx.lane.ranges {
 		if err := p.region.ReadAt(p.view[r.off:r.off+r.n], int64(r.off)); err != nil {
 			tx.abandon()
 			return err
@@ -271,27 +310,27 @@ func (tx *Tx) Abort() error {
 
 // laneWriteCount writes a lane's entry count word alone straight to
 // media.
-func (p *Pool) laneWriteCount(lane uint64, count uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], count)
-	return p.region.WriteAt(b[:], int64(p.laneBase(lane)+logCount))
+func (p *Pool) laneWriteCount(l *txLane) error {
+	b := l.words[logCount:]
+	binary.LittleEndian.PutUint32(b, l.count)
+	return p.region.WriteAt(b, int64(p.laneBase(l.idx)+logCount))
 }
 
 // laneWriteHeader writes a lane's state word and a zero entry count
 // straight to media as one 8-byte store.
-func (p *Pool) laneWriteHeader(lane uint64, state uint32) error {
-	var b [laneHeaderSize]byte
-	binary.LittleEndian.PutUint32(b[logState:], state)
-	return p.region.WriteAt(b[:], int64(p.laneBase(lane)))
+func (p *Pool) laneWriteHeader(l *txLane, state uint32) error {
+	binary.LittleEndian.PutUint32(l.words[logState:], state)
+	binary.LittleEndian.PutUint32(l.words[logCount:], 0)
+	return p.region.WriteAt(l.words[:], int64(p.laneBase(l.idx)))
 }
 
 // clearLane marks one lane idle, with no entries, on media.
-func (p *Pool) clearLane(lane uint64) error { return p.laneWriteHeader(lane, logIdle) }
+func (p *Pool) clearLane(l *txLane) error { return p.laneWriteHeader(l, logIdle) }
 
 // clearLog marks every lane idle on media (pool creation / recovery).
 func (p *Pool) clearLog() error {
-	for lane := uint64(0); lane < TxLanes; lane++ {
-		if err := p.clearLane(lane); err != nil {
+	for i := range p.lane {
+		if err := p.clearLane(&p.lane[i]); err != nil {
 			return err
 		}
 	}
@@ -302,20 +341,21 @@ func (p *Pool) clearLog() error {
 // Abort, the in-memory view for crash recovery at Open — validating
 // each entry's bounds and CRC, and writes every snapshot back onto the
 // media (and the view, when one is mapped). One implementation of the
-// entry format serves both rollback paths.
-func (p *Pool) replayLane(lane uint64, readAt func(b []byte, off int64) error) error {
-	base := p.laneBase(lane)
-	var cnt [4]byte
-	if err := readAt(cnt[:], int64(base+logCount)); err != nil {
+// entry format serves both rollback paths. Entries are read into the
+// lane's entry buffer.
+func (p *Pool) replayLane(l *txLane, readAt func(b []byte, off int64) error) error {
+	base := p.laneBase(l.idx)
+	cnt := l.words[logCount:]
+	if err := readAt(cnt, int64(base+logCount)); err != nil {
 		return err
 	}
-	count := binary.LittleEndian.Uint32(cnt[:])
+	count := binary.LittleEndian.Uint32(cnt)
 	cursor := uint64(laneHeaderSize)
 	for i := uint32(0); i < count; i++ {
 		if cursor+entryHeaderSize > p.laneSize() {
-			return &TxError{Op: "recover", Why: fmt.Sprintf("lane %d entry %d malformed", lane, i)}
+			return &TxError{Op: "recover", Why: fmt.Sprintf("lane %d entry %d malformed", l.idx, i)}
 		}
-		hdr := make([]byte, entryHeaderSize)
+		hdr := l.buf(entryHeaderSize)
 		if err := readAt(hdr, int64(base+cursor)); err != nil {
 			return err
 		}
@@ -323,21 +363,22 @@ func (p *Pool) replayLane(lane uint64, readAt func(b []byte, off int64) error) e
 		n := binary.LittleEndian.Uint64(hdr[8:])
 		wantCRC := binary.LittleEndian.Uint32(hdr[16:])
 		padded := alignUp64(n, 8)
-		if off+n > uint64(p.size) || cursor+entryHeaderSize+padded > p.laneSize() {
-			return &TxError{Op: "recover", Why: fmt.Sprintf("lane %d entry %d malformed", lane, i)}
+		// Bounding n first keeps padded from wrapping.
+		if n > p.laneSize() || off+n > uint64(p.size) || cursor+entryHeaderSize+padded > p.laneSize() {
+			return &TxError{Op: "recover", Why: fmt.Sprintf("lane %d entry %d malformed", l.idx, i)}
 		}
-		data := make([]byte, padded)
+		data := l.buf(padded)[:n]
 		if err := readAt(data, int64(base+cursor+entryHeaderSize)); err != nil {
 			return err
 		}
-		if crc32.Checksum(data[:n], crcTable) != wantCRC {
-			return &TxError{Op: "recover", Why: fmt.Sprintf("lane %d entry %d checksum mismatch", lane, i)}
+		if crc32.Checksum(data, crcTable) != wantCRC {
+			return &TxError{Op: "recover", Why: fmt.Sprintf("lane %d entry %d checksum mismatch", l.idx, i)}
 		}
-		if err := p.region.WriteAt(data[:n], int64(off)); err != nil {
+		if err := p.region.WriteAt(data, int64(off)); err != nil {
 			return err
 		}
 		if p.view != nil {
-			copy(p.view[off:off+n], data[:n])
+			copy(p.view[off:off+n], data)
 		}
 		cursor += entryHeaderSize + padded
 	}
@@ -356,16 +397,17 @@ func (p *Pool) recoverLogFromView() error {
 		copy(b, p.view[off:])
 		return nil
 	}
-	for lane := uint64(0); lane < TxLanes; lane++ {
-		base := p.laneBase(lane)
+	for i := range p.lane {
+		l := &p.lane[i]
+		base := p.laneBase(l.idx)
 		laneHdr := p.view[base : base+laneHeaderSize]
 		if binary.LittleEndian.Uint32(laneHdr[logState:]) != logActive {
 			continue
 		}
-		if err := p.replayLane(lane, viewRead); err != nil {
+		if err := p.replayLane(l, viewRead); err != nil {
 			return err
 		}
-		if err := p.clearLane(lane); err != nil {
+		if err := p.clearLane(l); err != nil {
 			return err
 		}
 		binary.LittleEndian.PutUint32(laneHdr[logState:], logIdle)
@@ -378,12 +420,15 @@ func (p *Pool) recoverLogFromView() error {
 // is snapshotted, fn mutates the returned view slice, and the change
 // commits atomically. Any error aborts. This is the TX_BEGIN/TX_ADD/
 // TX_END convenience macro. Updates over disjoint objects may run
-// concurrently from many goroutines.
+// concurrently from many goroutines. The transaction runs on its lane's
+// own Tx, so an Update that commits allocates nothing.
 func (p *Pool) Update(oid OID, off, n uint64, fn func(view []byte) error) error {
-	tx, err := p.Begin()
+	l, err := p.claimLane()
 	if err != nil {
 		return err
 	}
+	tx := &l.tx
+	*tx = Tx{p: p, lane: l}
 	if err := tx.AddRange(oid, off, n); err != nil {
 		abortErr := tx.Abort()
 		if abortErr != nil {

@@ -3,6 +3,7 @@ package pmem
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -126,12 +127,12 @@ func TestTxLanesAndFinishedTxRejected(t *testing.T) {
 		}
 		others = append(others, tx2)
 	}
-	seen := map[uint64]bool{tx.lane: true}
+	seen := map[uint64]bool{tx.lane.idx: true}
 	for _, tx2 := range others {
-		if seen[tx2.lane] {
-			t.Fatalf("lane %d handed out twice", tx2.lane)
+		if seen[tx2.lane.idx] {
+			t.Fatalf("lane %d handed out twice", tx2.lane.idx)
 		}
-		seen[tx2.lane] = true
+		seen[tx2.lane.idx] = true
 	}
 	for _, tx2 := range others {
 		if err := tx2.Abort(); err != nil {
@@ -509,5 +510,176 @@ func TestOpenSingleMediaScan(t *testing.T) {
 	}
 	if max := int64(testPoolSize) + headerSize; cr.bytesRead.Load() > max {
 		t.Errorf("Open read %d bytes, want <= %d (single media scan)", cr.bytesRead.Load(), max)
+	}
+}
+
+// TestStaleTxAfterLaneReissue: a *Tx kept after Commit fails every
+// method with a *TxError, even once its lane carries the next
+// transaction, and that transaction commits intact. Each Begin returns
+// a fresh Tx over the lane's shared buffers, so a stale one can never
+// act on the lane's next transaction.
+func TestStaleTxAfterLaneReissue(t *testing.T) {
+	p, r := createPool(t)
+	oid, err := p.Alloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, err := p.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stale.AddRange(oid, 0, 64); err != nil {
+		t.Fatal(err)
+	}
+	if err := stale.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	var live *Tx
+	var held []*Tx
+	for live == nil {
+		tx, err := p.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tx.lane == stale.lane {
+			live = tx
+		} else {
+			held = append(held, tx)
+		}
+	}
+	for _, tx := range held {
+		if err := tx.Abort(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := live.AddRange(oid, 0, 64); err != nil {
+		t.Fatal(err)
+	}
+	v, _ := p.View(oid, 64)
+	copy(v, bytes.Repeat([]byte{0x5A}, 64))
+
+	var txErr *TxError
+	for name, call := range map[string]func() error{
+		"AddRange": func() error { return stale.AddRange(oid, 0, 8) },
+		"Commit":   stale.Commit,
+		"Abort":    stale.Abort,
+	} {
+		if err := call(); !errors.As(err, &txErr) {
+			t.Errorf("stale %s = %v, want a *TxError", name, err)
+		}
+	}
+	// The live transaction's lane is still active with its one entry.
+	hdr := r.data[p.laneBase(live.lane.idx):]
+	if state, count := binary.LittleEndian.Uint32(hdr[logState:]), binary.LittleEndian.Uint32(hdr[logCount:]); state != logActive || count != 1 {
+		t.Fatalf("live lane header = (state %d, count %d) after stale calls, want (%d, 1)", state, count, logActive)
+	}
+	if err := live.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	p.SimulateCrash()
+	p2, err := Open(r, "stream-arrays")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := p2.View(oid, 64); !bytes.Equal(got, bytes.Repeat([]byte{0x5A}, 64)) {
+		t.Errorf("after the live commit and a crash the object reads %x, want 5a...", got[:8])
+	}
+}
+
+// TestEntryPadZeroAfterLargerEntry: a lane's entry buffer is reused,
+// by Abort's replay as well as by AddRange, so every entry must still
+// reach the media with its header pad word and data pad bytes zero. The
+// replay leaves snapshot bytes where the next entry's header pad goes,
+// and a 5-byte AddRange after a 64-byte one on the same lane finds
+// snapshot bytes where its data pad goes.
+func TestEntryPadZeroAfterLargerEntry(t *testing.T) {
+	p, r := createPool(t)
+	oid, err := p.Alloc(128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, _ := p.View(oid, 128)
+	for i := range v {
+		v[i] = 0xEE
+	}
+	if err := p.Persist(oid, 128); err != nil {
+		t.Fatal(err)
+	}
+	aborted, err := p.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := aborted.AddRange(oid, 0, 64); err != nil {
+		t.Fatal(err)
+	}
+	if err := aborted.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	var tx *Tx
+	var held []*Tx
+	for tx == nil {
+		next, err := p.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next.lane == aborted.lane {
+			tx = next
+		} else {
+			held = append(held, next)
+		}
+	}
+	for _, h := range held {
+		if err := h.Abort(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.AddRange(oid, 0, 64); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.AddRange(oid, 64, 5); err != nil {
+		t.Fatal(err)
+	}
+	first := p.laneBase(tx.lane.idx) + laneHeaderSize
+	second := first + entryHeaderSize + 64
+	if pad := r.data[first+20 : first+entryHeaderSize]; !bytes.Equal(pad, make([]byte, 4)) {
+		t.Errorf("first entry's header pad word = %x, want zero", pad)
+	}
+	entry := r.data[second : second+entryHeaderSize+8]
+	if n := binary.LittleEndian.Uint64(entry[8:]); n != 5 {
+		t.Fatalf("second entry length = %d, want 5", n)
+	}
+	if pad := entry[20:entryHeaderSize]; !bytes.Equal(pad, make([]byte, 4)) {
+		t.Errorf("second entry's header pad word = %x, want zero", pad)
+	}
+	if pad := entry[entryHeaderSize+5:]; !bytes.Equal(pad, make([]byte, 3)) {
+		t.Errorf("second entry's data pad bytes = %x, want zero", pad)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenRejectsOversizedUndoEntry: recovery rejects an undo entry
+// whose length exceeds the lane instead of letting the padded length
+// wrap around and the entry's slice panic.
+func TestOpenRejectsOversizedUndoEntry(t *testing.T) {
+	p, r := createPool(t)
+	oid, err := p.Alloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, err := p.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.AddRange(oid, 0, 64); err != nil {
+		t.Fatal(err)
+	}
+	lane := tx.lane.idx
+	p.SimulateCrash()
+	binary.LittleEndian.PutUint64(r.data[p.laneBase(lane)+laneHeaderSize+8:], ^uint64(0))
+	var txErr *TxError
+	if _, err := Open(r, "stream-arrays"); !errors.As(err, &txErr) {
+		t.Errorf("Open over an oversized undo entry = %v, want a *TxError", err)
 	}
 }

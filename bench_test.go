@@ -177,13 +177,16 @@ func BenchmarkAblationChannels(b *testing.B) {
 }
 
 // BenchmarkAblationMultiHost models the §6 future-work question: more
-// than one node accessing one CXL memory pool. A real switch+MLD fabric
-// is assembled (internal/cluster); the appliance's shared pipeline caps
-// the aggregate, so per-host bandwidth decays as hosts join.
+// than one node accessing one CXL memory pool. A real switch, MLD and
+// fabric manager are assembled (internal/cluster), each host granted a
+// fixed 64 MiB share; the appliance's shared pipeline caps the
+// aggregate, so per-host bandwidth decays as hosts join.
 func BenchmarkAblationMultiHost(b *testing.B) {
 	var pts []cluster.ScalePoint
 	for i := 0; i < b.N; i++ {
-		c, err := cluster.New(4, 64<<20)
+		c, err := cluster.NewElastic(cluster.ElasticConfig{
+			Hosts: 4, Pool: 4 * 64 * units.MiB, Quota: 64 * units.MiB, Initial: 64 * units.MiB,
+		})
 		if err != nil {
 			b.Fatal(err)
 		}

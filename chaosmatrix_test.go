@@ -174,13 +174,13 @@ func runChaosCell(t *testing.T, cell chaosCell, phase string) {
 					buf[i] = byte(round*31 + p*7 + i)
 				}
 				t0 := time.Now()
-				err := victim.IO.WriteBurst(pageAddr(vx, victim, p), buf)
+				err := victim.Port.WriteBurst(pageAddr(vx, victim, p), buf)
 				lats = append(lats, time.Since(t0))
 				switch {
 				case err == nil:
 					mirror[p] = append(mirror[p][:0], buf...)
 					// Read-own-write: an acked write is immediately visible.
-					if rerr := victim.IO.ReadBurst(pageAddr(vx, victim, p), rbuf); rerr == nil {
+					if rerr := victim.Port.ReadBurst(pageAddr(vx, victim, p), rbuf); rerr == nil {
 						if !bytes.Equal(buf, rbuf) {
 							return fmt.Errorf("round %d page %d: acked write read back corrupted", round, p)
 						}
@@ -197,10 +197,10 @@ func runChaosCell(t *testing.T, cell chaosCell, phase string) {
 			for i := range cbuf {
 				cbuf[i] = byte(round ^ i)
 			}
-			if err := ctrl.IO.WriteBurst(pageAddr(cexts[0], ctrl, 0), cbuf); err != nil {
+			if err := ctrl.Port.WriteBurst(pageAddr(cexts[0], ctrl, 0), cbuf); err != nil {
 				return fmt.Errorf("round %d: control write: %w", round, err)
 			}
-			if err := ctrl.IO.ReadBurst(pageAddr(cexts[0], ctrl, 0), rbuf); err != nil || !bytes.Equal(cbuf, rbuf[:len(cbuf)]) {
+			if err := ctrl.Port.ReadBurst(pageAddr(cexts[0], ctrl, 0), rbuf); err != nil || !bytes.Equal(cbuf, rbuf[:len(cbuf)]) {
 				return fmt.Errorf("round %d: control round trip broken (%v)", round, err)
 			}
 			if cell.cmds && round%5 == 0 {
@@ -244,7 +244,7 @@ func runChaosCell(t *testing.T, cell chaosCell, phase string) {
 			if mirror[p] == nil {
 				continue
 			}
-			if err := victim.IO.ReadBurst(pageAddr(vx, victim, p), out); err != nil {
+			if err := victim.Port.ReadBurst(pageAddr(vx, victim, p), out); err != nil {
 				t.Fatalf("final readback page %d: %v", p, err)
 			}
 			if !bytes.Equal(mirror[p], out) {
@@ -342,7 +342,7 @@ func TestChaosMatrixReplay(t *testing.T) {
 		buf := make([]byte, chaosPageSize)
 		for n := 0; n < 64; n++ {
 			addr := h.Window.Base + exts[0].DPA + uint64(n%8)*chaosPageSize
-			if err := h.IO.WriteBurst(addr, buf); err != nil {
+			if err := h.Port.WriteBurst(addr, buf); err != nil {
 				t.Fatalf("write %d: %v", n, err)
 			}
 		}

@@ -136,9 +136,9 @@ func injectDriveWire(e *cluster.Elastic, h *cluster.ElasticHost, x fabric.Extent
 	var firstErr error
 	for n := 0; n < 64; n++ {
 		addr := h.Window.Base + x.DPA + uint64(n%16)*4096
-		err := h.IO.WriteBurst(addr, buf)
+		err := h.Port.WriteBurst(addr, buf)
 		if err == nil {
-			err = h.IO.ReadBurst(addr, buf)
+			err = h.Port.ReadBurst(addr, buf)
 		}
 		switch {
 		case err == nil:

@@ -121,7 +121,7 @@ func main() {
 		if len(revoked) > 0 {
 			h := e.Hosts[*host]
 			buf := make([]byte, 4096)
-			err := h.IO.ReadBurst(h.Window.Base+revoked[0].DPA, buf)
+			err := h.Port.ReadBurst(h.Window.Base+revoked[0].DPA, buf)
 			fmt.Printf("tenant access after reclaim: %v\n", err)
 		}
 		fmt.Printf("pool free: %v (reclaimed bytes immediately re-grantable)\n", e.Fabric.Remaining())
@@ -191,11 +191,11 @@ func verifyExtent(e *cluster.Elastic, host int, x fabric.ExtentInfo) {
 		buf[i] = byte(i)
 	}
 	addr := h.Window.Base + x.DPA
-	if err := h.IO.WriteBurst(addr, buf); err != nil {
+	if err := h.Port.WriteBurst(addr, buf); err != nil {
 		log.Fatalf("verify write: %v", err)
 	}
 	got := make([]byte, len(buf))
-	if err := h.IO.ReadBurst(addr, got); err != nil {
+	if err := h.Port.ReadBurst(addr, got); err != nil {
 		log.Fatalf("verify read: %v", err)
 	}
 	for i := range got {
@@ -300,7 +300,7 @@ func runEvacuate(e *cluster.Elastic, pool string) {
 	for i := range buf {
 		buf[i] = byte(i * 7)
 	}
-	if err := h.IO.WriteBurst(h.Window.Base+exts[0].DPA, buf); err != nil {
+	if err := h.Port.WriteBurst(h.Window.Base+exts[0].DPA, buf); err != nil {
 		log.Fatalf("seed write: %v", err)
 	}
 
@@ -311,7 +311,7 @@ func runEvacuate(e *cluster.Elastic, pool string) {
 	fmt.Printf("evacuated %d extents off %s\n", moved, pool)
 
 	got := make([]byte, len(buf))
-	if err := h.IO.ReadBurst(h.Window.Base+exts[0].DPA, got); err != nil {
+	if err := h.Port.ReadBurst(h.Window.Base+exts[0].DPA, got); err != nil {
 		log.Fatalf("readback: %v", err)
 	}
 	for i := range got {

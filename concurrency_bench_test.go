@@ -197,9 +197,12 @@ func BenchmarkConcurrentTx(b *testing.B) {
 
 // BenchmarkParallelCluster runs the measured multi-host scale-out: k
 // hosts concurrently streaming bursts at one pooled appliance through
-// the real switch/MLD path (the RunParallel mode of internal/cluster).
+// the real switch and each host's fixed 64 MiB share of extents
+// (cluster.Elastic.RunParallel).
 func BenchmarkParallelCluster(b *testing.B) {
-	c, err := cluster.New(4, 64*units.MiB)
+	c, err := cluster.NewElastic(cluster.ElasticConfig{
+		Hosts: 4, Pool: 4 * 64 * units.MiB, Quota: 64 * units.MiB, Initial: 64 * units.MiB,
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -208,7 +211,7 @@ func BenchmarkParallelCluster(b *testing.B) {
 	b.ResetTimer()
 	var last float64
 	for i := 0; i < b.N; i++ {
-		pt, err := c.RunParallel(4, perHost, 10)
+		pt, err := c.RunParallel(4, perHost)
 		if err != nil {
 			b.Fatal(err)
 		}

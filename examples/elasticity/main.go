@@ -94,7 +94,7 @@ func main() {
 	}
 	h2 := e.Hosts[2]
 	buf := make([]byte, 4096)
-	accessErr := h2.IO.ReadBurst(h2.Window.Base+revoked[0].DPA, buf)
+	accessErr := h2.Port.ReadBurst(h2.Window.Base+revoked[0].DPA, buf)
 	fmt.Printf("   host2 access now fails with poison: %v\n", accessErr)
 	if _, err := e.Grow(1, 4*units.MiB); err != nil {
 		log.Fatal(err)

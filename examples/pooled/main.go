@@ -1,9 +1,9 @@
 // Pooled memory across hosts — the paper's §6 future-work scenario:
 // four compute nodes reach one battery-backed CXL memory appliance
-// through a CXL 2.0 switch with a Multi-Logical Device carved into
-// per-host partitions. Each host creates its own persistent pool on its
-// partition, one host crashes and recovers, and the scale-out model
-// shows the shared-pipeline contention.
+// through a CXL switch, the fabric manager granting each host a fixed
+// 256 MiB share as dynamic-capacity extents. Each host creates its own
+// persistent pool on its share, one host crashes and recovers, and the
+// scale-out model shows the shared-pipeline contention.
 package main
 
 import (
@@ -17,13 +17,19 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	c, err := cluster.New(4, 256*units.MiB)
+	const perHost = 256 * units.MiB
+	c, err := cluster.NewElastic(cluster.ElasticConfig{
+		Hosts:   4,
+		Pool:    4 * perHost,
+		Quota:   perHost,
+		Initial: perHost,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(c.Describe())
 
-	// Every host writes a private persistent pool on its partition.
+	// Every host writes a private persistent pool on its share.
 	for _, h := range c.Hosts {
 		region := hostRegion{h}
 		pool, err := pmem.Create(region, "pooled-demo")
@@ -39,7 +45,7 @@ func main() {
 		}
 		if h.Index == 2 {
 			// Host 2 loses power; the appliance battery keeps its
-			// partition intact.
+			// share intact.
 			pool.SimulateCrash()
 			re, err := pmem.Open(region, "pooled-demo")
 			if err != nil {
@@ -67,14 +73,14 @@ func main() {
 }
 
 type hostRegion struct {
-	h *cluster.Node
+	h *cluster.ElasticHost
 }
 
 func (r hostRegion) ReadAt(p []byte, off int64) error {
-	return r.h.IO.ReadAt(p, int64(r.h.Window.Base)+off)
+	return r.h.Port.ReadAt(p, int64(r.h.Window.Base)+off)
 }
 func (r hostRegion) WriteAt(p []byte, off int64) error {
-	return r.h.IO.WriteAt(p, int64(r.h.Window.Base)+off)
+	return r.h.Port.WriteAt(p, int64(r.h.Window.Base)+off)
 }
 func (r hostRegion) Size() int64      { return int64(r.h.Window.Size) }
-func (r hostRegion) Persistent() bool { return r.h.LD.Media().Persistent() }
+func (r hostRegion) Persistent() bool { return r.h.Tenant.Device().Persistent() }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -8,9 +9,18 @@ import (
 	"cxlpmem/internal/units"
 )
 
-func testCluster(t *testing.T, hosts int) *Cluster {
+// testCluster builds hosts tenants that each hold a fixed 64 MiB share
+// of the appliance from the start (Initial == Quota), so the pool is
+// fully granted.
+func testCluster(t *testing.T, hosts int) *Elastic {
 	t.Helper()
-	c, err := New(hosts, 64*units.MiB)
+	const perHost = 64 * units.MiB
+	c, err := NewElastic(ElasticConfig{
+		Hosts:   hosts,
+		Pool:    units.Size(hosts) * perHost,
+		Quota:   perHost,
+		Initial: perHost,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,23 +32,28 @@ func TestClusterAssembly(t *testing.T) {
 	if len(c.Hosts) != 4 {
 		t.Fatalf("hosts = %d", len(c.Hosts))
 	}
-	if c.media.Capacity() != 256*units.MiB {
-		t.Errorf("pooled = %v", c.media.Capacity())
+	if c.TotalPooled() != 256*units.MiB {
+		t.Errorf("pooled = %v", c.TotalPooled())
 	}
 	if c.MLD.Remaining() != 0 {
 		t.Errorf("remaining = %v", c.MLD.Remaining())
 	}
-	// Every host has a trained port and a distinct partition.
+	// Every host has a trained port and its own pool bytes.
 	seen := map[uint64]bool{}
 	for _, h := range c.Hosts {
 		if h.Port.State().String() != "up" {
 			t.Errorf("host %d link down", h.Index)
 		}
-		base, _ := h.LD.Partition()
-		if seen[base] {
-			t.Errorf("partition base %#x reused", base)
+		exts, err := c.Fabric.Extents(h.Tenant.Name())
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen[base] = true
+		for _, x := range exts {
+			if seen[x.PoolBase] {
+				t.Errorf("pool base %#x reused", x.PoolBase)
+			}
+			seen[x.PoolBase] = true
+		}
 	}
 	d := c.Describe()
 	if !strings.Contains(d, "host3") || !strings.Contains(d, "appliance") {
@@ -47,14 +62,14 @@ func TestClusterAssembly(t *testing.T) {
 }
 
 func TestClusterValidation(t *testing.T) {
-	if _, err := New(0, units.MiB); err == nil {
-		t.Error("0 hosts accepted")
-	}
-	if _, err := New(17, units.MiB); err == nil {
-		t.Error("17 hosts accepted")
-	}
-	if _, err := New(2, 33); err == nil {
-		t.Error("unaligned capacity accepted")
+	for name, cfg := range map[string]ElasticConfig{
+		"0 hosts":            {Hosts: 0, Pool: 16 * units.MiB},
+		"17 hosts":           {Hosts: 17, Pool: 16 * units.MiB},
+		"unaligned capacity": {Hosts: 2, Pool: 33},
+	} {
+		if _, err := NewElastic(cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
@@ -70,7 +85,7 @@ func TestHostsAreIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(probe) == string(payload) {
-		t.Error("host1 sees host0's partition")
+		t.Error("host1 sees host0's capacity")
 	}
 	back := make([]byte, len(payload))
 	if err := h0.Port.ReadAt(back, int64(h0.Window.Base)); err != nil {
@@ -83,8 +98,8 @@ func TestHostsAreIsolated(t *testing.T) {
 
 func TestPersistentPoolOnPooledMemory(t *testing.T) {
 	// The disaggregated use case end to end: a pmemobj pool on a
-	// pooled partition survives the host's power loss (the appliance
-	// is battery-backed once for everyone, §1.4).
+	// host's pooled capacity survives the host's power loss (the
+	// appliance is battery-backed once for everyone, §1.4).
 	c := testCluster(t, 2)
 	h := c.Hosts[1]
 	region := &windowRegion{h: h}
@@ -112,7 +127,7 @@ func TestPersistentPoolOnPooledMemory(t *testing.T) {
 
 // windowRegion adapts a host's pooled window to pmem.Region.
 type windowRegion struct {
-	h *Node
+	h *ElasticHost
 }
 
 func (r *windowRegion) ReadAt(p []byte, off int64) error {
@@ -122,7 +137,7 @@ func (r *windowRegion) WriteAt(p []byte, off int64) error {
 	return r.h.Port.WriteAt(p, int64(r.h.Window.Base)+off)
 }
 func (r *windowRegion) Size() int64      { return int64(r.h.Window.Size) }
-func (r *windowRegion) Persistent() bool { return r.h.LD.Media().Persistent() }
+func (r *windowRegion) Persistent() bool { return r.h.Tenant.Device().Persistent() }
 
 func TestScalabilityShape(t *testing.T) {
 	c := testCluster(t, 4)
@@ -156,7 +171,7 @@ func TestScalabilityShape(t *testing.T) {
 func TestRunParallelMeasuredVsAnalytical(t *testing.T) {
 	c := testCluster(t, 4)
 	const perHost = 4 << 20 // 4 MiB each, enough bursts to be stable
-	pt, err := c.RunParallel(4, perHost, 10)
+	pt, err := c.RunParallel(4, perHost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,41 +188,54 @@ func TestRunParallelMeasuredVsAnalytical(t *testing.T) {
 		}
 		sum += bw
 	}
-	// The switch arbitrates round-robin and the partitions are
-	// symmetric, so no host may starve: each host must achieve at
-	// least a small fraction of the mean (loose bound — single-core CI
-	// runners schedule goroutines unevenly).
+	// The switch arbitrates round-robin and the shares are symmetric,
+	// so no host may starve: each host must achieve at least a small
+	// fraction of the mean (loose bound — single-core CI runners
+	// schedule goroutines unevenly).
 	mean := sum / units.Bandwidth(len(pt.PerHost))
 	for i, bw := range pt.PerHost {
 		if bw < mean/20 {
 			t.Errorf("host %d starved: %v vs mean %v", i, bw, mean)
 		}
 	}
-	// The analytical model must be populated from the same cluster and
-	// agree with Scalability.
+	// The analytical model of the same cluster shares the pipeline
+	// evenly too: at k hosts each gets exactly 1/k of the aggregate.
 	pts, err := c.Scalability(10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pt.Analytical != pts[3].Aggregate {
-		t.Errorf("analytical aggregate %v, want %v", pt.Analytical, pts[3].Aggregate)
+	model := pts[pt.Hosts-1]
+	if model.Hosts != pt.Hosts || model.Aggregate <= 0 ||
+		model.PerHost*units.Bandwidth(model.Hosts) < model.Aggregate*0.999 {
+		t.Errorf("analytical row for %d hosts = %+v, want an even split", pt.Hosts, model)
 	}
-	// Data integrity: every partition saw exactly the written bytes
-	// (half the moved bytes are writes).
-	for i := 0; i < 4; i++ {
-		wrote := c.Hosts[i].LD.Media().Stats().BytesWrite.Load()
-		if wrote != perHost/2 {
+	// Data integrity: every tenant device saw exactly its own host's
+	// written bytes (half the moved bytes are writes), and each host
+	// reads back the pattern it drove, not another host's.
+	got := make([]byte, 4096)
+	for i, h := range c.Hosts {
+		if wrote := h.Tenant.Device().Stats().BytesWrite.Load(); wrote != perHost/2 {
 			t.Errorf("host %d media writes = %d, want %d", i, wrote, perHost/2)
+		}
+		if err := h.Port.ReadBurst(h.Window.Base, got); err != nil {
+			t.Fatal(err)
+		}
+		want := make([]byte, len(got))
+		for j := range want {
+			want[j] = byte(i + j)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("host %d reads back another pattern: % x…", i, got[:8])
 		}
 	}
 }
 
 func TestRunParallelValidation(t *testing.T) {
 	c := testCluster(t, 2)
-	if _, err := c.RunParallel(3, 1<<20, 10); err == nil {
+	if _, err := c.RunParallel(3, 1<<20); err == nil {
 		t.Error("host count beyond cluster accepted")
 	}
-	if _, err := c.RunParallel(1, 100, 10); err == nil {
+	if _, err := c.RunParallel(1, 100); err == nil {
 		t.Error("non-burst-multiple byte count accepted")
 	}
 }

@@ -11,11 +11,11 @@ import (
 	"cxlpmem/internal/units"
 )
 
-// Elastic is the dynamic-capacity counterpart of Cluster: k hosts
-// behind one switch and one pooled appliance, but instead of a static
-// per-host carve at construction, every host's share is a set of
-// fabric-granted extents that can grow, shrink and move between hosts
-// while traffic is in flight. The host-side capacity agent — the part
+// Elastic is the pooled cluster: k hosts behind one switch and one
+// memory appliance. Every host's share is a set of fabric-granted
+// extents that can grow, shrink and move between hosts while traffic
+// is in flight; a fixed share is the case Initial == Quota, the whole
+// quota granted at construction. The host-side capacity agent — the part
 // a kernel's DCD driver would play — lives here too: Grow and Shrink
 // drive the full round trip (fabric grant → add-capacity event →
 // mailbox accept; release request → mailbox release).
@@ -54,11 +54,9 @@ func (e *Elastic) execute(mb *cxl.Mailbox, op cxl.MailboxOpcode, in []byte) ([]b
 // quota-sized HPA window extents appear inside.
 type ElasticHost struct {
 	Index int
-	// Port is the trained root port (link state and stats; data traffic
-	// goes through IO).
-	Port *cxl.RootPort
-	// IO is the tenant's data path, in fabric HPA space.
-	IO     cxl.MemIO
+	// Port is the trained root port: the tenant's data path, in fabric
+	// HPA space, and its link state and stats.
+	Port   *cxl.RootPort
 	Window cxl.MemWindow
 	Tenant *fabric.Tenant
 }
@@ -153,7 +151,7 @@ func NewElastic(cfg ElasticConfig) (*Elastic, error) {
 		if err := e.Throttle.register(name, t.Device().Stats(), 1/float64(cfg.Hosts)); err != nil {
 			return nil, err
 		}
-		e.Hosts = append(e.Hosts, &ElasticHost{Index: i, Port: rp, IO: rp, Window: h.Windows[0], Tenant: t})
+		e.Hosts = append(e.Hosts, &ElasticHost{Index: i, Port: rp, Window: h.Windows[0], Tenant: t})
 	}
 	if cfg.Initial > 0 {
 		for i := range e.Hosts {
@@ -294,9 +292,10 @@ const elasticBurst = 64 * 64
 
 // Drive moves total bytes through a host's root port — alternating
 // maximal write and read bursts striped across the host's active
-// extents — pacing each burst with the QoS throttle. Returns the
-// achieved throughput. It is the elastic counterpart of RunParallel's
-// per-host loop and is safe to run for many hosts concurrently.
+// extents, every write carrying host i's pattern byte(i+j) — pacing
+// each burst with the QoS throttle. Returns the achieved throughput.
+// It is safe to run for many hosts concurrently; RunParallel runs one
+// per host.
 func (e *Elastic) Drive(i int, total units.Size) (units.Bandwidth, error) {
 	h, err := e.host(i)
 	if err != nil {
@@ -320,9 +319,12 @@ func (e *Elastic) Drive(i int, total units.Size) (units.Bandwidth, error) {
 		return 0, fmt.Errorf("cluster: host %d has no active extent to drive", i)
 	}
 	name := h.Tenant.Name()
-	buf := make([]byte, elasticBurst)
-	for j := range buf {
-		buf[j] = byte(i + j)
+	// Reads land in their own half of buf, so every write burst carries
+	// the host's pattern however many bursts it has read.
+	buf := make([]byte, 2*elasticBurst)
+	out, in := buf[:elasticBurst], buf[elasticBurst:]
+	for j := range out {
+		out[j] = byte(i + j)
 	}
 	t0 := time.Now()
 	var moved units.Size
@@ -339,9 +341,9 @@ func (e *Elastic) Drive(i int, total units.Size) (units.Bandwidth, error) {
 			return 0, err
 		}
 		if n%2 == 0 {
-			err = h.IO.WriteBurst(addr, buf)
+			err = h.Port.WriteBurst(addr, out)
 		} else {
-			err = h.IO.ReadBurst(addr, buf)
+			err = h.Port.ReadBurst(addr, in)
 		}
 		if err != nil {
 			return 0, err

@@ -50,11 +50,11 @@ func (e *Elastic) EnableRAS(th ras.Thresholds, cfg ras.ScrubConfig) (*ras.Plane,
 				if mbox.HasPoisonIn(dpa, uint64(len(buf))) {
 					return fmt.Errorf("cluster: patrol: poison in [%#x, %#x)", dpa, dpa+uint64(len(buf)))
 				}
-				return h.IO.ReadBurst(h.Window.Base+dpa, buf)
+				return h.Port.ReadBurst(h.Window.Base+dpa, buf)
 			},
 			Probe: func(dpa uint64) error {
 				var line [cxl.LineSize]byte
-				return h.IO.ReadLine(h.Window.Base+dpa, &line)
+				return h.Port.ReadLine(h.Window.Base+dpa, &line)
 			},
 			Retries:  func() int64 { return h.Port.Stats().Retries },
 			Poisoned: mbox.IsPoisoned,

@@ -1,6 +1,6 @@
 // Directory-based hardware coherence for shared HDM — the CXL 3.0
 // successor of this package's Peterson discipline. The Type-3 device
-// (or the MLD partition exposing the shared segment) owns a per-line
+// that exposes the shared segment owns a per-line
 // MESI directory: every 64-byte line records which hosts cache it and
 // in what state. Before a conflicting access is granted, the directory
 // recalls the line from its current holders over the back-invalidate

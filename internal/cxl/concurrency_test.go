@@ -253,79 +253,6 @@ func TestHookSwapDuringTraffic(t *testing.T) {
 	}
 }
 
-// TestConcurrentPartitions drives every partition of one MLD from its
-// own goroutine through its own port: per-partition traffic must
-// proceed independently (no cross-partition interference, correct
-// per-partition byte accounting).
-func TestConcurrentPartitions(t *testing.T) {
-	const parts = 4
-	const partSize = 4 << 20
-	media, err := memdev.NewDRAM(memdev.DRAMConfig{
-		Name: "mld-dram", Rate: 3200, Channels: 1,
-		CapacityPerChannel: parts * partSize,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mld, err := NewMLD("mld", media)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ports := make([]*RootPort, parts)
-	lds := make([]*LogicalDevice, parts)
-	for i := 0; i < parts; i++ {
-		ld, err := mld.Carve("ld", partSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ld.ProgramDecoder(&HDMDecoder{Base: 0, Size: partSize}); err != nil {
-			t.Fatal(err)
-		}
-		lds[i] = ld
-		ports[i] = trainedPort(t, ld)
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, parts)
-	for i := 0; i < parts; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			buf := make([]byte, 4096)
-			for j := range buf {
-				buf[j] = byte(i)
-			}
-			got := make([]byte, 4096)
-			for r := 0; r < 50; r++ {
-				addr := uint64(r%4) * 4096
-				if err := ports[i].WriteBurst(addr, buf); err != nil {
-					errs[i] = err
-					return
-				}
-				if err := ports[i].ReadBurst(addr, got); err != nil {
-					errs[i] = err
-					return
-				}
-				if !bytes.Equal(buf, got) {
-					errs[i] = &PortError{Port: "part", Op: "verify", Addr: addr, Why: "cross-partition interference"}
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("partition %d: %v", i, err)
-		}
-	}
-	for i, ld := range lds {
-		wrote := ld.Media().Stats().BytesWrite.Load()
-		if wrote != 50*4096 {
-			t.Errorf("partition %d wrote %d bytes, want %d", i, wrote, 50*4096)
-		}
-	}
-}
-
 // TestSwitchRebindDuringTraffic races the switch control plane
 // (Bind/Unbind/Rebind/EndpointFor/Bindings on spare vPPBs) against
 // CXL.mem traffic flowing through root ports whose endpoints were
@@ -336,33 +263,21 @@ func TestSwitchRebindDuringTraffic(t *testing.T) {
 	const hosts = 2
 	const spares = 2
 	const partSize = 1 << 20
-	media, err := memdev.NewDRAM(memdev.DRAMConfig{
-		Name: "sw-dram", Rate: 3200, Channels: 1,
-		CapacityPerChannel: (hosts + spares) * partSize,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mld, err := NewMLD("sw-mld", media)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sw := NewSwitch("sw0")
-	carve := func(name string) *LogicalDevice {
-		ld, err := mld.Carve(name, partSize)
+	endpoint := func(name string) *Type3Device {
+		dev, err := NewType3(name, CXLVendorID, 0x0D93, testMedia(t, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ld.ProgramDecoder(&HDMDecoder{Base: 0, Size: partSize}); err != nil {
+		if err := dev.ProgramDecoder(&HDMDecoder{Base: 0, Size: partSize}); err != nil {
 			t.Fatal(err)
 		}
-		return ld
+		return dev
 	}
 	ports := make([]*RootPort, hosts)
 	for i := 0; i < hosts; i++ {
-		ld := carve("traffic-ld")
 		dsp := fmt.Sprintf("dsp-traffic%d", i)
-		if err := sw.AddDownstream(dsp, ld); err != nil {
+		if err := sw.AddDownstream(dsp, endpoint(dsp)); err != nil {
 			t.Fatal(err)
 		}
 		vppb := fmt.Sprintf("host%d", i)
@@ -376,7 +291,8 @@ func TestSwitchRebindDuringTraffic(t *testing.T) {
 		ports[i] = trainedPort(t, ep)
 	}
 	for i := 0; i < spares; i++ {
-		if err := sw.AddDownstream(fmt.Sprintf("dsp-spare%d", i), carve("spare-ld")); err != nil {
+		dsp := fmt.Sprintf("dsp-spare%d", i)
+		if err := sw.AddDownstream(dsp, endpoint(dsp)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -6,14 +6,14 @@ import (
 	"cxlpmem/internal/units"
 )
 
-// Extent management for dynamic capacity. CXL 2.0 carves an MLD once;
-// CXL 3.0's Dynamic Capacity Device (DCD) model lets a fabric manager
-// grant and reclaim capacity as *extents* while hosts run. Both sit on
-// the same substrate: a device-physical address space from which
-// line-aligned ranges are reserved and returned. ExtentAllocator is
-// that substrate — a first-fit free-list allocator with coalescing on
-// release, used by the MLD for its partitions/extents and by the fabric
-// manager for each tenant's device address space.
+// Extent management for dynamic capacity. CXL 3.0's Dynamic Capacity
+// Device (DCD) model lets a fabric manager grant and reclaim capacity
+// as *extents* while hosts run, from a device-physical address space
+// in which line-aligned ranges are reserved and returned.
+// ExtentAllocator is that address space — a first-fit free-list
+// allocator with coalescing on release, used by the MLD for its pool
+// extents and by the fabric manager for each tenant's device address
+// space.
 
 // Extent is a half-open device-physical range [Base, Base+Size).
 type Extent struct {

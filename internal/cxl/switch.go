@@ -2,7 +2,6 @@ package cxl
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -10,12 +9,13 @@ import (
 	"cxlpmem/internal/units"
 )
 
-// CXL 2.0 switching and pooling (paper §1.3: "CXL 2.0 expands the
+// CXL switching and pooling (paper §1.3: "CXL 2.0 expands the
 // specification – among other capabilities – to memory pools using CXL
 // switches on a device level"). A Switch exposes virtual PCIe-to-PCIe
 // bridges (vPPBs) upstream — one per host — and binds each to a
-// downstream endpoint, or to one logical device of a Multi-Logical
-// Device (MLD) whose capacity is partitioned among hosts.
+// downstream endpoint. A Multi-Logical Device (MLD) is the pooled
+// media behind them: the fabric manager allocates its capacity as
+// extents and maps them into per-host dynamic-capacity endpoints.
 
 // Switch is a CXL 2.0 switch. Binding mutations (Bind/Unbind/Rebind,
 // AddDownstream) are serialised by a mutex and publish an immutable
@@ -155,8 +155,8 @@ func (sw *Switch) BindShared(vppb, downstreamPort string) error {
 
 // Bind connects a host-facing vPPB to a downstream port. A downstream
 // device may be bound to at most one vPPB at a time (single-logical-
-// device semantics; MLDs are partitioned first, then each logical device
-// is bound independently).
+// device semantics; hosts share an MLD through per-host endpoints the
+// fabric manager builds over its extents).
 func (sw *Switch) Bind(vppb, downstreamPort string) error {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
@@ -355,19 +355,17 @@ func (sw *Switch) Bindings() map[string]string {
 	return out
 }
 
-// MLD is a Multi-Logical Device: one physical Type-3 device whose
-// capacity is partitioned into logical devices, each presentable to a
-// different host. This is CXL 2.0's device-level pooling mechanism —
-// made elastic here: partitions and raw extents can be released back to
-// the pool and re-carved (first-fit with coalescing), which is the
-// substrate the fabric manager's dynamic-capacity model stands on.
+// MLD is a Multi-Logical Device: the media of one physical Type-3
+// device, its capacity shared among hosts as raw extents (first-fit
+// with coalescing on release). It carries no endpoint of its own; the
+// fabric manager maps its extents into per-host dynamic-capacity
+// endpoints.
 type MLD struct {
 	name  string
 	media memdev.Device
 
-	mu         sync.Mutex
-	alloc      *ExtentAllocator
-	partitions []*LogicalDevice
+	mu    sync.Mutex
+	alloc *ExtentAllocator
 }
 
 // NewMLD wraps media as a poolable multi-logical device.
@@ -390,19 +388,12 @@ func (m *MLD) Name() string { return m.name }
 // tables, not from hiding the media.
 func (m *MLD) Media() memdev.Device { return m.media }
 
-// Remaining reports unreserved capacity: what neither a carved
-// partition nor an allocated extent currently holds.
+// Remaining reports unreserved capacity: what no allocated extent
+// currently holds.
 func (m *MLD) Remaining() units.Size {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.alloc.Remaining()
-}
-
-// FreeExtents snapshots the free list (sorted by base).
-func (m *MLD) FreeExtents() []Extent {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.alloc.FreeExtents()
 }
 
 // AllocExtent reserves a contiguous raw extent of exactly size bytes
@@ -435,161 +426,4 @@ func (m *MLD) ReleaseExtent(ext Extent) error {
 		return fmt.Errorf("cxl: mld %s: %w", m.name, err)
 	}
 	return nil
-}
-
-// Carve allocates a logical device of the given size from the pool. The
-// returned LogicalDevice is a full CXL Type-3 endpoint restricted to its
-// partition (dynamic capacity in CXL 2.0/3.0 terms). A carve that fails
-// after reserving its extent rolls the reservation back — no capacity
-// leaks, Remaining() is exact across any sequence of failed carves.
-func (m *MLD) Carve(name string, size units.Size) (*LogicalDevice, error) {
-	if size <= 0 || size%units.CacheLine != 0 {
-		return nil, fmt.Errorf("cxl: mld %s: invalid partition size %d", m.name, size)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ext, err := m.alloc.Alloc(size)
-	if err != nil {
-		return nil, fmt.Errorf("cxl: mld %s: partition %s: %w", m.name, size, err)
-	}
-	ld := &LogicalDevice{
-		mld:  m,
-		base: ext.Base,
-		size: ext.Size,
-	}
-	ld.view = &partitionView{m: m, base: ext.Base, size: ext.Size}
-	ld.Type3Device, err = newType3FromView(name, ld.view)
-	if err != nil {
-		// Roll back the reservation: the extent was just carved from
-		// the free list, so returning it cannot fail.
-		if ferr := m.alloc.Free(ext); ferr != nil {
-			panic(fmt.Sprintf("cxl: mld %s: carve rollback failed: %v", m.name, ferr))
-		}
-		return nil, err
-	}
-	m.partitions = append(m.partitions, ld)
-	return ld, nil
-}
-
-// Release returns a carved partition to the pool. The logical device is
-// detached first — in-flight and subsequent accesses through it fail —
-// and its extent is then freed and coalesced, so a released partition's
-// bytes are immediately re-carvable. Releasing a device twice, or one
-// belonging to another MLD, is refused.
-func (m *MLD) Release(ld *LogicalDevice) error {
-	if ld == nil || ld.mld != m {
-		return fmt.Errorf("cxl: mld %s: release of foreign logical device", m.name)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	idx := -1
-	for i, p := range m.partitions {
-		if p == ld {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return fmt.Errorf("cxl: mld %s: logical device %s not carved here (double release?)", m.name, ld.Name())
-	}
-	// Detach, then drain accesses that passed the detached check before
-	// it flipped — only then is the extent safe to hand back, or a
-	// straggling write could land on bytes already re-carved for a new
-	// partition.
-	ld.view.detached.Store(true)
-	ld.view.drain()
-	if err := m.alloc.Free(Extent{Base: ld.base, Size: ld.size}); err != nil {
-		ld.view.detached.Store(false)
-		return fmt.Errorf("cxl: mld %s: %w", m.name, err)
-	}
-	m.partitions = append(m.partitions[:idx], m.partitions[idx+1:]...)
-	return nil
-}
-
-// LogicalDevice is one partition of an MLD, usable as an Endpoint.
-type LogicalDevice struct {
-	*Type3Device
-	mld  *MLD
-	base uint64
-	size uint64
-	view *partitionView
-}
-
-// Partition reports the device-local window inside the MLD.
-func (ld *LogicalDevice) Partition() (base, size uint64) { return ld.base, ld.size }
-
-// partitionView restricts a media device to a sub-range, implementing
-// memdev.Device so the Type-3 machinery — including the burst path,
-// which lands one multi-line ReadAt/WriteAt per burst here rather than
-// one per line — is reused unchanged. A detached view (its partition
-// was released back to the pool) refuses all access.
-type partitionView struct {
-	m        *MLD
-	base     uint64
-	size     uint64
-	stats    memdev.Stats
-	detached atomic.Bool
-	// inflight counts accesses between the detached check and media
-	// completion; Release drains it after flipping detached so no
-	// access outlives the partition (see drain).
-	inflight atomic.Int64
-}
-
-// drain blocks until accesses that began before detached flipped have
-// completed — a grace period. Accesses never take the MLD lock, so
-// draining under it cannot deadlock; the wait is bounded by one media
-// access.
-func (v *partitionView) drain() {
-	for v.inflight.Load() != 0 {
-		runtime.Gosched()
-	}
-}
-
-func (v *partitionView) Name() string { return v.m.media.Name() + "-part" }
-func (v *partitionView) Capacity() units.Size {
-	return units.Size(v.size)
-}
-func (v *partitionView) Persistent() bool        { return v.m.media.Persistent() }
-func (v *partitionView) Profile() memdev.Profile { return v.m.media.Profile() }
-func (v *partitionView) Stats() *memdev.Stats    { return &v.stats }
-func (v *partitionView) PowerCycle()             { v.m.media.PowerCycle() }
-
-func (v *partitionView) ReadAt(p []byte, off int64) error {
-	v.inflight.Add(1)
-	defer v.inflight.Add(-1)
-	if v.detached.Load() {
-		return fmt.Errorf("cxl: %s: partition released", v.Name())
-	}
-	if off < 0 || uint64(off)+uint64(len(p)) > v.size {
-		return &memdev.AddrError{Device: v.Name(), Off: off, Len: len(p), Cap: v.Capacity()}
-	}
-	if err := v.m.media.ReadAt(p, int64(v.base)+off); err != nil {
-		return err
-	}
-	v.stats.Reads.Add(1)
-	v.stats.BytesRead.Add(int64(len(p)))
-	return nil
-}
-
-func (v *partitionView) WriteAt(p []byte, off int64) error {
-	v.inflight.Add(1)
-	defer v.inflight.Add(-1)
-	if v.detached.Load() {
-		return fmt.Errorf("cxl: %s: partition released", v.Name())
-	}
-	if off < 0 || uint64(off)+uint64(len(p)) > v.size {
-		return &memdev.AddrError{Device: v.Name(), Off: off, Len: len(p), Cap: v.Capacity()}
-	}
-	if err := v.m.media.WriteAt(p, int64(v.base)+off); err != nil {
-		return err
-	}
-	v.stats.Writes.Add(1)
-	v.stats.BytesWrite.Add(int64(len(p)))
-	return nil
-}
-
-// newType3FromView builds a Type-3 endpoint over a partition view with a
-// generic vendor identity.
-func newType3FromView(name string, view memdev.Device) (*Type3Device, error) {
-	return NewType3(name, CXLVendorID, 0x0D93, view)
 }

@@ -1,7 +1,6 @@
 package cxl
 
 import (
-	"bytes"
 	"testing"
 
 	"cxlpmem/internal/interconnect"
@@ -58,125 +57,25 @@ func TestSwitchBindUnbind(t *testing.T) {
 	}
 }
 
-func TestMLDPartitioning(t *testing.T) {
-	media := testMedia(t, "pool") // 16 MiB
-	mld, err := NewMLD("mld0", media)
+// TestMLDRawExtents covers the raw extent interface the fabric manager
+// drives: construction, alloc, over-capacity refusal, release with
+// coalescing, double release, and the Remaining() invariant across a
+// mixed sequence.
+func TestMLDRawExtents(t *testing.T) {
+	if _, err := NewMLD("x", nil); err == nil {
+		t.Error("nil media accepted")
+	}
+	mld, err := NewMLD("mld0", testMedia(t, "pool")) // 16 MiB
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mld.Name() != "mld0" {
 		t.Error("name")
 	}
-	if _, err := NewMLD("x", nil); err == nil {
-		t.Error("nil media accepted")
-	}
 	initial := mld.Remaining()
 	if initial != 16*units.MiB {
 		t.Fatalf("initial remaining = %v, want media capacity", initial)
 	}
-	// Remaining() invariant: failed carves reserve nothing.
-	if _, err := mld.Carve("ld-huge", 32*units.MiB); err == nil {
-		t.Error("carved past capacity")
-	}
-	if mld.Remaining() != initial {
-		t.Errorf("failed carve leaked: remaining = %v, want %v", mld.Remaining(), initial)
-	}
-	ldA, err := mld.Carve("ld-hostA", 8*units.MiB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mld.Remaining() != initial-8*units.MiB {
-		t.Errorf("remaining = %v after one carve", mld.Remaining())
-	}
-	ldB, err := mld.Carve("ld-hostB", 8*units.MiB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mld.Remaining() != 0 {
-		t.Errorf("remaining = %v, want 0", mld.Remaining())
-	}
-	if _, err := mld.Carve("ld-c", units.MiB); err == nil {
-		t.Error("carved past capacity")
-	}
-	if _, err := mld.Carve("ld-d", 33); err == nil {
-		t.Error("accepted unaligned partition size")
-	}
-	if mld.Remaining() != 0 {
-		t.Errorf("failed carves leaked: remaining = %v, want 0", mld.Remaining())
-	}
-	baseA, sizeA := ldA.Partition()
-	baseB, _ := ldB.Partition()
-	if baseA != 0 || sizeA != uint64(8*units.MiB) || baseB != uint64(8*units.MiB) {
-		t.Errorf("partitions: A=%d+%d B=%d", baseA, sizeA, baseB)
-	}
-	// Release/re-carve: returning both partitions restores the full
-	// pool (coalesced), and the bytes are immediately re-carvable.
-	if err := mld.Release(ldA); err != nil {
-		t.Fatal(err)
-	}
-	if err := mld.Release(ldA); err == nil {
-		t.Error("double release accepted")
-	}
-	if mld.Remaining() != 8*units.MiB {
-		t.Errorf("remaining = %v after releasing A", mld.Remaining())
-	}
-	if err := mld.Release(ldB); err != nil {
-		t.Fatal(err)
-	}
-	if mld.Remaining() != initial {
-		t.Errorf("remaining = %v after full release, want %v", mld.Remaining(), initial)
-	}
-	if free := mld.FreeExtents(); len(free) != 1 {
-		t.Errorf("free list = %v, want one coalesced extent", free)
-	}
-	ldC, err := mld.Carve("ld-recarve", 16*units.MiB)
-	if err != nil {
-		t.Fatalf("re-carve of released capacity failed: %v", err)
-	}
-	if base, size := ldC.Partition(); base != 0 || size != uint64(16*units.MiB) {
-		t.Errorf("re-carve at [%#x+%#x), want the full pool", base, size)
-	}
-}
-
-// TestMLDReleasedPartitionRefusesAccess checks the torn-down data
-// path: a released logical device fails CXL.mem transactions instead
-// of touching pool bytes that may already belong to someone else.
-func TestMLDReleasedPartitionRefusesAccess(t *testing.T) {
-	mld, err := NewMLD("mld0", testMedia(t, "pool"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ld, err := mld.Carve("ld0", units.MiB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ld.ProgramDecoder(&HDMDecoder{Base: 0, Size: 1 << 20}); err != nil {
-		t.Fatal(err)
-	}
-	var line [LineSize]byte
-	if resp := ld.HandleMem(MemReq{Opcode: OpMemWr, Addr: 0, Data: line}); resp.Opcode != RespCmp {
-		t.Fatal("write before release failed")
-	}
-	if err := mld.Release(ld); err != nil {
-		t.Fatal(err)
-	}
-	if resp := ld.HandleMem(MemReq{Opcode: OpMemRd, Addr: 0}); resp.Opcode != RespErr {
-		t.Error("read through released partition succeeded")
-	}
-	if resp := ld.HandleMem(MemReq{Opcode: OpMemWr, Addr: 0, Data: line}); resp.Opcode != RespErr {
-		t.Error("write through released partition succeeded")
-	}
-}
-
-// TestMLDRawExtents covers the raw extent interface the fabric manager
-// drives: alloc, fragmented AllocAny, release-with-coalescing, double
-// release, and the Remaining() invariant across a mixed sequence.
-func TestMLDRawExtents(t *testing.T) {
-	mld, err := NewMLD("mld0", testMedia(t, "pool")) // 16 MiB
-	if err != nil {
-		t.Fatal(err)
-	}
-	initial := mld.Remaining()
 	a, err := mld.AllocExtent(4 * units.MiB)
 	if err != nil {
 		t.Fatal(err)
@@ -188,28 +87,24 @@ func TestMLDRawExtents(t *testing.T) {
 	if _, err := mld.AllocExtent(16 * units.MiB); err == nil {
 		t.Error("over-capacity extent accepted")
 	}
+	if got, want := mld.Remaining(), initial-8*units.MiB; got != want {
+		t.Errorf("remaining = %v, want %v", got, want)
+	}
 	if err := mld.ReleaseExtent(a); err != nil {
 		t.Fatal(err)
 	}
 	if err := mld.ReleaseExtent(a); err == nil {
 		t.Error("double extent release accepted")
 	}
-	// A partition and a raw extent draw from the same free space.
-	ld, err := mld.Carve("ld0", 8*units.MiB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := mld.Remaining(), initial-12*units.MiB; got != want {
-		t.Errorf("remaining = %v, want %v", got, want)
-	}
-	if err := mld.Release(ld); err != nil {
-		t.Fatal(err)
-	}
 	if err := mld.ReleaseExtent(b); err != nil {
 		t.Fatal(err)
 	}
 	if mld.Remaining() != initial {
 		t.Errorf("remaining = %v after full release, want %v", mld.Remaining(), initial)
+	}
+	// Released extents coalesce: the whole pool is one extent again.
+	if x, err := mld.AllocExtent(initial); err != nil || x.Base != 0 {
+		t.Errorf("whole-pool extent after release = %+v, %v", x, err)
 	}
 }
 
@@ -361,67 +256,15 @@ func TestSwitchSnoopRefusalsAndFaults(t *testing.T) {
 	}
 }
 
-func TestMLDPartitionsAreIsolated(t *testing.T) {
-	media := testMedia(t, "pool")
-	mld, err := NewMLD("mld0", media)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ldA, err := mld.Carve("ldA", 8*units.MiB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ldB, err := mld.Carve("ldB", 8*units.MiB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ldA.ProgramDecoder(&HDMDecoder{Base: 0x1000_0000, Size: 8 << 20}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ldB.ProgramDecoder(&HDMDecoder{Base: 0x1000_0000, Size: 8 << 20}); err != nil {
-		t.Fatal(err)
-	}
-	var line [LineSize]byte
-	line[0] = 0xA1
-	if resp := ldA.HandleMem(MemReq{Opcode: OpMemWr, Addr: 0x1000_0000, Data: line}); resp.Opcode != RespCmp {
-		t.Fatal("write to A failed")
-	}
-	// Same HPA through B must see B's partition (zeros), not A's data.
-	resp := ldB.HandleMem(MemReq{Opcode: OpMemRd, Addr: 0x1000_0000})
-	if resp.Opcode != RespMemData {
-		t.Fatal("read from B failed")
-	}
-	if resp.Data[0] != 0 {
-		t.Error("partition isolation violated: B sees A's write")
-	}
-	// And the same HPA through A still sees the data.
-	resp = ldA.HandleMem(MemReq{Opcode: OpMemRd, Addr: 0x1000_0000})
-	if resp.Data[0] != 0xA1 {
-		t.Error("A lost its own write")
-	}
-}
-
 func TestPooledDevicesThroughSwitchEndToEnd(t *testing.T) {
-	// Two hosts, one switch, one MLD carved in two: each host
-	// enumerates its own logical device and gets a disjoint window.
-	media := testMedia(t, "pool")
-	mld, err := NewMLD("mld0", media)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ldA, err := mld.Carve("ldA", 8*units.MiB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ldB, err := mld.Carve("ldB", 8*units.MiB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Two hosts, one switch, two Type-3 endpoints: each host enumerates
+	// the endpoint its vPPB is bound to and reaches only that media.
+	devA, devB := testType3(t), testType3(t)
 	sw := NewSwitch("sw0")
-	if err := sw.AddDownstream("d0", ldA); err != nil {
+	if err := sw.AddDownstream("d0", devA); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.AddDownstream("d1", ldB); err != nil {
+	if err := sw.AddDownstream("d1", devB); err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.Bind("hostA", "d0"); err != nil {
@@ -460,55 +303,11 @@ func TestPooledDevicesThroughSwitchEndToEnd(t *testing.T) {
 			t.Errorf("%s: round trip = %q", host, out)
 		}
 	}
-	// Isolation: hostB's window starts with its own data, not hostA's.
-	epB, _ := sw.EndpointFor("hostB")
-	resp := epB.HandleMem(MemReq{Opcode: OpMemRd, Addr: DefaultCXLWindowBase})
-	if got := string(resp.Data[:5]); got != "hostB" {
-		t.Errorf("hostB window begins %q, want its own data", got)
-	}
-}
-
-// TestLogicalDeviceBursts checks CXL 2.0 pooling composes with the
-// burst path: a carved MLD partition services multi-line bursts through
-// its partition view — one media span access per burst, confined to the
-// partition.
-func TestLogicalDeviceBursts(t *testing.T) {
-	mld, err := NewMLD("pool-mld", testMedia(t, "mld-media"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ld, err := mld.Carve("ld0", 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ld.ProgramDecoder(&HDMDecoder{Base: 0, Size: 1 << 20}); err != nil {
-		t.Fatal(err)
-	}
-	rp := trainedPort(t, ld)
-	in := make([]byte, 6*LineSize)
-	for i := range in {
-		in[i] = byte(i + 9)
-	}
-	if err := rp.WriteBurst(128, in); err != nil {
-		t.Fatal(err)
-	}
-	out := make([]byte, len(in))
-	if err := rp.ReadBurst(128, out); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(in, out) {
-		t.Error("burst through MLD partition mismatched")
-	}
-	// One span write + one span read against the partition view.
-	reads, writes, br, bw := ld.view.Stats().Snapshot()
-	if reads != 1 || writes != 1 {
-		t.Errorf("partition view saw %d reads %d writes, want 1/1", reads, writes)
-	}
-	if br != int64(len(in)) || bw != int64(len(in)) {
-		t.Errorf("partition view moved %d/%d bytes, want %d", br, bw, len(in))
-	}
-	// A burst escaping the partition is refused.
-	if err := rp.WriteBurst(1<<20-uint64(LineSize), in); err == nil {
-		t.Error("burst past partition end accepted")
+	// Isolation: each endpoint's window starts with its own host's data.
+	for host, dev := range map[string]*Type3Device{"hostA": devA, "hostB": devB} {
+		resp := dev.HandleMem(MemReq{Opcode: OpMemRd, Addr: DefaultCXLWindowBase})
+		if got := string(resp.Data[:5]); got != host {
+			t.Errorf("%s window begins %q, want its own data", host, got)
+		}
 	}
 }

@@ -204,8 +204,8 @@ type Tenant struct {
 }
 
 // New builds a fabric manager over an existing switch and MLD. The
-// manager assumes ownership of the MLD's free space; carve partitions
-// either before handing it over or not at all.
+// manager assumes ownership of the MLD's free space: it allocates every
+// extent of it.
 func New(sw *cxl.Switch, mld *cxl.MLD, cfg Config) (*Manager, error) {
 	if sw == nil || mld == nil {
 		return nil, fmt.Errorf("fabric: nil switch or MLD")

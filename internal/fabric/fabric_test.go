@@ -130,9 +130,11 @@ func TestGrantUseReleaseRegrant(t *testing.T) {
 	}
 
 	// Use: write and read back through the full port/flit/switch path.
+	// Each 4 KiB burst reaches the tenant media as one access.
 	for i := range buf {
 		buf[i] = byte(i * 7)
 	}
+	r0, w0, br0, bw0 := tn.Device().Stats().Snapshot()
 	addr := w.Base + active[0].DPA
 	if err := rp.WriteBurst(addr, buf); err != nil {
 		t.Fatal(err)
@@ -143,6 +145,15 @@ func TestGrantUseReleaseRegrant(t *testing.T) {
 	}
 	if !bytes.Equal(buf, got) {
 		t.Error("data round trip through granted extent mismatched")
+	}
+	r1, w1, br1, bw1 := tn.Device().Stats().Snapshot()
+	if r1-r0 != 1 || w1-w0 != 1 || br1-br0 != int64(len(buf)) || bw1-bw0 != int64(len(buf)) {
+		t.Errorf("a burst each way reached the tenant media as %d reads (%d B) and %d writes (%d B), want 1 of %d B each",
+			r1-r0, br1-br0, w1-w0, bw1-bw0, len(buf))
+	}
+	// A burst running past the quota's end is refused.
+	if err := rp.WriteBurst(w.Base+w.Size-uint64(cxl.LineSize), buf); err == nil {
+		t.Error("burst past the quota's end accepted")
 	}
 
 	// Release everything: no leaked bytes anywhere.

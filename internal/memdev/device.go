@@ -192,9 +192,9 @@ const pageSize = 2 << 20
 
 // storePage is one materialised 2 MiB page: its own content lock plus
 // the backing bytes. Per-page locking is what lets different hosts'
-// MLD partitions (disjoint pages of one appliance media) read and
-// write genuinely in parallel, while access to any single line — which
-// never spans a page — stays linearizable.
+// extents (disjoint pages of one appliance media) read and write
+// genuinely in parallel, while access to any single line — which never
+// spans a page — stays linearizable.
 type storePage struct {
 	mu  sync.RWMutex
 	buf []byte

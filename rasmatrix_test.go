@@ -166,10 +166,10 @@ func runRASMatrixCut(t *testing.T, cut int) {
 		return b
 	}
 	seed0, seed1 := seed(x0, 7), seed(x1, 91)
-	if err := h0.IO.WriteBurst(h0.Window.Base+x0.DPA, seed0); err != nil {
+	if err := h0.Port.WriteBurst(h0.Window.Base+x0.DPA, seed0); err != nil {
 		t.Fatal(err)
 	}
-	if err := h1.IO.WriteBurst(h1.Window.Base+x1.DPA, seed1); err != nil {
+	if err := h1.Port.WriteBurst(h1.Window.Base+x1.DPA, seed1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -212,14 +212,14 @@ func runRASMatrixCut(t *testing.T, cut int) {
 			for i := range buf {
 				buf[i] = byte(round) ^ byte(i*31)
 			}
-			if err := h0.IO.WriteBurst(fgAddr, buf); err != nil {
+			if err := h0.Port.WriteBurst(fgAddr, buf); err != nil {
 				t.Errorf("foreground write round %d: %v", round, err)
 				return
 			}
 			mirrorMu.Lock()
 			copy(mirror, buf)
 			mirrorMu.Unlock()
-			if err := h0.IO.ReadBurst(fgAddr, out); err != nil {
+			if err := h0.Port.ReadBurst(fgAddr, out); err != nil {
 				t.Errorf("foreground read round %d: %v", round, err)
 				return
 			}
@@ -310,7 +310,7 @@ func runRASMatrixCut(t *testing.T, cut int) {
 
 	// Zero data loss: host0's static seed outside the foreground band,
 	// its mirror inside it, and host1's seed.
-	out, err := rasReadExtent(h0.IO, h0.Window.Base, x0, mbox)
+	out, err := rasReadExtent(h0.Port, h0.Window.Base, x0, mbox)
 	if err != nil {
 		t.Fatalf("host0 readback: %v", err)
 	}
@@ -326,7 +326,7 @@ func runRASMatrixCut(t *testing.T, cut int) {
 	}
 	mirrorMu.Unlock()
 	out1 := make([]byte, x1.Size)
-	if err := h1.IO.ReadBurst(h1.Window.Base+x1.DPA, out1); err != nil {
+	if err := h1.Port.ReadBurst(h1.Window.Base+x1.DPA, out1); err != nil {
 		t.Fatalf("host1 readback: %v", err)
 	}
 	if !bytes.Equal(out1, seed1) {

@@ -1,6 +1,7 @@
 package cxl
 
 import (
+	"bytes"
 	"testing"
 
 	"cxlpmem/internal/interconnect"
@@ -309,5 +310,78 @@ func TestPooledDevicesThroughSwitchEndToEnd(t *testing.T) {
 		if got := string(resp.Data[:5]); got != host {
 			t.Errorf("%s window begins %q, want its own data", host, got)
 		}
+	}
+}
+
+// extentEndpoint reserves a size-byte extent of the MLD and builds a
+// Type-3 endpoint whose one decoder maps HPA [0, size) onto it: a
+// logical device of the MLD, as a host sees it.
+func extentEndpoint(t *testing.T, mld *MLD, name string, size units.Size) (Extent, *Type3Device) {
+	t.Helper()
+	ext, err := mld.AllocExtent(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := NewType3(name, CXLVendorID, 0x0D93, mld.Media())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.ProgramDecoder(&HDMDecoder{Base: 0, Size: ext.Size, DPABase: ext.Base}); err != nil {
+		t.Fatal(err)
+	}
+	return ext, dev
+}
+
+// TestLogicalDeviceBursts checks CXL 2.0 pooling composes with the
+// burst path: an endpoint mapped onto one MLD extent services
+// multi-line bursts as one media span access each, at the extent's
+// DPA, and refuses a burst running past the extent's end so the
+// neighbouring extent stays untouched.
+func TestLogicalDeviceBursts(t *testing.T) {
+	mld, err := NewMLD("pool-mld", testMedia(t, "mld-media"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mld.AllocExtent(units.MiB); err != nil { // another host's
+		t.Fatal(err)
+	}
+	ext, ld := extentEndpoint(t, mld, "ld0", units.MiB)
+	next, err := mld.AllocExtent(units.MiB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := trainedPort(t, ld)
+	in := make([]byte, 6*LineSize)
+	for i := range in {
+		in[i] = byte(i + 9)
+	}
+	if err := rp.WriteBurst(128, in); err != nil {
+		t.Fatal(err)
+	}
+	out := make([]byte, len(in))
+	if err := rp.ReadBurst(128, out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(in, out) {
+		t.Error("burst through MLD extent mismatched")
+	}
+	// One span write + one span read against the shared media.
+	media := mld.Media()
+	reads, writes, br, bw := media.Stats().Snapshot()
+	if reads != 1 || writes != 1 {
+		t.Errorf("media saw %d reads %d writes, want 1/1", reads, writes)
+	}
+	if br != int64(len(in)) || bw != int64(len(in)) {
+		t.Errorf("media moved %d/%d bytes, want %d", br, bw, len(in))
+	}
+	if err := media.ReadAt(out, int64(ext.Base+128)); err != nil || !bytes.Equal(in, out) {
+		t.Errorf("burst did not land at the extent's DPA %#x: %v", ext.Base+128, err)
+	}
+	// A burst escaping the extent is refused.
+	if err := rp.WriteBurst(1<<20-uint64(LineSize), in); err == nil {
+		t.Error("burst past extent end accepted")
+	}
+	if err := media.ReadAt(out, int64(next.Base)); err != nil || !bytes.Equal(out, make([]byte, len(out))) {
+		t.Errorf("neighbouring extent %v touched: %v", next, err)
 	}
 }

@@ -586,11 +586,10 @@ func benchInterleaveSet(b *testing.B, ways int, granule uint64) *cxl.InterleaveS
 // P the scaling factor is real leg parallelism — compare the ways=1
 // GB/s against BenchmarkCXLPortBurst and the higher way counts against
 // each other for the curve. At GOMAXPROCS 1 the legs run in turn on the
-// caller, so the curve shows the stripe layer's own cost. Granule 4 KiB
-// stripes zero-copy; the gather sub-bench shows the 256 B-granule
-// gather/scatter cost. -benchmem reads 0 allocs/op at any width;
-// above one P that rounds down the rare job that overflows onto a
-// transient goroutine (EXPERIMENTS §2d).
+// caller, so the curve shows the stripe layer's own cost. Both granules
+// take one leg path, one burst per 4 KiB of a leg's owned lines; at the
+// 256 B granule each burst's beats come from, and land in, 16 separate
+// runs of the caller's buffer. -benchmem reads 0 allocs/op at any width.
 func BenchmarkInterleavedBurst(b *testing.B) {
 	const span = 64 << 10 // per-iteration transfer, each direction
 	run := func(b *testing.B, s *cxl.InterleaveSet) {

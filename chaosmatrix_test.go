@@ -283,7 +283,7 @@ func runChaosCell(t *testing.T, cell chaosCell, phase string) {
 			t.Error("garbled DCD commands never surfaced an error")
 		}
 	case "media-poison":
-		p, err := e.EnableRAS(ras.Thresholds{MaxCorrectable: 2, MaxUncorrectable: 1, MaxLinkRetries: 1 << 30}, ras.ScrubConfig{})
+		p, err := e.EnableRAS(ras.Thresholds{MaxCorrectable: 2, MaxUncorrectable: 1, MaxLinkRetries: 1 << 30})
 		if err != nil {
 			t.Fatal(err)
 		}

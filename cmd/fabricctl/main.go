@@ -213,7 +213,7 @@ func enableRAS(e *cluster.Elastic) *ras.Plane {
 		MaxCorrectable:   2,
 		MaxUncorrectable: 1,
 		MaxLinkRetries:   64,
-	}, ras.ScrubConfig{})
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -84,10 +84,9 @@ func BenchmarkParallelPorts(b *testing.B) {
 // cycles over a 4-way, 256 B-granule interleave set, the span a
 // checkpoint step flushes per chunk: one caller ("serial") against 8
 // goroutines on private 256 KiB regions ("parallel8"). Above one P
-// both take the leg-worker path, and parallel callers overflow onto
-// transient goroutines while a leg's worker is busy, so parallel8
-// allocates (3 allocs/op at -cpu 2); at one P every leg runs on its
-// caller.
+// both take the leg-worker path, and a caller that finds a leg's worker
+// busy runs that leg itself, so neither allocates; at one P every leg
+// runs on its caller.
 func BenchmarkInterleavedStripes4K(b *testing.B) {
 	const span, regionBytes = 4 << 10, 256 << 10
 	cycle := func(s *cxl.InterleaveSet, region uint64, buf []byte, i int) error {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -197,6 +198,13 @@ func TestRunParallelMeasuredVsAnalytical(t *testing.T) {
 		if bw < mean/20 {
 			t.Errorf("host %d starved: %v vs mean %v", i, bw, mean)
 		}
+	}
+	// Every host is timed from the shared start, so the last to finish
+	// spent nearly the whole run: its rate is the aggregate's 1/k share,
+	// also where the hosts ran one after another.
+	share := pt.Aggregate / units.Bandwidth(pt.Hosts)
+	if last := slices.Min(pt.PerHost); last < share || last > share*1.05 {
+		t.Errorf("last host to finish read %v, want the aggregate's 1/%d share %v", last, pt.Hosts, share)
 	}
 	// The analytical model of the same cluster shares the pipeline
 	// evenly too: at k hosts each gets exactly 1/k of the aggregate.

@@ -29,8 +29,11 @@ type ParallelPoint struct {
 	BytesPerHost units.Size
 	// Elapsed wall-clock time for the slowest host.
 	Elapsed time.Duration
-	// PerHost is each host's achieved throughput (bytes moved over the
-	// host's own elapsed time).
+	// PerHost is each host's achieved throughput: its bytes over the
+	// time from the run's shared start to the end of its Drive, so hosts
+	// that ran one after another (at one P) share the run's time instead
+	// of each reading a solo rate. The last host to finish reads about
+	// Aggregate/Hosts.
 	PerHost []units.Bandwidth
 	// Aggregate is total bytes over the wall-clock elapsed time.
 	Aggregate units.Bandwidth
@@ -57,7 +60,8 @@ func (e *Elastic) RunParallel(k int, bytesPerHost units.Size) (*ParallelPoint, e
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pt.PerHost[i], errs[i] = e.Drive(i, bytesPerHost)
+			_, errs[i] = e.Drive(i, bytesPerHost)
+			pt.PerHost[i] = units.RateOf(bytesPerHost, time.Since(start))
 		}()
 	}
 	wg.Wait()

@@ -24,8 +24,8 @@ import (
 // exercises link, switch and DCD mapping — and retry storms land on the
 // right tenant). Callers step patrol with ScrubPass and run the
 // threshold policy with Evaluate.
-func (e *Elastic) EnableRAS(th ras.Thresholds, cfg ras.ScrubConfig) (*ras.Plane, error) {
-	p := ras.NewPlane(th, cfg)
+func (e *Elastic) EnableRAS(th ras.Thresholds) (*ras.Plane, error) {
+	p := ras.NewPlane(th)
 	for _, name := range e.Fabric.Pools() {
 		media, ok := e.Fabric.PoolMedia(name)
 		if !ok {

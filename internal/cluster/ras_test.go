@@ -51,7 +51,7 @@ func degraded(t *testing.T, p *ras.Plane) []string {
 // the threshold policy degrades exactly the poisoned device.
 func TestEnableRASPatrolDegradesPoisonedTenant(t *testing.T) {
 	e := testElastic(t, 2)
-	p, err := e.EnableRAS(ras.Thresholds{MaxCorrectable: 2, MaxUncorrectable: 1}, ras.ScrubConfig{})
+	p, err := e.EnableRAS(ras.Thresholds{MaxCorrectable: 2, MaxUncorrectable: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestEnableRASPatrolDegradesPoisonedTenant(t *testing.T) {
 // the tenant's bytes survive the move through its own port.
 func TestEvacuatePoolWithPlane(t *testing.T) {
 	e := testElastic(t, 2)
-	p, err := e.EnableRAS(ras.DefaultThresholds, ras.ScrubConfig{})
+	p, err := e.EnableRAS(ras.DefaultThresholds)
 	if err != nil {
 		t.Fatal(err)
 	}

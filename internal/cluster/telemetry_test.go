@@ -62,7 +62,7 @@ func TestElasticFlightDumpOnDegrade(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	e.EnableTelemetry(reg, cxl.TelemetryOptions{SampleN: 1, RecorderSlots: 512})
 
-	plane, err := e.EnableRAS(ras.Thresholds{MaxCorrectable: 100}, ras.ScrubConfig{})
+	plane, err := e.EnableRAS(ras.Thresholds{MaxCorrectable: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

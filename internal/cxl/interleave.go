@@ -18,8 +18,8 @@ import (
 // ports. With more than one P (Go scheduler processor) the legs run
 // concurrently on per-leg workers; with one P they run on the caller,
 // one after another: no two legs compute at once on one P, though legs
-// that wait (retry backoff, link retrain, an injected delay) now wait
-// in turn instead of together.
+// that wait (retry backoff, link retrain, an injected delay) wait in
+// turn instead of together.
 //
 // The wire semantics per leg are unchanged: each leg's traffic moves
 // through its own RootPort — multi-VC tagging, per-flit CRC, LRSM
@@ -29,12 +29,13 @@ import (
 // target-owned lines of an interleaved window map to a contiguous DPA
 // span (see Type3Device.HandleMemBurst).
 //
-// Steady state allocates nothing on the caller-only path. The worker
-// fan-out reuses pooled call frames handed to persistent per-leg worker
-// goroutines (a goroutine spawned per call would heap-allocate its
-// closure), and gather/scatter staging comes from the same burst buffer
-// pool the ports use. A job that finds its worker not parked overflows
-// onto a transient goroutine, which does allocate.
+// Steady state allocates nothing. The worker fan-out reuses pooled call
+// frames handed to persistent per-leg worker goroutines (a goroutine
+// spawned per call would heap-allocate its closure); a leg whose worker
+// is mid-job runs on the caller instead. Each leg's owned lines move as
+// bursts whose beats the port encodes from, and decodes into, their
+// places in the caller's buffer, so no staging copy sits between the
+// caller and the wire.
 
 // MaxInterleaveWays bounds the interleave width, matching CXL 2.0's
 // 8-way root-complex interleave limit.
@@ -74,10 +75,10 @@ func legWorker(ch chan *stripeJob) {
 }
 
 // runStripeJob executes one leg's share and signals the call barrier.
-// It runs on the leg's persistent worker, or on a transient goroutine
-// when the worker is mid-job (concurrent striped calls overflow rather
-// than queue, so N callers drive a leg's port N-wide over its virtual
-// channels instead of serialising behind one worker).
+// It runs on the leg's persistent worker, or on the caller when the
+// worker is mid-job: concurrent striped calls do not queue behind one
+// worker, so N callers drive a leg's port N-wide over its virtual
+// channels.
 func runStripeJob(j *stripeJob) {
 	j.err = j.set.runLeg(j.leg, j.write, j.hpa, j.p)
 	j.wg.Done()
@@ -265,12 +266,13 @@ func (s *InterleaveSet) ReadBurst(hpa uint64, p []byte) error {
 // it; untouched legs are never woken. The caller runs one leg itself —
 // the lead: leg 0 when the span touches it, otherwise the span's first
 // leg — so a span inside one granule never leaves the caller. With more
-// than one P the other touched legs go to their workers; with one P, or
-// once Close has stopped the workers, the caller runs them too, in span
-// order after the lead. Either way every touched leg runs, and do
-// returns the first error: the lead's, then the other legs' in span
-// order. A failing leg aborts its own remaining chunks only; striped
-// transfers are atomic per leg burst, not across legs (matching
+// than one P the other touched legs go to their workers, except a leg
+// whose worker is mid-job, which the caller runs after the lead; with
+// one P, or once Close has stopped the workers, the caller runs them
+// all, in span order after the lead. Either way every touched leg runs,
+// and do returns the first error: the lead's, then the other legs' in
+// span order. A failing leg aborts its own remaining bursts only;
+// striped transfers are atomic per leg burst, not across legs (matching
 // multi-channel memory semantics — see DESIGN.md §2d).
 func (s *InterleaveSet) do(write bool, hpa uint64, p []byte) error {
 	if !lineAligned(hpa) || len(p)%LineSize != 0 {
@@ -318,6 +320,7 @@ func (s *InterleaveSet) do(write bool, hpa uint64, p []byte) error {
 	}
 	c := stripeCallPool.Get().(*stripeCall)
 	c.wg.Add(int(touched) - 1)
+	var busy uint16 // legs whose worker was mid-job, as a bit mask
 	for i := uint64(0); i < touched; i++ {
 		leg := int((first + i) % ways)
 		if leg == lead {
@@ -328,16 +331,18 @@ func (s *InterleaveSet) do(write bool, hpa uint64, p []byte) error {
 		select {
 		case s.workers[leg-1] <- j:
 		default:
-			// Leg worker mid-job (a concurrent striped call): overflow
-			// onto a transient goroutine so callers fan out over the
-			// port's virtual channels instead of queueing. A lone
-			// caller mostly finds its workers parked, but the worker
-			// that finished its last job may not have parked again
-			// yet when the caller, woken on another P, sends again.
-			go runStripeJob(j)
+			// Leg worker mid-job: a concurrent striped call holds it,
+			// or it has not parked again since this caller's last
+			// call. The caller runs the leg itself after the lead.
+			busy |= 1 << leg
 		}
 	}
 	err := s.runLeg(lead, write, hpa, p)
+	for i := uint64(0); busy != 0 && i < touched; i++ {
+		if leg := int((first + i) % ways); busy&(1<<leg) != 0 {
+			runStripeJob(&c.jobs[leg])
+		}
+	}
 	c.wg.Wait()
 	for i := uint64(0); i < touched; i++ {
 		leg := int((first + i) % ways)
@@ -363,140 +368,28 @@ func (s *InterleaveSet) op(write bool) string {
 // runLeg moves one leg's share of the span [hpa, hpa+len(p)): the
 // intersection of the span with the granules owned by this target.
 // Consecutive target-owned lines map to a contiguous DPA span at the
-// endpoint, so the leg's lines travel as maximal strided bursts — one
-// header and one media access per MaxBurstLines lines — never as
-// per-line transactions.
+// endpoint, so at any granule the leg's owned bytes, counted in HPA
+// order, travel as one burst transaction per maxBurstBytes of them —
+// one header and one media access each — never as per-line
+// transactions. The port moves each beat straight between the wire and
+// its place in p.
 func (s *InterleaveSet) runLeg(leg int, write bool, hpa uint64, p []byte) error {
-	rp := s.legs[leg]
 	g := s.granule
 	stride := g * uint64(s.ways)
+	legOff := uint64(leg) * g
 	off := hpa - s.base
-	end := off + uint64(len(p))
-	legOff := uint64(leg) * g
-
-	// First owned granule intersecting the span.
-	var k uint64
-	if off > legOff {
-		k = (off - legOff) / stride
-		if k*stride+legOff+g <= off {
-			k++
+	// owned counts the leg's bytes below window offset x; the leg's
+	// owned byte u sits at window offset u/g*stride + legOff + u%g.
+	owned := func(x uint64) uint64 { return x/stride*g + min(max(x%stride, legOff), legOff+g) - legOff }
+	for u, end := owned(off), owned(off+uint64(len(p))); u < end; {
+		n := min(end-u, uint64(maxBurstBytes))
+		w := u/g*stride + legOff + u%g
+		if err := s.legs[leg].legBurst(write, s.base+w, p[w-off:], int(n), int(g-u%g), int(g), int(stride-g)); err != nil {
+			return err
 		}
+		u += n
 	}
-
-	if g >= uint64(maxBurstBytes) {
-		// Wide granules: every owned piece is an HPA-contiguous slice
-		// of the caller's buffer, so it bursts zero-copy straight from
-		// there; the port chunks it into maximal bursts internally.
-		for {
-			gs := k*stride + legOff
-			if gs >= end {
-				return nil
-			}
-			lo, hi := gs, gs+g
-			if lo < off {
-				lo = off
-			}
-			if hi > end {
-				hi = end
-			}
-			var err error
-			if write {
-				err = rp.WriteBurst(s.base+lo, p[lo-off:hi-off])
-			} else {
-				err = rp.ReadBurst(s.base+lo, p[lo-off:hi-off])
-			}
-			if err != nil {
-				return err
-			}
-			k++
-		}
-	}
-
-	// Narrow granules: gather owned pieces into pooled scratch and move
-	// them as one strided burst per full chunk, amortising the header
-	// and completion flits over MaxBurstLines data beats regardless of
-	// granule size.
-	buf := burstBufPool.Get().(*[maxBurstBytes]byte)
-	fill := 0
-	var chunkStart uint64 // window offset of the chunk's first line
-	for {
-		gs := k*stride + legOff
-		if gs >= end {
-			break
-		}
-		lo, hi := gs, gs+g
-		if lo < off {
-			lo = off
-		}
-		if hi > end {
-			hi = end
-		}
-		for lo < hi {
-			if fill == 0 {
-				chunkStart = lo
-			}
-			take := int(hi - lo)
-			if take > maxBurstBytes-fill {
-				take = maxBurstBytes - fill
-			}
-			if write {
-				copy(buf[fill:fill+take], p[lo-off:])
-			}
-			fill += take
-			lo += uint64(take)
-			if fill == maxBurstBytes {
-				if err := s.moveChunk(rp, leg, write, chunkStart, buf[:fill], p, off); err != nil {
-					burstBufPool.Put(buf)
-					return err
-				}
-				fill = 0
-			}
-		}
-		k++
-	}
-	var err error
-	if fill > 0 {
-		err = s.moveChunk(rp, leg, write, chunkStart, buf[:fill], p, off)
-	}
-	burstBufPool.Put(buf)
-	return err
-}
-
-// moveChunk flushes one gathered chunk over the leg's port: the chunk
-// holds consecutive target-owned lines starting at window offset
-// chunkStart. Reads scatter the returned lines back into the caller's
-// buffer.
-func (s *InterleaveSet) moveChunk(rp *RootPort, leg int, write bool, chunkStart uint64, chunk, p []byte, off uint64) error {
-	if write {
-		return rp.WriteBurst(s.base+chunkStart, chunk)
-	}
-	if err := rp.ReadBurst(s.base+chunkStart, chunk); err != nil {
-		return err
-	}
-	s.scatter(leg, chunkStart, chunk, p, off)
 	return nil
-}
-
-// scatter copies a just-read strided chunk into the caller's buffer:
-// chunk holds the target-owned lines starting at window offset
-// chunkStart, in HPA order.
-func (s *InterleaveSet) scatter(leg int, chunkStart uint64, chunk, p []byte, off uint64) {
-	g := s.granule
-	stride := g * uint64(s.ways)
-	legOff := uint64(leg) * g
-	k := (chunkStart - legOff) / stride
-	pos := chunkStart
-	for len(chunk) > 0 {
-		hi := k*stride + legOff + g
-		n := int(hi - pos)
-		if n > len(chunk) {
-			n = len(chunk)
-		}
-		copy(p[pos-off:], chunk[:n])
-		chunk = chunk[n:]
-		k++
-		pos = k*stride + legOff
-	}
 }
 
 // ReadAt copies len(p) bytes from HPA off, mirroring RootPort.ReadAt:

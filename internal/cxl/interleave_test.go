@@ -80,7 +80,8 @@ func TestInterleaveRoundTrip(t *testing.T) {
 }
 
 // TestInterleaveSpreadsTraffic checks the point of the exercise: every
-// leg carries its share of a large transfer, as bursts, not lines.
+// leg carries its share of a large transfer, as bursts, not lines, in
+// one transaction per 4 KiB of the leg's owned lines.
 func TestInterleaveSpreadsTraffic(t *testing.T) {
 	const ways = 4
 	s, devs := testInterleaveSet(t, ways, 256)
@@ -98,15 +99,20 @@ func TestInterleaveSpreadsTraffic(t *testing.T) {
 		if w := d.Stats().Writes.Load(); w != 0 {
 			t.Errorf("device %d saw %d per-line writes on the striped path", i, w)
 		}
+		if got, want := s.Ports()[i].Stats().Issued, int64(n/ways/maxBurstBytes); got != want {
+			t.Errorf("leg %d issued %d transactions, want %d", i, got, want)
+		}
 	}
 	assertNoLineFallbacks(t, devs)
 }
 
 // TestInterleaveAgainstLinearReference drives randomized unaligned
 // ReadAt/WriteAt spans and checks every byte against a reference image
-// — the striped analogue of TestReadWriteAtEdgeCases.
+// — the striped analogue of TestReadWriteAtEdgeCases. The spans start
+// bursts mid-granule, and granules wider than one burst split across
+// several.
 func TestInterleaveAgainstLinearReference(t *testing.T) {
-	for _, granule := range []uint64{256, 4096} {
+	for _, granule := range []uint64{256, 1024, 4096, 8192} {
 		t.Run(fmt.Sprintf("granule=%d", granule), func(t *testing.T) {
 			s, devs := testInterleaveSet(t, 4, granule)
 			const arena = 64 << 10
@@ -393,8 +399,9 @@ func TestInterleaveConcurrentStripes(t *testing.T) {
 // countLegJobs interposes on s's leg-worker channels: each job do
 // hands to a worker is counted, then run as the worker would run it.
 // The one-slot buffers take every hand-off of a lone caller (do waits
-// for its jobs, so the slot is empty by the next call), so none
-// overflows uncounted onto a transient goroutine.
+// for its jobs, so the slot is empty by the next call), so the count is
+// exact: no job runs on the caller because its worker had not yet
+// parked again.
 func countLegJobs(s *InterleaveSet) *atomic.Int64 {
 	var n atomic.Int64
 	for i, old := range s.workers {
@@ -486,11 +493,10 @@ func TestInterleaveFanOutTouchedLegsOnly(t *testing.T) {
 
 // TestInterleaveZeroAllocSteadyState guards the striped path's
 // allocation discipline: leg fan-out (pooled call frames + persistent
-// workers above one P, the caller alone at one P) and gather/scatter
-// staging (pooled burst buffers) must not allocate per operation, for
-// both the narrow-granule gather path and the wide-granule zero-copy
-// path, and neither may the line and sub-line accesses routed to one
-// leg.
+// workers above one P, the caller alone at one P) and the legs' bursts
+// (pooled wire buffers in the port) must not allocate per operation,
+// at a granule below one burst and at one burst, and neither may the
+// line and sub-line accesses routed to one leg.
 func TestInterleaveZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
@@ -540,11 +546,10 @@ func zeroAllocCases(t *testing.T, granule uint64, procs int) {
 	// At one P, AllocsPerRun measures the caller-only path. Above one
 	// P, AllocsPerRun would pin GOMAXPROCS back to 1, so allocsAtProcs
 	// measures instead, and the counting workers of countLegJobs confirm
-	// that the spread cases hand legs to workers. Their one-slot buffers
-	// also keep a lone caller off the overflow goroutine, which the real
-	// unbuffered workers sometimes hit above one P (see DESIGN §2d): the
-	// guard covers the pooled frames, the hand-off and the leg work a
-	// worker does, not the overflow spawn.
+	// that the spread cases hand legs to workers. The guard covers the
+	// pooled frames, the hand-off and the leg work a worker does; a leg
+	// whose worker is mid-job runs on the caller through the same
+	// runStripeJob, so the unbuffered workers' busy case adds nothing.
 	measure := testing.AllocsPerRun
 	if procs > 1 {
 		measure = allocsAtProcs
@@ -579,26 +584,75 @@ func allocsAtProcs(runs int, fn func()) float64 {
 	return float64((ms.Mallocs - before) / uint64(runs))
 }
 
+// stableGoroutines waits for the goroutine count to stop moving
+// (workers of earlier tests, closed via t.Cleanup, may still be
+// exiting) and returns it.
+func stableGoroutines() int {
+	prev := runtime.NumGoroutine()
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+		n := runtime.NumGoroutine()
+		if n == prev {
+			return n
+		}
+		prev = n
+	}
+	return prev
+}
+
+// TestInterleaveBusyWorkerRunsOnCaller: a striped call that finds a
+// leg's worker mid-job runs that leg itself, after its lead, and starts
+// no goroutine. Leg 1's hook holds the first flit each of two calls
+// moves on it: the first call's leg holds the worker (or, if the worker
+// had not parked yet, the caller), so the second finds the worker
+// busy. While both are held, the only goroutines added are the two
+// callers.
+func TestInterleaveBusyWorkerRunsOnCaller(t *testing.T) {
+	const g = 256
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			s, devs := testInterleaveSet(t, 2, g)
+			held, release := make(chan struct{}), make(chan struct{})
+			var flits atomic.Int32
+			s.Ports()[1].SetFault(func(f Flit) Flit {
+				if flits.Add(1) <= 2 {
+					held <- struct{}{}
+					<-release
+				}
+				return f
+			})
+			before := stableGoroutines()
+			errs := make(chan error, 2)
+			for i := uint64(0); i < 2; i++ {
+				go func() { errs <- s.WriteBurst(s.Base()+i*2*g, make([]byte, 2*g)) }()
+				<-held
+			}
+			added := runtime.NumGoroutine() - before
+			close(release)
+			for i := 0; i < 2; i++ {
+				if err := <-errs; err != nil {
+					t.Error(err)
+				}
+			}
+			if added > 2 {
+				t.Errorf("two striped calls held on leg 1 added %d goroutines, want only their 2 callers", added)
+			}
+			for i, d := range devs {
+				if got := d.Stats().WriteBursts.Load(); got != 2 {
+					t.Errorf("leg %d wrote %d bursts, want 2", i, got)
+				}
+			}
+		})
+	}
+}
+
 // TestInterleaveCloseStopsWorkers pins the worker lifecycle: Close
 // (idempotent) stops the per-leg workers, so striped topologies torn
 // down deterministically leak nothing.
 func TestInterleaveCloseStopsWorkers(t *testing.T) {
-	// Wait for the goroutine count to stop moving (workers of earlier
-	// tests, closed via t.Cleanup, may still be exiting).
-	stable := func() int {
-		prev := runtime.NumGoroutine()
-		deadline := time.Now().Add(2 * time.Second)
-		for time.Now().Before(deadline) {
-			time.Sleep(5 * time.Millisecond)
-			if n := runtime.NumGoroutine(); n == prev {
-				return n
-			} else {
-				prev = n
-			}
-		}
-		return prev
-	}
-	before := stable()
+	before := stableGoroutines()
 	s, _ := testInterleaveSet(t, 4, 256)
 	if err := s.WriteBurst(s.Base(), make([]byte, 4<<10)); err != nil {
 		t.Fatal(err)

@@ -437,9 +437,10 @@ func vcFor(hpa uint64) uint64 { return hpa / uint64(LineSize*vcStride) & (NumVCs
 
 // transact is the port's one transaction path. It takes the next
 // sequence number on addr's VC, loads the session and hook snapshots,
-// and moves the transaction's flits on the caller's stack: a burst over
-// p, or else one line op (MemRd into line, MemWr or MemWrPtl from it).
-func (rp *RootPort) transact(op MemOpcode, addr, mask uint64, line *[LineSize]byte, p []byte) error {
+// and moves the transaction's flits on the caller's stack: a burst of
+// b's lines, or else one line op (MemRd into line, MemWr or MemWrPtl
+// from it).
+func (rp *RootPort) transact(op MemOpcode, addr, mask uint64, line *[LineSize]byte, b *burst) error {
 	i := vcFor(addr)
 	vc := &rp.vcs[i]
 	seq := vc.seq.Add(1) - 1
@@ -455,8 +456,8 @@ func (rp *RootPort) transact(op MemOpcode, addr, mask uint64, line *[LineSize]by
 		addr: addr,
 		mask: mask,
 	}
-	if p != nil {
-		err = rp.moveBurst(s, hk, vc, m, p)
+	if b != nil {
+		err = rp.moveBurst(s, hk, vc, m, b)
 	} else {
 		err = rp.moveLine(s, hk, vc, m, line)
 	}
@@ -661,6 +662,16 @@ func (rp *RootPort) writePartial(base uint64, lo int, p []byte) error {
 // port exactly its owned lines, rather than issuing HPA-contiguous
 // bursts at an interleaved window directly.
 
+// burst says where a burst's lines sit in the caller's buffer p, which
+// is HPA-contiguous from the transaction's address: in runs of run
+// bytes, each gap bytes past the end of the one before. A plain burst
+// is one run. The cursor off is the next line's offset in p and left
+// the bytes still to go in its run; n counts the bytes still to move.
+type burst struct {
+	p                      []byte
+	off, left, run, gap, n int
+}
+
 // WriteBurst stores p at the line-aligned HPA hpa using burst
 // transactions; len(p) must be a multiple of LineSize.
 func (rp *RootPort) WriteBurst(hpa uint64, p []byte) error {
@@ -670,7 +681,7 @@ func (rp *RootPort) WriteBurst(hpa uint64, p []byte) error {
 	if len(p) == 0 {
 		return nil
 	}
-	return rp.transact(OpMemWrBurst, hpa, 0, nil, p)
+	return rp.transact(OpMemWrBurst, hpa, 0, nil, &burst{p: p, left: len(p), n: len(p)})
 }
 
 // ReadBurst fetches len(p) bytes from the line-aligned HPA hpa using
@@ -682,46 +693,60 @@ func (rp *RootPort) ReadBurst(hpa uint64, p []byte) error {
 	if len(p) == 0 {
 		return nil
 	}
-	return rp.transact(OpMemRdBurst, hpa, 0, nil, p)
+	return rp.transact(OpMemRdBurst, hpa, 0, nil, &burst{p: p, left: len(p), n: len(p)})
+}
+
+// legBurst moves n bytes of an interleave leg's owned lines as one
+// burst transaction at hpa, the HPA of the first. p is the caller's
+// buffer from that line on; the owned lines sit in it in runs of run
+// bytes, gap bytes apart, the first of them head bytes long. Each write
+// beat encodes from its place in p and each read beat decodes into it,
+// so no staging copy sits between p and the wire.
+func (rp *RootPort) legBurst(write bool, hpa uint64, p []byte, n, head, run, gap int) error {
+	op := OpMemRdBurst
+	if write {
+		op = OpMemWrBurst
+	}
+	return rp.transact(op, hpa, 0, nil, &burst{p: p, left: head, run: run, gap: gap, n: n})
 }
 
 // moveBurst streams one burst in ≤maxBurstBytes chunks, reusing its tag
 // for every chunk (chunks are strictly sequential, so the tag is never
-// ambiguous in flight).
-func (rp *RootPort) moveBurst(s *portSession, hk *portHooks, vc *portVC, m wireMsg, p []byte) error {
+// ambiguous in flight). Each chunk is addressed at its first line.
+func (rp *RootPort) moveBurst(s *portSession, hk *portHooks, vc *portVC, m wireMsg, b *burst) error {
 	var hdr MemReq
 	m.req = &hdr
-	for len(p) > 0 {
-		n := len(p)
-		if n > maxBurstBytes {
-			n = maxBurstBytes
-		}
-		if err := rp.burstChunk(s, hk, vc, &m, p[:n]); err != nil {
+	base := m.addr
+	for b.n > 0 {
+		n := min(b.n, maxBurstBytes)
+		m.addr = base + uint64(b.off)
+		if err := rp.burstChunk(s, hk, vc, &m, b, n); err != nil {
 			return err
 		}
-		p = p[n:]
-		m.addr += uint64(n)
+		b.n -= n
 	}
 	return nil
 }
 
-// burstChunk moves one ≤maxBurstBytes chunk of a burst at m.addr: the
-// header flit (decoded into m.req), the data beats (before the device
-// for a write, after the completion for a read), the device's single
-// media access and the completion flit.
-func (rp *RootPort) burstChunk(s *portSession, hk *portHooks, vc *portVC, m *wireMsg, p []byte) error {
+// burstChunk moves the next n ≤ maxBurstBytes bytes of b as one chunk
+// at m.addr: the header flit (decoded into m.req), the data beats
+// (before the device for a write, after the completion for a read),
+// the device's single media access and the completion flit. The beats
+// cross between b's lines and wire, the receive side's staging buffer
+// that the device accesses.
+func (rp *RootPort) burstChunk(s *portSession, hk *portHooks, vc *portVC, m *wireMsg, b *burst, n int) error {
 	var f Flit
 	tag := m.tag
-	m.kind, m.lines, m.src = flitKindReq, uint16(len(p)/LineSize), nil
+	m.kind, m.lines, m.src = flitKindReq, uint16(n/LineSize), nil
 	if err := rp.move(s, hk, vc, &f, m); err != nil {
 		return err
 	}
 	buf := burstBufPool.Get().(*[maxBurstBytes]byte)
-	wire := buf[:len(p)]
+	wire := buf[:n]
 	write := m.op == OpMemWrBurst
 	var err error
 	if write {
-		err = rp.moveBeats(s, hk, vc, &f, m, p, wire)
+		err = rp.moveBeats(s, hk, vc, &f, m, b, wire)
 	}
 	if err == nil {
 		resp := s.endpoint.HandleMemBurst(*m.req, wire)
@@ -731,22 +756,37 @@ func (rp *RootPort) burstChunk(s *portSession, hk *portHooks, vc *portVC, m *wir
 		}
 	}
 	if err == nil && !write {
-		err = rp.moveBeats(s, hk, vc, &f, m, wire, p)
+		err = rp.moveBeats(s, hk, vc, &f, m, b, wire)
 	}
 	burstBufPool.Put(buf)
 	return err
 }
 
-// moveBeats moves a burst chunk's data beats from src to dst, one flit
-// per line in sequence order.
-func (rp *RootPort) moveBeats(s *portSession, hk *portHooks, vc *portVC, f *Flit, m *wireMsg, src, dst []byte) error {
-	m.kind = flitKindData
-	for i := 0; i < len(src)/LineSize; i++ {
-		m.seq = uint32(i)
-		m.src = (*[LineSize]byte)(src[i*LineSize:])
-		m.dst = (*[LineSize]byte)(dst[i*LineSize:])
-		if err := rp.move(s, hk, vc, f, m); err != nil {
-			return err
+// moveBeats moves a chunk's data beats, one flit per line in sequence
+// order, between wire and b's lines from its cursor on: from the lines
+// into wire for a write, from wire into them for a read. Each run's
+// lines go through the inner loop, and the cursor moves once per run.
+func (rp *RootPort) moveBeats(s *portSession, hk *portHooks, vc *portVC, f *Flit, m *wireMsg, b *burst, wire []byte) error {
+	m.kind, m.seq = flitKindData, 0
+	read := m.op == OpMemRdBurst
+	for len(wire) > 0 {
+		n := min(b.left, len(wire))
+		src, dst := b.p[b.off:b.off+n], wire[:n]
+		if read {
+			src, dst = dst, src
+		}
+		for i := 0; i < n; i += LineSize {
+			m.src = (*[LineSize]byte)(src[i:])
+			m.dst = (*[LineSize]byte)(dst[i:])
+			if err := rp.move(s, hk, vc, f, m); err != nil {
+				return err
+			}
+			m.seq++
+		}
+		wire = wire[n:]
+		b.off += n
+		if b.left -= n; b.left == 0 {
+			b.off, b.left = b.off+b.gap, b.run
 		}
 	}
 	return nil

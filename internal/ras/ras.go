@@ -192,15 +192,9 @@ type DeviceOptions struct {
 	Ranges func() []memdev.Range
 }
 
-// ScrubConfig tunes the patrol scrubber.
-type ScrubConfig struct {
-	// Stripe is the bytes fetched per media access (default 4 KiB —
-	// one maximal burst, so patrol costs one access per stripe).
-	Stripe int
-}
-
-// DefaultStripe matches the burst path's maximal payload.
-const DefaultStripe = 4096
+// stripe is the bytes patrol fetches per media access: 4 KiB, one
+// maximal burst, so patrol costs one access per stripe.
+const stripe = 4096
 
 // device is the plane's per-device record.
 type device struct {
@@ -239,7 +233,6 @@ type Plane struct {
 	devs       map[string]*device
 	order      []string
 	thresholds Thresholds
-	cfg        ScrubConfig
 
 	seq    atomic.Int64
 	events []Event // bounded ring, oldest dropped
@@ -248,16 +241,13 @@ type Plane struct {
 // maxEvents bounds the event ring.
 const maxEvents = 1024
 
-// NewPlane builds a control plane with the given thresholds and scrub
-// configuration (zero values take defaults).
-func NewPlane(th Thresholds, cfg ScrubConfig) *Plane {
+// NewPlane builds a control plane with the given thresholds (the zero
+// value takes DefaultThresholds).
+func NewPlane(th Thresholds) *Plane {
 	if th == (Thresholds{}) {
 		th = DefaultThresholds
 	}
-	if cfg.Stripe <= 0 {
-		cfg.Stripe = DefaultStripe
-	}
-	return &Plane{devs: make(map[string]*device), thresholds: th, cfg: cfg}
+	return &Plane{devs: make(map[string]*device), thresholds: th}
 }
 
 // Register adds a device to the plane under name. The name keys health
@@ -275,7 +265,7 @@ func (p *Plane) Register(name string, media memdev.Device, opts DeviceOptions) e
 		name:  name,
 		media: media,
 		opts:  opts,
-		buf:   make([]byte, p.cfg.Stripe),
+		buf:   make([]byte, stripe),
 		seen:  make(map[uint64]struct{}),
 	}
 	d.base = d.counters()

@@ -50,7 +50,7 @@ func TestZeroFill(t *testing.T) {
 }
 
 func TestHealthStateMachine(t *testing.T) {
-	p := NewPlane(Thresholds{}, ScrubConfig{})
+	p := NewPlane(Thresholds{})
 	m := testMedia(t)
 	if err := p.Register("dev", m, DeviceOptions{}); err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestHealthStateMachine(t *testing.T) {
 }
 
 func TestPatrolScrubFindsLatentPoison(t *testing.T) {
-	p := NewPlane(Thresholds{MaxCorrectable: 3, MaxUncorrectable: 100, MaxLinkRetries: 1 << 30}, ScrubConfig{})
+	p := NewPlane(Thresholds{MaxCorrectable: 3, MaxUncorrectable: 100, MaxLinkRetries: 1 << 30})
 	m := testMedia(t)
 	// Commit some media so patrol has a footprint to walk.
 	buf := make([]byte, 64*1024)
@@ -149,7 +149,7 @@ func TestPatrolScrubFindsLatentPoison(t *testing.T) {
 // TestScrubStepAllocs is the satellite alloc guard: a mid-pass patrol
 // step on a clean device allocates nothing.
 func TestScrubStepAllocs(t *testing.T) {
-	p := NewPlane(Thresholds{}, ScrubConfig{Stripe: 4096})
+	p := NewPlane(Thresholds{})
 	m := testMedia(t)
 	buf := make([]byte, 4<<20)
 	if err := m.WriteAt(buf, 0); err != nil {
@@ -206,7 +206,7 @@ func TestEventAndStateStrings(t *testing.T) {
 		}
 	}
 
-	p := NewPlane(DefaultThresholds, ScrubConfig{})
+	p := NewPlane(DefaultThresholds)
 	for i := 0; i < maxEvents+8; i++ {
 		p.emitLocked(Event{Device: "ring", Kind: EventScrubPass})
 	}

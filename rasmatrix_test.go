@@ -146,7 +146,7 @@ func runRASMatrixCut(t *testing.T, cut int) {
 	}
 	// Link retries are expected under the storm, so only the error
 	// counters drive degradation here.
-	plane, err := e.EnableRAS(ras.Thresholds{MaxCorrectable: rasPoisonLines, MaxUncorrectable: 1}, ras.ScrubConfig{})
+	plane, err := e.EnableRAS(ras.Thresholds{MaxCorrectable: rasPoisonLines, MaxUncorrectable: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

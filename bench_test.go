@@ -724,7 +724,12 @@ func BenchmarkStreamTriadReal(b *testing.B) {
 // for every new chunk: Alloc, a copy into the view and Persist, which
 // moves the object's bytes over the link twice (zeroes, then data),
 // against AllocFrom, which moves them once. Each iteration frees the
-// object, so the allocator reuses one block.
+// object, so the allocator reuses one block. The fragmented rows time
+// AllocFrom and Free on a heap whose free list holds 64 holes ahead of
+// its free tail (128 live 4 KiB objects, every other one freed): a
+// 4 KiB object fills the first hole, and a 4104-byte checkpoint
+// descriptor fits none, so first fit passes every hole to reach the
+// tail.
 func BenchmarkPmemAlloc(b *testing.B) {
 	rt, err := NewSetup1(Setup1Options{InterleaveWays: 4, FPGA: fpga.Options{ChannelCapacity: 8 * units.MiB}})
 	if err != nil {
@@ -743,8 +748,8 @@ func BenchmarkPmemAlloc(b *testing.B) {
 	for i := range src {
 		src[i] = byte(i)
 	}
-	run := func(b *testing.B, alloc func() (pmem.OID, error)) {
-		b.SetBytes(int64(len(src)))
+	run := func(b *testing.B, size int, alloc func() (pmem.OID, error)) {
+		b.SetBytes(int64(size))
 		for i := 0; i < b.N; i++ {
 			oid, err := alloc()
 			if err != nil {
@@ -756,7 +761,7 @@ func BenchmarkPmemAlloc(b *testing.B) {
 		}
 	}
 	b.Run("alloc-copy-persist/4KiB", func(b *testing.B) {
-		run(b, func() (pmem.OID, error) {
+		run(b, len(src), func() (pmem.OID, error) {
 			oid, err := p.Alloc(uint64(len(src)))
 			if err != nil {
 				return oid, err
@@ -770,6 +775,31 @@ func BenchmarkPmemAlloc(b *testing.B) {
 		})
 	})
 	b.Run("allocfrom/4KiB", func(b *testing.B) {
-		run(b, func() (pmem.OID, error) { return p.AllocFrom(src) })
+		run(b, len(src), func() (pmem.OID, error) { return p.AllocFrom(src) })
+	})
+	b.Run("fragmented", func(b *testing.B) {
+		live := make([]pmem.OID, 128)
+		for i := range live {
+			if live[i], err = p.AllocFrom(src); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for i := 0; i < len(live); i += 2 {
+			if err := p.Free(live[i]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		desc := make([]byte, 4104)
+		b.Run("4KiB", func(b *testing.B) {
+			run(b, len(src), func() (pmem.OID, error) { return p.AllocFrom(src) })
+		})
+		b.Run("4104B", func(b *testing.B) {
+			run(b, len(desc), func() (pmem.OID, error) { return p.AllocFrom(desc) })
+		})
+		for i := 1; i < len(live); i += 2 {
+			if err := p.Free(live[i]); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 }

@@ -293,7 +293,8 @@ const elasticBurst = 64 * 64
 // Drive moves total bytes through a host's root port — alternating
 // maximal write and read bursts striped across the host's active
 // extents, every write carrying host i's pattern byte(i+j) — pacing
-// each burst with the QoS throttle. Returns the achieved throughput.
+// each burst with the QoS throttle, whose budget for the host it looks
+// up once. Returns the achieved throughput.
 // It is safe to run for many hosts concurrently; RunParallel runs one
 // per host.
 func (e *Elastic) Drive(i int, total units.Size) (units.Bandwidth, error) {
@@ -318,7 +319,10 @@ func (e *Elastic) Drive(i int, total units.Size) (units.Bandwidth, error) {
 	if len(spans) == 0 {
 		return 0, fmt.Errorf("cluster: host %d has no active extent to drive", i)
 	}
-	name := h.Tenant.Name()
+	budget, err := e.Throttle.budget(h.Tenant.Name())
+	if err != nil {
+		return 0, err
+	}
 	// Reads land in their own half of buf, so every write burst carries
 	// the host's pattern however many bursts it has read.
 	buf := make([]byte, 2*elasticBurst)
@@ -337,9 +341,7 @@ func (e *Elastic) Drive(i int, total units.Size) (units.Bandwidth, error) {
 			span = 1 << 20
 		}
 		addr := h.Window.Base + x.DPA + uint64(n)*elasticBurst%span
-		if _, err := e.Throttle.pace(name); err != nil {
-			return 0, err
-		}
+		e.Throttle.pace(budget)
 		if n%2 == 0 {
 			err = h.Port.WriteBurst(addr, out)
 		} else {

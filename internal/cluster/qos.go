@@ -20,8 +20,8 @@ import (
 
 // Throttle enforces per-tenant bandwidth shares of a total budget.
 // Safe for concurrent use: each tenant's pacing decision reads its own
-// stats counters (atomics) plus the registry under a short lock; the
-// sleep happens outside.
+// stats counters (atomics) plus its share and epoch under a short lock;
+// the sleep happens outside.
 type Throttle struct {
 	total units.Bandwidth
 
@@ -85,31 +85,40 @@ func (th *Throttle) SetShare(name string, share float64) error {
 	return nil
 }
 
-// pace blocks the calling tenant until its achieved bandwidth is back
-// inside its share of the budget, returning how long it slept. Call it
-// before each transfer unit (e.g. each burst): a tenant within budget
-// proceeds immediately; one running ahead sleeps exactly the deficit.
-func (th *Throttle) pace(name string) (time.Duration, error) {
+// budget returns the named tenant's budget, which its driver resolves
+// once and hands to pace before each transfer unit.
+func (th *Throttle) budget(name string) (*tenantBudget, error) {
 	th.mu.Lock()
+	defer th.mu.Unlock()
 	b, ok := th.tenants[name]
 	if !ok {
-		th.mu.Unlock()
-		return 0, fmt.Errorf("cluster: qos: no tenant %s", name)
+		return nil, fmt.Errorf("cluster: qos: no tenant %s", name)
 	}
+	if th.total <= 0 {
+		return nil, fmt.Errorf("cluster: qos: %s has no allowance", name)
+	}
+	return b, nil
+}
+
+// pace blocks the tenant whose budget is b until its achieved bandwidth
+// is back inside its share of the budget, returning how long it slept.
+// Call it before each transfer unit (e.g. each burst): a tenant within
+// budget proceeds immediately; one running ahead sleeps exactly the
+// deficit. The share and epoch are read under the lock SetShare
+// rebases them under.
+func (th *Throttle) pace(b *tenantBudget) time.Duration {
+	th.mu.Lock()
 	allowed := float64(th.total) * b.share
 	moved := float64(movedBytes(b.stats) - b.base)
 	start := b.start
 	th.mu.Unlock()
-	if allowed <= 0 {
-		return 0, fmt.Errorf("cluster: qos: %s has no allowance", name)
-	}
 	ideal := time.Duration(moved / allowed * float64(time.Second))
 	sleep := ideal - time.Since(start)
 	if sleep <= 0 {
-		return 0, nil
+		return 0
 	}
 	time.Sleep(sleep)
-	return sleep, nil
+	return sleep
 }
 
 // movedBytes sums a device's read and write byte counters.

@@ -14,7 +14,6 @@ package memdev
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -187,54 +186,71 @@ func (e *AddrError) Error() string {
 }
 
 // pageSize is the sparse-storage granule. 2 MiB mirrors the huge pages a
-// DAX mapping would use and keeps the page map small.
+// DAX mapping would use and keeps the page table small.
 const pageSize = 2 << 20
+
+// leafPages is the number of page slots in one leaf of the page table:
+// 512 × 2 MiB, so each leaf covers 1 GiB of the device.
+const leafPages = 512
 
 // storePage is one materialised 2 MiB page: its own content lock plus
 // the backing bytes. Per-page locking is what lets different hosts'
 // extents (disjoint pages of one appliance media) read and write
 // genuinely in parallel, while access to any single line — which never
-// spans a page — stays linearizable.
+// spans a page — stays linearizable. The lock is a plain Mutex: every
+// holder only copies, so readers of one page take turns rather than
+// share it, and each access pays the cheaper lock.
 type storePage struct {
-	mu  sync.RWMutex
+	mu  sync.Mutex
 	buf []byte
 }
 
+// storeLeaf is one 1 GiB leaf of the page table.
+type storeLeaf [leafPages]atomic.Pointer[storePage]
+
 // sparseStore is a lazily allocated byte store. Untouched regions read
-// as zero. It is safe for concurrent use: the page index is a sync.Map
-// (pages materialise once and are then read-mostly, the map's ideal
-// case), so page lookup — and the zero-fill path for untouched pages —
-// is lock-free; materialised page content is guarded by the page's own
-// read-write lock. Accesses confined to one page (every CXL line
+// as zero. It is safe for concurrent use: a page is found through a
+// two-level table of atomic pointers — a directory with one slot per
+// GiB of capacity, each leaf holding 512 page slots — so lookup is two
+// loads and no lock, and a 64 GiB device's directory is 64 slots where
+// a flat table would take 256 KiB. Each leaf and page is created on
+// first touch by compare-and-swap. Materialised page content is guarded
+// by the page's own lock. Accesses confined to one page (every CXL line
 // transaction, and every burst that does not cross a 2 MiB boundary)
 // are linearizable; multi-page accesses commit page by page, exactly
 // as a multi-channel memory controller commits a multi-beat transfer.
 type sparseStore struct {
-	pages sync.Map // page index (int64) -> *storePage
-	cap   int64
+	dir []atomic.Pointer[storeLeaf]
+	cap int64
 }
 
 func newSparseStore(capacity units.Size) *sparseStore {
-	return &sparseStore{cap: capacity.Bytes()}
+	c := capacity.Bytes()
+	const leafSize = leafPages * pageSize
+	return &sparseStore{dir: make([]atomic.Pointer[storeLeaf], (c+leafSize-1)/leafSize), cap: c}
 }
 
 func (s *sparseStore) check(off int64, n int) bool {
 	return off >= 0 && n >= 0 && off+int64(n) <= s.cap
 }
 
+// lookup returns page idx, or nil if it was never touched.
+func (s *sparseStore) lookup(idx int64) *storePage {
+	if l := s.dir[idx/leafPages].Load(); l != nil {
+		return l[idx%leafPages].Load()
+	}
+	return nil
+}
+
 func (s *sparseStore) readAt(p []byte, off int64) {
 	for len(p) > 0 {
 		idx := off / pageSize
 		po := off % pageSize
-		n := pageSize - po
-		if int64(len(p)) < n {
-			n = int64(len(p))
-		}
-		if v, ok := s.pages.Load(idx); ok {
-			pg := v.(*storePage)
-			pg.mu.RLock()
+		n := min(pageSize-po, int64(len(p)))
+		if pg := s.lookup(idx); pg != nil {
+			pg.mu.Lock()
 			copy(p[:n], pg.buf[po:po+n])
-			pg.mu.RUnlock()
+			pg.mu.Unlock()
 		} else {
 			clear(p[:n])
 		}
@@ -243,23 +259,30 @@ func (s *sparseStore) readAt(p []byte, off int64) {
 	}
 }
 
-// page returns the materialised page idx, creating it on first touch.
+// page returns the materialised page idx, creating its leaf and then
+// the page on first touch. A lost compare-and-swap means another
+// writer created it first; the leaf loop also retries when a
+// concurrent clear drops the leaf in between.
 func (s *sparseStore) page(idx int64) *storePage {
-	if v, ok := s.pages.Load(idx); ok {
-		return v.(*storePage)
+	dl := &s.dir[idx/leafPages]
+	l := dl.Load()
+	for l == nil {
+		dl.CompareAndSwap(nil, new(storeLeaf))
+		l = dl.Load()
 	}
-	v, _ := s.pages.LoadOrStore(idx, &storePage{buf: make([]byte, pageSize)})
-	return v.(*storePage)
+	slot := &l[idx%leafPages]
+	if pg := slot.Load(); pg != nil {
+		return pg
+	}
+	slot.CompareAndSwap(nil, &storePage{buf: make([]byte, pageSize)})
+	return slot.Load()
 }
 
 func (s *sparseStore) writeAt(p []byte, off int64) {
 	for len(p) > 0 {
 		idx := off / pageSize
 		po := off % pageSize
-		n := pageSize - po
-		if int64(len(p)) < n {
-			n = int64(len(p))
-		}
+		n := min(pageSize-po, int64(len(p)))
 		pg := s.page(idx)
 		pg.mu.Lock()
 		copy(pg.buf[po:po+n], p[:n])
@@ -270,42 +293,49 @@ func (s *sparseStore) writeAt(p []byte, off int64) {
 }
 
 func (s *sparseStore) clear() {
-	s.pages.Clear()
+	for i := range s.dir {
+		s.dir[i].Store(nil)
+	}
+}
+
+// forPages calls f with the index of every materialised page, in
+// ascending order.
+func (s *sparseStore) forPages(f func(idx int64)) {
+	for d := range s.dir {
+		l := s.dir[d].Load()
+		if l == nil {
+			continue
+		}
+		for i := range l {
+			if l[i].Load() != nil {
+				f(int64(d)*leafPages + int64(i))
+			}
+		}
+	}
 }
 
 // touchedPages reports how many pages have been materialised (test hook).
 func (s *sparseStore) touchedPages() int {
 	n := 0
-	s.pages.Range(func(any, any) bool { n++; return true })
+	s.forPages(func(int64) { n++ })
 	return n
 }
 
-// committed enumerates the materialised pages as sorted, coalesced
-// ranges. Pages materialise on first write and are never dropped short
-// of PowerCycle, so this is the "ever-written" footprint.
+// committed enumerates the materialised pages as ascending, coalesced
+// ranges clipped to the capacity. Pages materialise on first write and
+// are never dropped short of PowerCycle, so this is the "ever-written"
+// footprint.
 func (s *sparseStore) committed() []Range {
-	var idx []int64
-	s.pages.Range(func(k, _ any) bool {
-		idx = append(idx, k.(int64))
-		return true
-	})
-	if len(idx) == 0 {
-		return nil
-	}
-	sort.Slice(idx, func(a, b int) bool { return idx[a] < idx[b] })
 	var out []Range
-	for _, i := range idx {
+	s.forPages(func(i int64) {
 		base := uint64(i) * pageSize
-		size := uint64(pageSize)
-		if end := uint64(s.cap); base+size > end {
-			size = end - base
-		}
+		size := min(uint64(pageSize), uint64(s.cap)-base)
 		if n := len(out); n > 0 && out[n-1].Base+out[n-1].Size == base {
 			out[n-1].Size += size
 		} else {
 			out = append(out, Range{Base: base, Size: size})
 		}
-	}
+	})
 	return out
 }
 

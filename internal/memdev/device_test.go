@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -80,6 +81,92 @@ func TestCrossPageAccess(t *testing.T) {
 	}
 	if got := d.store.touchedPages(); got != 2 {
 		t.Errorf("touchedPages = %d, want 2", got)
+	}
+}
+
+// TestPageTableOddCapacity: on a device whose capacity is a multiple
+// of neither the 2 MiB page nor the 1 GiB leaf, the last byte and the
+// first byte of the last leaf round-trip, pages touched out of order
+// are listed as ascending, coalesced ranges clipped to the capacity,
+// and a power cycle of volatile DRAM drops every page.
+func TestPageTableOddCapacity(t *testing.T) {
+	d := mustDRAM(t, DRAMConfig{Name: "odd", Rate: 4800, Channels: 1, CapacityPerChannel: units.GiB + 3*units.MiB})
+	capBytes := d.Capacity().Bytes()
+	ends := map[int64]byte{capBytes - 1: 0x5A, int64(units.GiB): 0xA5}
+	for off, b := range ends {
+		if err := d.WriteAt([]byte{b}, off); err != nil {
+			t.Fatalf("WriteAt(%#x): %v", off, err)
+		}
+		got := make([]byte, 1)
+		if err := d.ReadAt(got, off); err != nil || got[0] != b {
+			t.Errorf("ReadAt(%#x) = %#x, %v; want %#x", off, got[0], err, b)
+		}
+	}
+	for _, idx := range []int64{7, 2, 0, 3} {
+		if err := d.WriteAt([]byte{1}, idx*pageSize+100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []Range{
+		{Base: 0, Size: pageSize},
+		{Base: 2 * pageSize, Size: 2 * pageSize},
+		{Base: 7 * pageSize, Size: pageSize},
+		{Base: uint64(units.GiB), Size: uint64(capBytes) - uint64(units.GiB)},
+	}
+	if got := d.Committed(); !slices.Equal(got, want) {
+		t.Errorf("Committed() = %v, want %v", got, want)
+	}
+	if got := d.store.touchedPages(); got != 6 {
+		t.Errorf("touchedPages = %d, want 6", got)
+	}
+	d.PowerCycle()
+	if got := d.store.touchedPages(); got != 0 {
+		t.Errorf("after PowerCycle touchedPages = %d, want 0", got)
+	}
+	for off := range ends {
+		got := []byte{0xFF}
+		if err := d.ReadAt(got, off); err != nil || got[0] != 0 {
+			t.Errorf("after PowerCycle ReadAt(%#x) = %#x, %v; want 0", off, got[0], err)
+		}
+	}
+}
+
+// TestPageFirstTouchRace: eight writers released together into one
+// page of an untouched leaf, each writing its own lines, all land in
+// the one page that is created.
+func TestPageFirstTouchRace(t *testing.T) {
+	const writers, lines = 8, 64
+	d := mustDRAM(t, DRAMConfig{Name: "race", Rate: 4800, Channels: 1, CapacityPerChannel: 2 * units.GiB})
+	base := int64(units.GiB) + 5*pageSize
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			line := bytes.Repeat([]byte{byte(g + 1)}, 64)
+			<-start
+			for i := g; i < lines; i += writers {
+				if err := d.WriteAt(line, base+int64(i)*64); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	got := make([]byte, 64)
+	for i := range lines {
+		if err := d.ReadAt(got, base+int64(i)*64); err != nil {
+			t.Fatal(err)
+		}
+		if want := bytes.Repeat([]byte{byte(i%writers + 1)}, 64); !bytes.Equal(got, want) {
+			t.Errorf("line %d reads %#x, want writer %d's %#x", i, got[0], i%writers, want[0])
+		}
+	}
+	if n := d.store.touchedPages(); n != 1 {
+		t.Errorf("touchedPages = %d, want 1", n)
 	}
 }
 

@@ -1,17 +1,21 @@
 package pmem
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Persistent heap. Objects are carved from the region after the undo
 // log, each preceded by a 64-byte block header so that data offsets are
 // 64-byte aligned (cache-line alignment, and sufficient for Float64s
-// views). The free list is volatile and rebuilt on open by walking the
-// block chain; headers are persisted at every state change so the walk
-// is always well-formed after a crash. A crash between header persist
-// and caller visibility can at worst leak one block — the same failure
+// views). The free list is volatile, kept sorted by offset, and rebuilt
+// on open by walking the block chain; headers are persisted at every
+// state change so the walk is always well-formed after a crash. An
+// allocation persists its block's header and bytes as one write, after
+// the split-off tail's header. A crash between header persist and
+// caller visibility can at worst leak one block — the same failure
 // window PMDK closes with its redo log and detects with pmempool check;
 // our Check performs the equivalent leak scan.
 
@@ -42,16 +46,32 @@ const (
 	bhUser  = 24
 )
 
+// heap is the pool's block allocator. Its free list holds every free
+// block the view's chain shows, in ascending offset order, so first fit
+// is a scan from the front and free finds a block's place by binary
+// search.
 type heap struct {
 	p     *Pool
 	start uint64 // first block header offset
 	end   uint64 // one past the heap
 
-	freeIdx map[uint64]uint64 // header offset -> block size (volatile index)
+	freeList []freeBlock // volatile; sorted by off
 }
 
+// freeBlock is one free-list entry: a free block's header offset and
+// its size including the header.
+type freeBlock struct{ off, size uint64 }
+
 func newHeap(p *Pool, heapOff, poolSize uint64) *heap {
-	return &heap{p: p, start: heapOff, end: poolSize, freeIdx: make(map[uint64]uint64)}
+	return &heap{p: p, start: heapOff, end: poolSize}
+}
+
+// search returns the index of the first free-list entry at or after off.
+func (h *heap) search(off uint64) int {
+	i, _ := slices.BinarySearchFunc(h.freeList, off, func(b freeBlock, off uint64) int {
+		return cmp.Compare(b.off, off)
+	})
+	return i
 }
 
 // format writes a single free block covering the whole heap.
@@ -63,13 +83,14 @@ func (h *heap) format() error {
 	if err := h.p.persistRaw(int64(h.start), blockHeaderSize); err != nil {
 		return err
 	}
-	h.freeIdx[h.start] = h.end - h.start
+	h.freeList = append(h.freeList[:0], freeBlock{h.start, h.end - h.start})
 	return nil
 }
 
-// rebuild reconstructs the volatile free index by walking the chain.
+// rebuild reconstructs the volatile free list by walking the chain,
+// which visits the free blocks in offset order.
 func (h *heap) rebuild() error {
-	h.freeIdx = make(map[uint64]uint64)
+	h.freeList = h.freeList[:0]
 	off := h.start
 	for off < h.end {
 		magic, size, flags, _ := h.readHeader(off)
@@ -77,7 +98,7 @@ func (h *heap) rebuild() error {
 			return &PoolError{Op: "rebuild", Layout: h.p.layout, Why: fmt.Sprintf("corrupt block header at %#x", off)}
 		}
 		if flags&flagAllocated == 0 {
-			h.freeIdx[off] = size
+			h.freeList = append(h.freeList, freeBlock{off, size})
 		}
 		off += size
 	}
@@ -107,70 +128,66 @@ func (h *heap) readHeader(off uint64) (magic uint32, size, flags, user uint64) {
 }
 
 // alloc returns the data offset of a new n-byte object holding src
-// followed by zeroes (all zeroes when src is nil; len(src) <= n). The
-// block header is persisted first, then the object's bytes in one
-// flush, so each byte crosses to the media once.
+// followed by zeroes (all zeroes when src is nil; len(src) <= n). It
+// takes the lowest-offset free block with room (first fit from the
+// front of the sorted list). A split persists the tail's free header
+// first; then the block header and the object's bytes, which sit next
+// to each other, go to the media in one flush, so each byte crosses
+// once. If a crash keeps that flush's header line, the block is
+// allocated but unpublished (the one-block leak Check reports); if it
+// loses that line, the old free header still spans the tail's header
+// and any bytes that landed.
 func (h *heap) alloc(n uint64, src []byte) (uint64, error) {
 	need := alignUp64(n, 64) + blockHeaderSize
-	// First fit over the volatile index; deterministic order matters
-	// for reproducibility, so scan ascending.
-	var best uint64
-	found := false
-	for off := range h.freeIdx {
-		if h.freeIdx[off] >= need && (!found || off < best) {
-			best = off
-			found = true
-		}
-	}
-	if !found {
+	i := slices.IndexFunc(h.freeList, func(b freeBlock) bool { return b.size >= need })
+	if i < 0 {
 		return 0, &PoolError{Op: "alloc", Layout: h.p.layout, Why: fmt.Sprintf("out of space for %d bytes", n)}
 	}
-	size := h.freeIdx[best]
-	delete(h.freeIdx, best)
+	off, size := h.freeList[i].off, h.freeList[i].size
 	blk := size
-	remainder := size - need
-	if remainder >= minSplit {
+	if remainder := size - need; remainder >= minSplit {
 		// Split: write the tail free block first, then shrink this
 		// block — ordering keeps the walk consistent at any crash
-		// point (a crash after the first persist shows a shrunken
-		// chain only once both headers agree; until then the old
-		// header still covers the full extent).
-		tail := best + need
+		// point (until the shrunken header lands, the old header
+		// still covers the full extent). The tail keeps this entry's
+		// place in the list.
+		tail := off + need
 		h.writeHeader(tail, remainder, 0, 0)
 		if err := h.p.persistRaw(int64(tail), blockHeaderSize); err != nil {
-			return 0, h.unalloc(best, size, blk, err)
+			return 0, h.unalloc(off, size, err)
 		}
-		h.freeIdx[tail] = remainder
+		h.freeList[i] = freeBlock{tail, remainder}
 		blk = need
+	} else {
+		h.freeList = slices.Delete(h.freeList, i, i+1)
 	}
-	h.writeHeader(best, blk, flagAllocated, n)
-	if err := h.p.persistRaw(int64(best), blockHeaderSize); err != nil {
-		return 0, h.unalloc(best, size, blk, err)
-	}
+	h.writeHeader(off, blk, flagAllocated, n)
 	// Fill the object: src, then zeroes to the end of the block
 	// (allocations observe zeroed memory, as with the pmemobj_zalloc
 	// semantics we adopt; a constructor's slack is zeroed too).
-	data := best + blockHeaderSize
-	obj := h.p.view[data : best+blk]
+	obj := h.p.view[off+blockHeaderSize : off+blk]
 	clear(obj[copy(obj, src):])
-	if err := h.p.persistRaw(int64(data), int64(len(obj))); err != nil {
-		return 0, h.unalloc(best, size, blk, err)
+	if err := h.p.persistRaw(int64(off), int64(blk)); err != nil {
+		return 0, h.unalloc(off, size, err)
 	}
-	return data, nil
+	return off + blockHeaderSize, nil
 }
 
 // unalloc undoes an alloc that failed with err: the free block of size
-// bytes at off, which alloc had cut to blk bytes, is whole and free
-// again in the view and the index, so the failure leaks nothing. It
-// persists the restored header too; if that write also fails, the
-// media holds either the old free header or the allocated one, and a
-// reopen finds at most this one block leaked, as after a crash.
-func (h *heap) unalloc(off, size, blk uint64, err error) error {
-	if blk < size {
-		delete(h.freeIdx, off+blk)
+// bytes at off is whole and free again in the view and the list, so the
+// failure leaks nothing. The list entry inside the block, if any, is
+// the block itself (its tail's header failed) or its split-off tail,
+// and it is replaced; otherwise the block is inserted. It persists the
+// restored header too; if that write also fails, the media holds either
+// the old free header or the allocated one, and a reopen finds at most
+// this one block leaked, as after a crash.
+func (h *heap) unalloc(off, size uint64, err error) error {
+	if i := h.search(off); i < len(h.freeList) && h.freeList[i].off < off+size {
+		h.freeList[i] = freeBlock{off, size}
+	} else {
+		h.freeList = slices.Insert(h.freeList, i, freeBlock{off, size})
 	}
 	h.writeHeader(off, size, 0, 0)
-	h.freeIdx[off] = size
 	_ = h.p.persistRaw(int64(off), blockHeaderSize) // err is the failure to report
 	return err
 }
@@ -186,20 +203,30 @@ func (h *heap) free(dataOff uint64) error {
 	if flags&flagAllocated == 0 {
 		return &PoolError{Op: "free", Layout: h.p.layout, Why: fmt.Sprintf("double free at %#x", dataOff)}
 	}
-	// Forward coalesce.
-	next := off + size
-	if next < h.end {
+	// Forward coalesce. The following block's entry, when listed, sits
+	// at this block's place in the list; it is dropped even if the
+	// persist fails, since the view's header now spans it.
+	i := h.search(off)
+	listed := false
+	if next := off + size; next < h.end {
 		nm, nsize, nflags, _ := h.readHeader(next)
 		if nm == blockMagic && nflags&flagAllocated == 0 {
-			delete(h.freeIdx, next)
+			listed = i < len(h.freeList) && h.freeList[i].off == next
 			size += nsize
 		}
 	}
 	h.writeHeader(off, size, 0, 0)
 	if err := h.p.persistRaw(int64(off), blockHeaderSize); err != nil {
+		if listed {
+			h.freeList = slices.Delete(h.freeList, i, i+1)
+		}
 		return err
 	}
-	h.freeIdx[off] = size
+	if listed {
+		h.freeList[i] = freeBlock{off, size}
+	} else {
+		h.freeList = slices.Insert(h.freeList, i, freeBlock{off, size})
+	}
 	return nil
 }
 

@@ -2,6 +2,7 @@ package pmem
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -130,52 +131,267 @@ func TestAllocFromWritesOnce(t *testing.T) {
 }
 
 // TestAllocIOErrorLeaksNothing: an allocation whose media write fails
-// (the split-off tail's header, the block header or the object's
-// bytes) gives its block back whole, so the heap is as before, the
-// same allocation then lands in the same place, and the pool reopens
-// clean.
+// gives its block back whole, so the heap is as before, the same
+// allocation then lands in the same place, and the pool reopens clean.
+// A successful allocation makes two writes when it splits its block
+// (the tail's header, then the block's header and bytes in one flush)
+// and one when it exactly fills a hole; each of them fails in turn.
 func TestAllocIOErrorLeaksNothing(t *testing.T) {
+	// setup returns a pool whose first free block either has room to
+	// spare (split) or is a hole a 1000-byte object fills exactly, and
+	// the number of live blocks.
+	setup := func(exact bool) (*Pool, *memRegion, int) {
+		r := newMemRegion(testPoolSize, true)
+		p, err := Create(r, "stream-arrays")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !exact {
+			return p, r, 0
+		}
+		hole, err := p.Alloc(1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Alloc(1000); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Free(hole); err != nil {
+			t.Fatal(err)
+		}
+		return p, r, 1
+	}
 	for _, name := range []string{"Alloc", "AllocFrom"} {
-		for k := 1; k <= 3; k++ {
-			r := newMemRegion(testPoolSize, true)
-			p, err := Create(r, "stream-arrays")
+		alloc := func(p *Pool) (OID, error) {
+			if name == "Alloc" {
+				return p.Alloc(1000)
+			}
+			return p.AllocFrom(make([]byte, 1000))
+		}
+		for _, exact := range []bool{false, true} {
+			p, r, _ := setup(exact)
+			w := r.writes
+			if _, err := alloc(p); err != nil {
+				t.Fatal(err)
+			}
+			writes, want := r.writes-w, 2
+			if exact {
+				want = 1
+			}
+			if writes != want {
+				t.Errorf("%s, exact fit %v: %d media writes, want %d", name, exact, writes, want)
+			}
+			for k := 1; k <= writes; k++ {
+				p, r, live := setup(exact)
+				before, err := p.Check()
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.failAt = r.writes + k
+				if _, err := alloc(p); err == nil {
+					t.Fatalf("%s, exact fit %v, with write %d failing succeeded", name, exact, k)
+				}
+				after, err := p.Check()
+				if err != nil || after != before {
+					t.Errorf("%s, exact fit %v, write %d failed: heap %+v, %v; want %+v", name, exact, k, after, err, before)
+				}
+				oid, err := alloc(p)
+				if err != nil {
+					t.Fatalf("%s after a failed one: %v", name, err)
+				}
+				if want := p.heapOff + blockHeaderSize; oid.Off != want {
+					t.Errorf("%s after a failed one landed at %#x, want %#x", name, oid.Off, want)
+				}
+				if err := p.Close(); err != nil {
+					t.Fatal(err)
+				}
+				p2, err := Open(r, "stream-arrays")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep, err := p2.Check(); err != nil || rep.AllocatedBlocks != live+1 {
+					t.Errorf("%s, exact fit %v, write %d failed: after reopen heap %+v, %v; want %d live blocks",
+						name, exact, k, rep, err, live+1)
+				}
+			}
+		}
+	}
+}
+
+// refFit is first fit computed from the view alone: the data offset
+// and size of the lowest-offset free block with room for n bytes,
+// found by walking the block headers.
+func refFit(p *Pool, n uint64) (dataOff, size uint64, ok bool) {
+	need := alignUp64(n, 64) + blockHeaderSize
+	for off := p.heapOff; off < uint64(p.size); off += size {
+		var flags uint64
+		_, size, flags, _ = p.heap.readHeader(off)
+		if flags&flagAllocated == 0 && size >= need {
+			return off + blockHeaderSize, size, true
+		}
+	}
+	return 0, 0, false
+}
+
+// TestAllocFirstFitMatchesHeaderWalk: over a seeded run of allocs and
+// frees of checkpoint-sized objects (4 KiB chunks, 4104-byte
+// descriptors) and small ones, with an occasional failed write so the
+// allocation is undone, every allocation lands where first fit over
+// the block headers says, before and after the pool is reopened and
+// its free list rebuilt.
+func TestAllocFirstFitMatchesHeaderWalk(t *testing.T) {
+	sizes := []uint64{4096, 4096, 4104, 4104, 24, 100, 700} // checkpoint sizes drawn twice as often
+	rng := rand.New(rand.NewSource(26))
+	r := newMemRegion(1<<20, true)
+	p, err := Create(r, "first-fit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live []OID
+	failed := 0
+	for round := 0; round < 3; round++ {
+		for step := 0; step < 400; step++ {
+			if len(live) > 0 && rng.Intn(5) < 2 {
+				i := rng.Intn(len(live))
+				if err := p.Free(live[i]); err != nil {
+					t.Fatal(err)
+				}
+				live = append(live[:i], live[i+1:]...)
+				continue
+			}
+			n := sizes[rng.Intn(len(sizes))]
+			want, size, ok := refFit(p, n)
+			if !ok {
+				if _, err := p.Alloc(n); err == nil {
+					t.Fatalf("round %d step %d: Alloc(%d) succeeded where no free block has room", round, step, n)
+				}
+				continue
+			}
+			if rng.Intn(6) == 0 {
+				// Fail one of the allocation's writes: the tail's
+				// header or the block's flush when it splits.
+				writes := 1
+				if size-(alignUp64(n, 64)+blockHeaderSize) >= minSplit {
+					writes = 2
+				}
+				r.failAt = r.writes + 1 + rng.Intn(writes)
+				if _, err := p.Alloc(n); err == nil {
+					t.Fatalf("round %d step %d: Alloc(%d) with a failing write succeeded", round, step, n)
+				}
+				r.failAt = 0
+				failed++
+			}
+			oid, err := p.AllocFrom(bytes.Repeat([]byte{byte(step)}, int(n)))
+			if err != nil {
+				t.Fatalf("round %d step %d: AllocFrom(%d): %v", round, step, n, err)
+			}
+			if oid.Off != want {
+				t.Fatalf("round %d step %d: %d bytes landed at %#x, first fit over the headers is %#x", round, step, n, oid.Off, want)
+			}
+			live = append(live, oid)
+		}
+		rep, err := p.Check()
+		if err != nil || rep.AllocatedBlocks != len(live) {
+			t.Fatalf("round %d: heap %+v, %v; want %d live blocks", round, rep, err, len(live))
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if p, err = Open(r, "first-fit"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no allocation failed; the undo path went untested")
+	}
+}
+
+// TestAllocTornFlush: a crash that keeps only some 64-byte lines of an
+// allocation's one header-and-bytes flush — any prefix of them, or the
+// lines of one 4-way interleave leg alone (every fourth 256-byte
+// granule) — reopens to a well-formed heap in which every earlier
+// object reads as it did and the new block is allocated exactly when
+// its header line landed. Both a split and an exact fit are torn.
+func TestAllocTornFlush(t *testing.T) {
+	const n = 1000 // a 1088-byte block: 17 lines over five granules
+	src := bytes.Repeat([]byte{0xAB}, n)
+	// setup allocates three objects; for an exact fit it frees the
+	// first, which leaves a hole an n-byte object fills.
+	setup := func(exact bool) (*Pool, *memRegion, map[OID][]byte) {
+		r := newMemRegion(testPoolSize, true)
+		p, err := Create(r, "torn")
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs := make(map[OID][]byte)
+		var first OID
+		for i := range 3 {
+			b := bytes.Repeat([]byte{byte(i + 1)}, n)
+			oid, err := p.AllocFrom(b)
 			if err != nil {
 				t.Fatal(err)
 			}
-			alloc := func() (OID, error) {
-				if name == "Alloc" {
-					return p.Alloc(1000)
-				}
-				return p.AllocFrom(make([]byte, 1000))
+			if i == 0 {
+				first = oid
 			}
+			objs[oid] = b
+		}
+		if exact {
+			if err := p.Free(first); err != nil {
+				t.Fatal(err)
+			}
+			delete(objs, first)
+		}
+		return p, r, objs
+	}
+	type tear struct {
+		name string
+		keep func(line int64) bool
+	}
+	for _, exact := range []bool{false, true} {
+		// Control run: the flush is the allocation's last write.
+		p, r, _ := setup(exact)
+		oid, err := p.AllocFrom(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flush, blk := r.writes, int64(oid.Off-blockHeaderSize)
+		var tears []tear
+		for k := int64(0); k <= (blockHeaderSize+n+63)/64; k++ {
+			tears = append(tears, tear{fmt.Sprintf("prefix %d lines", k), func(line int64) bool { return line < blk+64*k }})
+		}
+		for leg := int64(0); leg < 4; leg++ {
+			tears = append(tears, tear{fmt.Sprintf("leg %d", leg), func(line int64) bool { return line/256%4 == leg }})
+		}
+		for _, tr := range tears {
+			p, r, objs := setup(exact)
 			before, err := p.Check()
 			if err != nil {
 				t.Fatal(err)
 			}
-			r.failAt = r.writes + k
-			if _, err := alloc(); err == nil {
-				t.Fatalf("%s with write %d failing succeeded", name, k)
-			}
-			after, err := p.Check()
-			if err != nil || after != before {
-				t.Errorf("%s, write %d failed: heap %+v, %v; want %+v", name, k, after, err, before)
-			}
-			oid, err := alloc()
+			r.cutoff, r.keep = flush-1, tr.keep
+			_, _ = p.AllocFrom(src) // the cut drops writes silently; recovery shows the damage
+			r.cutoff, r.keep = -1, nil
+			p.SimulateCrash()
+			p2, err := Open(r, "torn")
 			if err != nil {
-				t.Fatalf("%s after a failed one: %v", name, err)
+				t.Fatalf("exact fit %v, %s: reopen: %v", exact, tr.name, err)
 			}
-			if want := p.heapOff + blockHeaderSize; oid.Off != want {
-				t.Errorf("%s after a failed one landed at %#x, want %#x", name, oid.Off, want)
-			}
-			if err := p.Close(); err != nil {
-				t.Fatal(err)
-			}
-			p2, err := Open(r, "stream-arrays")
+			rep, err := p2.Check()
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("exact fit %v, %s: check: %v", exact, tr.name, err)
 			}
-			if rep, err := p2.Check(); err != nil || rep.AllocatedBlocks != 1 {
-				t.Errorf("%s, write %d failed: after reopen heap %+v, %v; want one live block", name, k, rep, err)
+			want := before.AllocatedBlocks
+			if tr.keep(blk) {
+				want++ // the header line landed: allocated, never published
+			}
+			if rep.AllocatedBlocks != want {
+				t.Errorf("exact fit %v, %s: %d blocks allocated, want %d", exact, tr.name, rep.AllocatedBlocks, want)
+			}
+			for oid, b := range objs {
+				if got, err := p2.View(oid, n); err != nil || !bytes.Equal(got, b) {
+					t.Errorf("exact fit %v, %s: object at %#x changed", exact, tr.name, oid.Off)
+				}
 			}
 		}
 	}

@@ -11,7 +11,9 @@ import (
 // memRegion is an in-memory Region for unit tests. cutoff, when >= 0,
 // drops every write after the first cutoff writes — simulating power
 // loss at an arbitrary persistence boundary. Write number failAt, when
-// non-zero, fails with an I/O error and reaches no media.
+// non-zero, fails with an I/O error and reaches no media. When keep is
+// set, write number cutoff+1 is torn instead of dropped: of its 64-byte
+// lines, only those whose media offset keep accepts reach media.
 type memRegion struct {
 	mu         sync.Mutex
 	data       []byte
@@ -19,6 +21,7 @@ type memRegion struct {
 	writes     int
 	cutoff     int
 	failAt     int
+	keep       func(line int64) bool
 }
 
 func newMemRegion(size int, persistent bool) *memRegion {
@@ -46,6 +49,15 @@ func (r *memRegion) WriteAt(p []byte, off int64) error {
 		return errors.New("memRegion: injected write failure")
 	}
 	if r.cutoff >= 0 && r.writes > r.cutoff {
+		if r.writes == r.cutoff+1 && r.keep != nil {
+			end := off + int64(len(p))
+			for line := off &^ 63; line < end; line += 64 {
+				if r.keep(line) {
+					lo, hi := max(line, off), min(line+64, end)
+					copy(r.data[lo:hi], p[lo-off:hi-off])
+				}
+			}
+		}
 		return nil // power was already lost; the store never reached media
 	}
 	copy(r.data[off:], p)

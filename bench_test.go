@@ -416,6 +416,67 @@ func BenchmarkCXLPortLine(b *testing.B) {
 	}
 }
 
+// BenchmarkLineLayers times one line transaction entered at each layer
+// of Setup #1's card: the root port (the whole wire, every flit through
+// the codec), the Type-3 device's exported HandleMem (decode, poison
+// probe and media access, no flits) and the media itself. Each layer
+// times a MemRd, a MemWr and an 8-byte MemWrPtl, the shape of the undo
+// log's lane words. Run it with -cpu 1 -benchmem; a layer's own cost is
+// its time less the next layer down's. Targets rotate over 1024 lines
+// (16 media pages, every VC), pre-touched, as BenchmarkCXLPortLine's do.
+func BenchmarkLineLayers(b *testing.B) {
+	rp, base := benchCXLPort(b)
+	card := rp.Endpoint().(*fpga.Prototype)
+	dev, media := card.Type3Device, card.Media()
+	const lines = 1024
+	if err := rp.WriteBurst(base, make([]byte, lines*cxl.LineSize)); err != nil {
+		b.Fatal(err)
+	}
+	var line [cxl.LineSize]byte
+	ptl := line[8:16]
+	hpa := func(i int) uint64 { return base + uint64(i%lines*cxl.LineSize) }
+	dpa := func(i int) int64 { return int64(i % lines * cxl.LineSize) }
+	device := func(op cxl.MemOpcode, mask uint64) func(int) error {
+		return func(i int) error {
+			if resp := dev.HandleMem(cxl.MemReq{Opcode: op, Addr: hpa(i), Mask: mask, Data: line}); resp.Opcode == cxl.RespErr {
+				return fmt.Errorf("%v answered %v", op, resp.Opcode)
+			}
+			return nil
+		}
+	}
+	layers := []struct {
+		name string
+		ops  [3]func(i int) error // MemRd, MemWr, MemWrPtl of 8 bytes
+	}{
+		{"port", [3]func(int) error{
+			func(i int) error { return rp.ReadLine(hpa(i), &line) },
+			func(i int) error { return rp.WriteLine(hpa(i), &line) },
+			func(i int) error { return rp.WriteAt(ptl, int64(hpa(i))+8) },
+		}},
+		{"device", [3]func(int) error{
+			device(cxl.OpMemRd, 0), device(cxl.OpMemWr, 0), device(cxl.OpMemWrPtl, 0xFF<<8),
+		}},
+		{"media", [3]func(int) error{
+			func(i int) error { return media.ReadAt(line[:], dpa(i)) },
+			func(i int) error { return media.WriteAt(line[:], dpa(i)) },
+			func(i int) error { return media.WriteAt(ptl, dpa(i)+8) },
+		}},
+	}
+	for _, l := range layers {
+		for k, op := range []string{"MemRd", "MemWr", "MemWrPtl8"} {
+			do := l.ops[k]
+			b.Run(l.name+"/"+op, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := do(i); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkTxUpdateCXL times the paper's small undo-log transaction on
 // Setup #1's 1-way CXL mount: a 64 B Pool.Update, which crosses the root
 // port as seven CXL.mem transactions (one line read, one line write and

@@ -27,9 +27,8 @@ const (
 func (t DeviceType) String() string { return fmt.Sprintf("Type%d", int(t)) }
 
 // Endpoint is any CXL device that can be attached to a root port (or a
-// switch downstream port). The two Handle methods are the CXL.mem
-// transaction layer; responses echo the request's tag. Type 1 devices
-// answer every request with RespErr.
+// switch downstream port). Type 1 devices answer every CXL.mem request
+// with RespErr.
 type Endpoint interface {
 	// Name identifies the endpoint.
 	Name() string
@@ -37,14 +36,16 @@ type Endpoint interface {
 	DeviceType() DeviceType
 	// Config exposes the CXL.io configuration space.
 	Config() *ConfigSpace
-	// HandleMem services one line request (MemRd, MemWr, MemWrPtl,
-	// MemInv).
-	HandleMem(MemReq) MemResp
-	// HandleMemBurst services one burst header (OpMemRdBurst or
-	// OpMemWrBurst). payload holds req.Lines×LineSize bytes: the data to
-	// store for a write, the buffer to fill for a read. A failing burst
-	// has no partial effects.
-	HandleMemBurst(req MemReq, payload []byte) MemResp
+	// serve is the CXL.mem transaction layer, the device's one entry:
+	// it services the request decoded into fr.req and returns the
+	// response status, which echoes fr.req.Tag. A line op (MemRd,
+	// MemWr, MemWrPtl, MemInv) writes from fr.req.Data and reads into
+	// fr.line. A burst header (OpMemRdBurst or OpMemWrBurst) moves
+	// fr.wire, req.Lines×LineSize bytes: the data to store for a write,
+	// the buffer to fill for a read; a failing burst has no partial
+	// effects. The caller owns fr: serve must not keep it, or fr.wire,
+	// after returning.
+	serve(fr *frame) RespOpcode
 }
 
 // MemStats counts CXL.mem transactions at an endpoint. Reads/Writes
@@ -214,11 +215,6 @@ func (d *Type3Device) Decoders() []*HDMDecoder {
 	return out
 }
 
-// linePool recycles line staging buffers so HandleMem can call the media
-// interface without forcing its request/response to escape to the heap —
-// the single-line data path is allocation-free in steady state.
-var linePool = sync.Pool{New: func() any { return new([LineSize]byte) }}
-
 // poisonedAt reports whether any line of [dpa, dpa+n) is poisoned.
 func (s *deviceSnapshot) poisonedAt(dpa, n uint64) bool {
 	return s.poisoned != nil && s.poisoned(dpa, n)
@@ -251,86 +247,108 @@ func (d *Type3Device) access(write bool, dpa uint64, p []byte) bool {
 	return true
 }
 
-// HandleMem implements the CXL.mem transaction layer for one line
-// request: it turns an M2S request into an HDM access against the media.
+// HandleMem services one line request (MemRd, MemWr, MemWrPtl, MemInv)
+// through serve, the entry the port's line transactions take.
 func (d *Type3Device) HandleMem(req MemReq) MemResp {
-	resp := MemResp{Tag: req.Tag, Opcode: RespErr}
-	s := d.snapshot()
-	dpa, ok := s.decode(req.Addr)
-	if !ok {
-		d.stats.Errors.Add(1)
-		return resp
-	}
-	if s.poisonedAt(dpa, uint64(LineSize)) {
-		d.poisonHit()
-		return resp
-	}
-	switch req.Opcode {
-	case OpMemRd, OpMemWr, OpMemWrPtl:
-		// The line stages through a pooled buffer rather than req.Data
-		// or resp.Data directly: handing either to the media interface
-		// would force it onto the heap.
-		line := linePool.Get().(*[LineSize]byte)
-		switch req.Opcode {
-		case OpMemRd:
-			if d.access(false, dpa, line[:]) {
-				resp.Data = *line
-				d.stats.Reads.Add(1)
-				resp.Opcode = RespMemData
-			}
-		case OpMemWr:
-			*line = req.Data
-			if d.access(true, dpa, line[:]) {
-				d.stats.Writes.Add(1)
-				resp.Opcode = RespCmp
-			}
-		default:
-			// Only the masked bytes reach the media, one write per run
-			// of set mask bits and no read of the line, so writers of
-			// disjoint bytes of one line never undo each other.
-			*line = req.Data
-			var err error
-			for mask := req.Mask; mask != 0 && err == nil; {
-				lo := bits.TrailingZeros64(mask)
-				n := bits.TrailingZeros64(^(mask >> lo))
-				err = d.media.WriteAt(line[lo:lo+n], int64(dpa)+int64(lo))
-				mask &^= (1<<n - 1) << lo
-			}
-			if err != nil {
-				d.stats.Errors.Add(1)
-			} else {
-				d.stats.PartialWrites.Add(1)
-				resp.Opcode = RespCmp
-			}
-		}
-		linePool.Put(line)
-	case OpMemInv:
-		d.stats.Invalidates.Add(1)
-		resp.Opcode = RespCmp
-	default:
-		// Burst opcodes carry their payload in dedicated data flits and
-		// must arrive through HandleMemBurst; seeing one here is a
-		// protocol error, as is any unknown opcode.
-		d.stats.Errors.Add(1)
-	}
+	resp := MemResp{Tag: req.Tag}
+	resp.Opcode = d.handle(&req, nil, &resp.Data)
 	return resp
 }
 
-// HandleMemBurst services a multi-line burst with a single media access
-// when the span maps to one contiguous DPA range through one HDM
-// decoder — plain windows and interleaved windows alike (an interleaved
-// burst names consecutive target-owned lines; see decodeSpan) — and
-// line by line only across decoder boundaries, counting each such
-// fallback in MemStats.LineFallbacks. A burst touching any poisoned or
-// unmapped line fails whole: no partial effects reach the media.
+// HandleMemBurst services one burst header (OpMemRdBurst or
+// OpMemWrBurst) over payload through serve, as the port's bursts do.
+// payload holds req.Lines×LineSize bytes: the data to store for a
+// write, the buffer to fill for a read. A failing burst has no partial
+// effects.
 func (d *Type3Device) HandleMemBurst(req MemReq, payload []byte) MemResp {
-	resp := MemResp{Tag: req.Tag, Opcode: RespErr}
-	lines := int(req.Lines)
-	if req.Opcode != OpMemRdBurst && req.Opcode != OpMemWrBurst ||
-		lines < 1 || lines > MaxBurstLines ||
-		len(payload) != lines*LineSize || !lineAligned(req.Addr) {
+	if req.Opcode != OpMemRdBurst && req.Opcode != OpMemWrBurst {
 		d.stats.Errors.Add(1)
-		return resp
+		return MemResp{Tag: req.Tag, Opcode: RespErr}
+	}
+	return MemResp{Tag: req.Tag, Opcode: d.handle(&req, payload, nil)}
+}
+
+// handle runs req through serve on a pooled frame and returns the
+// status; a line read's line lands in line.
+func (d *Type3Device) handle(req *MemReq, payload []byte, line *[LineSize]byte) RespOpcode {
+	fr := framePool.Get().(*frame)
+	fr.req, fr.wire = *req, payload
+	st := d.serve(fr)
+	if st == RespMemData && line != nil {
+		*line = fr.line
+	}
+	fr.wire = nil
+	framePool.Put(fr)
+	return st
+}
+
+// serve implements Endpoint: it turns the M2S request in fr into an
+// HDM access against the media, reading from and into fr directly.
+func (d *Type3Device) serve(fr *frame) RespOpcode {
+	req := &fr.req
+	if req.Opcode == OpMemRdBurst || req.Opcode == OpMemWrBurst {
+		return d.burst(req, fr.wire)
+	}
+	s := d.snapshot()
+	dpa, ok := s.decode(req.Addr)
+	if !ok || fr.wire != nil {
+		// Unmapped, or a line op that arrived with burst data.
+		d.stats.Errors.Add(1)
+		return RespErr
+	}
+	if s.poisonedAt(dpa, uint64(LineSize)) {
+		d.poisonHit()
+		return RespErr
+	}
+	switch req.Opcode {
+	case OpMemRd:
+		if d.access(false, dpa, fr.line[:]) {
+			d.stats.Reads.Add(1)
+			return RespMemData
+		}
+	case OpMemWr:
+		if d.access(true, dpa, req.Data[:]) {
+			d.stats.Writes.Add(1)
+			return RespCmp
+		}
+	case OpMemWrPtl:
+		// Only the masked bytes reach the media, one write per run of
+		// set mask bits and no read of the line, so writers of disjoint
+		// bytes of one line never undo each other.
+		var err error
+		for mask := req.Mask; mask != 0 && err == nil; {
+			lo := bits.TrailingZeros64(mask)
+			n := bits.TrailingZeros64(^(mask >> lo))
+			err = d.media.WriteAt(req.Data[lo:lo+n], int64(dpa)+int64(lo))
+			mask &^= (1<<n - 1) << lo
+		}
+		if err == nil {
+			d.stats.PartialWrites.Add(1)
+			return RespCmp
+		}
+		d.stats.Errors.Add(1)
+	case OpMemInv:
+		d.stats.Invalidates.Add(1)
+		return RespCmp
+	default:
+		// An unknown opcode is a protocol error.
+		d.stats.Errors.Add(1)
+	}
+	return RespErr
+}
+
+// burst services a multi-line burst with a single media access when
+// the span maps to one contiguous DPA range through one HDM decoder —
+// plain windows and interleaved windows alike (an interleaved burst
+// names consecutive target-owned lines; see decodeSpan) — and line by
+// line only across decoder boundaries, counting each such fallback in
+// MemStats.LineFallbacks. A burst touching any poisoned or unmapped
+// line fails whole: no partial effects reach the media.
+func (d *Type3Device) burst(req *MemReq, payload []byte) RespOpcode {
+	lines := int(req.Lines)
+	if lines < 1 || lines > MaxBurstLines || len(payload) != lines*LineSize || !lineAligned(req.Addr) {
+		d.stats.Errors.Add(1)
+		return RespErr
 	}
 	write := req.Opcode == OpMemWrBurst
 	s := d.snapshot()
@@ -343,17 +361,15 @@ func (d *Type3Device) HandleMemBurst(req MemReq, payload []byte) MemResp {
 		ok = d.access(write, dpa, payload)
 	}
 	if !ok {
-		return resp
+		return RespErr
 	}
 	d.stats.BurstLines.Add(int64(lines))
 	if write {
 		d.stats.WriteBursts.Add(1)
-		resp.Opcode = RespCmp
-	} else {
-		d.stats.ReadBursts.Add(1)
-		resp.Opcode = RespMemData
+		return RespCmp
 	}
-	return resp
+	d.stats.ReadBursts.Add(1)
+	return RespMemData
 }
 
 // burstByLine serves a burst whose span does not map to one contiguous
@@ -438,15 +454,9 @@ func (d *Type1Device) DeviceType() DeviceType { return Type1 }
 // Config implements Endpoint.
 func (d *Type1Device) Config() *ConfigSpace { return &d.cfg }
 
-// HandleMem always fails: Type 1 devices expose no HDM.
-func (d *Type1Device) HandleMem(req MemReq) MemResp {
-	return MemResp{Tag: req.Tag, Opcode: RespErr}
-}
-
-// HandleMemBurst always fails, like HandleMem.
-func (d *Type1Device) HandleMemBurst(req MemReq, _ []byte) MemResp {
-	return d.HandleMem(req)
-}
+// serve implements Endpoint and always fails: Type 1 devices expose no
+// HDM.
+func (d *Type1Device) serve(*frame) RespOpcode { return RespErr }
 
 // Type2Device is an accelerator with attached memory: it embeds the
 // Type-3 HDM machinery and additionally advertises CXL.cache.

@@ -219,15 +219,10 @@ func TestRootPortLinkTraining(t *testing.T) {
 // nonCXLEndpoint has no DVSEC: training must fail.
 type nonCXLEndpoint struct{ cfg ConfigSpace }
 
-func (d *nonCXLEndpoint) Name() string           { return "plain-pcie" }
-func (d *nonCXLEndpoint) DeviceType() DeviceType { return Type3 }
-func (d *nonCXLEndpoint) Config() *ConfigSpace   { return &d.cfg }
-func (d *nonCXLEndpoint) HandleMem(req MemReq) MemResp {
-	return MemResp{Tag: req.Tag, Opcode: RespErr}
-}
-func (d *nonCXLEndpoint) HandleMemBurst(req MemReq, _ []byte) MemResp {
-	return d.HandleMem(req)
-}
+func (d *nonCXLEndpoint) Name() string            { return "plain-pcie" }
+func (d *nonCXLEndpoint) DeviceType() DeviceType  { return Type3 }
+func (d *nonCXLEndpoint) Config() *ConfigSpace    { return &d.cfg }
+func (d *nonCXLEndpoint) serve(*frame) RespOpcode { return RespErr }
 
 func TestTrainingRejectsNonCXL(t *testing.T) {
 	link, _ := interconnect.NewPCIe("p", interconnect.KindPCIe5, 16, 0)
@@ -333,14 +328,8 @@ func TestType1RejectsMem(t *testing.T) {
 	if d.DeviceType() != Type1 {
 		t.Error("wrong type")
 	}
-	if resp := d.HandleMem(MemReq{Opcode: OpMemRd}); resp.Opcode != RespErr {
-		t.Error("Type1 serviced CXL.mem")
-	}
-	burst := MemReq{Opcode: OpMemWrBurst, Tag: 5, Lines: 2}
-	if resp := d.HandleMemBurst(burst, make([]byte, 2*LineSize)); resp.Opcode != RespErr || resp.Tag != 5 {
-		t.Errorf("Type1 burst response %v tag %d, want Err tag 5", resp.Opcode, resp.Tag)
-	}
-	// Through a port the rejections surface as ErrBadResponse.
+	// Type 1 serves no CXL.mem: through a port every request's
+	// rejection surfaces as ErrBadResponse.
 	rp := trainedPort(t, d)
 	if err := rp.WriteBurst(0, make([]byte, 2*LineSize)); !errors.Is(err, ErrBadResponse) {
 		t.Errorf("Type1 burst through a port: %v, want ErrBadResponse", err)
@@ -396,5 +385,160 @@ func TestDeviceStrings(t *testing.T) {
 	}
 	if LinkUp.String() != "up" || LinkDown.String() != "down" {
 		t.Error("LinkState strings")
+	}
+}
+
+// devState is everything one request may change on a Type-3 device:
+// its MemStats, its media counters and its media bytes.
+type devState struct {
+	mem                           [9]int64
+	ras                           memdev.RASCounters
+	reads, writes, bytesR, bytesW int64
+	bytes                         []byte
+}
+
+// stateOf snapshots d's counters, then the first n media bytes (the
+// read itself moves the media counters, equally on every device).
+func stateOf(t *testing.T, d *Type3Device, n int) devState {
+	t.Helper()
+	st := d.Stats()
+	s := devState{
+		mem: [9]int64{st.Reads.Load(), st.Writes.Load(), st.PartialWrites.Load(), st.Invalidates.Load(),
+			st.Errors.Load(), st.ReadBursts.Load(), st.WriteBursts.Load(), st.BurstLines.Load(), st.LineFallbacks.Load()},
+		ras:   d.Media().Stats().RAS(),
+		bytes: make([]byte, n),
+	}
+	s.reads, s.writes, s.bytesR, s.bytesW = d.Media().Stats().Snapshot()
+	if err := d.Media().ReadAt(s.bytes, 0); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// equivDevices builds two identical devices with a 1 MiB window at HPA
+// 0 and one poisoned line: the first is driven through the exported
+// Handle methods, the second through a port.
+func equivDevices(t *testing.T, window, poisoned uint64) (direct, framed *Type3Device, rp *RootPort) {
+	t.Helper()
+	newDev := func() *Type3Device {
+		d := testType3(t)
+		if err := d.ProgramDecoder(&HDMDecoder{Base: 0, Size: window}); err != nil {
+			t.Fatal(err)
+		}
+		d.SetPoisonChecker(func(dpa uint64) bool { return dpa == poisoned })
+		return d
+	}
+	direct, framed = newDev(), newDev()
+	return direct, framed, trainedPort(t, framed)
+}
+
+// TestHandleMemMatchesPortFramePath drives each line request through
+// the exported HandleMem on one device and through the port's frame
+// path on a twin: both must return the same status and leave the same
+// media bytes, MemStats and media counters.
+func TestHandleMemMatchesPortFramePath(t *testing.T) {
+	const line = uint64(LineSize)
+	const window, poisoned, span = 1 << 20, 5 * line, 8 * LineSize
+	direct, framed, rp := equivDevices(t, window, poisoned)
+	var data [LineSize]byte
+	for i := range data {
+		data[i] = byte(i*7 + 1)
+	}
+	cases := []struct {
+		name string
+		req  MemReq
+	}{
+		{"MemWr", MemReq{Opcode: OpMemWr, Addr: 2 * line, Data: data}},
+		{"MemRd", MemReq{Opcode: OpMemRd, Addr: 2 * line}},
+		{"MemWrPtl multi-run", MemReq{Opcode: OpMemWrPtl, Addr: 3 * line, Mask: 0xF0F0_0000_00FF_0F01, Data: data}},
+		{"MemRd after MemWrPtl", MemReq{Opcode: OpMemRd, Addr: 3 * line}},
+		{"MemInv", MemReq{Opcode: OpMemInv, Addr: 2 * line}},
+		{"unmapped MemWr", MemReq{Opcode: OpMemWr, Addr: window + line, Data: data}},
+		{"unmapped MemRd", MemReq{Opcode: OpMemRd, Addr: window}},
+		{"poisoned MemRd", MemReq{Opcode: OpMemRd, Addr: poisoned}},
+		{"poisoned MemWrPtl", MemReq{Opcode: OpMemWrPtl, Addr: poisoned, Mask: 0xFF, Data: data}},
+	}
+	for _, tc := range cases {
+		resp := direct.HandleMem(tc.req)
+		var got [LineSize]byte
+		var err error
+		switch tc.req.Opcode {
+		case OpMemRd:
+			err = rp.transact(OpMemRd, tc.req.Addr, 0, got[:], 0, nil)
+		case OpMemInv:
+			err = rp.transact(OpMemInv, tc.req.Addr, 0, nil, 0, nil)
+		default:
+			err = rp.transact(tc.req.Opcode, tc.req.Addr, tc.req.Mask, tc.req.Data[:], 0, nil)
+		}
+		if ok := resp.Opcode != RespErr; ok != (err == nil) || !ok && !errors.Is(err, ErrBadResponse) {
+			t.Errorf("%s: HandleMem answered %v, the port returned %v", tc.name, resp.Opcode, err)
+		}
+		if tc.req.Opcode == OpMemRd && got != resp.Data {
+			t.Errorf("%s: the port read a different line than HandleMem", tc.name)
+		}
+		d, f := stateOf(t, direct, span), stateOf(t, framed, span)
+		if d.mem != f.mem || d.ras != f.ras || d.reads != f.reads || d.writes != f.writes ||
+			d.bytesR != f.bytesR || d.bytesW != f.bytesW {
+			t.Errorf("%s: counters differ:\n HandleMem %+v %+v\n port      %+v %+v", tc.name, d.mem, d.ras, f.mem, f.ras)
+		}
+		if !bytes.Equal(d.bytes, f.bytes) {
+			t.Errorf("%s: media bytes differ", tc.name)
+		}
+	}
+}
+
+// TestHandleMemBurstMatchesPortBurst is the same comparison for bursts:
+// HandleMemBurst on one device against a port burst on its twin.
+func TestHandleMemBurstMatchesPortBurst(t *testing.T) {
+	const line = uint64(LineSize)
+	const window, poisoned, span = 1 << 20, 9 * line, 16 * LineSize
+	direct, framed, rp := equivDevices(t, window, poisoned)
+	data := make([]byte, 4*LineSize)
+	for i := range data {
+		data[i] = byte(i*13 + 5)
+	}
+	cases := []struct {
+		name  string
+		write bool
+		addr  uint64
+	}{
+		{"write", true, 2 * line},
+		{"read", false, 2 * line},
+		{"write over poison", true, 8 * line},
+		{"read over poison", false, 8 * line},
+		{"read past the window", false, window - 2*line},
+	}
+	for _, tc := range cases {
+		op := OpMemRdBurst
+		if tc.write {
+			op = OpMemWrBurst
+		}
+		payload := append([]byte(nil), data...)
+		if !tc.write {
+			payload = make([]byte, len(data))
+		}
+		resp := direct.HandleMemBurst(MemReq{Opcode: op, Addr: tc.addr, Lines: 4}, payload)
+		got := append([]byte(nil), data...)
+		var err error
+		if tc.write {
+			err = rp.WriteBurst(tc.addr, got)
+		} else {
+			got = make([]byte, len(data))
+			err = rp.ReadBurst(tc.addr, got)
+		}
+		if ok := resp.Opcode != RespErr; ok != (err == nil) || !ok && !errors.Is(err, ErrBadResponse) {
+			t.Errorf("%s: HandleMemBurst answered %v, the port returned %v", tc.name, resp.Opcode, err)
+		}
+		if !tc.write && resp.Opcode != RespErr && !bytes.Equal(got, payload) {
+			t.Errorf("%s: the port read different bytes than HandleMemBurst", tc.name)
+		}
+		d, f := stateOf(t, direct, span), stateOf(t, framed, span)
+		if d.mem != f.mem || d.ras != f.ras || d.reads != f.reads || d.writes != f.writes ||
+			d.bytesR != f.bytesR || d.bytesW != f.bytesW {
+			t.Errorf("%s: counters differ:\n HandleMemBurst %+v %+v\n port           %+v %+v", tc.name, d.mem, d.ras, f.mem, f.ras)
+		}
+		if !bytes.Equal(d.bytes, f.bytes) {
+			t.Errorf("%s: media bytes differ", tc.name)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package cxl
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"cxlpmem/internal/memdev"
@@ -39,22 +40,68 @@ func flitSeeds() [][]byte {
 	corrupted := f.Corrupt(17)
 	seeds = append(seeds, append([]byte(nil), corrupted.Bytes()...))
 	seeds = append(seeds, seeds[0][:20])
+	// A status-only completion, as the port sends one: tag 0, zero payload.
+	EncodeRespInto(&f, &MemResp{Opcode: RespCmp})
+	seeds = append(seeds, append([]byte(nil), f.Bytes()...))
 	return seeds
 }
 
-// FuzzFlitDecode asserts the two wire-layer invariants over arbitrary
-// flit bytes: (1) no decoder ever panics, and (2) any flit a decoder
-// accepts re-encodes to a flit that decodes to the same message
-// (decode ∘ encode = identity on the decoded image).
+// moverDecode delivers fl to the port's mover as a flit of m's kind, in
+// place of the one the mover encodes, with no retries: err is the
+// mover's verdict, and fr.req (a request) or m (a data beat's
+// destination, a completion's status and tag) hold what it decoded.
+func moverDecode(rp *RootPort, fl Flit, fr *frame, m *wireMsg) error {
+	h := &portHooks{fault: func(Flit) Flit { return fl }}
+	return rp.move(&portSession{}, h, &rp.vcs[0], fr, m)
+}
+
+// FuzzFlitDecode asserts the wire-layer invariants over arbitrary flit
+// bytes: (1) no decoder ever panics, (2) any flit a decoder accepts
+// re-encodes to a flit that decodes to the same message (decode ∘
+// encode = identity on the decoded image), and (3) the port's mover,
+// decoding a flit as its request, data beat or status-only completion,
+// gives the same verdict and fields as the exported decoder of that
+// kind: one codec per flit kind.
 func FuzzFlitDecode(f *testing.F) {
 	for _, s := range flitSeeds() {
 		f.Add(s)
 	}
+	rp := NewRootPort("fuzz", nil)
+	rp.SetOptions(PortOptions{MaxLinkRetries: -1})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		fl := FlitFromBytes(raw)
 
-		var req MemReq
-		if err := DecodeReqInto(&req, &fl); err == nil {
+		var req, moved MemReq
+		reqErr := DecodeReqInto(&req, &fl)
+		fr := new(frame)
+		if err := moverDecode(rp, fl, fr, &wireMsg{kind: flitKindReq}); (err == nil) != (reqErr == nil) {
+			t.Fatalf("request: mover verdict %v, DecodeReqInto %v", err, reqErr)
+		} else if moved = fr.req; err == nil && moved != req {
+			t.Fatalf("request: mover decoded %+v, DecodeReqInto %+v", moved, req)
+		}
+
+		var beat, movedBeat [LineSize]byte
+		tag, seq, dataErr := DecodeDataInto(&beat, &fl)
+		// The mover also checks a beat's tag and sequence against the
+		// ones it expects; expect what the flit carries.
+		dm := wireMsg{kind: flitKindData, src: &beat, dst: &movedBeat,
+			tag: uint16(binary.LittleEndian.Uint64(fl.raw[0:8]) >> 16), seq: uint32(binary.LittleEndian.Uint64(fl.raw[8:16]))}
+		if err := moverDecode(rp, fl, fr, &dm); (err == nil) != (dataErr == nil) {
+			t.Fatalf("data beat: mover verdict %v, DecodeDataInto %v", err, dataErr)
+		} else if err == nil && (dm.tag != tag || dm.seq != seq || movedBeat != beat) {
+			t.Fatal("data beat: mover and DecodeDataInto decoded different beats")
+		}
+
+		var resp MemResp
+		respErr := DecodeRespInto(&resp, &fl)
+		cm := wireMsg{kind: flitKindResp}
+		if err := moverDecode(rp, fl, fr, &cm); (err == nil) != (respErr == nil) {
+			t.Fatalf("completion: mover verdict %v, DecodeRespInto %v", err, respErr)
+		} else if err == nil && (cm.resp != resp.Opcode || cm.tag != resp.Tag) {
+			t.Fatalf("completion: mover decoded %v tag %d, DecodeRespInto %v tag %d", cm.resp, cm.tag, resp.Opcode, resp.Tag)
+		}
+
+		if reqErr == nil {
 			var rt Flit
 			EncodeReqInto(&rt, &req)
 			var req2 MemReq
@@ -66,8 +113,7 @@ func FuzzFlitDecode(f *testing.F) {
 			}
 		}
 
-		var resp MemResp
-		if err := DecodeRespInto(&resp, &fl); err == nil {
+		if respErr == nil {
 			var rt Flit
 			EncodeRespInto(&rt, &resp)
 			var resp2 MemResp
@@ -79,16 +125,15 @@ func FuzzFlitDecode(f *testing.F) {
 			}
 		}
 
-		var payload [LineSize]byte
-		if tag, seq, err := DecodeDataInto(&payload, &fl); err == nil {
+		if dataErr == nil {
 			var rt Flit
-			EncodeDataInto(&rt, tag, seq, &payload)
+			EncodeDataInto(&rt, tag, seq, &beat)
 			var payload2 [LineSize]byte
 			tag2, seq2, err := DecodeDataInto(&payload2, &rt)
 			if err != nil {
 				t.Fatalf("re-encoded data beat fails decode: %v", err)
 			}
-			if tag2 != tag || seq2 != seq || payload2 != payload {
+			if tag2 != tag || seq2 != seq || payload2 != beat {
 				t.Fatal("data beat round trip mismatch")
 			}
 		}

@@ -393,8 +393,9 @@ func (s *InterleaveSet) runLeg(leg int, write bool, hpa uint64, p []byte) error 
 }
 
 // ReadAt copies len(p) bytes from HPA off, mirroring RootPort.ReadAt:
-// unaligned head and tail fragments go as line transactions through the
-// owning leg, the line-aligned interior as striped bursts.
+// unaligned head and tail fragments, and an aligned interior of one
+// line, go as line transactions through the owning leg, a longer
+// interior as striped bursts.
 func (s *InterleaveSet) ReadAt(p []byte, off int64) error {
 	hpa := uint64(off)
 	if lo := int(hpa % uint64(LineSize)); lo != 0 {
@@ -409,7 +410,13 @@ func (s *InterleaveSet) ReadAt(p []byte, off int64) error {
 		hpa += uint64(n)
 	}
 	if n := len(p) &^ (LineSize - 1); n > 0 {
-		if err := s.do(false, hpa, p[:n]); err != nil {
+		var err error
+		if n == LineSize {
+			err = s.ReadLine(hpa, (*[LineSize]byte)(p))
+		} else {
+			err = s.do(false, hpa, p[:n])
+		}
+		if err != nil {
 			return err
 		}
 		p = p[n:]
@@ -422,7 +429,8 @@ func (s *InterleaveSet) ReadAt(p []byte, off int64) error {
 }
 
 // WriteAt stores p at HPA off: head/tail fragments become byte-masked
-// partial writes on the owning leg, the interior striped bursts.
+// partial writes on the owning leg, an interior of one line a MemWr on
+// it, and a longer interior striped bursts.
 func (s *InterleaveSet) WriteAt(p []byte, off int64) error {
 	hpa := uint64(off)
 	if lo := int(hpa % uint64(LineSize)); lo != 0 {
@@ -437,7 +445,13 @@ func (s *InterleaveSet) WriteAt(p []byte, off int64) error {
 		hpa += uint64(n)
 	}
 	if n := len(p) &^ (LineSize - 1); n > 0 {
-		if err := s.do(true, hpa, p[:n]); err != nil {
+		var err error
+		if n == LineSize {
+			err = s.WriteLine(hpa, (*[LineSize]byte)(p))
+		} else {
+			err = s.do(true, hpa, p[:n])
+		}
+		if err != nil {
 			return err
 		}
 		p = p[n:]

@@ -494,7 +494,7 @@ func TestInterleaveFanOutTouchedLegsOnly(t *testing.T) {
 // TestInterleaveZeroAllocSteadyState guards the striped path's
 // allocation discipline: leg fan-out (pooled call frames + persistent
 // workers above one P, the caller alone at one P) and the legs' bursts
-// (pooled wire buffers in the port) must not allocate per operation,
+// (pooled frames in the port) must not allocate per operation,
 // at a granule below one burst and at one burst, and neither may the
 // line and sub-line accesses routed to one leg.
 func TestInterleaveZeroAllocSteadyState(t *testing.T) {
@@ -781,5 +781,56 @@ func TestLineFallbackCounter(t *testing.T) {
 	}
 	if n := dev.Stats().LineFallbacks.Load(); n != 1 {
 		t.Errorf("contiguous burst incremented the fallback counter (now %d)", n)
+	}
+}
+
+// TestInterleaveLoneLineIsLineOp checks that an aligned 64-byte
+// WriteAt or ReadAt on a striped set is one line transaction on the
+// owning leg, as on a RootPort: a MemWr or MemRd there, no burst, and
+// nothing on the other legs.
+func TestInterleaveLoneLineIsLineOp(t *testing.T) {
+	const ways, g, owner = 4, 256, 2
+	s, devs := testInterleaveSet(t, ways, g)
+	hpa := s.Base() + owner*g + uint64(LineSize)
+	type counts struct{ reads, writes, partials, bursts, burstLines int64 }
+	snap := func() (c [ways]counts) {
+		for i, d := range devs {
+			st := d.Stats()
+			c[i] = counts{st.Reads.Load(), st.Writes.Load(), st.PartialWrites.Load(),
+				st.ReadBursts.Load() + st.WriteBursts.Load(), st.BurstLines.Load()}
+		}
+		return c
+	}
+	in := make([]byte, LineSize)
+	for i := range in {
+		in[i] = byte(i*3 + 1)
+	}
+	out := make([]byte, LineSize)
+	for _, write := range []bool{true, false} {
+		before := snap()
+		var err error
+		if write {
+			err = s.WriteAt(in, int64(hpa))
+		} else {
+			err = s.ReadAt(out, int64(hpa))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := snap()
+		for leg := range devs {
+			want := before[leg]
+			if leg == owner && write {
+				want.writes++
+			} else if leg == owner {
+				want.reads++
+			}
+			if after[leg] != want {
+				t.Errorf("write=%v: leg %d counts %+v, want %+v", write, leg, after[leg], want)
+			}
+		}
+	}
+	if !bytes.Equal(in, out) {
+		t.Error("lone line read back differs from what was written")
 	}
 }

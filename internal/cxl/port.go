@@ -253,9 +253,24 @@ func (rp *RootPort) backoff(cfg *PortOptions, attempt int, addr uint64) {
 // maxBurstBytes is the payload of a maximal burst (4 KiB).
 const maxBurstBytes = MaxBurstLines * LineSize
 
-// burstBufPool recycles burst staging buffers (the receive side of the
-// modelled wire) so the bulk path stays allocation-free in steady state.
-var burstBufPool = sync.Pool{New: func() any { return new([maxBurstBytes]byte) }}
+// frame is one transaction's state on the modelled link: the flit in
+// flight, the request the request flit decodes into, which the device
+// serves from, the line a MemRd fills, and for a burst chunk the
+// staging its data beats cross to and from, the receive side of the
+// wire. Each transaction takes one from framePool, so every byte it
+// moves crosses each hop once and the steady-state path allocates
+// nothing. The port owns the frame for the transaction; an endpoint's
+// serve uses it only until it returns.
+type frame struct {
+	f    Flit
+	req  MemReq
+	line [LineSize]byte
+	// wire is a burst chunk's payload, in buf; nil for a line op.
+	wire []byte
+	buf  [maxBurstBytes]byte
+}
+
+var framePool = sync.Pool{New: func() any { return new(frame) }}
 
 // NewRootPort builds a root port over the given physical link.
 func NewRootPort(name string, link *interconnect.Link) *RootPort {
@@ -437,10 +452,10 @@ func vcFor(hpa uint64) uint64 { return hpa / uint64(LineSize*vcStride) & (NumVCs
 
 // transact is the port's one transaction path. It takes the next
 // sequence number on addr's VC, loads the session and hook snapshots,
-// and moves the transaction's flits on the caller's stack: a burst of
-// b's lines, or else one line op (MemRd into line, MemWr or MemWrPtl
-// from it).
-func (rp *RootPort) transact(op MemOpcode, addr, mask uint64, line *[LineSize]byte, b *burst) error {
+// and moves the transaction's flits through a pooled frame: a burst of
+// b's lines, or else one line op (MemRd into p, MemWr or MemWrPtl of p
+// placed at byte lo of the line).
+func (rp *RootPort) transact(op MemOpcode, addr, mask uint64, p []byte, lo int, b *burst) error {
 	i := vcFor(addr)
 	vc := &rp.vcs[i]
 	seq := vc.seq.Add(1) - 1
@@ -451,44 +466,48 @@ func (rp *RootPort) transact(op MemOpcode, addr, mask uint64, line *[LineSize]by
 	hk, hist, t0 := rp.tapPick(seq, rp.hooks.Load(), op)
 	m := wireMsg{
 		op:   op,
+		lo:   uint8(lo),
 		tag:  uint16(i)<<vcTagBits | uint16(seq)&vcSeqMask,
 		seq:  uint32(seq),
 		addr: addr,
 		mask: mask,
 	}
+	fr := framePool.Get().(*frame)
 	if b != nil {
-		err = rp.moveBurst(s, hk, vc, m, b)
+		err = rp.moveBurst(s, hk, vc, fr, m, b)
 	} else {
-		err = rp.moveLine(s, hk, vc, m, line)
+		err = rp.moveLine(s, hk, vc, fr, m, p)
 	}
+	framePool.Put(fr)
 	if hist != nil {
 		hist.RecordSince(t0)
 	}
 	return err
 }
 
-// moveLine moves one line transaction: the request flit, carrying a
-// write's payload; the device access; then a read's data into line as
-// one data flit, or the completion as one response flit. m arrives by
-// value so that pointing it at line keeps line off the heap.
-func (rp *RootPort) moveLine(s *portSession, hk *portHooks, vc *portVC, m wireMsg, line *[LineSize]byte) error {
-	var f Flit
-	var req MemReq
+// moveLine moves one line transaction through fr: the request flit,
+// carrying a write's payload, decodes into fr.req; the device serves
+// it from fr; then a read's line crosses from fr.line into p as one
+// data flit, or the status-only completion crosses as one response
+// flit. m arrives by value so that pointing it at p keeps p off the
+// heap.
+func (rp *RootPort) moveLine(s *portSession, hk *portHooks, vc *portVC, fr *frame, m wireMsg, p []byte) error {
 	op, tag := m.op, m.tag
-	m.kind, m.req = flitKindReq, &req
+	m.kind = flitKindReq
 	if op != OpMemRd {
-		m.src = line
+		m.data = p
 	}
-	if err := rp.move(s, hk, vc, &f, &m); err != nil {
+	if err := rp.move(s, hk, vc, fr, &m); err != nil {
 		return err
 	}
-	resp := s.endpoint.HandleMem(req)
-	if op == OpMemRd && resp.Opcode == RespMemData {
-		m.kind, m.src, m.dst = flitKindData, &resp.Data, line
-		return rp.move(s, hk, vc, &f, &m)
+	fr.wire = nil
+	st := s.endpoint.serve(fr)
+	if op == OpMemRd && st == RespMemData {
+		m.kind, m.src, m.dst = flitKindData, &fr.line, (*[LineSize]byte)(p)
+		return rp.move(s, hk, vc, fr, &m)
 	}
-	m.kind, m.resp, m.tag = flitKindResp, resp.Opcode, resp.Tag
-	if err := rp.move(s, hk, vc, &f, &m); err != nil {
+	m.kind, m.resp, m.tag = flitKindResp, st, fr.req.Tag
+	if err := rp.move(s, hk, vc, fr, &m); err != nil {
 		return err
 	}
 	return rp.respErr(op, m.addr, tag, m.tag, m.resp)
@@ -496,23 +515,24 @@ func (rp *RootPort) moveLine(s *portSession, hk *portHooks, vc *portVC, m wireMs
 
 // wireMsg is one CXL.mem message crossing the modelled link, held as
 // plain values: kind selects which fields the flit encodes and where
-// the receiver's decoded form lands. A transaction keeps one on its
-// stack and updates only what the next flit needs. The mover takes
-// neither closures nor type parameters: either would move the flit to
-// the heap.
+// the receiver's decoded form lands (a request always decodes into the
+// frame's req). A transaction keeps one on its stack and updates only
+// what the next flit needs. The mover takes neither closures nor type
+// parameters: either would move the flit to the heap.
 type wireMsg struct {
 	kind uint8      // flitKindReq, -Resp or -Data
 	op   MemOpcode  // the transaction's opcode; with addr it names errors
 	resp RespOpcode // response status; a response decodes it and tag back
+	lo   uint8      // where a request's data starts in its line
 	tag  uint16     // a data flit must arrive with the tag and seq it was sent with
 	// lines is a burst header's data-flit count.
 	lines uint16
 	seq   uint32
 	addr  uint64
 	mask  uint64
-	src   *[LineSize]byte // request or data payload; nil sends zeros
+	data  []byte          // a request's payload bytes; nil sends zeros
+	src   *[LineSize]byte // a data flit's payload
 	dst   *[LineSize]byte // where a data flit's payload lands
-	req   *MemReq         // where a request flit decodes
 }
 
 // errSeqMismatch is the receiver's NAK cause for a data flit that
@@ -520,44 +540,54 @@ type wireMsg struct {
 // delivery.
 var errSeqMismatch = &ErrFlit{Reason: "data flit tag/sequence mismatch"}
 
-// flitKindNames labels flit kinds in uncorrectable-error messages.
-var flitKindNames = [...]string{
-	flitKindReq:  "request",
-	flitKindResp: "response",
-	flitKindData: "data",
-}
-
-// move carries one message across the link with link-level retry, as
-// CXL's LRSM does: encode, pass the flit through the hook snapshot the
-// transaction was issued with (fault hook, sampled recording), then decode
-// and check it at the receiver. A flit that fails its CRC or arrives
-// out of sequence is force-recorded (flitErr) and NAKed, and the sender
-// retransmits it from its retry buffer after the configured backoff.
-// Retries are charged to the issuing VC and the attached device; an
-// exhausted budget fails the transaction with ErrUncorrectable, naming
-// m.op at m.addr.
-func (rp *RootPort) move(s *portSession, h *portHooks, vc *portVC, f *Flit, m *wireMsg) error {
+// move carries one message across the link in fr.f with link-level
+// retry, as CXL's LRSM does: encode and seal, pass the flit through the
+// hook snapshot the transaction was issued with (fault hook, sampled
+// recording), then check and decode it at the receiver. The codec runs
+// inline (see protocol.go): a clean flit costs two checksums and the
+// hook. A flit that fails its CRC or arrives out of sequence is
+// force-recorded (flitErr) and NAKed, and the sender retransmits it
+// from its retry buffer after the configured backoff. Retries are
+// charged to the issuing VC and the attached device; an exhausted
+// budget fails the transaction with ErrUncorrectable, naming m.op at
+// m.addr.
+func (rp *RootPort) move(s *portSession, h *portHooks, vc *portVC, fr *frame, m *wireMsg) error {
+	f := &fr.f
 	for attempt := 0; ; attempt++ {
-		var err error
 		switch m.kind {
 		case flitKindReq:
-			encodeReq(f, m.op, m.tag, m.lines, m.addr, m.mask, m.src)
-			if h != nil {
-				h.pass(f)
-			}
-			err = DecodeReqInto(m.req, f)
+			putReq(f, m.op, m.tag, m.lines, m.addr, m.mask, int(m.lo), m.data)
 		case flitKindData:
-			EncodeDataInto(f, m.tag, m.seq, m.src)
-			if h != nil {
-				h.pass(f)
-			}
-			var tag uint16
-			var seq uint32
-			if tag, seq, err = DecodeDataInto(m.dst, f); err == nil && (tag != m.tag || seq != m.seq) {
-				err = errSeqMismatch
-			}
+			putData(f, m.tag, m.seq, m.src)
 		default:
-			err = m.crossResp(h, f)
+			putResp(f, m.resp, m.tag, nil)
+		}
+		f.seal()
+		if h != nil {
+			h.pass(f)
+		}
+		var err error
+		if !f.intact() {
+			err = errChecksum
+		} else {
+			switch m.kind {
+			case flitKindReq:
+				if !getReq(&fr.req, f) {
+					err = badFlit(f, flitKindReq)
+				}
+			case flitKindData:
+				if tag, seq, ok := getData(m.dst, f); !ok {
+					err = badFlit(f, flitKindData)
+				} else if tag != m.tag || seq != m.seq {
+					err = errSeqMismatch
+				}
+			default:
+				if op, tag, ok := getResp(f); !ok {
+					err = badFlit(f, flitKindResp)
+				} else {
+					m.resp, m.tag = op, tag
+				}
+			}
 		}
 		if err == nil {
 			return nil
@@ -571,22 +601,6 @@ func (rp *RootPort) move(s *portSession, h *portHooks, vc *portVC, f *Flit, m *w
 		s.retry(vc)
 		rp.backoff(cfg, attempt, m.addr)
 	}
-}
-
-// crossResp carries a response flit for move, decoding its status and
-// tag back into m. Kept out of move, with linkFail, so the hot loop's
-// frame holds no MemResp staging or error formatting.
-func (m *wireMsg) crossResp(h *portHooks, f *Flit) error {
-	EncodeRespInto(f, &MemResp{Opcode: m.resp, Tag: m.tag})
-	if h != nil {
-		h.pass(f)
-	}
-	var got MemResp
-	err := DecodeRespInto(&got, f)
-	if err == nil {
-		m.resp, m.tag = got.Opcode, got.Tag
-	}
-	return err
 }
 
 // linkFail is m's uncorrectable link error once its last retry failed
@@ -620,7 +634,7 @@ func (rp *RootPort) ReadLine(hpa uint64, out *[LineSize]byte) error {
 	if !lineAligned(hpa) {
 		return portErr(rp.name, "MemRd", hpa, ErrUnaligned, "unaligned")
 	}
-	return rp.transact(OpMemRd, hpa, 0, out, nil)
+	return rp.transact(OpMemRd, hpa, 0, out[:], 0, nil)
 }
 
 // WriteLine stores a full 64-byte line at hpa.
@@ -628,16 +642,14 @@ func (rp *RootPort) WriteLine(hpa uint64, data *[LineSize]byte) error {
 	if !lineAligned(hpa) {
 		return portErr(rp.name, "MemWr", hpa, ErrUnaligned, "unaligned")
 	}
-	return rp.transact(OpMemWr, hpa, 0, data, nil)
+	return rp.transact(OpMemWr, hpa, 0, data[:], 0, nil)
 }
 
-// writePartial issues one MemWrPtl for the sub-line [lo, lo+n) of the
-// line at base.
+// writePartial issues one MemWrPtl for the sub-line [lo, lo+len(p)) of
+// the line at base; the request flit carries p at byte lo.
 func (rp *RootPort) writePartial(base uint64, lo int, p []byte) error {
-	var data [LineSize]byte
-	copy(data[lo:lo+len(p)], p)
 	mask := (uint64(1)<<len(p) - 1) << lo // all ones when len(p) == LineSize
-	return rp.transact(OpMemWrPtl, base, mask, &data, nil)
+	return rp.transact(OpMemWrPtl, base, mask, p, lo, nil)
 }
 
 // --- Burst transactions --------------------------------------------------
@@ -681,7 +693,7 @@ func (rp *RootPort) WriteBurst(hpa uint64, p []byte) error {
 	if len(p) == 0 {
 		return nil
 	}
-	return rp.transact(OpMemWrBurst, hpa, 0, nil, &burst{p: p, left: len(p), n: len(p)})
+	return rp.transact(OpMemWrBurst, hpa, 0, nil, 0, &burst{p: p, left: len(p), n: len(p)})
 }
 
 // ReadBurst fetches len(p) bytes from the line-aligned HPA hpa using
@@ -693,7 +705,7 @@ func (rp *RootPort) ReadBurst(hpa uint64, p []byte) error {
 	if len(p) == 0 {
 		return nil
 	}
-	return rp.transact(OpMemRdBurst, hpa, 0, nil, &burst{p: p, left: len(p), n: len(p)})
+	return rp.transact(OpMemRdBurst, hpa, 0, nil, 0, &burst{p: p, left: len(p), n: len(p)})
 }
 
 // legBurst moves n bytes of an interleave leg's owned lines as one
@@ -707,20 +719,19 @@ func (rp *RootPort) legBurst(write bool, hpa uint64, p []byte, n, head, run, gap
 	if write {
 		op = OpMemWrBurst
 	}
-	return rp.transact(op, hpa, 0, nil, &burst{p: p, left: head, run: run, gap: gap, n: n})
+	return rp.transact(op, hpa, 0, nil, 0, &burst{p: p, left: head, run: run, gap: gap, n: n})
 }
 
-// moveBurst streams one burst in ≤maxBurstBytes chunks, reusing its tag
-// for every chunk (chunks are strictly sequential, so the tag is never
-// ambiguous in flight). Each chunk is addressed at its first line.
-func (rp *RootPort) moveBurst(s *portSession, hk *portHooks, vc *portVC, m wireMsg, b *burst) error {
-	var hdr MemReq
-	m.req = &hdr
+// moveBurst streams one burst in ≤maxBurstBytes chunks through fr,
+// reusing its tag for every chunk (chunks are strictly sequential, so
+// the tag is never ambiguous in flight). Each chunk is addressed at its
+// first line.
+func (rp *RootPort) moveBurst(s *portSession, hk *portHooks, vc *portVC, fr *frame, m wireMsg, b *burst) error {
 	base := m.addr
 	for b.n > 0 {
 		n := min(b.n, maxBurstBytes)
 		m.addr = base + uint64(b.off)
-		if err := rp.burstChunk(s, hk, vc, &m, b, n); err != nil {
+		if err := rp.burstChunk(s, hk, vc, fr, &m, b, n); err != nil {
 			return err
 		}
 		b.n -= n
@@ -729,47 +740,44 @@ func (rp *RootPort) moveBurst(s *portSession, hk *portHooks, vc *portVC, m wireM
 }
 
 // burstChunk moves the next n ≤ maxBurstBytes bytes of b as one chunk
-// at m.addr: the header flit (decoded into m.req), the data beats
+// at m.addr: the header flit (decoded into fr.req), the data beats
 // (before the device for a write, after the completion for a read),
 // the device's single media access and the completion flit. The beats
-// cross between b's lines and wire, the receive side's staging buffer
-// that the device accesses.
-func (rp *RootPort) burstChunk(s *portSession, hk *portHooks, vc *portVC, m *wireMsg, b *burst, n int) error {
-	var f Flit
+// cross between b's lines and fr.wire, which the device accesses.
+func (rp *RootPort) burstChunk(s *portSession, hk *portHooks, vc *portVC, fr *frame, m *wireMsg, b *burst, n int) error {
 	tag := m.tag
-	m.kind, m.lines, m.src = flitKindReq, uint16(n/LineSize), nil
-	if err := rp.move(s, hk, vc, &f, m); err != nil {
+	m.kind, m.lines = flitKindReq, uint16(n/LineSize)
+	if err := rp.move(s, hk, vc, fr, m); err != nil {
 		return err
 	}
-	buf := burstBufPool.Get().(*[maxBurstBytes]byte)
-	wire := buf[:n]
+	fr.wire = fr.buf[:n]
 	write := m.op == OpMemWrBurst
 	var err error
 	if write {
-		err = rp.moveBeats(s, hk, vc, &f, m, b, wire)
+		err = rp.moveBeats(s, hk, vc, fr, m, b)
 	}
 	if err == nil {
-		resp := s.endpoint.HandleMemBurst(*m.req, wire)
-		m.kind, m.resp, m.tag = flitKindResp, resp.Opcode, resp.Tag
-		if err = rp.move(s, hk, vc, &f, m); err == nil {
+		st := s.endpoint.serve(fr)
+		m.kind, m.resp, m.tag = flitKindResp, st, fr.req.Tag
+		if err = rp.move(s, hk, vc, fr, m); err == nil {
 			err = rp.respErr(m.op, m.addr, tag, m.tag, m.resp)
 		}
 	}
 	if err == nil && !write {
-		err = rp.moveBeats(s, hk, vc, &f, m, b, wire)
+		err = rp.moveBeats(s, hk, vc, fr, m, b)
 	}
-	burstBufPool.Put(buf)
 	return err
 }
 
 // moveBeats moves a chunk's data beats, one flit per line in sequence
-// order, between wire and b's lines from its cursor on: from the lines
-// into wire for a write, from wire into them for a read. Each run's
-// lines go through the inner loop, and the cursor moves once per run.
-func (rp *RootPort) moveBeats(s *portSession, hk *portHooks, vc *portVC, f *Flit, m *wireMsg, b *burst, wire []byte) error {
+// order, between fr.wire and b's lines from its cursor on: from the
+// lines into the wire for a write, from the wire into them for a read.
+// Each run's lines go through the inner loop, and the cursor moves once
+// per run.
+func (rp *RootPort) moveBeats(s *portSession, hk *portHooks, vc *portVC, fr *frame, m *wireMsg, b *burst) error {
 	m.kind, m.seq = flitKindData, 0
 	read := m.op == OpMemRdBurst
-	for len(wire) > 0 {
+	for wire := fr.wire; len(wire) > 0; {
 		n := min(b.left, len(wire))
 		src, dst := b.p[b.off:b.off+n], wire[:n]
 		if read {
@@ -778,7 +786,7 @@ func (rp *RootPort) moveBeats(s *portSession, hk *portHooks, vc *portVC, f *Flit
 		for i := 0; i < n; i += LineSize {
 			m.src = (*[LineSize]byte)(src[i:])
 			m.dst = (*[LineSize]byte)(dst[i:])
-			if err := rp.move(s, hk, vc, f, m); err != nil {
+			if err := rp.move(s, hk, vc, fr, m); err != nil {
 				return err
 			}
 			m.seq++
@@ -859,13 +867,13 @@ func (rp *RootPort) WriteAt(p []byte, off int64) error {
 	}
 	// Line-aligned interior: burst.
 	if n := len(p) &^ (LineSize - 1); n > 0 {
+		var err error
 		if n == LineSize {
-			var line [LineSize]byte
-			copy(line[:], p[:LineSize])
-			if err := rp.WriteLine(hpa, &line); err != nil {
-				return err
-			}
-		} else if err := rp.WriteBurst(hpa, p[:n]); err != nil {
+			err = rp.WriteLine(hpa, (*[LineSize]byte)(p))
+		} else {
+			err = rp.WriteBurst(hpa, p[:n])
+		}
+		if err != nil {
 			return err
 		}
 		p = p[n:]

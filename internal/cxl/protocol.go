@@ -197,29 +197,104 @@ func flitChecksum(b *[flitRawSize]byte) uint32 {
 	return uint32(h ^ h>>32)
 }
 
+// The codec. Each message kind has one encoder, which fills an unsealed
+// flit, and one decoder, which parses a flit whose checksum has already
+// been checked. Both are small enough for the compiler to inline, so
+// the port's mover (move) runs them with no call per flit besides the
+// checksum. The exported Encode*Into and Decode*Into are the same pairs
+// with the seal and the check around them.
+
 func (f *Flit) seal() {
 	binary.LittleEndian.PutUint32(f.raw[flitBodySize:], flitChecksum(&f.raw))
+}
+
+// intact reports whether the flit's stored checksum matches its body.
+func (f *Flit) intact() bool {
+	return flitChecksum(&f.raw) == binary.LittleEndian.Uint32(f.raw[flitBodySize:])
+}
+
+// payload is the flit's 64-byte payload slot.
+func (f *Flit) payload() *[LineSize]byte {
+	return (*[LineSize]byte)(f.raw[flitHeaderSize:flitBodySize])
+}
+
+// putReq fills an unsealed request flit. Its payload is data placed at
+// byte lo of an otherwise zero line: a whole line for MemWr, a
+// MemWrPtl's bytes, and nil for MemRd, MemInv and a burst header.
+func putReq(f *Flit, op MemOpcode, tag, lines uint16, addr, mask uint64, lo int, data []byte) {
+	binary.LittleEndian.PutUint64(f.raw[0:8],
+		flitKindReq|uint64(op)<<8|uint64(tag)<<16|uint64(lines)<<32)
+	binary.LittleEndian.PutUint64(f.raw[8:16], addr)
+	binary.LittleEndian.PutUint64(f.raw[16:24], mask)
+	pl := f.payload()
+	if len(data) != LineSize {
+		*pl = [LineSize]byte{}
+	}
+	copy(pl[lo:], data)
+}
+
+// getReq parses a checked request flit into r. It reports false, and
+// leaves r alone, for a flit of another kind or an unknown opcode.
+func getReq(r *MemReq, f *Flit) bool {
+	w0 := binary.LittleEndian.Uint64(f.raw[0:8])
+	if uint8(w0) != flitKindReq || MemOpcode(w0>>8) > OpMemWrBurst {
+		return false
+	}
+	r.Opcode = MemOpcode(w0 >> 8)
+	r.Tag = uint16(w0 >> 16)
+	r.Lines = uint16(w0 >> 32)
+	r.Addr = binary.LittleEndian.Uint64(f.raw[8:16])
+	r.Mask = binary.LittleEndian.Uint64(f.raw[16:24])
+	r.Data = *f.payload()
+	return true
+}
+
+// putResp fills an unsealed response flit: status and tag, with data as
+// its payload, or a zero payload for nil, as a completion carries.
+func putResp(f *Flit, op RespOpcode, tag uint16, data *[LineSize]byte) {
+	binary.LittleEndian.PutUint64(f.raw[0:8], flitKindResp|uint64(op)<<8|uint64(tag)<<16)
+	binary.LittleEndian.PutUint64(f.raw[8:16], 0)
+	binary.LittleEndian.PutUint64(f.raw[16:24], 0)
+	if data == nil {
+		*f.payload() = [LineSize]byte{}
+	} else {
+		*f.payload() = *data
+	}
+}
+
+// getResp parses a checked response flit's status and tag; ok is false
+// for a flit of another kind or an unknown status. The payload stays on
+// the flit.
+func getResp(f *Flit) (op RespOpcode, tag uint16, ok bool) {
+	w0 := binary.LittleEndian.Uint64(f.raw[0:8])
+	op, tag = RespOpcode(w0>>8), uint16(w0>>16)
+	return op, tag, uint8(w0) == flitKindResp && op <= RespErr
+}
+
+// putData fills an unsealed burst data beat: tag matches the burst
+// header, seq is the line index within the burst.
+func putData(f *Flit, tag uint16, seq uint32, payload *[LineSize]byte) {
+	binary.LittleEndian.PutUint64(f.raw[0:8], flitKindData|uint64(tag)<<16)
+	binary.LittleEndian.PutUint64(f.raw[8:16], uint64(seq))
+	binary.LittleEndian.PutUint64(f.raw[16:24], 0)
+	*f.payload() = *payload
+}
+
+// getData parses a checked data beat into out, returning the tag and
+// sequence number in its header; ok is false, and out untouched, for a
+// flit of another kind.
+func getData(out *[LineSize]byte, f *Flit) (tag uint16, seq uint32, ok bool) {
+	if f.raw[0] != flitKindData {
+		return 0, 0, false
+	}
+	*out = *f.payload()
+	return uint16(binary.LittleEndian.Uint64(f.raw[0:8]) >> 16), uint32(binary.LittleEndian.Uint64(f.raw[8:16])), true
 }
 
 // EncodeReqInto serialises a request into a caller-held flit buffer
 // without allocating.
 func EncodeReqInto(f *Flit, r *MemReq) {
-	encodeReq(f, r.Opcode, r.Tag, r.Lines, r.Addr, r.Mask, &r.Data)
-}
-
-// encodeReq serialises a request held as loose fields, so the data path
-// moves a caller's payload onto the wire without staging a MemReq.
-// A nil data sends a zero payload, as a burst header carries none.
-func encodeReq(f *Flit, op MemOpcode, tag, lines uint16, addr, mask uint64, data *[LineSize]byte) {
-	binary.LittleEndian.PutUint64(f.raw[0:8],
-		flitKindReq|uint64(op)<<8|uint64(tag)<<16|uint64(lines)<<32)
-	binary.LittleEndian.PutUint64(f.raw[8:16], addr)
-	binary.LittleEndian.PutUint64(f.raw[16:24], mask)
-	if data != nil {
-		copy(f.raw[flitHeaderSize:flitHeaderSize+LineSize], data[:])
-	} else {
-		clearFlitPayload(f)
-	}
+	putReq(f, r.Opcode, r.Tag, r.Lines, r.Addr, r.Mask, 0, r.Data[:])
 	f.seal()
 }
 
@@ -233,11 +308,7 @@ func EncodeReq(r MemReq) Flit {
 // EncodeRespInto serialises a response into a caller-held flit buffer
 // without allocating.
 func EncodeRespInto(f *Flit, r *MemResp) {
-	binary.LittleEndian.PutUint64(f.raw[0:8],
-		flitKindResp|uint64(r.Opcode)<<8|uint64(r.Tag)<<16)
-	binary.LittleEndian.PutUint64(f.raw[8:16], 0)
-	binary.LittleEndian.PutUint64(f.raw[16:24], 0)
-	copy(f.raw[flitHeaderSize:flitHeaderSize+LineSize], r.Data[:])
+	putResp(f, r.Opcode, r.Tag, &r.Data)
 	f.seal()
 }
 
@@ -251,10 +322,7 @@ func EncodeResp(r MemResp) Flit {
 // EncodeDataInto serialises one burst data beat: tag matches the burst
 // header, seq is the line index within the burst.
 func EncodeDataInto(f *Flit, tag uint16, seq uint32, payload *[LineSize]byte) {
-	binary.LittleEndian.PutUint64(f.raw[0:8], flitKindData|uint64(tag)<<16)
-	binary.LittleEndian.PutUint64(f.raw[8:16], uint64(seq))
-	binary.LittleEndian.PutUint64(f.raw[16:24], 0)
-	copy(f.raw[flitHeaderSize:flitHeaderSize+LineSize], payload[:])
+	putData(f, tag, seq, payload)
 	f.seal()
 }
 
@@ -265,32 +333,36 @@ func (e *ErrFlit) Error() string { return "cxl: bad flit: " + e.Reason }
 
 var errChecksum = &ErrFlit{Reason: "checksum mismatch"}
 
-func (f *Flit) check() error {
-	want := binary.LittleEndian.Uint32(f.raw[flitBodySize:])
-	if got := flitChecksum(&f.raw); got != want {
-		return errChecksum
+// flitKindNames names flit kinds in decode errors.
+var flitKindNames = [...]string{
+	flitKindReq:   "request",
+	flitKindResp:  "response",
+	flitKindData:  "data",
+	flitKindBISnp: "BISnp",
+	flitKindBIRsp: "BIRsp",
+}
+
+// badFlit is the decode error for an intact flit that a decoder of kind
+// rejected: one of another kind, or one with an unknown opcode.
+func badFlit(f *Flit, kind uint8) error {
+	if f.raw[0] != kind {
+		return &ErrFlit{Reason: "not a " + flitKindNames[kind] + " flit"}
 	}
-	return nil
+	what := flitKindNames[kind] + " "
+	if kind == flitKindReq {
+		what = ""
+	}
+	return &ErrFlit{Reason: fmt.Sprintf("unknown %sopcode %d", what, f.raw[1])}
 }
 
 // DecodeReqInto parses a request flit into r without allocating.
 func DecodeReqInto(r *MemReq, f *Flit) error {
-	if err := f.check(); err != nil {
-		return err
+	if !f.intact() {
+		return errChecksum
 	}
-	if f.raw[0] != flitKindReq {
-		return &ErrFlit{Reason: "not a request flit"}
+	if !getReq(r, f) {
+		return badFlit(f, flitKindReq)
 	}
-	w0 := binary.LittleEndian.Uint64(f.raw[0:8])
-	r.Opcode = MemOpcode(w0 >> 8)
-	if r.Opcode > OpMemWrBurst {
-		return &ErrFlit{Reason: fmt.Sprintf("unknown opcode %d", f.raw[1])}
-	}
-	r.Tag = uint16(w0 >> 16)
-	r.Lines = uint16(w0 >> 32)
-	r.Addr = binary.LittleEndian.Uint64(f.raw[8:16])
-	r.Mask = binary.LittleEndian.Uint64(f.raw[16:24])
-	copy(r.Data[:], f.raw[flitHeaderSize:flitHeaderSize+LineSize])
 	return nil
 }
 
@@ -303,21 +375,17 @@ func DecodeReq(f Flit) (MemReq, error) {
 	return r, nil
 }
 
-// DecodeRespInto parses a response flit into r without allocating.
+// DecodeRespInto parses a response flit, status, tag and payload, into
+// r without allocating.
 func DecodeRespInto(r *MemResp, f *Flit) error {
-	if err := f.check(); err != nil {
-		return err
+	if !f.intact() {
+		return errChecksum
 	}
-	if f.raw[0] != flitKindResp {
-		return &ErrFlit{Reason: "not a response flit"}
+	op, tag, ok := getResp(f)
+	if !ok {
+		return badFlit(f, flitKindResp)
 	}
-	w0 := binary.LittleEndian.Uint64(f.raw[0:8])
-	r.Opcode = RespOpcode(w0 >> 8)
-	if r.Opcode > RespErr {
-		return &ErrFlit{Reason: fmt.Sprintf("unknown response opcode %d", f.raw[1])}
-	}
-	r.Tag = uint16(w0 >> 16)
-	copy(r.Data[:], f.raw[flitHeaderSize:flitHeaderSize+LineSize])
+	r.Opcode, r.Tag, r.Data = op, tag, *f.payload()
 	return nil
 }
 
@@ -333,15 +401,13 @@ func DecodeResp(f Flit) (MemResp, error) {
 // DecodeDataInto parses a burst data beat into out, returning the tag
 // and sequence number carried in its header.
 func DecodeDataInto(out *[LineSize]byte, f *Flit) (tag uint16, seq uint32, err error) {
-	if err := f.check(); err != nil {
-		return 0, 0, err
+	if !f.intact() {
+		return 0, 0, errChecksum
 	}
-	if f.raw[0] != flitKindData {
-		return 0, 0, &ErrFlit{Reason: "not a data flit"}
+	tag, seq, ok := getData(out, f)
+	if !ok {
+		return 0, 0, badFlit(f, flitKindData)
 	}
-	tag = uint16(binary.LittleEndian.Uint64(f.raw[0:8]) >> 16)
-	seq = uint32(binary.LittleEndian.Uint64(f.raw[8:16]))
-	copy(out[:], f.raw[flitHeaderSize:flitHeaderSize+LineSize])
 	return tag, seq, nil
 }
 
@@ -502,23 +568,20 @@ func EncodeBISnpInto(f *Flit, s *BISnp) {
 		flitKindBISnp|uint64(s.Opcode)<<8|uint64(s.Tag)<<16)
 	binary.LittleEndian.PutUint64(f.raw[8:16], s.Addr)
 	binary.LittleEndian.PutUint64(f.raw[16:24], 0)
-	clearFlitPayload(f)
+	*f.payload() = [LineSize]byte{}
 	f.seal()
 }
 
 // DecodeBISnpInto parses a snoop flit into s without allocating.
 func DecodeBISnpInto(s *BISnp, f *Flit) error {
-	if err := f.check(); err != nil {
-		return err
-	}
-	if f.raw[0] != flitKindBISnp {
-		return &ErrFlit{Reason: "not a BISnp flit"}
+	if !f.intact() {
+		return errChecksum
 	}
 	w0 := binary.LittleEndian.Uint64(f.raw[0:8])
-	s.Opcode = BISnpOpcode(w0 >> 8)
-	if s.Opcode > SnpInv {
-		return &ErrFlit{Reason: fmt.Sprintf("unknown BISnp opcode %d", f.raw[1])}
+	if uint8(w0) != flitKindBISnp || BISnpOpcode(w0>>8) > SnpInv {
+		return badFlit(f, flitKindBISnp)
 	}
+	s.Opcode = BISnpOpcode(w0 >> 8)
 	s.Tag = uint16(w0 >> 16)
 	s.Addr = binary.LittleEndian.Uint64(f.raw[8:16])
 	return nil
@@ -535,35 +598,24 @@ func EncodeBIRspInto(f *Flit, r *BIRsp) {
 		flitKindBIRsp|uint64(r.Opcode)<<8|uint64(r.Tag)<<16|dirty<<32)
 	binary.LittleEndian.PutUint64(f.raw[8:16], 0)
 	binary.LittleEndian.PutUint64(f.raw[16:24], 0)
-	clearFlitPayload(f)
+	*f.payload() = [LineSize]byte{}
 	f.seal()
 }
 
 // DecodeBIRspInto parses a snoop-response flit into r without
 // allocating.
 func DecodeBIRspInto(r *BIRsp, f *Flit) error {
-	if err := f.check(); err != nil {
-		return err
-	}
-	if f.raw[0] != flitKindBIRsp {
-		return &ErrFlit{Reason: "not a BIRsp flit"}
+	if !f.intact() {
+		return errChecksum
 	}
 	w0 := binary.LittleEndian.Uint64(f.raw[0:8])
-	r.Opcode = BIRspOpcode(w0 >> 8)
-	if r.Opcode > RspRetry {
-		return &ErrFlit{Reason: fmt.Sprintf("unknown BIRsp opcode %d", f.raw[1])}
+	if uint8(w0) != flitKindBIRsp || BIRspOpcode(w0>>8) > RspRetry {
+		return badFlit(f, flitKindBIRsp)
 	}
+	r.Opcode = BIRspOpcode(w0 >> 8)
 	r.Tag = uint16(w0 >> 16)
 	r.Dirty = w0>>32&1 == 1
 	return nil
-}
-
-// clearFlitPayload zeroes the 64-byte payload slot of a header-only
-// message so stale bytes from a reused flit never leak onto the wire.
-func clearFlitPayload(f *Flit) {
-	for i := flitHeaderSize; i < flitBodySize; i += 8 {
-		binary.LittleEndian.PutUint64(f.raw[i:], 0)
-	}
 }
 
 // Bytes returns the raw wire form of the flit (header, payload and

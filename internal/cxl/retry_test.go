@@ -145,3 +145,61 @@ func TestEveryFlitKindRetriesAndFails(t *testing.T) {
 		}
 	}
 }
+
+// TestCompletionPayloadFlipRetries flips one payload bit of the first
+// completion flit of a MemWrPtl and, separately, of a burst. A
+// completion carries only its status and tag, but its zero payload
+// still crosses the wire under the checksum, so the port must see the
+// flip, retry the completion once and succeed.
+func TestCompletionPayloadFlipRetries(t *testing.T) {
+	const addr = 0x2000
+	for _, burst := range []bool{false, true} {
+		name := "MemWrPtl"
+		if burst {
+			name = "MemWrBurst"
+		}
+		t.Run(name, func(t *testing.T) {
+			rp, dev := burstPort(t, 1<<20)
+			want := []byte("partial")
+			at := uint64(addr + 5)
+			if burst {
+				want, at = bytes.Repeat([]byte{0x5A, 0xC3}, 2*LineSize), addr
+			}
+			flipped := false
+			rp.SetFault(func(f Flit) Flit {
+				if f.PeekKind() == flitKindResp && !flipped {
+					flipped = true
+					f.FlipBit(uint(flitHeaderSize+LineSize/2)*8 + 3)
+				}
+				return f
+			})
+			media := dev.Media().Stats()
+			var err error
+			if burst {
+				err = rp.WriteBurst(at, want)
+			} else {
+				err = rp.WriteAt(want, int64(at))
+			}
+			rp.SetFault(nil)
+			if !flipped {
+				t.Fatal("the transaction carried no completion flit")
+			}
+			if err != nil {
+				t.Fatalf("one flipped completion failed the transaction: %v", err)
+			}
+			if r := rp.Stats().VCs[vcFor(addr)].Retries; r != 1 {
+				t.Errorf("VC %d Retries = %d, want 1", vcFor(addr), r)
+			}
+			if r := media.LinkRetries.Load(); r != 1 {
+				t.Errorf("media LinkRetries = %d, want 1", r)
+			}
+			got := make([]byte, len(want))
+			if err := rp.ReadAt(got, int64(at)); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Error("payload differs after the retried completion")
+			}
+		})
+	}
+}

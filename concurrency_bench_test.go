@@ -138,9 +138,32 @@ func BenchmarkInterleavedStripes4K(b *testing.B) {
 // pmemobj-style Begin/AddRange/Commit over 4 KiB objects — serial vs
 // many goroutines on disjoint objects. The multi-lane undo log lets
 // independent transactions snapshot and commit concurrently; the serial
-// baseline bounds what one lane could do.
+// baseline bounds what one lane could do. serial64 is tx-small's 64 B
+// transaction over the in-memory region, without the CXL path below
+// it, so it times the pmem layer's own work: the lane claim, lifecycle
+// lock sections and undo-log protocol.
 func BenchmarkConcurrentTx(b *testing.B) {
 	const objSize = 4096
+
+	b.Run("serial64", func(b *testing.B) {
+		p := benchPool(b, 64<<20)
+		oid, err := p.Alloc(objSize)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(64)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			err := p.Update(oid, uint64(i%(objSize/64))*64, 64, func(v []byte) error {
+				v[0] = byte(i)
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 
 	b.Run("serial", func(b *testing.B) {
 		p := benchPool(b, 64<<20)

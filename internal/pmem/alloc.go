@@ -138,7 +138,9 @@ func (h *heap) readHeader(off uint64) (magic uint32, size, flags, user uint64) {
 // loses that line, the old free header still spans the tail's header
 // and any bytes that landed.
 func (h *heap) alloc(n uint64, src []byte) (uint64, error) {
-	need := alignUp64(n, 64) + blockHeaderSize
+	// Clamping n to the pool size keeps need from wrapping; no free
+	// block fits a clamped n.
+	need := alignUp64(min(n, h.end), 64) + blockHeaderSize
 	i := slices.IndexFunc(h.freeList, func(b freeBlock) bool { return b.size >= need })
 	if i < 0 {
 		return 0, &PoolError{Op: "alloc", Layout: h.p.layout, Why: fmt.Sprintf("out of space for %d bytes", n)}

@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestConcurrentTxDisjointObjects exercises the multi-lane transaction
@@ -123,10 +125,13 @@ func TestConcurrentAllocFree(t *testing.T) {
 // derives the committed/uncommitted expectations from recorded commit
 // boundaries instead of hand-picking two windows.
 
+// freeLaneCount counts the lanes in the pool's free-lane set.
+func freeLaneCount(p *Pool) int { return bits.OnesCount32(p.freeLanes.Load()) }
+
 // TestCrashReleasesLanes guards the lane lease protocol: transactions
 // stranded by a crash must hand their lanes back when their
-// Commit/Abort fails, or a later Begin would block forever on the
-// empty lane channel.
+// Commit/Abort fails, or a later Begin would wait forever on an empty
+// free-lane set.
 func TestCrashReleasesLanes(t *testing.T) {
 	p, _ := createPool(t)
 	txs := make([]*Tx, TxLanes)
@@ -142,10 +147,10 @@ func TestCrashReleasesLanes(t *testing.T) {
 			t.Fatal("commit on crashed pool succeeded")
 		}
 	}
-	if got := len(p.lanes); got != TxLanes {
+	if got := freeLaneCount(p); got != TxLanes {
 		t.Errorf("free lanes after crash = %d, want %d (lane lease leaked)", got, TxLanes)
 	}
-	if got := p.activeTx.Load(); got != 0 {
+	if got := p.activeTx(); got != 0 {
 		t.Errorf("activeTx after crash = %d, want 0", got)
 	}
 }
@@ -198,11 +203,201 @@ func TestAbortIOFailureRetiresLane(t *testing.T) {
 	if got := p.lanesLost.Load(); got != 1 {
 		t.Errorf("lanesLost = %d, want 1", got)
 	}
-	if got := len(p.lanes); got != TxLanes-1 {
+	if got := freeLaneCount(p); got != TxLanes-1 {
 		t.Errorf("free lanes = %d, want %d (retired lane must not recirculate)", got, TxLanes-1)
+	}
+	if got := p.activeTx(); got != 0 {
+		t.Errorf("activeTx = %d, want 0", got)
 	}
 	// The pool still serves transactions on the remaining lanes.
 	if err := p.Update(oid, 0, 64, func(v []byte) error { v[0] = 7; return nil }); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// waitForLaneWaiters fails the test unless n goroutines wait for a
+// lane within 2 s.
+func waitForLaneWaiters(t *testing.T, p *Pool, n int32) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); p.laneWaiters.Load() < n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines wait for a lane, want %d", p.laneWaiters.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// leaseAllLanes begins TxLanes transactions, each with one 64-byte
+// range of oid added.
+func leaseAllLanes(t *testing.T, p *Pool, oid OID) []*Tx {
+	t.Helper()
+	txs := make([]*Tx, TxLanes)
+	for i := range txs {
+		var err error
+		if txs[i], err = p.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		if err := txs[i].AddRange(oid, uint64(i)*64, 64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return txs
+}
+
+// TestUpdateWaitsForReleasedLane: with every lane leased, an Update
+// waits, holding no pool lock, and finishes once one lease is
+// committed.
+func TestUpdateWaitsForReleasedLane(t *testing.T) {
+	p, r := createPool(t)
+	oid, err := p.Alloc((TxLanes + 1) * 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txs := leaseAllLanes(t, p, oid)
+	done := make(chan error, 1)
+	go func() {
+		done <- p.Update(oid, TxLanes*64, 64, func(v []byte) error { v[0] = 9; return nil })
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("Update returned with every lane leased: %v", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	waitForLaneWaiters(t, p, 1)
+	// The waiter holds no pool lock: Close, which takes it for write,
+	// returns, refusing since transactions are in flight.
+	closed := make(chan error, 1)
+	go func() { closed <- p.Close() }()
+	select {
+	case err := <-closed:
+		if err == nil {
+			t.Fatal("Close with every lane leased succeeded")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close blocked behind the waiting Update")
+	}
+	if err := txs[0].Commit(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Update still waiting 2 s after a lane was released")
+	}
+	for _, tx := range txs[1:] {
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := freeLaneCount(p); got != TxLanes {
+		t.Errorf("free lanes = %d, want %d", got, TxLanes)
+	}
+	if got := p.activeTx(); got != 0 {
+		t.Errorf("activeTx = %d, want 0", got)
+	}
+	if got := p.laneWaiters.Load(); got != 0 {
+		t.Errorf("lane waiters = %d, want 0", got)
+	}
+	b := make([]byte, 1)
+	if err := r.ReadAt(b, int64(oid.Off+TxLanes*64)); err != nil || b[0] != 9 {
+		t.Errorf("waiting Update's byte on media = %d (%v), want 9", b[0], err)
+	}
+}
+
+// TestCrashWakesLaneWaiter: Begins waiting for a lane across
+// SimulateCrash return the crashed-pool error once one stranded Commit
+// fails and hands its lane back; each waiter that leaves without a lane
+// wakes the next. The other stranded Commits then free every lane.
+func TestCrashWakesLaneWaiter(t *testing.T) {
+	p, _ := createPool(t)
+	oid, err := p.Alloc(TxLanes * 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txs := leaseAllLanes(t, p, oid)
+	const waiters = 3
+	done := make(chan error, waiters)
+	for range waiters {
+		go func() {
+			_, err := p.Begin()
+			done <- err
+		}()
+	}
+	waitForLaneWaiters(t, p, waiters)
+	p.SimulateCrash()
+	if err := txs[0].Commit(); err == nil {
+		t.Fatal("commit on crashed pool succeeded")
+	}
+	for range waiters {
+		select {
+		case err := <-done:
+			var pe *PoolError
+			if !errors.As(err, &pe) || pe.Why != "pool crashed; reopen to recover" {
+				t.Errorf("waiting Begin = %v, want the crashed-pool error", err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("Begin still waiting 2 s after a stranded Commit freed a lane")
+		}
+	}
+	for _, tx := range txs[1:] {
+		if err := tx.Commit(); err == nil {
+			t.Fatal("commit on crashed pool succeeded")
+		}
+	}
+	if got := freeLaneCount(p); got != TxLanes {
+		t.Errorf("free lanes = %d, want %d", got, TxLanes)
+	}
+	if got := p.activeTx(); got != 0 {
+		t.Errorf("activeTx = %d, want 0", got)
+	}
+}
+
+// TestLaneWaiterFailsWhenEveryLaneRetired: a Begin waiting for a lane
+// returns the all-lanes-lost error, rather than waiting forever, when
+// every leased lane is retired by a failed Abort.
+func TestLaneWaiterFailsWhenEveryLaneRetired(t *testing.T) {
+	fr := &failingRegion{Region: newMemRegion(testPoolSize, true)}
+	p, err := Create(fr, "stream-arrays")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oid, err := p.Alloc(TxLanes * 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txs := leaseAllLanes(t, p, oid)
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.Begin()
+		done <- err
+	}()
+	waitForLaneWaiters(t, p, 1)
+	fr.fail.Store(true)
+	for _, tx := range txs {
+		if err := tx.Abort(); err == nil {
+			t.Fatal("abort with failing media succeeded")
+		}
+	}
+	fr.fail.Store(false)
+	if got := p.lanesLost.Load(); got != TxLanes {
+		t.Fatalf("lanesLost = %d, want %d", got, TxLanes)
+	}
+	select {
+	case err := <-done:
+		var te *TxError
+		if !errors.As(err, &te) || te.Op != "begin" {
+			t.Errorf("waiting Begin = %v, want the all-lanes-lost TxError", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Begin still waiting 2 s after every lane was retired")
+	}
+	if got := freeLaneCount(p); got != 0 {
+		t.Errorf("free lanes = %d, want 0", got)
+	}
+	if got := p.activeTx(); got != 0 {
+		t.Errorf("activeTx = %d, want 0", got)
 	}
 }

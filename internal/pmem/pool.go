@@ -30,6 +30,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -136,16 +137,24 @@ type Pool struct {
 	heap              *heap
 	rootOff, rootSize uint64
 
-	// lane holds each undo-log lane's state, and lanes hands out the
-	// free ones; Begin blocks when all TxLanes are in flight. activeTx
-	// counts open transactions so Close can refuse while one is live.
-	// lanesLost counts lanes permanently retired after I/O failures
-	// mid-Abort (their undo entries must survive for recovery, so they
-	// are never reissued).
-	lane      [TxLanes]txLane
-	lanes     chan *txLane
-	activeTx  atomic.Int32
-	lanesLost atomic.Int32
+	// lane holds each undo-log lane's state. freeLanes is the set of
+	// lanes free to lease, bit i for lane i. A claim clears the lowest
+	// set bit by compare-and-swap, only while holding stateMu for read,
+	// so Close, holding it for write, sees exactly the lanes of live
+	// transactions leased; a release sets the bit again with one OR.
+	// A claim that finds no bit set drops stateMu and waits on
+	// laneFreed (lock laneMu; laneWaiters counts the waiters, so a
+	// release with none skips the lock). lanesLost counts lanes
+	// permanently retired after I/O failures mid-Abort: their undo
+	// entries must survive for recovery, so their bits stay clear.
+	// The lanes neither free nor lost carry open transactions
+	// (activeTx).
+	lane        [TxLanes]txLane
+	freeLanes   atomic.Uint32
+	lanesLost   atomic.Int32
+	laneWaiters atomic.Int32
+	laneMu      sync.Mutex
+	laneFreed   sync.Cond
 
 	stats Stats
 }
@@ -163,14 +172,20 @@ func (e *PoolError) Error() string {
 	return fmt.Sprintf("pmem: %s(%q): %s", e.Op, e.Layout, e.Why)
 }
 
-// initLanes numbers the lanes and populates their free list; called
-// once at Create/Open, before the log is touched.
+// initLanes numbers the lanes and marks every one free; called once at
+// Create/Open, before the log is touched.
 func (p *Pool) initLanes() {
-	p.lanes = make(chan *txLane, TxLanes)
 	for i := range p.lane {
 		p.lane[i].idx = uint64(i)
-		p.lanes <- &p.lane[i]
 	}
+	p.freeLanes.Store(1<<TxLanes - 1)
+	p.laneFreed.L = &p.laneMu
+}
+
+// activeTx counts open transactions: the lanes neither free nor lost.
+// It is exact for a caller holding stateMu for write.
+func (p *Pool) activeTx() int {
+	return TxLanes - bits.OnesCount32(p.freeLanes.Load()) - int(p.lanesLost.Load())
 }
 
 // Create initialises a new pool with the given layout name on region,
@@ -349,13 +364,16 @@ func (p *Pool) checkLive(op string) error {
 	return nil
 }
 
-// checkOID validates an OID against the immutable pool geometry.
-func (p *Pool) checkOID(op string, oid OID, n uint64) error {
+// checkOID validates the range [oid.Off+off, +n) against the immutable
+// pool geometry. The offset, off and n are each checked against the
+// room left, so no sum wraps.
+func (p *Pool) checkOID(op string, oid OID, off, n uint64) error {
 	if oid.PoolID != p.poolID {
 		return &PoolError{Op: op, Layout: p.layout, Why: fmt.Sprintf("%v belongs to another pool", oid)}
 	}
-	if oid.Off < p.heapOff+blockHeaderSize || oid.Off+n > uint64(p.size) {
-		return &PoolError{Op: op, Layout: p.layout, Why: fmt.Sprintf("%v+%d outside heap", oid, n)}
+	size := uint64(p.size)
+	if oid.Off < p.heapOff+blockHeaderSize || oid.Off > size || off > size-oid.Off || n > size-oid.Off-off {
+		return &PoolError{Op: op, Layout: p.layout, Why: fmt.Sprintf("%v+%d, %d bytes, outside heap", oid, off, n)}
 	}
 	return nil
 }
@@ -364,30 +382,43 @@ func (p *Pool) checkOID(op string, oid OID, n uint64) error {
 // the pmemobj_direct analogue. The slice aliases pool memory; writes to
 // it are volatile until persisted. Concurrent writers of one object
 // must coordinate among themselves (single-writer per object).
-func (p *Pool) View(oid OID, n uint64) ([]byte, error) {
+func (p *Pool) View(oid OID, n uint64) ([]byte, error) { return p.viewAt(oid, 0, n) }
+
+// viewAt is View over [oid.Off+off, +n).
+func (p *Pool) viewAt(oid OID, off, n uint64) ([]byte, error) {
 	p.stateMu.RLock()
 	defer p.stateMu.RUnlock()
 	if err := p.checkLive("view"); err != nil {
 		return nil, err
 	}
-	if err := p.checkOID("view", oid, n); err != nil {
+	if err := p.checkOID("view", oid, off, n); err != nil {
 		return nil, err
 	}
-	return p.view[oid.Off : oid.Off+n : oid.Off+n], nil
+	return p.object(oid, off, n), nil
+}
+
+// object slices the mapped bytes [oid.Off+off, +n), capped at their
+// end. The caller holds stateMu for read and has checked the range.
+func (p *Pool) object(oid OID, off, n uint64) []byte {
+	start := oid.Off + off
+	return p.view[start : start+n : start+n]
 }
 
 // Persist flushes [oid, oid+n) from the view to the media — clwb over
 // the range. It does not imply ordering; call Drain for the fence.
-func (p *Pool) Persist(oid OID, n uint64) error {
+func (p *Pool) Persist(oid OID, n uint64) error { return p.persistAt(oid, 0, n) }
+
+// persistAt is Persist over [oid.Off+off, +n).
+func (p *Pool) persistAt(oid OID, off, n uint64) error {
 	p.stateMu.RLock()
 	defer p.stateMu.RUnlock()
 	if err := p.checkLive("persist"); err != nil {
 		return err
 	}
-	if err := p.checkOID("persist", oid, n); err != nil {
+	if err := p.checkOID("persist", oid, off, n); err != nil {
 		return err
 	}
-	return p.persistRaw(int64(oid.Off), int64(n))
+	return p.persistRaw(int64(oid.Off+off), int64(n))
 }
 
 // persistRaw flushes a raw pool range; callers hold stateMu for read
@@ -486,7 +517,7 @@ func (p *Pool) Free(oid OID) error {
 	if err := p.checkLive("free"); err != nil {
 		return err
 	}
-	if err := p.checkOID("free", oid, 0); err != nil {
+	if err := p.checkOID("free", oid, 0, 0); err != nil {
 		return err
 	}
 	p.heapMu.Lock()
@@ -508,7 +539,7 @@ func (p *Pool) AllocSize(oid OID) (uint64, error) {
 	if err := p.checkLive("allocsize"); err != nil {
 		return 0, err
 	}
-	if err := p.checkOID("allocsize", oid, 0); err != nil {
+	if err := p.checkOID("allocsize", oid, 0, 0); err != nil {
 		return 0, err
 	}
 	p.heapMu.Lock()
@@ -524,7 +555,7 @@ func (p *Pool) Close() error {
 	if p.closed {
 		return &PoolError{Op: "close", Layout: p.layout, Why: "already closed"}
 	}
-	if p.activeTx.Load() != 0 && !p.crashed {
+	if p.activeTx() != 0 && !p.crashed {
 		return &PoolError{Op: "close", Layout: p.layout, Why: "transaction in flight"}
 	}
 	p.closed = true

@@ -390,3 +390,94 @@ func TestViewAliasesPoolMemory(t *testing.T) {
 		t.Error("two views of one object do not alias")
 	}
 }
+
+// TestSizesNearWrapRejected: offsets and sizes whose sums wrap past
+// 2^64 get the error an in-range out-of-bounds call gets, instead of
+// a panic or a wrong object.
+func TestSizesNearWrapRejected(t *testing.T) {
+	const max = ^uint64(0)
+	noop := func([]byte) error { return nil }
+	cases := []struct {
+		name, op string
+		call     func(p *Pool, oid OID) error
+	}{
+		{"View n=max", "view", func(p *Pool, oid OID) error {
+			_, err := p.View(oid, max)
+			return err
+		}},
+		{"View end wraps to 8", "view", func(p *Pool, oid OID) error {
+			_, err := p.View(oid, max-oid.Off+9)
+			return err
+		}},
+		{"Persist n=max", "persist", func(p *Pool, oid OID) error { return p.Persist(oid, max) }},
+		{"Update off=max", "tx-add", func(p *Pool, oid OID) error { return p.Update(oid, max, 8, noop) }},
+		{"Update n=max", "tx-add", func(p *Pool, oid OID) error { return p.Update(oid, 8, max, noop) }},
+		{"AddRange off=max", "tx-add", func(p *Pool, oid OID) error {
+			tx, err := p.Begin()
+			if err != nil {
+				return err
+			}
+			defer tx.Abort()
+			return tx.AddRange(oid, max, 8)
+		}},
+		{"AddRange n=max", "tx-add", func(p *Pool, oid OID) error {
+			tx, err := p.Begin()
+			if err != nil {
+				return err
+			}
+			defer tx.Abort()
+			return tx.AddRange(oid, 0, max)
+		}},
+		{"GetUint64 off=max-3", "view", func(p *Pool, oid OID) error {
+			_, err := p.GetUint64(oid, max-3)
+			return err
+		}},
+		{"Float64s n=2^61+1", "view", func(p *Pool, oid OID) error {
+			_, err := p.Float64s(oid, 1<<61+1)
+			return err
+		}},
+		{"AllocFloat64s n=2^61+1", "alloc", func(p *Pool, _ OID) error {
+			_, _, err := p.AllocFloat64s(1<<61 + 1)
+			return err
+		}},
+		{"PersistFloat64s lo=2^61", "persist", func(p *Pool, oid OID) error {
+			return p.PersistFloat64s(oid, 1<<61, 1<<61+1)
+		}},
+		{"Alloc max-63", "alloc", func(p *Pool, _ OID) error {
+			_, err := p.Alloc(max - 63)
+			return err
+		}},
+		{"Alloc max", "alloc", func(p *Pool, _ OID) error {
+			_, err := p.Alloc(max)
+			return err
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p, _ := createPool(t)
+			oid, err := p.Alloc(64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panicked: %v", r)
+					}
+				}()
+				err = c.call(p, oid)
+			}()
+			var pe *PoolError
+			if !errors.As(err, &pe) || pe.Op != c.op {
+				t.Fatalf("err = %v, want a PoolError from %s", err, c.op)
+			}
+			// The pool is intact: no lane leaked, nothing allocated.
+			if err := p.Update(oid, 0, 8, noop); err != nil {
+				t.Fatal(err)
+			}
+			if got := p.Stats().Allocs.Load(); got != 1 {
+				t.Errorf("Allocs = %d, want 1", got)
+			}
+		})
+	}
+}

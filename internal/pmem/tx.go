@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 )
 
 // Undo-log transactions, the pmemobj_tx machinery STREAM-PMem relies on
@@ -25,7 +26,7 @@ import (
 // Concurrency. The log region [logOff, logOff+logSize) is carved into
 // TxLanes equal lanes, one per in-flight transaction — the multi-lane
 // analogue of PMDK's per-thread transaction scopes. Begin claims a free
-// lane (blocking when all are busy), AddRange/Commit/Abort touch only
+// lane (waiting when all are busy), AddRange/Commit/Abort touch only
 // that lane, and recovery walks every lane: any subset of transactions
 // torn by a crash rolls back independently. Transactions on disjoint
 // objects therefore run and commit fully in parallel; single-writer
@@ -124,12 +125,14 @@ func (p *Pool) TxSnapshotLimit() uint64 {
 func (p *Pool) laneBase(lane uint64) uint64 { return p.logOff + lane*p.laneSize() }
 
 // Begin opens a transaction (TX_BEGIN), claiming a free undo-log lane.
-// When all TxLanes lanes carry in-flight transactions, Begin blocks
-// until one commits or aborts. The Tx is fresh, so one kept after it
-// finishes keeps failing and never touches the lane's next
-// transaction.
+// When all TxLanes lanes carry in-flight transactions, Begin waits,
+// holding no pool lock, until one commits or aborts; it fails once
+// every lane is lost. The Tx is fresh, so one kept after it finishes
+// keeps failing and never touches the lane's next transaction.
 func (p *Pool) Begin() (*Tx, error) {
+	p.stateMu.RLock()
 	l, err := p.claimLane()
+	p.stateMu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
@@ -137,40 +140,89 @@ func (p *Pool) Begin() (*Tx, error) {
 }
 
 // claimLane takes a free lane, resets its state and marks it active,
-// with no entries, on media.
+// with no entries, on media. The caller holds stateMu for read. When
+// every lane is leased, claimLane drops the lock to wait and takes it
+// again: a waiter holding it would keep Close and SimulateCrash from
+// running, and with them the stranded transactions it waits on from
+// finishing.
 func (p *Pool) claimLane() (*txLane, error) {
-	p.stateMu.RLock()
-	err := p.checkLive("tx-begin")
-	p.stateMu.RUnlock()
-	if err != nil {
-		return nil, err
+	for waited := false; ; waited = true {
+		err := p.checkLive("tx-begin")
+		if err == nil && p.lanesLost.Load() >= TxLanes {
+			err = &TxError{Op: "begin", Why: "all undo-log lanes lost to I/O failures; reopen the pool to recover"}
+		}
+		if err != nil {
+			if waited {
+				// The wake this waiter took may have been the only
+				// one; pass it on to the next waiter.
+				p.wakeLaneWaiter()
+			}
+			return nil, err
+		}
+		if l := p.takeLane(); l != nil {
+			l.cursor, l.count, l.ranges = laneHeaderSize, 0, l.ranges[:0]
+			// Mark the lane active, with no entries, before any entry
+			// lands.
+			if err := p.laneWriteHeader(l, logActive); err != nil {
+				p.putLane(l)
+				return nil, err
+			}
+			return l, nil
+		}
+		p.stateMu.RUnlock()
+		p.waitLane()
+		p.stateMu.RLock()
 	}
-	if p.lanesLost.Load() >= TxLanes {
-		return nil, &TxError{Op: "begin", Why: "all undo-log lanes lost to I/O failures; reopen the pool to recover"}
-	}
-	l := <-p.lanes
-	p.stateMu.RLock()
-	defer p.stateMu.RUnlock()
-	if err := p.checkLive("tx-begin"); err != nil {
-		p.lanes <- l
-		return nil, err
-	}
-	l.cursor, l.count, l.ranges = laneHeaderSize, 0, l.ranges[:0]
-	// Mark the lane active, with no entries, before any entry lands.
-	if err := p.laneWriteHeader(l, logActive); err != nil {
-		p.lanes <- l
-		return nil, err
-	}
-	p.activeTx.Add(1)
-	return l, nil
 }
 
-// release returns the transaction's lane to the free list; called once
-// per Tx, when it finishes cleanly or the pool is dead.
+// takeLane clears the lowest bit of the free-lane set and returns its
+// lane, or nil when no lane is free.
+func (p *Pool) takeLane() *txLane {
+	for {
+		free := p.freeLanes.Load()
+		if free == 0 {
+			return nil
+		}
+		if p.freeLanes.CompareAndSwap(free, free&(free-1)) {
+			return &p.lane[bits.TrailingZeros32(free)]
+		}
+	}
+}
+
+// putLane returns a lane to the free-lane set and wakes one waiter.
+func (p *Pool) putLane(l *txLane) {
+	p.freeLanes.Or(1 << l.idx)
+	p.wakeLaneWaiter()
+}
+
+// waitLane blocks until a lane is free or every lane is lost; the
+// caller holds no pool lock. A waiter counts itself before it reads
+// the set, and putLane sets its bit before it reads the count, so one
+// of the two sees the other and no wake is lost.
+func (p *Pool) waitLane() {
+	p.laneMu.Lock()
+	p.laneWaiters.Add(1)
+	for p.freeLanes.Load() == 0 && p.lanesLost.Load() < TxLanes {
+		p.laneFreed.Wait()
+	}
+	p.laneWaiters.Add(-1)
+	p.laneMu.Unlock()
+}
+
+// wakeLaneWaiter wakes one goroutine in waitLane, if any waits.
+func (p *Pool) wakeLaneWaiter() {
+	if p.laneWaiters.Load() != 0 {
+		p.laneMu.Lock()
+		p.laneFreed.Signal()
+		p.laneMu.Unlock()
+	}
+}
+
+// release returns the transaction's lane to the free-lane set; called
+// once per Tx, when it finishes cleanly or the pool is dead.
 func (tx *Tx) release() {
 	tx.done = true
-	tx.p.activeTx.Add(-1)
-	tx.p.lanes <- tx.lane
+	tx.p.putLane(tx.lane)
 }
 
 // abandon retires the transaction WITHOUT recycling its lane: after an
@@ -178,29 +230,37 @@ func (tx *Tx) release() {
 // copy of the pre-transaction state, so the lane must stay out of
 // circulation (a new transaction claiming it would overwrite them)
 // until recovery at the next Open replays it. Each abandonment
-// permanently costs one lane; Begin reports when none remain.
+// permanently costs one lane; Begin reports when none remain, and the
+// last one wakes a waiter so it can report it too (each waiter that
+// leaves without a lane wakes the next).
 func (tx *Tx) abandon() {
 	tx.done = true
-	tx.p.activeTx.Add(-1)
-	tx.p.lanesLost.Add(1)
+	if tx.p.lanesLost.Add(1) >= TxLanes {
+		tx.p.wakeLaneWaiter()
+	}
 }
 
 // AddRange snapshots [oid.Off+off, +n) so it can be rolled back
 // (pmemobj_tx_add_range). Must be called before mutating the range.
 func (tx *Tx) AddRange(oid OID, off, n uint64) error {
-	p, l := tx.p, tx.lane
 	if tx.done {
 		return &TxError{Op: "add-range", Why: "transaction finished"}
 	}
-	p.stateMu.RLock()
-	defer p.stateMu.RUnlock()
+	tx.p.stateMu.RLock()
+	defer tx.p.stateMu.RUnlock()
+	return tx.addRange(oid, off, n)
+}
+
+// addRange is AddRange's body; the caller holds stateMu for read.
+func (tx *Tx) addRange(oid OID, off, n uint64) error {
+	p, l := tx.p, tx.lane
 	if err := p.checkLive("tx-add"); err != nil {
 		return err
 	}
 	if n == 0 {
 		return &TxError{Op: "add-range", Why: "zero length"}
 	}
-	if err := p.checkOID("tx-add", oid, off+n); err != nil {
+	if err := p.checkOID("tx-add", oid, off, n); err != nil {
 		return err
 	}
 	start := oid.Off + off
@@ -421,29 +481,28 @@ func (p *Pool) recoverLogFromView() error {
 // commits atomically. Any error aborts. This is the TX_BEGIN/TX_ADD/
 // TX_END convenience macro. Updates over disjoint objects may run
 // concurrently from many goroutines. The transaction runs on its lane's
-// own Tx, so an Update that commits allocates nothing.
+// own Tx, so an Update that commits allocates nothing. It holds
+// stateMu for read twice: once from the lane claim through the snapshot
+// and the slicing of fn's view, and once in Commit; fn runs with no
+// pool lock held.
 func (p *Pool) Update(oid OID, off, n uint64, fn func(view []byte) error) error {
+	p.stateMu.RLock()
 	l, err := p.claimLane()
 	if err != nil {
+		p.stateMu.RUnlock()
 		return err
 	}
 	tx := &l.tx
 	*tx = Tx{p: p, lane: l}
-	if err := tx.AddRange(oid, off, n); err != nil {
-		abortErr := tx.Abort()
-		if abortErr != nil {
-			return fmt.Errorf("%w (abort also failed: %v)", err, abortErr)
-		}
-		return err
+	var view []byte
+	if err = tx.addRange(oid, off, n); err == nil {
+		view = p.object(oid, off, n)
 	}
-	view, err := p.View(oid, off+n)
+	p.stateMu.RUnlock()
+	if err == nil {
+		err = fn(view)
+	}
 	if err != nil {
-		if abortErr := tx.Abort(); abortErr != nil {
-			return fmt.Errorf("%w (abort also failed: %v)", err, abortErr)
-		}
-		return err
-	}
-	if err := fn(view[off : off+n]); err != nil {
 		if abortErr := tx.Abort(); abortErr != nil {
 			return fmt.Errorf("%w (abort also failed: %v)", err, abortErr)
 		}

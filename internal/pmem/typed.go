@@ -22,7 +22,7 @@ func (p *Pool) Float64s(oid OID, n int) ([]float64, error) {
 	if n <= 0 {
 		return nil, &PoolError{Op: "float64s", Layout: p.layout, Why: "non-positive length"}
 	}
-	b, err := p.View(oid, uint64(n)*8)
+	b, err := p.View(oid, float64Bytes(n))
 	if err != nil {
 		return nil, err
 	}
@@ -40,7 +40,7 @@ func (p *Pool) AllocFloat64s(n int) (OID, []float64, error) {
 	if n <= 0 {
 		return OID{}, nil, &PoolError{Op: "alloc-float64s", Layout: p.layout, Why: "non-positive length"}
 	}
-	oid, err := p.Alloc(uint64(n) * 8)
+	oid, err := p.Alloc(float64Bytes(n))
 	if err != nil {
 		return OID{}, nil, err
 	}
@@ -59,9 +59,13 @@ func (p *Pool) PersistFloat64s(oid OID, lo, hi int) error {
 	if lo == hi {
 		return nil
 	}
-	sub := OID{PoolID: oid.PoolID, Off: oid.Off + uint64(lo)*8}
-	return p.Persist(sub, uint64(hi-lo)*8)
+	return p.persistAt(oid, float64Bytes(lo), float64Bytes(hi-lo))
 }
+
+// float64Bytes is the byte length of n >= 0 float64s, clamped so that
+// it cannot wrap; a clamped length exceeds any pool, so View, Alloc
+// and Persist reject it.
+func float64Bytes(n int) uint64 { return uint64(min(n, math.MaxInt64/8)) * 8 }
 
 // SetUint64 transactionally stores v into the 8 bytes at oid+off.
 // Useful for persistent counters and progress markers.
@@ -74,11 +78,11 @@ func (p *Pool) SetUint64(oid OID, off uint64, v uint64) error {
 
 // GetUint64 reads the 8 bytes at oid+off.
 func (p *Pool) GetUint64(oid OID, off uint64) (uint64, error) {
-	b, err := p.View(oid, off+8)
+	b, err := p.viewAt(oid, off, 8)
 	if err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(b[off : off+8]), nil
+	return binary.LittleEndian.Uint64(b), nil
 }
 
 // SetFloat64 transactionally stores v into the 8 bytes at oid+off.

@@ -8,8 +8,11 @@ package cxlpmem
 
 import (
 	"runtime"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"cxlpmem/internal/cluster"
 	"cxlpmem/internal/cxl"
@@ -141,7 +144,10 @@ func BenchmarkInterleavedStripes4K(b *testing.B) {
 // baseline bounds what one lane could do. serial64 is tx-small's 64 B
 // transaction over the in-memory region, without the CXL path below
 // it, so it times the pmem layer's own work: the lane claim, lifecycle
-// lock sections and undo-log protocol.
+// lock sections and undo-log protocol. A lane is leased only while its
+// transaction runs, so parallel8 waits for a lane only when more than
+// TxLanes goroutines are inside Update at once; oversub16 makes every
+// other Update wait.
 func BenchmarkConcurrentTx(b *testing.B) {
 	const objSize = 4096
 
@@ -214,6 +220,53 @@ func BenchmarkConcurrentTx(b *testing.B) {
 				}
 			}
 		})
+	})
+
+	// oversub16 runs 2*TxLanes goroutines, each updating its own 64 B
+	// object and yielding while it holds its lane, so every lane stays
+	// leased and half the goroutines wait for one: the lane wait path
+	// under oversubscription. max-wait-us is the longest any Update
+	// took from its call to its body, a span that holds the wait.
+	b.Run("oversub16", func(b *testing.B) {
+		p := benchPool(b, 64<<20)
+		const workers = 2 * pmem.TxLanes
+		oids := make([]pmem.OID, workers)
+		for i := range oids {
+			var err error
+			if oids[i], err = p.Alloc(64); err != nil {
+				b.Fatal(err)
+			}
+		}
+		waits := make([]time.Duration, workers)
+		var wg sync.WaitGroup
+		b.SetBytes(64)
+		b.ResetTimer()
+		for w := range workers {
+			n := b.N / workers
+			if w < b.N%workers {
+				n++
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < n; i++ {
+					start := time.Now()
+					err := p.Update(oids[w], 0, 64, func(v []byte) error {
+						waits[w] = max(waits[w], time.Since(start))
+						v[0] = byte(i)
+						runtime.Gosched()
+						return nil
+					})
+					if err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		b.StopTimer()
+		b.ReportMetric(float64(slices.Max(waits).Microseconds()), "max-wait-us")
 	})
 }
 

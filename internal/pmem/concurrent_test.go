@@ -5,6 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -125,13 +128,14 @@ func TestConcurrentAllocFree(t *testing.T) {
 // derives the committed/uncommitted expectations from recorded commit
 // boundaries instead of hand-picking two windows.
 
-// freeLaneCount counts the lanes in the pool's free-lane set.
-func freeLaneCount(p *Pool) int { return bits.OnesCount32(p.freeLanes.Load()) }
+// freeLaneCount counts the free lanes: those in the free-lane set and
+// those buffered on the hand-off channel.
+func freeLaneCount(p *Pool) int { return bits.OnesCount32(p.freeLanes.Load()) + len(p.lanes) }
 
 // TestCrashReleasesLanes guards the lane lease protocol: transactions
 // stranded by a crash must hand their lanes back when their
-// Commit/Abort fails, or a later Begin would wait forever on an empty
-// free-lane set.
+// Commit/Abort fails, or a later Begin would wait forever for a free
+// lane.
 func TestCrashReleasesLanes(t *testing.T) {
 	p, _ := createPool(t)
 	txs := make([]*Tx, TxLanes)
@@ -215,13 +219,34 @@ func TestAbortIOFailureRetiresLane(t *testing.T) {
 	}
 }
 
+// blockedClaims counts the goroutines blocked waiting for a lane.
+func blockedClaims() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		header, _, _ := strings.Cut(g, "\n")
+		if strings.Contains(header, "[chan receive") && strings.Contains(g, ".(*Pool).claimLane(") {
+			n++
+		}
+	}
+	return n
+}
+
 // waitForLaneWaiters fails the test unless n goroutines wait for a
 // lane within 2 s.
-func waitForLaneWaiters(t *testing.T, p *Pool, n int32) {
+func waitForLaneWaiters(t *testing.T, n int) {
 	t.Helper()
-	for deadline := time.Now().Add(2 * time.Second); p.laneWaiters.Load() < n; {
+	for deadline := time.Now().Add(2 * time.Second); blockedClaims() < n; {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines wait for a lane, want %d", p.laneWaiters.Load(), n)
+			t.Fatalf("%d goroutines wait for a lane, want %d", blockedClaims(), n)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -263,7 +288,7 @@ func TestUpdateWaitsForReleasedLane(t *testing.T) {
 		t.Fatalf("Update returned with every lane leased: %v", err)
 	case <-time.After(50 * time.Millisecond):
 	}
-	waitForLaneWaiters(t, p, 1)
+	waitForLaneWaiters(t, 1)
 	// The waiter holds no pool lock: Close, which takes it for write,
 	// returns, refusing since transactions are in flight.
 	closed := make(chan error, 1)
@@ -309,8 +334,8 @@ func TestUpdateWaitsForReleasedLane(t *testing.T) {
 
 // TestCrashWakesLaneWaiter: Begins waiting for a lane across
 // SimulateCrash return the crashed-pool error once one stranded Commit
-// fails and hands its lane back; each waiter that leaves without a lane
-// wakes the next. The other stranded Commits then free every lane.
+// fails and hands its lane back, each waiter handing it on as it
+// leaves. The other stranded Commits then free every lane.
 func TestCrashWakesLaneWaiter(t *testing.T) {
 	p, _ := createPool(t)
 	oid, err := p.Alloc(TxLanes * 64)
@@ -326,7 +351,7 @@ func TestCrashWakesLaneWaiter(t *testing.T) {
 			done <- err
 		}()
 	}
-	waitForLaneWaiters(t, p, waiters)
+	waitForLaneWaiters(t, waiters)
 	p.SimulateCrash()
 	if err := txs[0].Commit(); err == nil {
 		t.Fatal("commit on crashed pool succeeded")
@@ -374,7 +399,7 @@ func TestLaneWaiterFailsWhenEveryLaneRetired(t *testing.T) {
 		_, err := p.Begin()
 		done <- err
 	}()
-	waitForLaneWaiters(t, p, 1)
+	waitForLaneWaiters(t, 1)
 	fr.fail.Store(true)
 	for _, tx := range txs {
 		if err := tx.Abort(); err == nil {
@@ -399,5 +424,125 @@ func TestLaneWaiterFailsWhenEveryLaneRetired(t *testing.T) {
 	}
 	if got := p.activeTx(); got != 0 {
 		t.Errorf("activeTx = %d, want 0", got)
+	}
+}
+
+// TestReleasedLaneGoesToLongestWaiter: a released lane goes straight to
+// the Begin that has waited longest, not to a later waiter nor to a
+// Begin that arrives just after the release.
+func TestReleasedLaneGoesToLongestWaiter(t *testing.T) {
+	p, _ := createPool(t)
+	oid, err := p.Alloc(TxLanes * 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txs := leaseAllLanes(t, p, oid)
+	begin := func() chan *Tx {
+		c := make(chan *Tx, 1)
+		go func() {
+			tx, err := p.Begin()
+			if err != nil {
+				t.Error(err)
+			}
+			c <- tx
+		}()
+		return c
+	}
+	first := begin()
+	waitForLaneWaiters(t, 1)
+	second := begin()
+	waitForLaneWaiters(t, 2)
+	// Each commit frees one lane, and the longest waiter must get it.
+	// The Begin started right after the first commit is the newest
+	// claim and is served last.
+	var late chan *Tx
+	for i, want := range []string{"first", "second", "late"} {
+		if err := txs[i].Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if late == nil {
+			late = begin()
+		}
+		var got string
+		var tx *Tx
+		select {
+		case tx = <-first:
+			got = "first"
+		case tx = <-second:
+			got = "second"
+		case tx = <-late:
+			got = "late"
+		case <-time.After(2 * time.Second):
+			t.Fatalf("no waiter got the lane commit %d freed; want the %s", i, want)
+		}
+		if got != want {
+			t.Fatalf("commit %d's lane went to the %s waiter, want the %s", i, got, want)
+		}
+		waitForLaneWaiters(t, 2-i)
+		txs = append(txs, tx)
+	}
+	for _, tx := range txs[3:] {
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := freeLaneCount(p); got != TxLanes {
+		t.Errorf("free lanes = %d, want %d", got, TxLanes)
+	}
+	if got := p.activeTx(); got != 0 {
+		t.Errorf("activeTx = %d, want 0", got)
+	}
+}
+
+// TestLaneWaitBoundedWhenOversubscribed runs twice as many goroutines
+// as lanes, each yielding while it holds its lane, so every lane is
+// leased and Updates queue for lanes. Each commit hands its lane to the
+// longest waiter, and no claim takes a lane a waiter is owed, so while
+// one Update waits every other goroutine commits about once. The bound
+// allows twice that for the order in which the scheduler runs the
+// goroutines it hands lanes to; a waiter passed over by later claims
+// sees hundreds. It counts transactions, not time, so it holds on any
+// host, and one P keeps the count exact: no transaction commits while
+// the goroutine that counts is descheduled.
+func TestLaneWaitBoundedWhenOversubscribed(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	p, _ := createPool(t)
+	const workers, rounds = 2 * TxLanes, 50
+	oids := make([]OID, workers)
+	for i := range oids {
+		var err error
+		if oids[i], err = p.Alloc(64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var commits atomic.Int64
+	passed := make([]int64, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				before := commits.Load()
+				err := p.Update(oids[w], 0, 64, func(v []byte) error {
+					passed[w] = max(passed[w], commits.Load()-before)
+					v[0]++
+					runtime.Gosched()
+					return nil
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				commits.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := commits.Load(); got != workers*rounds {
+		t.Fatalf("commits = %d, want %d", got, workers*rounds)
+	}
+	if worst := slices.Max(passed); worst > 2*(workers-1) {
+		t.Errorf("an Update waited while %d transactions committed, want at most %d", worst, 2*(workers-1))
 	}
 }

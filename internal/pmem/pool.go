@@ -138,23 +138,24 @@ type Pool struct {
 	rootOff, rootSize uint64
 
 	// lane holds each undo-log lane's state. freeLanes is the set of
-	// lanes free to lease, bit i for lane i. A claim clears the lowest
-	// set bit by compare-and-swap, only while holding stateMu for read,
-	// so Close, holding it for write, sees exactly the lanes of live
-	// transactions leased; a release sets the bit again with one OR.
-	// A claim that finds no bit set drops stateMu and waits on
-	// laneFreed (lock laneMu; laneWaiters counts the waiters, so a
-	// release with none skips the lock). lanesLost counts lanes
-	// permanently retired after I/O failures mid-Abort: their undo
-	// entries must survive for recovery, so their bits stay clear.
-	// The lanes neither free nor lost carry open transactions
-	// (activeTx).
+	// free lanes, bit i for lane i: a claim clears the lowest set bit by
+	// compare-and-swap, holding stateMu for read, and a release sets its
+	// bit with one OR. A claim that finds no bit set counts itself in
+	// laneWaiters and waits on lanes with stateMu dropped. A release
+	// that finds goroutines waiting takes a free bit back at once and
+	// sends that lane on lanes, so it goes straight to the longest
+	// waiter; a lane sent when no waiter is left to take it stays
+	// buffered there, free, for the next claim that finds the set
+	// empty. lanesLost counts lanes permanently retired after I/O
+	// failures mid-Abort: their undo entries must survive for recovery,
+	// so they are never freed again, and the abandon that retires the
+	// last one closes lanes, failing every waiter. The lanes neither
+	// free nor lost carry open transactions (activeTx).
 	lane        [TxLanes]txLane
 	freeLanes   atomic.Uint32
-	lanesLost   atomic.Int32
+	lanes       chan *txLane
 	laneWaiters atomic.Int32
-	laneMu      sync.Mutex
-	laneFreed   sync.Cond
+	lanesLost   atomic.Int32
 
 	stats Stats
 }
@@ -179,13 +180,15 @@ func (p *Pool) initLanes() {
 		p.lane[i].idx = uint64(i)
 	}
 	p.freeLanes.Store(1<<TxLanes - 1)
-	p.laneFreed.L = &p.laneMu
+	p.lanes = make(chan *txLane, TxLanes)
 }
 
 // activeTx counts open transactions: the lanes neither free nor lost.
-// It is exact for a caller holding stateMu for write.
+// For a caller holding stateMu for write it counts, besides the live
+// transactions, only a lane a waiting Begin has just been handed and
+// has yet to mark active.
 func (p *Pool) activeTx() int {
-	return TxLanes - bits.OnesCount32(p.freeLanes.Load()) - int(p.lanesLost.Load())
+	return TxLanes - bits.OnesCount32(p.freeLanes.Load()) - len(p.lanes) - int(p.lanesLost.Load())
 }
 
 // Create initialises a new pool with the given layout name on region,

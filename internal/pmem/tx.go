@@ -26,7 +26,7 @@ import (
 // Concurrency. The log region [logOff, logOff+logSize) is carved into
 // TxLanes equal lanes, one per in-flight transaction — the multi-lane
 // analogue of PMDK's per-thread transaction scopes. Begin claims a free
-// lane (waiting when all are busy), AddRange/Commit/Abort touch only
+// lane (blocking when all are busy), AddRange/Commit/Abort touch only
 // that lane, and recovery walks every lane: any subset of transactions
 // torn by a crash rolls back independently. Transactions on disjoint
 // objects therefore run and commit fully in parallel; single-writer
@@ -126,9 +126,10 @@ func (p *Pool) laneBase(lane uint64) uint64 { return p.logOff + lane*p.laneSize(
 
 // Begin opens a transaction (TX_BEGIN), claiming a free undo-log lane.
 // When all TxLanes lanes carry in-flight transactions, Begin waits,
-// holding no pool lock, until one commits or aborts; it fails once
-// every lane is lost. The Tx is fresh, so one kept after it finishes
-// keeps failing and never touches the lane's next transaction.
+// holding no pool lock, until one commits or aborts; waiters get lanes
+// in the order they began to wait. Begin fails once every lane is
+// lost. The Tx is fresh, so one kept after it finishes keeps failing
+// and never touches the lane's next transaction.
 func (p *Pool) Begin() (*Tx, error) {
 	p.stateMu.RLock()
 	l, err := p.claimLane()
@@ -141,38 +142,44 @@ func (p *Pool) Begin() (*Tx, error) {
 
 // claimLane takes a free lane, resets its state and marks it active,
 // with no entries, on media. The caller holds stateMu for read. When
-// every lane is leased, claimLane drops the lock to wait and takes it
-// again: a waiter holding it would keep Close and SimulateCrash from
-// running, and with them the stranded transactions it waits on from
-// finishing.
+// no lane is free, claimLane drops the lock to wait for one and takes
+// it again: a waiter holding it would keep Close and SimulateCrash
+// from running, and with them the stranded transactions it waits on
+// from finishing.
 func (p *Pool) claimLane() (*txLane, error) {
-	for waited := false; ; waited = true {
-		err := p.checkLive("tx-begin")
-		if err == nil && p.lanesLost.Load() >= TxLanes {
-			err = &TxError{Op: "begin", Why: "all undo-log lanes lost to I/O failures; reopen the pool to recover"}
+	if err := p.checkLive("tx-begin"); err != nil {
+		return nil, err
+	}
+	l := p.takeLane()
+	if l == nil {
+		// A waiter counts itself before it looks at the set again, and
+		// putLane sets its bit before it reads the count, so one of the
+		// two sees the other and no lane stays free while a waiter waits.
+		p.laneWaiters.Add(1)
+		if l = p.takeLane(); l == nil {
+			p.stateMu.RUnlock()
+			l = <-p.lanes
+			p.stateMu.RLock()
 		}
-		if err != nil {
-			if waited {
-				// The wake this waiter took may have been the only
-				// one; pass it on to the next waiter.
-				p.wakeLaneWaiter()
+		p.laneWaiters.Add(-1)
+		if err := p.checkLive("tx-begin"); err != nil {
+			if l != nil {
+				p.putLane(l)
 			}
 			return nil, err
 		}
-		if l := p.takeLane(); l != nil {
-			l.cursor, l.count, l.ranges = laneHeaderSize, 0, l.ranges[:0]
-			// Mark the lane active, with no entries, before any entry
-			// lands.
-			if err := p.laneWriteHeader(l, logActive); err != nil {
-				p.putLane(l)
-				return nil, err
-			}
-			return l, nil
+		if l == nil {
+			// lanes is closed: the last lane was lost.
+			return nil, &TxError{Op: "begin", Why: "all undo-log lanes lost to I/O failures; reopen the pool to recover"}
 		}
-		p.stateMu.RUnlock()
-		p.waitLane()
-		p.stateMu.RLock()
 	}
+	l.cursor, l.count, l.ranges = laneHeaderSize, 0, l.ranges[:0]
+	// Mark the lane active, with no entries, before any entry lands.
+	if err := p.laneWriteHeader(l, logActive); err != nil {
+		p.putLane(l)
+		return nil, err
+	}
+	return l, nil
 }
 
 // takeLane clears the lowest bit of the free-lane set and returns its
@@ -189,37 +196,20 @@ func (p *Pool) takeLane() *txLane {
 	}
 }
 
-// putLane returns a lane to the free-lane set and wakes one waiter.
+// putLane frees a lane. When goroutines wait for one, it takes a free
+// lane back at once and sends it to the longest waiter.
 func (p *Pool) putLane(l *txLane) {
 	p.freeLanes.Or(1 << l.idx)
-	p.wakeLaneWaiter()
-}
-
-// waitLane blocks until a lane is free or every lane is lost; the
-// caller holds no pool lock. A waiter counts itself before it reads
-// the set, and putLane sets its bit before it reads the count, so one
-// of the two sees the other and no wake is lost.
-func (p *Pool) waitLane() {
-	p.laneMu.Lock()
-	p.laneWaiters.Add(1)
-	for p.freeLanes.Load() == 0 && p.lanesLost.Load() < TxLanes {
-		p.laneFreed.Wait()
+	if p.laneWaiters.Load() == 0 {
+		return
 	}
-	p.laneWaiters.Add(-1)
-	p.laneMu.Unlock()
-}
-
-// wakeLaneWaiter wakes one goroutine in waitLane, if any waits.
-func (p *Pool) wakeLaneWaiter() {
-	if p.laneWaiters.Load() != 0 {
-		p.laneMu.Lock()
-		p.laneFreed.Signal()
-		p.laneMu.Unlock()
+	if l = p.takeLane(); l != nil {
+		p.lanes <- l
 	}
 }
 
-// release returns the transaction's lane to the free-lane set; called
-// once per Tx, when it finishes cleanly or the pool is dead.
+// release returns the transaction's lane; called once per Tx, when it
+// finishes cleanly or the pool is dead.
 func (tx *Tx) release() {
 	tx.done = true
 	tx.p.putLane(tx.lane)
@@ -230,13 +220,13 @@ func (tx *Tx) release() {
 // copy of the pre-transaction state, so the lane must stay out of
 // circulation (a new transaction claiming it would overwrite them)
 // until recovery at the next Open replays it. Each abandonment
-// permanently costs one lane; Begin reports when none remain, and the
-// last one wakes a waiter so it can report it too (each waiter that
-// leaves without a lane wakes the next).
+// permanently costs one lane; Begin reports when none remain. The last
+// one closes lanes, which no lane can be sent on any more, so every
+// Begin waiting for a lane wakes and fails.
 func (tx *Tx) abandon() {
 	tx.done = true
-	if tx.p.lanesLost.Add(1) >= TxLanes {
-		tx.p.wakeLaneWaiter()
+	if tx.p.lanesLost.Add(1) == TxLanes {
+		close(tx.p.lanes)
 	}
 }
 

@@ -195,7 +195,8 @@ func TestBurstAcrossTwoWindows(t *testing.T) {
 
 func TestBurstPoisonedLineFailsWhole(t *testing.T) {
 	rp, dev := burstPort(t, 1<<20)
-	dev.SetPoisonChecker(func(dpa uint64) bool { return dpa == 2*uint64(LineSize) })
+	const poisoned = 2 * uint64(LineSize)
+	dev.SetPoisonChecker(func(dpa, n uint64) bool { return dpa <= poisoned && poisoned < dpa+n })
 	buf := make([]byte, 4*LineSize)
 	if err := rp.ReadBurst(0, buf); err == nil {
 		t.Error("burst over poisoned line accepted")
@@ -207,21 +208,21 @@ func TestBurstPoisonedLineFailsWhole(t *testing.T) {
 }
 
 // TestSetPoisonCheckerInvalidatesSpanHook guards hook consistency: a
-// custom per-line checker installed after the mailbox must govern
-// bursts too — the mailbox's span hook may not linger and mask it.
+// custom checker installed after the mailbox must govern lines and
+// bursts alike — the mailbox's probe may not linger and mask it.
 func TestSetPoisonCheckerInvalidatesSpanHook(t *testing.T) {
 	rp, dev := burstPort(t, 1<<20)
 	if _, err := NewMailbox(dev, "fw"); err != nil {
 		t.Fatal(err)
 	}
-	dev.SetPoisonChecker(func(dpa uint64) bool { return dpa == 0 })
+	dev.SetPoisonChecker(func(dpa, n uint64) bool { return dpa == 0 })
 	buf := make([]byte, 4*LineSize)
 	if err := rp.ReadBurst(0, buf); err == nil {
-		t.Error("contiguous burst ignored the custom per-line checker")
+		t.Error("contiguous burst ignored the custom checker")
 	}
 	var line [LineSize]byte
 	if err := rp.ReadLine(0, &line); err == nil {
-		t.Error("line read ignored the custom per-line checker")
+		t.Error("line read ignored the custom checker")
 	}
 }
 

@@ -76,10 +76,9 @@ type Type3Device struct {
 	cfg   ConfigSpace
 	stats MemStats
 
-	mu           sync.RWMutex
-	decoders     []*HDMDecoder
-	poisoned     func(dpa uint64) bool
-	poisonedSpan func(dpa, n uint64) bool
+	mu       sync.RWMutex
+	decoders []*HDMDecoder
+	poisoned func(dpa, n uint64) bool
 	// snap caches an immutable copy of the decoder list and RAS hooks:
 	// every transaction reads it, and must not pay a read-lock round
 	// trip for configuration that changes only at enumeration time.
@@ -87,8 +86,7 @@ type Type3Device struct {
 }
 
 // deviceSnapshot is the immutable hot-path view of the device config:
-// the decoders and one span-granular poison probe, nil when no RAS hook
-// is installed.
+// the decoders and the poison probe, nil when no RAS hook is installed.
 type deviceSnapshot struct {
 	decoders []*HDMDecoder
 	poisoned func(dpa, n uint64) bool
@@ -97,22 +95,9 @@ type deviceSnapshot struct {
 // noConfig is the snapshot of a device nothing has been programmed on.
 var noConfig deviceSnapshot
 
-// publish refreshes the hot-path snapshot; callers hold d.mu. The probe
-// is the span checker when one is installed, otherwise the per-line
-// checker applied line by line.
+// publish refreshes the hot-path snapshot; callers hold d.mu.
 func (d *Type3Device) publish() {
-	s := &deviceSnapshot{decoders: d.decoders, poisoned: d.poisonedSpan}
-	if line := d.poisoned; s.poisoned == nil && line != nil {
-		s.poisoned = func(dpa, n uint64) bool {
-			for off := uint64(0); off < n; off += uint64(LineSize) {
-				if line(dpa + off) {
-					return true
-				}
-			}
-			return false
-		}
-	}
-	d.snap.Store(s)
+	d.snap.Store(&deviceSnapshot{decoders: d.decoders, poisoned: d.poisoned})
 }
 
 // snapshot returns the current hot-path view.
@@ -400,28 +385,14 @@ func (d *Type3Device) burstByLine(s *deviceSnapshot, write bool, hpa uint64, pay
 }
 
 // SetPoisonChecker installs the RAS hook consulted on every HDM access
-// (the device Mailbox registers its poison list here).
-func (d *Type3Device) SetPoisonChecker(f func(dpa uint64) bool) {
+// (the device Mailbox registers its poison list here): f reports
+// whether any line of [dpa, dpa+n) is poisoned. A line op asks about
+// its own line, a burst over one contiguous DPA span asks once about
+// the whole span, and a burst served line by line asks per line.
+func (d *Type3Device) SetPoisonChecker(f func(dpa, n uint64) bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.poisoned = f
-	// The span checker is a companion of the per-line hook it was
-	// installed with; a new per-line hook invalidates it, otherwise a
-	// contiguous burst would consult the stale span hook and skip the
-	// new checker entirely. Callers wanting the fast path back install
-	// a matching span checker after this call.
-	d.poisonedSpan = nil
-	d.publish()
-}
-
-// SetPoisonSpanChecker installs an optional span-granular companion to
-// the per-line RAS hook: it must report whether any line of
-// [dpa, dpa+n) is poisoned. Burst transactions over a contiguous span
-// consult it once instead of calling the per-line hook per line.
-func (d *Type3Device) SetPoisonSpanChecker(f func(dpa, n uint64) bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.poisonedSpan = f
 	d.publish()
 }
 

@@ -425,7 +425,7 @@ func equivDevices(t *testing.T, window, poisoned uint64) (direct, framed *Type3D
 		if err := d.ProgramDecoder(&HDMDecoder{Base: 0, Size: window}); err != nil {
 			t.Fatal(err)
 		}
-		d.SetPoisonChecker(func(dpa uint64) bool { return dpa == poisoned })
+		d.SetPoisonChecker(func(dpa, n uint64) bool { return dpa <= poisoned && poisoned < dpa+n })
 		return d
 	}
 	direct, framed = newDev(), newDev()

@@ -392,86 +392,27 @@ func (s *InterleaveSet) runLeg(leg int, write bool, hpa uint64, p []byte) error 
 	return nil
 }
 
-// ReadAt copies len(p) bytes from HPA off, mirroring RootPort.ReadAt:
-// unaligned head and tail fragments, and an aligned interior of one
-// line, go as line transactions through the owning leg, a longer
-// interior as striped bursts.
-func (s *InterleaveSet) ReadAt(p []byte, off int64) error {
-	hpa := uint64(off)
-	if lo := int(hpa % uint64(LineSize)); lo != 0 {
-		n := LineSize - lo
-		if n > len(p) {
-			n = len(p)
-		}
-		if err := s.smallAccess(false, hpa, p[:n]); err != nil {
-			return err
-		}
-		p = p[n:]
-		hpa += uint64(n)
-	}
-	if n := len(p) &^ (LineSize - 1); n > 0 {
-		var err error
-		if n == LineSize {
-			err = s.ReadLine(hpa, (*[LineSize]byte)(p))
-		} else {
-			err = s.do(false, hpa, p[:n])
-		}
-		if err != nil {
-			return err
-		}
-		p = p[n:]
-		hpa += uint64(n)
-	}
-	if len(p) > 0 {
-		return s.smallAccess(false, hpa, p)
-	}
-	return nil
+// ReadAt copies len(p) bytes from HPA off, split by readAt: head and
+// tail fragments, and an aligned interior of one line, go as line
+// transactions through the owning leg, a longer interior as striped
+// bursts.
+func (s *InterleaveSet) ReadAt(p []byte, off int64) error { return readAt(s, p, off) }
+
+// WriteAt stores p at HPA off, split by writeAt: head and tail fragments
+// become byte-masked partial writes on the owning leg, an interior of
+// one line a MemWr on it, and a longer interior striped bursts.
+func (s *InterleaveSet) WriteAt(p []byte, off int64) error { return writeAt(s, p, off) }
+
+// readPartial reads a sub-line fragment through the leg owning the line
+// at base; a line never crosses a granule.
+func (s *InterleaveSet) readPartial(base uint64, lo int, p []byte) error {
+	return s.Route(base).readPartial(base, lo, p)
 }
 
-// WriteAt stores p at HPA off: head/tail fragments become byte-masked
-// partial writes on the owning leg, an interior of one line a MemWr on
-// it, and a longer interior striped bursts.
-func (s *InterleaveSet) WriteAt(p []byte, off int64) error {
-	hpa := uint64(off)
-	if lo := int(hpa % uint64(LineSize)); lo != 0 {
-		n := LineSize - lo
-		if n > len(p) {
-			n = len(p)
-		}
-		if err := s.smallAccess(true, hpa, p[:n]); err != nil {
-			return err
-		}
-		p = p[n:]
-		hpa += uint64(n)
-	}
-	if n := len(p) &^ (LineSize - 1); n > 0 {
-		var err error
-		if n == LineSize {
-			err = s.WriteLine(hpa, (*[LineSize]byte)(p))
-		} else {
-			err = s.do(true, hpa, p[:n])
-		}
-		if err != nil {
-			return err
-		}
-		p = p[n:]
-		hpa += uint64(n)
-	}
-	if len(p) > 0 {
-		return s.smallAccess(true, hpa, p)
-	}
-	return nil
-}
-
-// smallAccess moves a sub-line fragment through the owning leg.
-// Fragments never cross a line (let alone a granule), so the start
-// address alone picks the leg.
-func (s *InterleaveSet) smallAccess(write bool, hpa uint64, p []byte) error {
-	rp := s.Route(hpa)
-	if write {
-		return rp.WriteAt(p, int64(hpa))
-	}
-	return rp.ReadAt(p, int64(hpa))
+// writePartial writes a sub-line fragment through the leg owning the
+// line at base.
+func (s *InterleaveSet) writePartial(base uint64, lo int, p []byte) error {
+	return s.Route(base).writePartial(base, lo, p)
 }
 
 func (s *InterleaveSet) String() string {

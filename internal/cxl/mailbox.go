@@ -160,7 +160,7 @@ type Mailbox struct {
 	poison map[uint64]bool // line-aligned DPAs
 	fwRev  string
 	dcd    DCDBackend
-	// npoison mirrors len(poison) so IsPoisoned — which runs on every
+	// npoison mirrors len(poison) so HasPoisonIn — which runs on every
 	// HDM access — can skip the lock while the list is empty.
 	npoison atomic.Int64
 	// fault, when set, intercepts commands before execution: it may
@@ -182,8 +182,7 @@ func NewMailbox(dev *Type3Device, firmwareRev string) (*Mailbox, error) {
 		firmwareRev = "sim-1.0"
 	}
 	m := &Mailbox{dev: dev, poison: make(map[uint64]bool), fwRev: firmwareRev}
-	dev.SetPoisonChecker(m.IsPoisoned)
-	dev.SetPoisonSpanChecker(m.HasPoisonIn)
+	dev.SetPoisonChecker(m.HasPoisonIn)
 	return m, nil
 }
 
@@ -378,8 +377,8 @@ func (m *Mailbox) sanitize() error {
 }
 
 // HasPoisonIn reports whether any line of [dpa, dpa+n) is on the
-// poison list — the span-granular RAS hook burst transactions consult.
-// The empty-list fast path is a single lock-free load.
+// poison list — the device's poison probe, which every HDM access
+// consults. The empty-list fast path is a single lock-free load.
 func (m *Mailbox) HasPoisonIn(dpa, n uint64) bool {
 	if m.npoison.Load() == 0 {
 		return false
@@ -394,9 +393,9 @@ func (m *Mailbox) HasPoisonIn(dpa, n uint64) bool {
 	return false
 }
 
-// IsPoisoned reports whether a line-aligned DPA is on the poison list.
-// The empty-list fast path is lock-free: this hook runs on every HDM
-// access the device services.
+// IsPoisoned reports whether a line-aligned DPA is on the poison list,
+// the per-line form RAS patrol reads. The empty-list fast path is
+// lock-free.
 func (m *Mailbox) IsPoisoned(dpa uint64) bool {
 	if m.npoison.Load() == 0 {
 		return false

@@ -47,6 +47,95 @@ var (
 	_ MemIO = (*windowIO)(nil)
 )
 
+// lineIO is a port-backed MemIO as the span splitter sees it: its line
+// and burst transactions, plus the sub-line read and MemWrPtl write of
+// the line at base that carry a span's unaligned head and tail.
+// RootPort and InterleaveSet split spans the same way through it.
+type lineIO interface {
+	ReadLine(hpa uint64, out *[LineSize]byte) error
+	WriteLine(hpa uint64, data *[LineSize]byte) error
+	ReadBurst(hpa uint64, p []byte) error
+	WriteBurst(hpa uint64, p []byte) error
+	// readPartial fills p from byte lo of the line at base.
+	readPartial(base uint64, lo int, p []byte) error
+	// writePartial stores p at byte lo of the line at base.
+	writePartial(base uint64, lo int, p []byte) error
+}
+
+// readAt copies len(p) bytes from HPA off through io: an unaligned head
+// and a partial tail each as one sub-line read, a line-aligned interior
+// of one line as a line read and a longer one as a burst, so bulk
+// transfers cost O(bytes) instead of O(lines × codec round trips). An
+// empty span issues no transaction.
+func readAt(io lineIO, p []byte, off int64) error {
+	if len(p) == 0 {
+		return nil
+	}
+	hpa := uint64(off)
+	if lo := int(hpa % uint64(LineSize)); lo != 0 {
+		n := min(LineSize-lo, len(p))
+		if err := io.readPartial(hpa-uint64(lo), lo, p[:n]); err != nil {
+			return err
+		}
+		p = p[n:]
+		hpa += uint64(n)
+	}
+	if n := len(p) &^ (LineSize - 1); n > 0 {
+		var err error
+		if n == LineSize {
+			err = io.ReadLine(hpa, (*[LineSize]byte)(p))
+		} else {
+			err = io.ReadBurst(hpa, p[:n])
+		}
+		if err != nil {
+			return err
+		}
+		p = p[n:]
+		hpa += uint64(n)
+	}
+	if len(p) > 0 {
+		return io.readPartial(hpa, 0, p)
+	}
+	return nil
+}
+
+// writeAt stores p at HPA off through io, split as readAt splits: the
+// unaligned head and the partial tail become MemWrPtl writes under a
+// byte mask, exactly as a write-combining host interface would, and the
+// interior a line write or a burst. An empty span issues no
+// transaction.
+func writeAt(io lineIO, p []byte, off int64) error {
+	if len(p) == 0 {
+		return nil
+	}
+	hpa := uint64(off)
+	if lo := int(hpa % uint64(LineSize)); lo != 0 {
+		n := min(LineSize-lo, len(p))
+		if err := io.writePartial(hpa-uint64(lo), lo, p[:n]); err != nil {
+			return err
+		}
+		p = p[n:]
+		hpa += uint64(n)
+	}
+	if n := len(p) &^ (LineSize - 1); n > 0 {
+		var err error
+		if n == LineSize {
+			err = io.WriteLine(hpa, (*[LineSize]byte)(p))
+		} else {
+			err = io.WriteBurst(hpa, p[:n])
+		}
+		if err != nil {
+			return err
+		}
+		p = p[n:]
+		hpa += uint64(n)
+	}
+	if len(p) > 0 {
+		return io.writePartial(hpa, 0, p)
+	}
+	return nil
+}
+
 // NewDeviceIO adapts a raw media device to MemIO — the data path for
 // direct-attached (non-CXL) tiers, so consumers drive DRAM and fabric
 // memory through one interface.

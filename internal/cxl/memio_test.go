@@ -118,3 +118,55 @@ func TestMemIOContract(t *testing.T) {
 		})
 	}
 }
+
+// TestEmptySpanIssuesNoTransaction checks that a zero-length ReadAt or
+// WriteAt on either port-backed MemIO moves nothing: no transaction is
+// issued on any port and no device counter moves, at a line-aligned
+// offset and inside a line alike.
+func TestEmptySpanIssuesNoTransaction(t *testing.T) {
+	port, dev := burstPort(t, 1<<20)
+	set, devs := testInterleaveSet(t, 2, DefaultInterleaveGranule)
+	cases := []struct {
+		name  string
+		io    MemIO
+		base  uint64
+		ports []*RootPort
+		devs  []*Type3Device
+	}{
+		{"port", port, 0, []*RootPort{port}, []*Type3Device{dev}},
+		{"interleave", set, set.Base(), set.Ports(), devs},
+	}
+	type counts struct {
+		issued                                      int64
+		reads, writes, partials, bursts, lines, err int64
+	}
+	snap := func(ports []*RootPort, devs []*Type3Device) (c counts) {
+		for _, rp := range ports {
+			c.issued += rp.Stats().Issued
+		}
+		for _, d := range devs {
+			st := d.Stats()
+			c.reads += st.Reads.Load()
+			c.writes += st.Writes.Load()
+			c.partials += st.PartialWrites.Load()
+			c.bursts += st.ReadBursts.Load() + st.WriteBursts.Load()
+			c.lines += st.BurstLines.Load()
+			c.err += st.Errors.Load()
+		}
+		return c
+	}
+	for _, c := range cases {
+		for _, off := range []uint64{5, uint64(LineSize), 2*uint64(LineSize) + 63} {
+			before := snap(c.ports, c.devs)
+			if err := c.io.WriteAt(nil, int64(c.base+off)); err != nil {
+				t.Errorf("%s: WriteAt(nil, base+%d) = %v", c.name, off, err)
+			}
+			if err := c.io.ReadAt([]byte{}, int64(c.base+off)); err != nil {
+				t.Errorf("%s: ReadAt(empty, base+%d) = %v", c.name, off, err)
+			}
+			if after := snap(c.ports, c.devs); after != before {
+				t.Errorf("%s: empty spans at base+%d moved counters %+v -> %+v", c.name, off, before, after)
+			}
+		}
+	}
+}

@@ -8,7 +8,6 @@ import (
 
 	"cxlpmem/internal/interconnect"
 	"cxlpmem/internal/memdev"
-	"cxlpmem/internal/telemetry"
 )
 
 // LinkState tracks root-port link training.
@@ -94,18 +93,21 @@ type PortStats struct {
 	VCs [NumVCs]VCStat
 }
 
-// portHooks is the immutable snapshot of the port's per-flit hooks. The
-// hot path loads it once per transaction, so the fault hook can be
-// swapped at runtime while traffic is in flight: every transaction sees
-// either the old snapshot or the new one, never a torn mix.
+// portHooks is the immutable snapshot of the port's per-flit hooks and
+// telemetry, nil when neither is installed. The hot path loads it once
+// per transaction, so the fault hook and telemetry can be swapped at
+// runtime while traffic is in flight: every transaction sees either the
+// old snapshot or the new one, never a torn mix.
 type portHooks struct {
 	fault func(Flit) Flit
-	// rec, when non-nil, is the flight recorder that force-captures
-	// CRC-failed flits regardless of sampling (see telemetry.go). It is
-	// set only on the tap-built hook variants, never by SetFault.
-	rec *telemetry.FlightRecorder
-	// recordAll makes pass record every flit into rec: the variant a
-	// sampled transaction rides.
+	// tapConfig is the telemetry wiring, zero when telemetry is off. Its
+	// recorder, when non-nil, force-captures CRC-failed flits regardless
+	// of sampling (see telemetry.go).
+	tapConfig
+	// sampled is the variant a sampled transaction rides: this snapshot
+	// with recordAll set, which makes pass record every flit into rec.
+	// Nil when telemetry is off, and on the sampled variant itself.
+	sampled   *portHooks
 	recordAll bool
 }
 
@@ -157,9 +159,9 @@ type RootPort struct {
 	mu    sync.Mutex
 	sess  atomic.Pointer[portSession]
 	hooks atomic.Pointer[portHooks]
-	// tap is the telemetry snapshot (nil when telemetry is off); tapCfg
-	// is its cold-path wiring, guarded by mu. See telemetry.go.
-	tap    atomic.Pointer[portTap]
+	// fault and tapCfg are the cold fields hooks is built from (nil when
+	// not installed), guarded by mu. See telemetry.go.
+	fault  func(Flit) Flit
 	tapCfg *tapConfig
 
 	// cfg is the resolved PortOptions snapshot; the data path only loads
@@ -326,14 +328,26 @@ func (rp *RootPort) Endpoint() Endpoint {
 func (rp *RootPort) SetFault(f func(Flit) Flit) {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
-	var h portHooks
-	if cur := rp.hooks.Load(); cur != nil {
-		h = *cur
+	rp.fault = f
+	rp.publishHooksLocked()
+}
+
+// publishHooksLocked rebuilds the hook snapshot from the fault hook and
+// the telemetry wiring, and its sampled variant when telemetry is on.
+// Callers hold rp.mu.
+func (rp *RootPort) publishHooksLocked() {
+	if rp.fault == nil && rp.tapCfg == nil {
+		rp.hooks.Store(nil)
+		return
 	}
-	h.fault = f
-	rp.hooks.Store(&h)
-	// The prebuilt telemetry variants carry the fault hook too.
-	rp.rebuildTapLocked()
+	h := &portHooks{fault: rp.fault}
+	if rp.tapCfg != nil {
+		h.tapConfig = *rp.tapCfg
+		sampled := *h
+		sampled.recordAll = true
+		h.sampled = &sampled
+	}
+	rp.hooks.Store(h)
 }
 
 // Attach trains the link against ep. Training succeeds only if the
@@ -463,7 +477,7 @@ func (rp *RootPort) transact(op MemOpcode, addr, mask uint64, p []byte, lo int, 
 	if err != nil {
 		return portErr(rp.name, op.String(), addr, err, err.Error())
 	}
-	hk, hist, t0 := rp.tapPick(seq, rp.hooks.Load(), op)
+	hk, hist, t0 := rp.hooks.Load().pick(seq, op)
 	m := wireMsg{
 		op:   op,
 		lo:   uint8(lo),
@@ -800,44 +814,8 @@ func (rp *RootPort) moveBeats(s *portSession, hk *portHooks, vc *portVC, fr *fra
 	return nil
 }
 
-// ReadAt copies len(p) bytes from HPA off. Unaligned heads/tails are
-// handled with full-line reads; the line-aligned interior streams
-// through the burst path, so bulk transfers cost O(bytes) instead of
-// O(lines × codec round trips).
-func (rp *RootPort) ReadAt(p []byte, off int64) error {
-	hpa := uint64(off)
-	// Unaligned head: one full-line read, copy the covered part.
-	if lo := int(hpa % uint64(LineSize)); lo != 0 {
-		n := LineSize - lo
-		if n > len(p) {
-			n = len(p)
-		}
-		if err := rp.readPartial(hpa-uint64(lo), lo, p[:n]); err != nil {
-			return err
-		}
-		p = p[n:]
-		hpa += uint64(n)
-	}
-	// Line-aligned interior: burst.
-	if n := len(p) &^ (LineSize - 1); n > 0 {
-		var err error
-		if n == LineSize {
-			err = rp.ReadLine(hpa, (*[LineSize]byte)(p))
-		} else {
-			err = rp.ReadBurst(hpa, p[:n])
-		}
-		if err != nil {
-			return err
-		}
-		p = p[n:]
-		hpa += uint64(n)
-	}
-	// Partial tail.
-	if len(p) > 0 {
-		return rp.readPartial(hpa, 0, p)
-	}
-	return nil
-}
+// ReadAt copies len(p) bytes from HPA off, split by readAt.
+func (rp *RootPort) ReadAt(p []byte, off int64) error { return readAt(rp, p, off) }
 
 // readPartial fills p from offset lo of the line at base, staged
 // through a line on the stack.
@@ -848,42 +826,5 @@ func (rp *RootPort) readPartial(base uint64, lo int, p []byte) error {
 	return err
 }
 
-// WriteAt stores p at HPA off. Full interior lines stream through the
-// burst path; unaligned head/tail lines use MemWrPtl with a byte mask,
-// exactly as a write-combining host interface would.
-func (rp *RootPort) WriteAt(p []byte, off int64) error {
-	hpa := uint64(off)
-	// Unaligned head: partial write under a mask.
-	if lo := int(hpa % uint64(LineSize)); lo != 0 {
-		n := LineSize - lo
-		if n > len(p) {
-			n = len(p)
-		}
-		if err := rp.writePartial(hpa-uint64(lo), lo, p[:n]); err != nil {
-			return err
-		}
-		p = p[n:]
-		hpa += uint64(n)
-	}
-	// Line-aligned interior: burst.
-	if n := len(p) &^ (LineSize - 1); n > 0 {
-		var err error
-		if n == LineSize {
-			err = rp.WriteLine(hpa, (*[LineSize]byte)(p))
-		} else {
-			err = rp.WriteBurst(hpa, p[:n])
-		}
-		if err != nil {
-			return err
-		}
-		p = p[n:]
-		hpa += uint64(n)
-	}
-	// Partial tail.
-	if len(p) > 0 {
-		if err := rp.writePartial(hpa, 0, p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// WriteAt stores p at HPA off, split by writeAt.
+func (rp *RootPort) WriteAt(p []byte, off int64) error { return writeAt(rp, p, off) }

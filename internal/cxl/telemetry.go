@@ -15,18 +15,19 @@ import (
 // bookkeeping cannot meet that (a 4 KiB burst moves ~66 flits), so the
 // port taps per *transaction*: the transaction's VC sequence number
 // picks every N-th one, and only that sampled transaction pays the clock
-// reads and rides the hook variant whose recordAll flag makes pass
-// record every flit into the flight recorder. Unsampled transactions
-// ride a variant that differs from the port's own hooks only in
-// carrying the recorder, at the cost of one atomic pointer load and a
-// mask test; through it CRC-failed flits are force-recorded regardless
-// of sampling (flitErr below), so the flight recorder never misses the
-// wire history that health events are made of. With telemetry disabled
-// the data path pays a single nil pointer load.
+// reads and rides the snapshot's sampled variant, whose recordAll flag
+// makes pass record every flit into the flight recorder. Unsampled
+// transactions ride the snapshot itself, which carries the recorder, at
+// the cost of a mask test on the snapshot the transaction loads anyway;
+// through it CRC-failed flits are force-recorded regardless of sampling
+// (flitErr below), so the flight recorder never misses the wire history
+// that health events are made of. With neither telemetry nor a fault
+// hook installed the snapshot is nil.
 //
-// The sampled/unsampled hook variants are prebuilt off the hot path:
-// EnableTelemetry and every SetFault swap rebuild them under rp.mu, and
-// the data path picks one with no allocation.
+// The snapshot and its sampled variant are built off the hot path:
+// EnableTelemetry, DisableTelemetry and every SetFault swap rebuild them
+// under rp.mu (publishHooksLocked), and the data path picks one with no
+// allocation.
 
 // DefaultSampleN is the default transaction sampling rate (1-in-N).
 const DefaultSampleN = 64
@@ -51,17 +52,8 @@ type tapConfig struct {
 	latBurst *telemetry.Histogram
 }
 
-// portTap is the hot-path telemetry snapshot: the config plus the two
-// prebuilt hook variants. Published atomically beside rp.hooks; the
-// data path loads it once per transaction.
-type portTap struct {
-	tapConfig
-	sampled   *portHooks
-	unsampled *portHooks
-}
-
 // histFor picks the latency histogram for a transaction's opcode.
-func (t *portTap) histFor(op MemOpcode) *telemetry.Histogram {
+func (t *tapConfig) histFor(op MemOpcode) *telemetry.Histogram {
 	switch op {
 	case OpMemRdBurst, OpMemWrBurst:
 		return t.latBurst
@@ -105,40 +97,18 @@ func (h *portHooks) flitErr(f *Flit) {
 	}
 }
 
-// rebuildTapLocked derives the sampled/unsampled hook variants from the
-// port's current hooks and publishes them. Callers hold rp.mu.
-func (rp *RootPort) rebuildTapLocked() {
-	cfg := rp.tapCfg
-	if cfg == nil {
-		rp.tap.Store(nil)
-		return
-	}
-	var unsampled portHooks
-	if cur := rp.hooks.Load(); cur != nil {
-		unsampled = *cur
-	}
-	unsampled.rec = cfg.rec
-	sampled := unsampled
-	sampled.recordAll = true
-	rp.tap.Store(&portTap{tapConfig: *cfg, sampled: &sampled, unsampled: &unsampled})
-}
-
-// tapPick selects the hook variant for one transaction and, when the
+// pick selects the hook variant for one transaction and, when the
 // transaction is sampled, returns the histogram to record into and the
 // start time. The sampling clock is the transaction's sequence number
-// on its VC, already taken, so the unsampled fast path costs one atomic
-// pointer load and a mask test, no extra atomic traffic.
-func (rp *RootPort) tapPick(seq uint64, hk *portHooks, op MemOpcode) (*portHooks, *telemetry.Histogram, time.Time) {
-	tap := rp.tap.Load()
-	if tap == nil {
-		return hk, nil, time.Time{}
+// on its VC, already taken, so the unsampled fast path costs a mask
+// test, no extra atomic traffic. h may be nil: no hooks, no telemetry.
+func (h *portHooks) pick(seq uint64, op MemOpcode) (*portHooks, *telemetry.Histogram, time.Time) {
+	// Phase-shifted so sequence number 0 — the first transaction on a
+	// VC — is not unconditionally sampled at any rate.
+	if h == nil || h.sampled == nil || (seq+1)&h.mask != 0 {
+		return h, nil, time.Time{}
 	}
-	if (seq+1)&tap.mask != 0 {
-		// Phase-shifted so sequence number 0 — the first transaction on
-		// a VC — is not unconditionally sampled at any rate.
-		return tap.unsampled, nil, time.Time{}
-	}
-	return tap.sampled, tap.histFor(op), time.Now()
+	return h.sampled, h.histFor(op), time.Now()
 }
 
 // EnableTelemetry attaches the port to a registry: latency histograms
@@ -184,7 +154,7 @@ func (rp *RootPort) EnableTelemetry(reg *telemetry.Registry, opts TelemetryOptio
 	})
 	rp.mu.Lock()
 	rp.tapCfg = cfg
-	rp.rebuildTapLocked()
+	rp.publishHooksLocked()
 	rp.mu.Unlock()
 	return cfg.rec
 }
@@ -194,15 +164,15 @@ func (rp *RootPort) EnableTelemetry(reg *telemetry.Registry, opts TelemetryOptio
 func (rp *RootPort) DisableTelemetry() {
 	rp.mu.Lock()
 	rp.tapCfg = nil
-	rp.tap.Store(nil)
+	rp.publishHooksLocked()
 	rp.mu.Unlock()
 }
 
 // FlightRecorder returns the port's flight recorder, or nil when
 // telemetry is not enabled.
 func (rp *RootPort) FlightRecorder() *telemetry.FlightRecorder {
-	if t := rp.tap.Load(); t != nil {
-		return t.rec
+	if h := rp.hooks.Load(); h != nil {
+		return h.rec
 	}
 	return nil
 }

@@ -359,13 +359,10 @@ func (m *Manager) AddTenant(name string, quota units.Size) (*Tenant, error) {
 		extents: make(map[uint64]*ExtentInfo),
 	}
 	mbox.SetDCD(&tenantDCD{t})
-	// RAS hooks: revoked extents answer with poison, composed with the
+	// RAS hook: revoked extents answer with poison, composed with the
 	// mailbox's injected-poison list. Installed after NewMailbox so the
-	// combined checker replaces the mailbox's own registration.
-	ep.SetPoisonChecker(func(dpa uint64) bool {
-		return dev.revokedAt(dpa) || mbox.IsPoisoned(dpa)
-	})
-	ep.SetPoisonSpanChecker(func(dpa, n uint64) bool {
+	// combined probe replaces the mailbox's own registration.
+	ep.SetPoisonChecker(func(dpa, n uint64) bool {
 		return dev.revokedIn(dpa, n) || mbox.HasPoisonIn(dpa, n)
 	})
 	if err := m.sw.AddDownstream(t.dsp, ep); err != nil {

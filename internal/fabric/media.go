@@ -122,15 +122,9 @@ func (d *tenantMedia) find(t []mapping, dpa uint64) *mapping {
 	return nil
 }
 
-// revokedAt reports whether dpa falls in a revoked extent — the
-// per-line poison hook the manager installs on the tenant's endpoint.
-func (d *tenantMedia) revokedAt(dpa uint64) bool {
-	m := d.find(*d.table.Load(), dpa)
-	return m != nil && m.revoked
-}
-
 // revokedIn reports whether any byte of [dpa, dpa+n) falls in a
-// revoked extent — the span-granular companion consulted per burst.
+// revoked extent — the manager's half of the tenant endpoint's poison
+// probe.
 func (d *tenantMedia) revokedIn(dpa, n uint64) bool {
 	for _, m := range *d.table.Load() {
 		if m.revoked && m.dpa < dpa+n && dpa < m.dpa+m.size {

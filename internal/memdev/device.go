@@ -230,8 +230,11 @@ func newSparseStore(capacity units.Size) *sparseStore {
 	return &sparseStore{dir: make([]atomic.Pointer[storeLeaf], (c+leafSize-1)/leafSize), cap: c}
 }
 
+// check reports whether n bytes at off lie inside the store. The
+// offset and length are each compared with the room left, so no sum
+// wraps.
 func (s *sparseStore) check(off int64, n int) bool {
-	return off >= 0 && n >= 0 && off+int64(n) <= s.cap
+	return off >= 0 && n >= 0 && off <= s.cap && int64(n) <= s.cap-off
 }
 
 // lookup returns page idx, or nil if it was never touched.

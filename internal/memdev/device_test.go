@@ -3,6 +3,7 @@ package memdev
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -181,6 +182,7 @@ func TestOutOfRangeAccess(t *testing.T) {
 		{capBytes, 1},
 		{capBytes - 2, 4},
 		{0, int(capBytes) + 1},
+		{math.MaxInt64 - 10, 20},
 	}
 	for _, c := range cases {
 		err := d.WriteAt(make([]byte, c.n), c.off)

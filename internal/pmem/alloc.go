@@ -87,25 +87,38 @@ func (h *heap) format() error {
 	return nil
 }
 
+// walk visits the block chain from the heap start in offset order,
+// passing visit each block's header offset, size, flags and requested
+// size. It stops at the first header that is not a block's, does not
+// fit, or whose size is below a header or beyond the room left in the
+// heap, and reports it as a PoolError under op. Bounding each size by
+// the room left keeps the next offset from wrapping, so every walk
+// ends.
+func (h *heap) walk(op string, visit func(off, size, flags, user uint64)) error {
+	off := h.start
+	for off < h.end && h.end-off >= blockHeaderSize {
+		magic, size, flags, user := h.readHeader(off)
+		if magic != blockMagic || size < blockHeaderSize || size > h.end-off {
+			break
+		}
+		visit(off, size, flags, user)
+		off += size
+	}
+	if off != h.end {
+		return &PoolError{Op: op, Layout: h.p.layout, Why: fmt.Sprintf("corrupt block header at %#x", off)}
+	}
+	return nil
+}
+
 // rebuild reconstructs the volatile free list by walking the chain,
 // which visits the free blocks in offset order.
 func (h *heap) rebuild() error {
 	h.freeList = h.freeList[:0]
-	off := h.start
-	for off < h.end {
-		magic, size, flags, _ := h.readHeader(off)
-		if magic != blockMagic || size < blockHeaderSize || off+size > h.end {
-			return &PoolError{Op: "rebuild", Layout: h.p.layout, Why: fmt.Sprintf("corrupt block header at %#x", off)}
-		}
+	return h.walk("rebuild", func(off, size, flags, _ uint64) {
 		if flags&flagAllocated == 0 {
 			h.freeList = append(h.freeList, freeBlock{off, size})
 		}
-		off += size
-	}
-	if off != h.end {
-		return &PoolError{Op: "rebuild", Layout: h.p.layout, Why: "heap walk overran the pool"}
-	}
-	return nil
+	})
 }
 
 func (h *heap) writeHeader(off, size, flags, user uint64) {
@@ -267,13 +280,7 @@ func (p *Pool) Check() (CheckReport, error) {
 	p.heapMu.Lock()
 	defer p.heapMu.Unlock()
 	var r CheckReport
-	off := p.heapOff
-	for off < uint64(p.size) {
-		magic, size, flags, _ := p.heap.readHeader(off)
-		if magic != blockMagic || size < blockHeaderSize || off+size > uint64(p.size) {
-			r.Corrupt = true
-			return r, &PoolError{Op: "check", Layout: p.layout, Why: fmt.Sprintf("corrupt header at %#x", off)}
-		}
+	err := p.heap.walk("check", func(_, size, flags, _ uint64) {
 		r.Blocks++
 		if flags&flagAllocated != 0 {
 			r.AllocatedBlocks++
@@ -281,7 +288,7 @@ func (p *Pool) Check() (CheckReport, error) {
 			r.FreeBlocks++
 			r.FreeBytes += size
 		}
-		off += size
-	}
-	return r, nil
+	})
+	r.Corrupt = err != nil
+	return r, err
 }

@@ -26,12 +26,7 @@ func (p *Pool) Objects() ([]ObjectInfo, error) {
 	p.heapMu.Lock()
 	defer p.heapMu.Unlock()
 	var out []ObjectInfo
-	off := p.heapOff
-	for off < uint64(p.size) {
-		magic, size, flags, user := p.heap.readHeader(off)
-		if magic != blockMagic || size < blockHeaderSize || off+size > uint64(p.size) {
-			return nil, &PoolError{Op: "objects", Layout: p.layout, Why: "corrupt heap during walk"}
-		}
+	err := p.heap.walk("objects", func(off, _, flags, user uint64) {
 		if flags&flagAllocated != 0 {
 			data := off + blockHeaderSize
 			out = append(out, ObjectInfo{
@@ -40,7 +35,9 @@ func (p *Pool) Objects() ([]ObjectInfo, error) {
 				IsRoot: data == p.rootOff,
 			})
 		}
-		off += size
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

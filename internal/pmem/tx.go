@@ -413,8 +413,10 @@ func (p *Pool) replayLane(l *txLane, readAt func(b []byte, off int64) error) err
 		n := binary.LittleEndian.Uint64(hdr[8:])
 		wantCRC := binary.LittleEndian.Uint32(hdr[16:])
 		padded := alignUp64(n, 8)
-		// Bounding n first keeps padded from wrapping.
-		if n > p.laneSize() || off+n > uint64(p.size) || cursor+entryHeaderSize+padded > p.laneSize() {
+		// Bounding n first keeps padded from wrapping. The target must
+		// pass the range check every AddRange passed: inside the heap.
+		if n > p.laneSize() || cursor+entryHeaderSize+padded > p.laneSize() ||
+			p.checkOID("recover", OID{PoolID: p.poolID, Off: off}, 0, n) != nil {
 			return &TxError{Op: "recover", Why: fmt.Sprintf("lane %d entry %d malformed", l.idx, i)}
 		}
 		data := l.buf(padded)[:n]

@@ -660,26 +660,44 @@ func TestEntryPadZeroAfterLargerEntry(t *testing.T) {
 }
 
 // TestOpenRejectsOversizedUndoEntry: recovery rejects an undo entry
-// whose length exceeds the lane instead of letting the padded length
-// wrap around and the entry's slice panic.
+// whose length exceeds the lane, or whose target lies outside the heap,
+// with the lane's *TxError: the padded length may not wrap and the
+// entry's slice panic, and no snapshot may land on the pool header or
+// wrap past the region's end. The pool header stays intact.
 func TestOpenRejectsOversizedUndoEntry(t *testing.T) {
-	p, r := createPool(t)
-	oid, err := p.Alloc(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx, err := p.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.AddRange(oid, 0, 64); err != nil {
-		t.Fatal(err)
-	}
-	lane := tx.lane.idx
-	p.SimulateCrash()
-	binary.LittleEndian.PutUint64(r.data[p.laneBase(lane)+laneHeaderSize+8:], ^uint64(0))
-	var txErr *TxError
-	if _, err := Open(r, "stream-arrays"); !errors.As(err, &txErr) {
-		t.Errorf("Open over an oversized undo entry = %v, want a *TxError", err)
+	for _, c := range []struct {
+		name string
+		word uint64 // entry header word to overwrite: 0 off, 8 len
+		val  uint64
+	}{
+		{"len beyond lane", 8, ^uint64(0)},
+		{"off in pool header", 0, 8},
+		{"off near wrap", 0, ^uint64(0) - 7},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p, r := createPool(t)
+			oid, err := p.Alloc(64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tx, err := p.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.AddRange(oid, 0, 64); err != nil {
+				t.Fatal(err)
+			}
+			lane := tx.lane.idx
+			p.SimulateCrash()
+			binary.LittleEndian.PutUint64(r.data[p.laneBase(lane)+laneHeaderSize+c.word:], c.val)
+			hdr := bytes.Clone(r.data[:headerSize])
+			var txErr *TxError
+			if _, err := Open(r, "stream-arrays"); !errors.As(err, &txErr) {
+				t.Errorf("Open over a malformed undo entry = %v, want a *TxError", err)
+			}
+			if !bytes.Equal(r.data[:headerSize], hdr) {
+				t.Error("recovery wrote over the pool header")
+			}
+		})
 	}
 }

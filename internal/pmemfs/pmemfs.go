@@ -148,9 +148,12 @@ func (f *File) Persistent() bool { return f.mount.persistent }
 // Path returns the full path (mount + name).
 func (f *File) Path() string { return f.mount.name + "/" + f.name }
 
+// check rejects an access of n bytes at off that leaves the file. The
+// offset and length are each compared with the room left, so no sum
+// wraps.
 func (f *File) check(off int64, n int) error {
-	if off < 0 || off+int64(n) > f.size {
-		return fmt.Errorf("pmemfs: %s: access [%d,%d) outside file size %d", f.Path(), off, off+int64(n), f.size)
+	if off < 0 || off > f.size || int64(n) > f.size-off {
+		return fmt.Errorf("pmemfs: %s: access of %d bytes at %d outside file size %d", f.Path(), n, off, f.size)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package pmemfs
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"cxlpmem/internal/cxl"
@@ -86,11 +87,21 @@ func TestFileBoundsChecked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.WriteAt(make([]byte, 8), 4092); err == nil {
-		t.Error("write past file end accepted")
-	}
-	if err := f.ReadAt(make([]byte, 8), -1); err == nil {
-		t.Error("negative offset accepted")
+	for _, c := range []struct {
+		what string
+		off  int64
+		n    int
+	}{
+		{"past file end", 4092, 8},
+		{"negative offset", -1, 8},
+		{"end wrapping int64", math.MaxInt64 - 10, 20},
+	} {
+		if err := f.WriteAt(make([]byte, c.n), c.off); err == nil {
+			t.Errorf("write %s accepted", c.what)
+		}
+		if err := f.ReadAt(make([]byte, c.n), c.off); err == nil {
+			t.Errorf("read %s accepted", c.what)
+		}
 	}
 	// Two files never alias.
 	g, err := m.Create("g", 4096)

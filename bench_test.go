@@ -215,6 +215,10 @@ func BenchmarkAblationHybrid(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		d, err := tiering.NewDaemon(mgr, tiering.DaemonConfig{BudgetPages: 8})
+		if err != nil {
+			b.Fatal(err)
+		}
 		var pages []tiering.PageID
 		for p := 0; p < 24; p++ {
 			id, err := mgr.Alloc()
@@ -244,10 +248,13 @@ func BenchmarkAblationHybrid(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := mgr.Rebalance(); err != nil {
-			b.Fatal(err)
+		// Four epochs: the hot set swaps into CXL at the second and
+		// moves to DDR5 at the fourth, once it has sat out its
+		// residency.
+		for e := 0; e < 4; e++ {
+			d.RunEpoch()
+			touch()
 		}
-		touch()
 		la, err := mgr.AvgAccessLatency(hybrid, c0)
 		if err != nil {
 			b.Fatal(err)

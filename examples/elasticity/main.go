@@ -104,7 +104,7 @@ func main() {
 	// --- Cold pages onto dynamically added capacity -------------------
 	// host0 builds a two-tier hierarchy: 2 pages of fast local DDR5,
 	// and a cold tier whose device is host0's fabric-granted capacity —
-	// including the extent added by the Grow above. The tiering manager
+	// including the extent added by the Grow above. The tiering daemon
 	// demotes cold pages there with real data movement.
 	fmt.Println("\n── tiering: cold pages demoted onto host0's fabric-granted extents")
 	fastDev, err := memdev.NewDRAM(memdev.DRAMConfig{
@@ -132,6 +132,10 @@ func main() {
 		log.Fatal(err)
 	}
 	mgr.RegisterMetrics(reg)
+	daemon, err := tiering.NewDaemon(mgr, tiering.DaemonConfig{BudgetPages: 8})
+	if err != nil {
+		log.Fatal(err)
+	}
 	var pages []tiering.PageID
 	for i := 0; i < 6; i++ {
 		id, err := mgr.Alloc()
@@ -142,8 +146,8 @@ func main() {
 	}
 	// Cold-start placement put the first four pages on the fabric-granted
 	// cold tier and the overflow on DDR5. Pages 0 and 1 — cold-tier
-	// residents — are the hot set; the rest go cold. Write real data so
-	// the migrations move real bytes.
+	// residents — are the hot set, read before each of three epochs; the
+	// rest go cold. Write real data so the migrations move real bytes.
 	payload := make([]byte, 64)
 	for _, id := range pages {
 		for i := range payload {
@@ -153,28 +157,31 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	for r := 0; r < 16; r++ {
-		for _, id := range pages[:2] {
-			if err := mgr.Read(id, payload, 0); err != nil {
-				log.Fatal(err)
+	before := coldDev.Stats().BytesWrite.Load()
+	const epochs = 3
+	for e := 0; e < epochs; e++ {
+		for r := 0; r < 16; r++ {
+			for _, id := range pages[:2] {
+				if err := mgr.Read(id, payload, 0); err != nil {
+					log.Fatal(err)
+				}
 			}
 		}
-	}
-	before := coldDev.Stats().BytesWrite.Load()
-	migrations, err := mgr.Rebalance()
-	if err != nil {
-		log.Fatal(err)
+		daemon.RunEpoch()
 	}
 	demotedBytes := coldDev.Stats().BytesWrite.Load() - before
 	st := mgr.Stats()
-	fmt.Printf("   rebalance: %d migrations (%d promotions, %d demotions)\n", migrations, st.Promotions, st.Demotions)
+	fmt.Printf("   daemon: %d epochs, %d promotions, %d demotions\n", epochs, st.Promotions, st.Demotions)
 	fmt.Printf("   %d bytes of cold pages landed on fabric-granted capacity\n", demotedBytes)
-	for _, id := range pages {
+	for i, id := range pages {
 		ti, err := mgr.TierOf(id)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("   page %d -> tier %d (%s)\n", id, ti, []string{"ddr5", "cxl-dcd"}[ti])
+		if hot := i < 2; hot != (ti == 0) {
+			log.Fatalf("page %d left on tier %d: the hot set belongs on ddr5, the rest on cxl-dcd", id, ti)
+		}
 	}
 	// The demoted pages are still intact through the tiering view.
 	for _, id := range pages {

@@ -12,37 +12,6 @@ import (
 // lineBytes is the coherence granule: one CXL.mem cache line.
 const lineBytes = uint64(cxl.LineSize)
 
-// NewMemIOAccessor adapts any cxl.MemIO data path to the Accessor
-// interface at base-relative offsets. Line-aligned full-line transfers
-// — the shape of every coherent-cache fill and write-back — take the
-// CXL.mem line path (ReadLine/WriteLine); everything else falls back to
-// the byte path. Every shared-HDM attachment (topology.SetupShared, the
-// cluster's coherent segment) uses this one adapter.
-func NewMemIOAccessor(io cxl.MemIO, base uint64) Accessor {
-	return &memioAccessor{io: io, base: int64(base)}
-}
-
-type memioAccessor struct {
-	io   cxl.MemIO
-	base int64
-}
-
-func (a *memioAccessor) ReadAt(p []byte, off int64) error {
-	abs := a.base + off
-	if len(p) == cxl.LineSize && abs%int64(cxl.LineSize) == 0 {
-		return a.io.ReadLine(uint64(abs), (*[cxl.LineSize]byte)(p))
-	}
-	return a.io.ReadAt(p, abs)
-}
-
-func (a *memioAccessor) WriteAt(p []byte, off int64) error {
-	abs := a.base + off
-	if len(p) == cxl.LineSize && abs%int64(cxl.LineSize) == 0 {
-		return a.io.WriteLine(uint64(abs), (*[cxl.LineSize]byte)(p))
-	}
-	return a.io.WriteAt(p, abs)
-}
-
 // victimPool recycles victim-line staging buffers so the miss path
 // stays allocation-free in steady state (see fill).
 var victimPool = sync.Pool{New: func() any { return new([cxl.LineSize]byte) }}

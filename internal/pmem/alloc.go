@@ -47,9 +47,9 @@ const (
 )
 
 // heap is the pool's block allocator. Its free list holds every free
-// block the view's chain shows, in ascending offset order, so first fit
-// is a scan from the front and free finds a block's place by binary
-// search.
+// block the view's chain shows, a run of adjacent ones as one entry, in
+// ascending offset order, so first fit is a scan from the front and
+// free finds a block's place and its free neighbours by binary search.
 type heap struct {
 	p     *Pool
 	start uint64 // first block header offset
@@ -111,13 +111,21 @@ func (h *heap) walk(op string, visit func(off, size, flags, user uint64)) error 
 }
 
 // rebuild reconstructs the volatile free list by walking the chain,
-// which visits the free blocks in offset order.
+// which visits the free blocks in offset order. Adjacent free blocks,
+// which pools written before free merged backwards can hold, are
+// listed as one entry; the next header written from that entry (an
+// allocation from it, or a free beside it) spans them on the media too.
 func (h *heap) rebuild() error {
 	h.freeList = h.freeList[:0]
 	return h.walk("rebuild", func(off, size, flags, _ uint64) {
-		if flags&flagAllocated == 0 {
-			h.freeList = append(h.freeList, freeBlock{off, size})
+		if flags&flagAllocated != 0 {
+			return
 		}
+		if n := len(h.freeList); n > 0 && h.freeList[n-1].off+h.freeList[n-1].size == off {
+			h.freeList[n-1].size += size
+			return
+		}
+		h.freeList = append(h.freeList, freeBlock{off, size})
 	})
 }
 
@@ -207,41 +215,47 @@ func (h *heap) unalloc(off, size uint64, err error) error {
 	return err
 }
 
-// free releases the block whose data starts at dataOff, coalescing with
-// the following block when free.
+// spanned reports whether the free-list entry before position i, the
+// place of off in the list, covers off. A block freed into its free
+// predecessor keeps its old header, still marked allocated, inside the
+// merged block, and that header is no block's.
+func (h *heap) spanned(i int, off uint64) bool {
+	return i > 0 && h.freeList[i-1].off+h.freeList[i-1].size > off
+}
+
+// free releases the block whose data starts at dataOff, merging it with
+// the free blocks on either side of it. It writes one header: the free
+// predecessor's when there is one, else the block's own, so until that
+// header lands the chain still shows the block allocated. If the write
+// fails, the view's header is restored, so the view and the list are as
+// they were and the free can be retried.
 func (h *heap) free(dataOff uint64) error {
 	off := dataOff - blockHeaderSize
 	magic, size, flags, _ := h.readHeader(off)
 	if magic != blockMagic {
 		return &PoolError{Op: "free", Layout: h.p.layout, Why: fmt.Sprintf("no block at %#x", dataOff)}
 	}
-	if flags&flagAllocated == 0 {
+	i := h.search(off)
+	if flags&flagAllocated == 0 || h.spanned(i, off) {
 		return &PoolError{Op: "free", Layout: h.p.layout, Why: fmt.Sprintf("double free at %#x", dataOff)}
 	}
-	// Forward coalesce. The following block's entry, when listed, sits
-	// at this block's place in the list; it is dropped even if the
-	// persist fails, since the view's header now spans it.
-	i := h.search(off)
-	listed := false
-	if next := off + size; next < h.end {
-		nm, nsize, nflags, _ := h.readHeader(next)
-		if nm == blockMagic && nflags&flagAllocated == 0 {
-			listed = i < len(h.freeList) && h.freeList[i].off == next
-			size += nsize
-		}
+	lo, hi := i, i // the entries the merged block replaces
+	start, end := off, off+size
+	if i > 0 && h.freeList[i-1].off+h.freeList[i-1].size == off {
+		lo--
+		start = h.freeList[lo].off
 	}
-	h.writeHeader(off, size, 0, 0)
-	if err := h.p.persistRaw(int64(off), blockHeaderSize); err != nil {
-		if listed {
-			h.freeList = slices.Delete(h.freeList, i, i+1)
-		}
+	if i < len(h.freeList) && h.freeList[i].off == end {
+		end += h.freeList[i].size
+		hi++
+	}
+	old := [blockHeaderSize]byte(h.p.view[start : start+blockHeaderSize])
+	h.writeHeader(start, end-start, 0, 0)
+	if err := h.p.persistRaw(int64(start), blockHeaderSize); err != nil {
+		copy(h.p.view[start:], old[:])
 		return err
 	}
-	if listed {
-		h.freeList[i] = freeBlock{off, size}
-	} else {
-		h.freeList = slices.Insert(h.freeList, i, freeBlock{off, size})
-	}
+	h.freeList = slices.Replace(h.freeList, lo, hi, freeBlock{start, end - start})
 	return nil
 }
 
@@ -249,7 +263,7 @@ func (h *heap) free(dataOff uint64) error {
 func (h *heap) userSize(dataOff uint64) (uint64, error) {
 	off := dataOff - blockHeaderSize
 	magic, _, flags, user := h.readHeader(off)
-	if magic != blockMagic || flags&flagAllocated == 0 {
+	if magic != blockMagic || flags&flagAllocated == 0 || h.spanned(h.search(off), off) {
 		return 0, &PoolError{Op: "allocsize", Layout: h.p.layout, Why: fmt.Sprintf("no allocated block at %#x", dataOff)}
 	}
 	return user, nil

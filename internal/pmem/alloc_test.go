@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -482,6 +483,149 @@ func TestForwardCoalescing(t *testing.T) {
 	}
 	if big.Off != a.Off {
 		t.Errorf("coalesced block not reused: got %#x, want %#x", big.Off, a.Off)
+	}
+}
+
+// chainFreeList is the free list the view's block chain shows: each run
+// of adjacent free blocks as one entry.
+func chainFreeList(t *testing.T, p *Pool) []freeBlock {
+	t.Helper()
+	var list []freeBlock
+	err := p.heap.walk("test", func(off, size, flags, _ uint64) {
+		switch n := len(list); {
+		case flags&flagAllocated != 0:
+		case n > 0 && list[n-1].off+list[n-1].size == off:
+			list[n-1].size += size
+		default:
+			list = append(list, freeBlock{off, size})
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return list
+}
+
+// TestBackwardCoalescing: a block freed after its predecessor merges
+// with it, so four 4 KiB objects freed in ascending order leave one free
+// block with the heap's tail, and an 8 KiB allocation lands where the
+// first of them was. A merged block's header names no block, so a
+// second Free or an AllocSize of its OID fails.
+func TestBackwardCoalescing(t *testing.T) {
+	p, _ := createPool(t)
+	var oids []OID
+	for i := 0; i < 4; i++ {
+		oid, err := p.Alloc(4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oids = append(oids, oid)
+	}
+	for _, oid := range oids {
+		if err := p.Free(oid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rep, err := p.Check(); err != nil || rep.FreeBlocks != 1 || rep.AllocatedBlocks != 0 {
+		t.Errorf("after freeing in ascending order: heap %+v, %v; want one free block", rep, err)
+	}
+	for _, oid := range oids[1:] {
+		if err := p.Free(oid); err == nil {
+			t.Errorf("second Free of merged %v accepted", oid)
+		}
+		if n, err := p.AllocSize(oid); err == nil {
+			t.Errorf("AllocSize of merged %v = %d, want an error", oid, n)
+		}
+	}
+	big, err := p.Alloc(8192)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if big.Off != oids[0].Off {
+		t.Errorf("8 KiB allocation landed at %#x, want the first freed block at %#x", big.Off, oids[0].Off)
+	}
+}
+
+// TestOpenMergesAdjacentFreeBlocks: a pool written before free merged
+// backwards can hold two adjacent free blocks; Open lists them as one
+// entry, and an allocation spanning both lands at the first.
+func TestOpenMergesAdjacentFreeBlocks(t *testing.T) {
+	p, r := createPool(t)
+	var offs []uint64
+	for i := 0; i < 3; i++ { // the third keeps the heap's tail apart
+		oid, err := p.Alloc(1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		offs = append(offs, oid.Off-blockHeaderSize)
+	}
+	var total uint64
+	for _, off := range offs[:2] {
+		_, size, _, _ := p.heap.readHeader(off)
+		p.heap.writeHeader(off, size, 0, 0)
+		if err := p.persistRaw(int64(off), blockHeaderSize); err != nil {
+			t.Fatal(err)
+		}
+		total += size
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p2, err := Open(r, "stream-arrays")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p2.heap.freeList[0]; got != (freeBlock{offs[0], total}) {
+		t.Errorf("first free-list entry %+v, want the two free blocks as {%#x %d}", got, offs[0], total)
+	}
+	oid, err := p2.Alloc(total - blockHeaderSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oid.Off != offs[0]+blockHeaderSize {
+		t.Errorf("allocation spanning both blocks landed at %#x, want %#x", oid.Off, offs[0]+blockHeaderSize)
+	}
+}
+
+// TestFreeIOErrorLeavesHeapAsItWas: a free whose header write fails
+// leaves the view and the free list as they were, whether it would have
+// merged with its predecessor, its successor or neither, and a retry
+// then frees and merges the block.
+func TestFreeIOErrorLeavesHeapAsItWas(t *testing.T) {
+	for _, free := range [][]int{{1}, {0, 1}, {2, 1}, {0, 2, 1}} {
+		p, r := createPool(t)
+		var oids []OID
+		for i := 0; i < 4; i++ { // the fourth keeps the heap's tail apart
+			oid, err := p.Alloc(1024)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oids = append(oids, oid)
+		}
+		last := oids[free[len(free)-1]]
+		for _, i := range free[:len(free)-1] {
+			if err := p.Free(oids[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before, err := p.Check()
+		if err != nil {
+			t.Fatal(err)
+		}
+		list := slices.Clone(p.heap.freeList)
+		r.failAt = r.writes + 1
+		if err := p.Free(last); err == nil {
+			t.Fatalf("frees %v: Free with its write failing succeeded", free)
+		}
+		if after, err := p.Check(); err != nil || after != before || !slices.Equal(p.heap.freeList, list) {
+			t.Errorf("frees %v, write failed: heap %+v, %v, list %v; want %+v, list %v", free, after, err, p.heap.freeList, before, list)
+		}
+		if err := p.Free(last); err != nil {
+			t.Fatalf("frees %v: retried Free: %v", free, err)
+		}
+		if chain := chainFreeList(t, p); !slices.Equal(p.heap.freeList, chain) {
+			t.Errorf("frees %v: free list %v after the retry, the chain shows %v", free, p.heap.freeList, chain)
+		}
 	}
 }
 

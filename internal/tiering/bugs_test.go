@@ -2,7 +2,10 @@ package tiering
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -210,75 +213,119 @@ func TestScrubOnMigrationVacatedSlot(t *testing.T) {
 	}
 }
 
-// TestConcurrentAccessDuringRebalance is the lock-across-I/O regression
-// test, meaningful under -race: foreground Read/Write on every page
-// proceeds while Rebalance migrates 2 MiB pages underneath. Before the
+// TestConcurrentAccessDuringEpochs is the lock-across-I/O regression
+// test, meaningful under -race: while daemon epochs migrate 2 MiB pages
+// by plain moves and by swaps, each hot page's one writer stamps a
+// per-page sequence into one slot per migration chunk and, after every
+// stamp, reads back every slot of its page, so a write lost to a
+// migration fails the test at the writer's next stamp. Before the
 // per-page locking split this serialized everything behind one mutex
-// (and the race is on the placement fields the old code read unlocked).
-func TestConcurrentAccessDuringRebalance(t *testing.T) {
-	mgr, _ := hierarchy(t, 2, 2, 2)
-	var ids []PageID
-	for i := 0; i < 6; i++ {
-		id, err := mgr.Alloc()
-		if err != nil {
+// (and the race is on the placement fields the old code read
+// unlocked).
+func TestConcurrentAccessDuringEpochs(t *testing.T) {
+	// Four hot pages cold-start on the far tier and climb; the two
+	// idle pages cold-started on the mid tier are swapped down to make
+	// room for them.
+	const (
+		hot    = 4
+		slots  = PageSize / migrateChunk
+		stride = migrateChunk
+	)
+	mgr, _ := hierarchy(t, 2, 2, 4)
+	d := testDaemon(t, mgr, DaemonConfig{BudgetPages: 8})
+	ids := make([]PageID, hot+2)
+	for i := range ids {
+		var err error
+		if ids[i], err = mgr.Alloc(); err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, id)
 	}
+	// want[i] is what page i's slots hold: the last stamp its writer
+	// put in each. Only that writer touches it until the end.
+	want := make([][slots]uint64, len(ids))
+	verify := func(i int) error {
+		var b [8]byte
+		for k, w := range want[i] {
+			if err := mgr.Read(ids[i], b[:], int64(k)*stride); err != nil {
+				return err
+			}
+			if got := binary.LittleEndian.Uint64(b[:]); got != w {
+				return fmt.Errorf("page %d slot %d holds %#x, want %#x", ids[i], k, got, w)
+			}
+		}
+		return nil
+	}
+	stamp := func(i int, seq uint64) error {
+		var b [8]byte
+		v := uint64(ids[i])<<32 | seq
+		binary.LittleEndian.PutUint64(b[:], v)
+		if err := mgr.Write(ids[i], b[:], int64(seq%slots)*stride); err != nil {
+			return err
+		}
+		want[i][seq%slots] = v
+		return nil
+	}
+	for i := hot; i < len(ids); i++ { // the idle pages' one stamp
+		if err := stamp(i, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stamps := make([]atomic.Uint64, hot)
 	stop := make(chan struct{})
+	var failed atomic.Bool
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for i := 0; i < hot; i++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(i int) {
 			defer wg.Done()
-			buf := make([]byte, 64)
-			for i := 0; ; i++ {
+			for seq := uint64(1); ; seq++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				id := ids[(w+i)%len(ids)]
-				off := int64((i % 32) * 64)
-				if i%2 == 0 {
-					if err := mgr.Write(id, buf, off); err != nil {
-						t.Errorf("worker %d: write: %v", w, err)
-						return
-					}
-				} else {
-					if err := mgr.Read(id, buf, off); err != nil {
-						t.Errorf("worker %d: read: %v", w, err)
-						return
-					}
+				err := stamp(i, seq)
+				if err == nil {
+					err = verify(i)
 				}
+				if err != nil {
+					t.Errorf("writer of page %d, stamp %d: %v", ids[i], seq, err)
+					failed.Store(true)
+					return
+				}
+				stamps[i].Store(seq)
+				runtime.Gosched() // let the epochs run at one P too
 			}
-		}(w)
+		}(i)
 	}
-	// Migrate continuously under the foreground traffic: shuffle heat
-	// so every Rebalance moves pages.
-	buf := make([]byte, 8)
-	for round := 0; round < 6; round++ {
-		hot := ids[round%len(ids)]
-		for i := 0; i < 20; i++ {
-			if err := mgr.Read(hot, buf, 0); err != nil {
-				t.Fatal(err)
+	for epoch := 1; epoch <= 8 && !failed.Load(); epoch++ {
+		// Every hot page stamps three more times (9 accesses each, one
+		// of which may straddle the last epoch) before the next epoch,
+		// so it stays above the promote watermark whatever the
+		// schedule.
+		for i := 0; i < hot && !failed.Load(); i++ {
+			for target := stamps[i].Load() + 3; stamps[i].Load() < target && !failed.Load(); {
+				runtime.Gosched()
 			}
 		}
-		if _, err := mgr.Rebalance(); err != nil {
-			t.Fatal(err)
-		}
+		d.RunEpoch()
 	}
 	close(stop)
 	wg.Wait()
-	// Placement is still consistent: every page accounted for exactly
-	// once across the tiers.
-	st := mgr.Stats()
-	total := 0
-	for _, n := range st.PagesPerTier {
-		total += n
+	if failed.Load() {
+		t.FailNow()
 	}
-	if total != len(ids) {
-		t.Errorf("pages per tier %v sum to %d, want %d", st.PagesPerTier, total, len(ids))
+	for i, id := range ids {
+		if err := verify(i); err != nil {
+			t.Error(err)
+		}
+		tier, err := mgr.TierOf(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if idle := i >= hot; idle != (tier == 2) {
+			t.Errorf("page %d (idle %v) ended on tier %d; pages per tier %v", id, idle, tier, mgr.Stats().PagesPerTier)
+		}
 	}
 }
 

@@ -7,51 +7,33 @@ import (
 	"time"
 )
 
-// DaemonConfig tunes the policy daemon. Zero values take the defaults
-// noted per field. Epochs run when the caller calls RunEpoch.
-type DaemonConfig struct {
-	// PromoteWatermark is the decayed-heat level at or above which a
-	// page is a promotion candidate. Default 8.
-	PromoteWatermark float64
-	// DemoteWatermark is the decayed-heat level at or below which a
-	// page is a demotion candidate. Must be below PromoteWatermark —
-	// the gap is the hysteresis band where pages stay put, so a page
-	// oscillating around a single threshold cannot ping-pong between
-	// tiers. Default 1.
-	DemoteWatermark float64
-	// BudgetPages caps pages moved per epoch (a plain migration costs
-	// 1, a swap 2), bounding how much migration bandwidth the daemon
-	// steals from foreground traffic. Default 8.
-	BudgetPages int
-	// MinResidency is how many full epochs a page must sit in its tier
+// The policy's fixed parameters.
+const (
+	// promoteWatermark is the decayed-heat level at or above which a
+	// page is a promotion candidate.
+	promoteWatermark = 8
+	// demoteWatermark is the decayed-heat level at or below which a
+	// page is a demotion candidate. The gap up to promoteWatermark is
+	// the hysteresis band where pages stay put, so a page oscillating
+	// around a single threshold cannot ping-pong between tiers.
+	demoteWatermark = 1
+	// minResidency is how many full epochs a page must sit in its tier
 	// before it may move again — the second anti-ping-pong guard, and
 	// the window in which a freshly moved page re-earns its heat.
-	// Default 1.
-	MinResidency uint64
-	// Decay is the per-epoch multiplier on accumulated heat before the
-	// epoch's fresh counts are added (exponentially weighted moving
-	// sum). Default 0.5: a page's influence halves every epoch it
-	// stays idle.
-	Decay float64
-}
+	minResidency = 1
+	// decay is the per-epoch multiplier on accumulated heat before the
+	// epoch's fresh counts are added (an exponentially weighted moving
+	// sum): a page's influence halves every epoch it stays idle.
+	decay = 0.5
+)
 
-func (c DaemonConfig) withDefaults() DaemonConfig {
-	if c.PromoteWatermark == 0 {
-		c.PromoteWatermark = 8
-	}
-	if c.DemoteWatermark == 0 {
-		c.DemoteWatermark = 1
-	}
-	if c.BudgetPages == 0 {
-		c.BudgetPages = 8
-	}
-	if c.MinResidency == 0 {
-		c.MinResidency = 1
-	}
-	if c.Decay == 0 {
-		c.Decay = 0.5
-	}
-	return c
+// DaemonConfig tunes the policy daemon. Epochs run when the caller
+// calls RunEpoch.
+type DaemonConfig struct {
+	// BudgetPages caps pages moved per epoch (a plain migration costs
+	// 1, a swap 2), bounding how much migration bandwidth the daemon
+	// steals from foreground traffic. Zero moves nothing.
+	BudgetPages int
 }
 
 // EpochStats reports one policy epoch.
@@ -107,11 +89,6 @@ type Daemon struct {
 // heat windows on every tier (page-granular). Each RunEpoch call runs
 // one epoch.
 func NewDaemon(m *Manager, cfg DaemonConfig) (*Daemon, error) {
-	cfg = cfg.withDefaults()
-	if cfg.DemoteWatermark >= cfg.PromoteWatermark {
-		return nil, fmt.Errorf("tiering: demote watermark %.3g must be below promote watermark %.3g (hysteresis band)",
-			cfg.DemoteWatermark, cfg.PromoteWatermark)
-	}
 	if cfg.BudgetPages < 0 {
 		return nil, fmt.Errorf("tiering: negative migration budget")
 	}
@@ -174,7 +151,7 @@ func (d *Daemon) RunEpoch() EpochStats {
 				count = dev
 			}
 		}
-		e.st.heat = e.st.heat*d.cfg.Decay + count
+		e.st.heat = e.st.heat*decay + count
 		e.st.residency++
 		cands = append(cands, candidate{e.id, e.st, tier, e.st.heat})
 	}
@@ -183,14 +160,14 @@ func (d *Daemon) RunEpoch() EpochStats {
 	// Partition: hot pages below the top tier promote, cold pages
 	// above the bottom tier demote; the band between the watermarks —
 	// and anything inside its minimum residency — stays put.
-	movable := func(c candidate) bool { return c.st.residency > d.cfg.MinResidency }
+	movable := func(c candidate) bool { return c.st.residency > minResidency }
 	var promos, demos []candidate
 	for _, c := range cands {
 		switch {
 		case !movable(c):
-		case c.tier > 0 && c.heat >= d.cfg.PromoteWatermark:
+		case c.tier > 0 && c.heat >= promoteWatermark:
 			promos = append(promos, c)
-		case c.tier < len(d.m.tiers)-1 && c.heat <= d.cfg.DemoteWatermark:
+		case c.tier < len(d.m.tiers)-1 && c.heat <= demoteWatermark:
 			demos = append(demos, c)
 		}
 	}
@@ -283,14 +260,14 @@ func (d *Daemon) coldestEligible(cands []candidate, tier int, taken map[PageID]b
 	best := candidate{}
 	found := false
 	for _, c := range cands {
-		if taken[c.id] || c.st.residency <= d.cfg.MinResidency {
+		if taken[c.id] || c.st.residency <= minResidency {
 			continue
 		}
 		// Placement may have changed this epoch; re-read it.
 		c.st.mu.RLock()
 		cur, freed := c.st.tier, c.st.freed
 		c.st.mu.RUnlock()
-		if freed || cur != tier || c.heat > d.cfg.DemoteWatermark {
+		if freed || cur != tier || c.heat > demoteWatermark {
 			continue
 		}
 		if !found || c.heat < best.heat || (c.heat == best.heat && c.id < best.id) {

@@ -1,6 +1,8 @@
 package tiering
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -18,16 +20,8 @@ func testDaemon(t *testing.T, mgr *Manager, cfg DaemonConfig) *Daemon {
 
 func TestDaemonConfigValidation(t *testing.T) {
 	mgr, _ := hierarchy(t, 1, 1, 1)
-	if _, err := NewDaemon(mgr, DaemonConfig{PromoteWatermark: 2, DemoteWatermark: 5}); err == nil {
-		t.Error("inverted watermarks accepted")
-	}
 	if _, err := NewDaemon(mgr, DaemonConfig{BudgetPages: -1}); err == nil {
 		t.Error("negative budget accepted")
-	}
-	d := testDaemon(t, mgr, DaemonConfig{})
-	cfg := d.cfg
-	if cfg.PromoteWatermark <= cfg.DemoteWatermark {
-		t.Errorf("defaulted config lost the hysteresis band: %+v", cfg)
 	}
 }
 
@@ -37,7 +31,7 @@ func TestDaemonConfigValidation(t *testing.T) {
 // fast tier.
 func TestDaemonColdStartEarnsWayUp(t *testing.T) {
 	mgr, _ := hierarchy(t, 1, 1, 2)
-	d := testDaemon(t, mgr, DaemonConfig{})
+	d := testDaemon(t, mgr, DaemonConfig{BudgetPages: 8})
 	id, err := mgr.Alloc()
 	if err != nil {
 		t.Fatal(err)
@@ -89,14 +83,15 @@ func TestDaemonColdStartEarnsWayUp(t *testing.T) {
 // a single threshold from ping-ponging between tiers.
 func TestDaemonHysteresisNoPingPong(t *testing.T) {
 	mgr, _ := hierarchy(t, 1, 1, 1)
-	d := testDaemon(t, mgr, DaemonConfig{PromoteWatermark: 8, DemoteWatermark: 1, Decay: 0.5})
+	d := testDaemon(t, mgr, DaemonConfig{BudgetPages: 8})
 	far, _ := mgr.Alloc()  // tier 2: never accessed, already at the bottom
 	mid, _ := mgr.Alloc()  // tier 1: the in-band page under test
 	fast, _ := mgr.Alloc() // tier 0: kept hot so it never demotes
 	buf := make([]byte, 64)
 	for epoch := 0; epoch < 10; epoch++ {
-		// Steady 3 accesses/epoch: decayed heat converges to 6 —
-		// above demote (1), below promote (8).
+		// Steady 3 accesses/epoch: decayed heat (decay 0.5)
+		// converges to 6 — above demoteWatermark (1), below
+		// promoteWatermark (8).
 		for i := 0; i < 3; i++ {
 			if err := mgr.Read(mid, buf, 0); err != nil {
 				t.Fatal(err)
@@ -118,6 +113,112 @@ func TestDaemonHysteresisNoPingPong(t *testing.T) {
 	st := mgr.Stats()
 	if st.Promotions != 0 || st.Demotions != 0 {
 		t.Errorf("in-band workload caused %d promotions, %d demotions (ping-pong)", st.Promotions, st.Demotions)
+	}
+}
+
+// TestDaemonPromotesHotDemotesCold: a hot page cold-started on the far
+// tier climbs one tier per eligible epoch to the fast tier, swapping
+// with the idle occupant of each tier it enters, so each idle page it
+// passes moves one tier down. Every page's bytes follow it, and each
+// epoch consumes the access counts it read.
+func TestDaemonPromotesHotDemotesCold(t *testing.T) {
+	mgr, _ := hierarchy(t, 1, 1, 1)
+	d := testDaemon(t, mgr, DaemonConfig{BudgetPages: 8})
+	a, _ := mgr.Alloc() // cold start: lands tier 2
+	b, _ := mgr.Alloc() // tier 1
+	c, _ := mgr.Alloc() // tier 0
+	content := func(id PageID) []byte { return []byte(fmt.Sprintf("page %03d", id)) }
+	for _, id := range []PageID{a, b, c} {
+		if err := mgr.Write(id, content(id), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := make([]byte, 8)
+	var trajectory []int
+	for epoch := 1; epoch <= 4; epoch++ {
+		for i := 0; i < 30; i++ {
+			if err := mgr.Read(a, buf, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d.RunEpoch()
+		if h := accesses(t, mgr, a); h != 0 {
+			t.Errorf("epoch %d left %d accesses unconsumed", epoch, h)
+		}
+		tier, _ := mgr.TierOf(a)
+		trajectory = append(trajectory, tier)
+	}
+	ta, _ := mgr.TierOf(a)
+	tb, _ := mgr.TierOf(b)
+	tc, _ := mgr.TierOf(c)
+	if ta != 0 || tc != 1 || tb != 2 {
+		t.Errorf("hot page on tier %d (trajectory %v), the idle pages it passed on tiers %d and %d; want 0, then 2 and 1",
+			ta, trajectory, tb, tc)
+	}
+	for _, id := range []PageID{a, b, c} {
+		if err := mgr.Read(id, buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, content(id)) {
+			t.Errorf("page %d reads %q after migrating, want %q", id, buf, content(id))
+		}
+	}
+	st := mgr.Stats()
+	if st.Promotions == 0 || st.Demotions == 0 || st.BytesMigrated == 0 {
+		t.Errorf("stats = %+v", st)
+	}
+	if len(st.PagesPerTier) != 3 || st.PagesPerTier[0] != 1 {
+		t.Errorf("pages per tier = %v", st.PagesPerTier)
+	}
+}
+
+// TestDaemonReducesAvgLatency: two hot pages cold-started on DCPMM climb
+// to DDR5 over the epochs, and the access-weighted average latency of
+// the same access pattern drops.
+func TestDaemonReducesAvgLatency(t *testing.T) {
+	mgr, hybrid := hierarchy(t, 2, 2, 2)
+	d := testDaemon(t, mgr, DaemonConfig{BudgetPages: 8})
+	c0, err := hybrid.Core(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Fill all six pages; make the two dcpmm-resident ones (cold-start
+	// places the first allocations there) hottest.
+	var ids []PageID
+	for i := 0; i < 6; i++ {
+		id, err := mgr.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	buf := make([]byte, 8)
+	touch := func() {
+		for _, id := range ids[:2] {
+			for i := 0; i < 50; i++ {
+				if err := mgr.Read(id, buf, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	touch()
+	before, err := mgr.AvgAccessLatency(hybrid, c0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Re-apply the same access pattern after each epoch, so the last
+	// one is measured on the placement the epochs left.
+	for epoch := 0; epoch < 4; epoch++ {
+		d.RunEpoch()
+		touch()
+	}
+	after, err := mgr.AvgAccessLatency(hybrid, c0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after >= before {
+		t.Errorf("daemon epochs did not reduce avg latency: %v -> %v (placement %v)", before, after, mgr.Stats().PagesPerTier)
 	}
 }
 
@@ -175,7 +276,7 @@ func TestDaemonZipfianConvergence(t *testing.T) {
 		maxEpochs = 12
 	)
 	mgr, hybrid := hierarchy(t, hotSet, 8, nPages)
-	d := testDaemon(t, mgr, DaemonConfig{})
+	d := testDaemon(t, mgr, DaemonConfig{BudgetPages: 8})
 	c0, err := hybrid.Core(0)
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +352,7 @@ func TestDaemonZipfianConvergence(t *testing.T) {
 // of the battery).
 func TestDaemonConcurrentForeground(t *testing.T) {
 	mgr, _ := hierarchy(t, 2, 2, 4)
-	d := testDaemon(t, mgr, DaemonConfig{})
+	d := testDaemon(t, mgr, DaemonConfig{BudgetPages: 8})
 	var ids []PageID
 	for i := 0; i < 8; i++ {
 		id, err := mgr.Alloc()
@@ -317,7 +418,7 @@ func TestDaemonConcurrentForeground(t *testing.T) {
 
 func TestDaemonTelemetry(t *testing.T) {
 	mgr, _ := hierarchy(t, 1, 1, 2)
-	d := testDaemon(t, mgr, DaemonConfig{})
+	d := testDaemon(t, mgr, DaemonConfig{BudgetPages: 8})
 	reg := telemetry.NewRegistry()
 	mgr.RegisterMetrics(reg)
 	d.RegisterMetrics(reg)

@@ -97,8 +97,8 @@ type pageState struct {
 	off   int64 // tier-relative slot offset
 	freed bool
 
-	// accesses counts manager-path accesses since the last epoch (or
-	// Rebalance); atomic so the foreground path never write-locks.
+	// accesses counts manager-path accesses since the last epoch;
+	// atomic so the foreground path never write-locks.
 	accesses atomic.Uint64
 
 	// Daemon-owned policy state, touched only from the (single)
@@ -118,8 +118,8 @@ type Manager struct {
 	pages map[PageID]*pageState
 	next  PageID
 
-	// migMu serializes migrations (moveTo, swap, Rebalance, daemon
-	// epochs) against each other; foreground I/O never takes it.
+	// migMu serializes migrations (moveTo, swap) against each other;
+	// foreground I/O never takes it.
 	migMu sync.Mutex
 
 	// stats, guarded by mu.
@@ -341,8 +341,8 @@ func (m *Manager) TierOf(id PageID) (int, error) {
 	return st.tier, nil
 }
 
-// pagePool recycles migration staging buffers: a Rebalance over a hot
-// working set moves many pages back to back, and a fresh 2 MiB
+// pagePool recycles migration staging buffers: a daemon epoch over a
+// hot working set moves many pages back to back, and a fresh 2 MiB
 // allocation per move (two per swap) is pure GC pressure — the buffers
 // never outlive the copy.
 var pagePool = sync.Pool{New: func() any {
@@ -405,11 +405,6 @@ func pipeCopy(src cxl.MemIO, srcOff int64, dst cxl.MemIO, dstOff int64, n int64,
 func (m *Manager) moveTo(id PageID, dst int) error {
 	m.migMu.Lock()
 	defer m.migMu.Unlock()
-	return m.moveToLocked(id, dst)
-}
-
-// moveToLocked is moveTo under an already-held migMu.
-func (m *Manager) moveToLocked(id PageID, dst int) error {
 	if dst < 0 || dst >= len(m.tiers) {
 		return fmt.Errorf("tiering: no tier %d", dst)
 	}
@@ -460,14 +455,7 @@ func (m *Manager) moveToLocked(id PageID, dst int) error {
 	return nil
 }
 
-// swap exchanges two pages' backing slots (and contents) across tiers.
-func (m *Manager) swap(idA, idB PageID) error {
-	m.migMu.Lock()
-	defer m.migMu.Unlock()
-	return m.swapLocked(idA, idB)
-}
-
-// swapLocked exchanges two pages' backing slots (and contents) across tiers:
+// swap exchanges two pages' backing slots (and contents) across tiers:
 // page A is staged whole, then B streams into A's old slot through the
 // double-buffered pipe (read of B's chunk k+1 overlapping the write of
 // chunk k into tier A), and finally the staged A drains into B's slot.
@@ -479,9 +467,9 @@ func (m *Manager) swap(idA, idB PageID) error {
 // A while A's old slot holds a complete B — B is restored from that
 // intact copy, then A from the stage. Only if a restore write itself
 // also fails is the page left torn, and every error is reported.
-//
-// Caller holds migMu.
-func (m *Manager) swapLocked(idA, idB PageID) error {
+func (m *Manager) swap(idA, idB PageID) error {
+	m.migMu.Lock()
+	defer m.migMu.Unlock()
 	stA, err := m.lookup(idA)
 	if err != nil {
 		return err
@@ -571,117 +559,6 @@ func (m *Manager) snapshotLocked() []entry {
 	return all
 }
 
-// Rebalance sorts pages by heat and packs the hottest into the fastest
-// tiers, migrating as needed, then resets the heat counters (a
-// one-shot, full-pack epoch — the Daemon's budgeted epochs are the
-// continuous version). Returns the number of migrations. Foreground
-// I/O may proceed concurrently; pages allocated or freed mid-plan are
-// tolerated (freed pages are skipped, new pages wait for the next
-// epoch).
-func (m *Manager) Rebalance() (int, error) {
-	m.migMu.Lock()
-	defer m.migMu.Unlock()
-	m.mu.RLock()
-	all := m.snapshotLocked()
-	m.mu.RUnlock()
-	type ranked struct {
-		entry
-		heat uint64
-	}
-	rank := make([]ranked, 0, len(all))
-	for _, e := range all {
-		rank = append(rank, ranked{e, e.st.accesses.Load()})
-	}
-	// Hottest first; stable tie-break by id for determinism.
-	sort.Slice(rank, func(a, b int) bool {
-		if rank[a].heat != rank[b].heat {
-			return rank[a].heat > rank[b].heat
-		}
-		return rank[a].id < rank[b].id
-	})
-	// Desired layout: fill tier 0 with the hottest, then tier 1, ...
-	want := make(map[PageID]int, len(rank))
-	ti, left := 0, m.tiers[0].CapacityPages
-	for _, e := range rank {
-		for left == 0 {
-			ti++
-			if ti >= len(m.tiers) {
-				return 0, fmt.Errorf("tiering: pages exceed total capacity")
-			}
-			left = m.tiers[ti].CapacityPages
-		}
-		want[e.id] = ti
-		left--
-	}
-	// tierOf reads current placement without racing migrations (migMu
-	// is held, so only foreground state like freed can change).
-	tierOf := func(st *pageState) (int, bool) {
-		st.mu.RLock()
-		defer st.mu.RUnlock()
-		return st.tier, !st.freed
-	}
-	// Route pages to their desired tiers. Plain migrations need a free
-	// slot at the destination; when every tier is exactly full the
-	// desired layout is a permutation and cycles are broken by
-	// swapping a misplaced page with a misplaced occupant of its
-	// desired tier (each swap fixes at least one page, so the loop
-	// terminates).
-	migrations := 0
-	for {
-		progress := false
-		done := true
-		for _, e := range rank {
-			cur, live := tierOf(e.st)
-			if !live || want[e.id] == cur {
-				continue
-			}
-			done = false
-			if err := m.moveToLocked(e.id, want[e.id]); err == nil {
-				migrations++
-				progress = true
-			} else if !errors.Is(err, ErrTierFull) {
-				return migrations, err
-			}
-		}
-		if done {
-			break
-		}
-		if progress {
-			continue
-		}
-		// No free slots anywhere along the desired routes: swap.
-		swapped := false
-		for _, e := range rank {
-			cur, live := tierOf(e.st)
-			if !live || want[e.id] == cur {
-				continue
-			}
-			for _, f := range rank {
-				fcur, flive := tierOf(f.st)
-				if !flive || f.id == e.id || fcur != want[e.id] || want[f.id] == fcur {
-					continue
-				}
-				if err := m.swapLocked(e.id, f.id); err != nil {
-					return migrations, err
-				}
-				migrations += 2
-				swapped = true
-				break
-			}
-			if swapped {
-				break
-			}
-		}
-		if !swapped {
-			return migrations, fmt.Errorf("tiering: rebalance stuck (capacity mismatch)")
-		}
-	}
-	for _, e := range all {
-		e.st.accesses.Store(0)
-	}
-	return migrations, nil
-}
-
 // Stats summarises migration activity.
 type Stats struct {
 	Promotions    int
@@ -707,7 +584,7 @@ func (m *Manager) Stats() Stats {
 
 // AvgAccessLatency models the average unloaded access latency across the
 // current placement for a given access distribution: pages' heat (from
-// the counters accumulated since the last Rebalance) weights each
+// the counters accumulated since the last epoch) weights each
 // tier's latency from core c. This is the figure of merit the hybrid
 // architecture optimises.
 func (m *Manager) AvgAccessLatency(machine *topology.Machine, c topology.Core) (units.Latency, error) {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
-	"testing/quick"
 
 	"cxlpmem/internal/topology"
 )
@@ -95,7 +94,7 @@ func TestAllocColdStartPlacement(t *testing.T) {
 }
 
 // accesses reads a page's manager-path access count since the last
-// epoch or Rebalance.
+// epoch.
 func accesses(t *testing.T, m *Manager, id PageID) uint64 {
 	t.Helper()
 	st, err := m.lookup(id)
@@ -136,116 +135,6 @@ func TestReadWriteAndHeat(t *testing.T) {
 	}
 }
 
-func TestRebalancePromotesHotDemotesCold(t *testing.T) {
-	mgr, _ := hierarchy(t, 1, 1, 1)
-	a, _ := mgr.Alloc() // cold start: lands tier 2
-	b, _ := mgr.Alloc() // tier 1
-	c, _ := mgr.Alloc() // tier 0
-	// Make a (far-resident) hot, c cold, b warm; write distinct content
-	// to verify migration moves the bytes.
-	if err := mgr.Write(a, []byte("hot-data"), 0); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 8)
-	for i := 0; i < 30; i++ {
-		if err := mgr.Read(a, buf, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 10; i++ {
-		if err := mgr.Read(b, buf, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// c untouched.
-	n, err := mgr.Rebalance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("no migrations happened")
-	}
-	ta, _ := mgr.TierOf(a)
-	tb, _ := mgr.TierOf(b)
-	tc, _ := mgr.TierOf(c)
-	if ta != 0 {
-		t.Errorf("hot page on tier %d, want 0", ta)
-	}
-	if tb != 1 {
-		t.Errorf("warm page on tier %d, want 1", tb)
-	}
-	if tc != 2 {
-		t.Errorf("cold page on tier %d, want 2", tc)
-	}
-	// Heat resets after rebalance (checked before any further access).
-	if h := accesses(t, mgr, a); h != 0 {
-		t.Errorf("heat after rebalance = %d", h)
-	}
-	// Content followed the page.
-	if err := mgr.Read(a, buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	if string(buf) != "hot-data" {
-		t.Errorf("migrated content = %q", buf)
-	}
-	st := mgr.Stats()
-	if st.Promotions == 0 || st.Demotions == 0 || st.BytesMigrated == 0 {
-		t.Errorf("stats = %+v", st)
-	}
-	if len(st.PagesPerTier) != 3 || st.PagesPerTier[0] != 1 {
-		t.Errorf("pages per tier = %v", st.PagesPerTier)
-	}
-}
-
-func TestRebalanceReducesAvgLatency(t *testing.T) {
-	mgr, hybrid := hierarchy(t, 2, 2, 2)
-	c0, err := hybrid.Core(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fill all six pages; make the two dcpmm-resident ones (cold-start
-	// places the first allocations there) hottest.
-	var ids []PageID
-	for i := 0; i < 6; i++ {
-		id, err := mgr.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	buf := make([]byte, 8)
-	for _, id := range ids[:2] { // the cold-tier pages
-		for i := 0; i < 50; i++ {
-			if err := mgr.Read(id, buf, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	before, err := mgr.AvgAccessLatency(hybrid, c0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mgr.Rebalance(); err != nil {
-		t.Fatal(err)
-	}
-	// Re-apply the same access pattern to the (now fast-resident)
-	// hot pages and re-measure.
-	for _, id := range ids[:2] {
-		for i := 0; i < 50; i++ {
-			if err := mgr.Read(id, buf, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	after, err := mgr.AvgAccessLatency(hybrid, c0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after >= before {
-		t.Errorf("rebalance did not reduce avg latency: %v -> %v", before, after)
-	}
-}
-
 func TestManagerValidation(t *testing.T) {
 	m, _, err := topology.Setup1(topology.Setup1Options{})
 	if err != nil {
@@ -267,61 +156,6 @@ func TestManagerValidation(t *testing.T) {
 	); err == nil {
 		t.Error("capacity beyond device accepted")
 	}
-}
-
-// Property: after any access pattern and a rebalance, the heat ordering
-// is respected — no page on a slower tier was hotter than a page on a
-// faster tier at rebalance time.
-func TestRebalanceOrderingProperty(t *testing.T) {
-	f := func(pattern []uint8) bool {
-		mgr, _ := hierarchyQuick()
-		var ids []PageID
-		for i := 0; i < 6; i++ {
-			id, err := mgr.Alloc()
-			if err != nil {
-				return false
-			}
-			ids = append(ids, id)
-		}
-		buf := make([]byte, 8)
-		heats := make(map[PageID]int)
-		for _, b := range pattern {
-			id := ids[int(b)%len(ids)]
-			if err := mgr.Read(id, buf, 0); err != nil {
-				return false
-			}
-			heats[id]++
-		}
-		if _, err := mgr.Rebalance(); err != nil {
-			return false
-		}
-		// Check: for every pair, hotter page is on a tier <= cooler's.
-		for _, a := range ids {
-			for _, b := range ids {
-				ta, _ := mgr.TierOf(a)
-				tb, _ := mgr.TierOf(b)
-				if heats[a] > heats[b] && ta > tb {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
-func hierarchyQuick() (*Manager, *topology.Machine) {
-	m, _, err := topology.Setup1(topology.Setup1Options{})
-	if err != nil {
-		panic(err)
-	}
-	mgr, hybrid, err := NewDDR5CXLDCPMMHierarchy(m, 2, 2, 2)
-	if err != nil {
-		panic(err)
-	}
-	return mgr, hybrid
 }
 
 // TestMigrationUsesPooledScratch guards the migration staging buffers:

@@ -155,7 +155,7 @@ func SetupShared(opts SharedOptions) (*SharedHDM, error) {
 			VPPB:       vppb,
 			Port:       rp,
 			WindowBase: base,
-			Accessor:   coherency.NewMemIOAccessor(rp, base),
+			Accessor:   cxl.NewWindowIO(rp, base),
 		})
 	}
 

@@ -157,7 +157,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	before := coldDev.Stats().BytesWrite.Load()
+	_, _, _, before := coldDev.Stats().Snapshot()
 	const epochs = 3
 	for e := 0; e < epochs; e++ {
 		for r := 0; r < 16; r++ {
@@ -169,7 +169,8 @@ func main() {
 		}
 		daemon.RunEpoch()
 	}
-	demotedBytes := coldDev.Stats().BytesWrite.Load() - before
+	_, _, _, after := coldDev.Stats().Snapshot()
+	demotedBytes := after - before
 	st := mgr.Stats()
 	fmt.Printf("   daemon: %d epochs, %d promotions, %d demotions\n", epochs, st.Promotions, st.Demotions)
 	fmt.Printf("   %d bytes of cold pages landed on fabric-granted capacity\n", demotedBytes)

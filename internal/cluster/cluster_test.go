@@ -222,7 +222,7 @@ func TestRunParallelMeasuredVsAnalytical(t *testing.T) {
 	// reads back the pattern it drove, not another host's.
 	got := make([]byte, 4096)
 	for i, h := range c.Hosts {
-		if wrote := h.Tenant.Device().Stats().BytesWrite.Load(); wrote != perHost/2 {
+		if _, _, _, wrote := h.Tenant.Device().Stats().Snapshot(); wrote != perHost/2 {
 			t.Errorf("host %d media writes = %d, want %d", i, wrote, perHost/2)
 		}
 		if err := h.Port.ReadBurst(h.Window.Base, got); err != nil {

@@ -123,5 +123,6 @@ func (th *Throttle) pace(b *tenantBudget) time.Duration {
 
 // movedBytes sums a device's read and write byte counters.
 func movedBytes(s *memdev.Stats) int64 {
-	return s.BytesRead.Load() + s.BytesWrite.Load()
+	_, _, rb, wb := s.Snapshot()
+	return rb + wb
 }

@@ -35,7 +35,7 @@ func TestThrottlePace(t *testing.T) {
 
 	// 5 MB at a 0.5 GB/s share is 10 ms of allowance.
 	const deficit = 10 * time.Millisecond
-	ahead.BytesWrite.Add(5e6)
+	ahead.AddWrite(5e6)
 	t0 := time.Now()
 	slept := th.pace(a)
 	if slept <= 0 || slept > deficit {
@@ -45,12 +45,12 @@ func TestThrottlePace(t *testing.T) {
 		t.Errorf("pace returned after %v, before the %v it reports sleeping", took, slept)
 	}
 
-	within.BytesRead.Add(64)
+	within.AddRead(64)
 	if slept := th.pace(w); slept != 0 {
 		t.Errorf("tenant within its share slept %v", slept)
 	}
 
-	ahead.BytesWrite.Add(5e6)
+	ahead.AddWrite(5e6)
 	if err := th.SetShare("ahead", 0.25); err != nil {
 		t.Fatal(err)
 	}

@@ -324,7 +324,7 @@ func TestConcurrentPartitions(t *testing.T) {
 			t.Errorf("partition %d: extent %v does not hold its host's pattern alone", i, exts[i])
 		}
 	}
-	if wrote := media.Stats().BytesWrite.Load(); wrote != parts*50*4096 {
+	if _, _, _, wrote := media.Stats().Snapshot(); wrote != parts*50*4096 {
 		t.Errorf("media took %d written bytes, want %d", wrote, parts*50*4096)
 	}
 }

@@ -110,14 +110,15 @@ func TestType3PartialWrite(t *testing.T) {
 				}
 			}
 			media := dev.Media().Stats()
-			reads, writes := media.Reads.Load(), media.Writes.Load()
+			reads, writes, _, _ := media.Snapshot()
 			if resp := dev.HandleMem(req); resp.Opcode != RespCmp {
 				t.Fatalf("partial write resp = %v", resp.Opcode)
 			}
-			if got := media.Reads.Load() - reads; got != 0 {
+			reads2, writes2, _, _ := media.Snapshot()
+			if got := reads2 - reads; got != 0 {
 				t.Errorf("partial write read the media %d times, want 0", got)
 			}
-			if got := media.Writes.Load() - writes; got != tc.runs {
+			if got := writes2 - writes; got != tc.runs {
 				t.Errorf("partial write made %d media writes, want %d (one per mask run)", got, tc.runs)
 			}
 			resp := dev.HandleMem(MemReq{Opcode: OpMemRd, Addr: 0})

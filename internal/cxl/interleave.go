@@ -278,7 +278,9 @@ func (s *InterleaveSet) do(write bool, hpa uint64, p []byte) error {
 	if !lineAligned(hpa) || len(p)%LineSize != 0 {
 		return portErr(s.name, s.op(write), hpa, ErrUnaligned, "unaligned burst")
 	}
-	if hpa < s.base || hpa+uint64(len(p)) > s.base+s.size {
+	// The span's offset and length are each compared with the room
+	// left in the window, so no sum wraps.
+	if hpa < s.base || hpa-s.base > s.size || uint64(len(p)) > s.size-(hpa-s.base) {
 		return portErr(s.name, s.op(write), hpa, ErrOutsideWindow, "outside interleave window")
 	}
 	if len(p) == 0 {

@@ -2,6 +2,7 @@ package cxl
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -173,6 +174,30 @@ func TestInterleaveWindowBounds(t *testing.T) {
 	}
 	if err := s.WriteBurst(s.Base()-uint64(LineSize), buf); err == nil {
 		t.Error("striped burst below the window accepted")
+	}
+	// A span within its length of 2^64 wraps a sum of offset and
+	// length; it is refused before any leg issues a transaction.
+	issued := make([]int64, len(s.Ports()))
+	for i, rp := range s.Ports() {
+		issued[i] = rp.Stats().Issued
+	}
+	top := ^uint64(LineSize - 1) // 2^64 - 64
+	for _, c := range []struct {
+		name string
+		err  error
+	}{
+		{"WriteBurst(2^64-64, 128)", s.WriteBurst(top, buf)},
+		{"ReadBurst(2^64-64, 128)", s.ReadBurst(top, buf)},
+		{"WriteAt(128 bytes, -64)", s.WriteAt(buf, -int64(LineSize))},
+	} {
+		if !errors.Is(c.err, ErrOutsideWindow) {
+			t.Errorf("%s = %v, want ErrOutsideWindow", c.name, c.err)
+		}
+	}
+	for i, rp := range s.Ports() {
+		if got := rp.Stats().Issued; got != issued[i] {
+			t.Errorf("leg %d issued %d transactions for spans outside the window", i, got-issued[i])
+		}
 	}
 }
 

@@ -21,9 +21,9 @@ import (
 // Every method is synchronous: the transfer has completed at the device
 // when it returns. Every failure is a *PortError wrapping one of the
 // package sentinels (errors.go), so callers classify with errors.Is.
-// Over a port, each line or burst is one transaction moved on the
-// caller's stack (RootPort.transact), allocating nothing in steady
-// state.
+// Over a port, each line or burst chunk is one transaction moved
+// through one pooled frame (RootPort.transact), allocating nothing in
+// steady state.
 type MemIO interface {
 	// ReadLine fetches the 64-byte line at the line-aligned HPA.
 	ReadLine(hpa uint64, out *[LineSize]byte) error

@@ -47,7 +47,7 @@ func (s LinkState) String() string {
 // vcTagBits bits below) and the telemetry sampling clock. Two in-flight
 // transactions differ in VC bits or sequence bits unless more than
 // 2^vcTagBits are in flight on one VC at once. The transaction then
-// moves its flits on the caller's stack.
+// moves its flits through one frame from framePool (transact).
 const (
 	// NumVCs is the number of virtual channels per port (power of two).
 	NumVCs = 8

@@ -186,8 +186,7 @@ func (d *tenantMedia) ReadAt(p []byte, off int64) error {
 	if err := d.access(p, off, false); err != nil {
 		return err
 	}
-	d.stats.Reads.Add(1)
-	d.stats.BytesRead.Add(int64(len(p)))
+	d.stats.AddRead(len(p))
 	d.stats.TouchHeat(off, len(p))
 	return nil
 }
@@ -208,8 +207,7 @@ func (d *tenantMedia) WriteAt(p []byte, off int64) error {
 		}
 		return err
 	}
-	d.stats.Writes.Add(1)
-	d.stats.BytesWrite.Add(int64(len(p)))
+	d.stats.AddWrite(len(p))
 	d.stats.TouchHeat(off, len(p))
 	return nil
 }

@@ -33,11 +33,11 @@ func (m *Manager) RegisterMetrics(reg *telemetry.Registry) {
 			labels := telemetry.Labels("tenant", name)
 			e.Gauge("fabric_tenant_quota_bytes", labels, float64(t.quota))
 			e.Gauge("fabric_tenant_active_bytes", labels, float64(t.Active()))
-			st := t.Device().Stats()
-			e.Counter("fabric_tenant_reads_total", labels, st.Reads.Load())
-			e.Counter("fabric_tenant_writes_total", labels, st.Writes.Load())
-			e.Counter("fabric_tenant_read_bytes_total", labels, st.BytesRead.Load())
-			e.Counter("fabric_tenant_write_bytes_total", labels, st.BytesWrite.Load())
+			r, w, rb, wb := t.Device().Stats().Snapshot()
+			e.Counter("fabric_tenant_reads_total", labels, r)
+			e.Counter("fabric_tenant_writes_total", labels, w)
+			e.Counter("fabric_tenant_read_bytes_total", labels, rb)
+			e.Counter("fabric_tenant_write_bytes_total", labels, wb)
 		}
 	})
 }

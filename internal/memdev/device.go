@@ -85,8 +85,16 @@ func (p Profile) StreamPeak(readFrac float64) units.Bandwidth {
 	return units.Bandwidth(1 / inv)
 }
 
-// Stats counts accesses to a device. All fields are updated atomically and
-// may be read concurrently.
+// Stats counts accesses to a device and may be read concurrently.
+//
+// Traffic (reads, writes and the bytes each moved) is read only through
+// Snapshot. A device built here counts each access in the 2 MiB page
+// whose lock the access already holds (storePage), so its media path
+// adds no locked instruction of its own. An access that takes no page
+// lock (a read of a page never written, or a zero-length access) counts
+// in atomics instead, and so does every access of a device that keeps
+// no page lock, through AddRead and AddWrite. Snapshot sums both. An
+// access that fails (out of range) is not counted.
 //
 // The RAS counters are the health state machine's raw inputs
 // (internal/ras): Correctable counts errors caught and repaired before a
@@ -97,10 +105,12 @@ func (p Profile) StreamPeak(readFrac float64) units.Bandwidth {
 // LinkRetries counts CRC retransmissions the owning port attributed to
 // this device.
 type Stats struct {
-	Reads      atomic.Int64
-	Writes     atomic.Int64
-	BytesRead  atomic.Int64
-	BytesWrite atomic.Int64
+	reads, writes, bytesRead, bytesWritten atomic.Int64
+
+	// store, for a device built here, holds the per-page counts
+	// Snapshot adds to the atomics; nil for a device that counts only
+	// through AddRead and AddWrite.
+	store *sparseStore
 
 	Correctable   atomic.Int64
 	Uncorrectable atomic.Int64
@@ -114,9 +124,39 @@ type Stats struct {
 	heat atomic.Pointer[Heat]
 }
 
-// Snapshot returns a plain-value copy of the counters.
+// AddRead counts one read of n bytes, for a device that keeps no page
+// lock to count under (fabric's tenant media).
+func (s *Stats) AddRead(n int) {
+	s.reads.Add(1)
+	s.bytesRead.Add(int64(n))
+}
+
+// AddWrite counts one write of n bytes, as AddRead counts a read.
+func (s *Stats) AddWrite(n int) {
+	s.writes.Add(1)
+	s.bytesWritten.Add(int64(n))
+}
+
+// Snapshot returns the traffic counted so far: the atomics plus, for a
+// device built here, the counts of every materialised page, each read
+// under its page's lock. It shares one lock with the fold a power cycle
+// makes (sparseStore.drop), so it sees each page's counts once: in the
+// page or, once dropped, in the atomics.
 func (s *Stats) Snapshot() (reads, writes, bytesRead, bytesWritten int64) {
-	return s.Reads.Load(), s.Writes.Load(), s.BytesRead.Load(), s.BytesWrite.Load()
+	if st := s.store; st != nil {
+		st.countMu.Lock()
+		defer st.countMu.Unlock()
+		st.forPages(func(_ int64, pg *storePage) {
+			pg.mu.Lock()
+			reads += pg.reads
+			writes += pg.writes
+			bytesRead += pg.bytesRead
+			bytesWritten += pg.bytesWritten
+			pg.mu.Unlock()
+		})
+	}
+	return reads + s.reads.Load(), writes + s.writes.Load(),
+		bytesRead + s.bytesRead.Load(), bytesWritten + s.bytesWritten.Load()
 }
 
 // RASCounters is a plain-value copy of the error counters.
@@ -193,16 +233,56 @@ const pageSize = 2 << 20
 // 512 × 2 MiB, so each leaf covers 1 GiB of the device.
 const leafPages = 512
 
-// storePage is one materialised 2 MiB page: its own content lock plus
-// the backing bytes. Per-page locking is what lets different hosts'
-// extents (disjoint pages of one appliance media) read and write
-// genuinely in parallel, while access to any single line — which never
-// spans a page — stays linearizable. The lock is a plain Mutex: every
-// holder only copies, so readers of one page take turns rather than
-// share it, and each access pays the cheaper lock.
+// storePage is one materialised 2 MiB page: its own content lock, the
+// backing bytes, and the traffic counts of the accesses that took the
+// lock. Per-page locking is what lets different hosts' extents
+// (disjoint pages of one appliance media) read and write genuinely in
+// parallel, while access to any single line — which never spans a
+// page — stays linearizable. The lock is a plain Mutex: every holder
+// only copies and counts, so readers of one page take turns rather than
+// share it, and each access pays the cheaper lock. Counting under it
+// costs the access two plain adds where device-wide atomics cost two
+// more locked instructions.
 type storePage struct {
 	mu  sync.Mutex
-	buf []byte
+	buf []byte // nil once a power cycle has dropped the page
+	// An access counts one op on the first page it touches and its
+	// bytes on each page they land in; mu guards the counts.
+	reads, writes, bytesRead, bytesWritten int64
+}
+
+// read copies the page's bytes at po into p and counts them, plus one
+// read if op. It reports false, copying and counting nothing, once a
+// power cycle has dropped the page.
+func (pg *storePage) read(p []byte, po int64, op bool) bool {
+	pg.mu.Lock()
+	if pg.buf == nil {
+		pg.mu.Unlock()
+		return false
+	}
+	copy(p, pg.buf[po:])
+	if op {
+		pg.reads++
+	}
+	pg.bytesRead += int64(len(p))
+	pg.mu.Unlock()
+	return true
+}
+
+// write copies p into the page at po and counts it as read does.
+func (pg *storePage) write(p []byte, po int64, op bool) bool {
+	pg.mu.Lock()
+	if pg.buf == nil {
+		pg.mu.Unlock()
+		return false
+	}
+	copy(pg.buf[po:], p)
+	if op {
+		pg.writes++
+	}
+	pg.bytesWritten += int64(len(p))
+	pg.mu.Unlock()
+	return true
 }
 
 // storeLeaf is one 1 GiB leaf of the page table.
@@ -214,14 +294,18 @@ type storeLeaf [leafPages]atomic.Pointer[storePage]
 // GiB of capacity, each leaf holding 512 page slots — so lookup is two
 // loads and no lock, and a 64 GiB device's directory is 64 slots where
 // a flat table would take 256 KiB. Each leaf and page is created on
-// first touch by compare-and-swap. Materialised page content is guarded
-// by the page's own lock. Accesses confined to one page (every CXL line
-// transaction, and every burst that does not cross a 2 MiB boundary)
-// are linearizable; multi-page accesses commit page by page, exactly
-// as a multi-channel memory controller commits a multi-beat transfer.
+// first touch by compare-and-swap; a leaf is never dropped, a page only
+// by a power cycle. Materialised page content is guarded by the page's
+// own lock. Accesses confined to one page (every CXL line transaction,
+// and every burst that does not cross a 2 MiB boundary) are
+// linearizable; multi-page accesses commit page by page, exactly as a
+// multi-channel memory controller commits a multi-beat transfer.
 type sparseStore struct {
 	dir []atomic.Pointer[storeLeaf]
 	cap int64
+	// countMu orders Stats.Snapshot against drop, the cold paths that
+	// read or move the per-page counts.
+	countMu sync.Mutex
 }
 
 func newSparseStore(capacity units.Size) *sparseStore {
@@ -245,18 +329,29 @@ func (s *sparseStore) lookup(idx int64) *storePage {
 	return nil
 }
 
-func (s *sparseStore) readAt(p []byte, off int64) {
+// readAt copies the bytes at off into p and counts the read in st: the
+// read on the first page it touches and each page's share of the bytes
+// on that page, under the lock the copy holds. A page never written, or
+// dropped by a power cycle, reads as zeros and counts its share in st's
+// atomics, as does a zero-length read.
+func (s *sparseStore) readAt(p []byte, off int64, st *Stats) {
+	if len(p) == 0 {
+		st.AddRead(0)
+		return
+	}
+	first := true
 	for len(p) > 0 {
 		idx := off / pageSize
 		po := off % pageSize
 		n := min(pageSize-po, int64(len(p)))
-		if pg := s.lookup(idx); pg != nil {
-			pg.mu.Lock()
-			copy(p[:n], pg.buf[po:po+n])
-			pg.mu.Unlock()
-		} else {
+		if pg := s.lookup(idx); pg == nil || !pg.read(p[:n], po, first) {
 			clear(p[:n])
+			if first {
+				st.reads.Add(1)
+			}
+			st.bytesRead.Add(n)
 		}
+		first = false
 		p = p[n:]
 		off += n
 	}
@@ -264,54 +359,81 @@ func (s *sparseStore) readAt(p []byte, off int64) {
 
 // page returns the materialised page idx, creating its leaf and then
 // the page on first touch. A lost compare-and-swap means another
-// writer created it first; the leaf loop also retries when a
-// concurrent clear drops the leaf in between.
+// writer created it first.
 func (s *sparseStore) page(idx int64) *storePage {
 	dl := &s.dir[idx/leafPages]
 	l := dl.Load()
-	for l == nil {
+	if l == nil {
 		dl.CompareAndSwap(nil, new(storeLeaf))
 		l = dl.Load()
 	}
 	slot := &l[idx%leafPages]
-	if pg := slot.Load(); pg != nil {
-		return pg
+	for {
+		if pg := slot.Load(); pg != nil {
+			return pg
+		}
+		// A power cycle may drop the page between the swap and a
+		// reload, so return the page this call installed.
+		if pg := (&storePage{buf: make([]byte, pageSize)}); slot.CompareAndSwap(nil, pg) {
+			return pg
+		}
 	}
-	slot.CompareAndSwap(nil, &storePage{buf: make([]byte, pageSize)})
-	return slot.Load()
 }
 
-func (s *sparseStore) writeAt(p []byte, off int64) {
+// writeAt copies p to off and counts the write in st as readAt counts
+// a read. A page a power cycle drops between lookup and lock takes
+// nothing, and the write retries on the fresh page that replaces it, so
+// a write that returns is stored and counted once.
+func (s *sparseStore) writeAt(p []byte, off int64, st *Stats) {
+	if len(p) == 0 {
+		st.AddWrite(0)
+		return
+	}
+	first := true
 	for len(p) > 0 {
 		idx := off / pageSize
 		po := off % pageSize
 		n := min(pageSize-po, int64(len(p)))
-		pg := s.page(idx)
-		pg.mu.Lock()
-		copy(pg.buf[po:po+n], p[:n])
-		pg.mu.Unlock()
+		for !s.page(idx).write(p[:n], po, first) {
+		}
+		first = false
 		p = p[n:]
 		off += n
 	}
 }
 
-func (s *sparseStore) clear() {
-	for i := range s.dir {
-		s.dir[i].Store(nil)
-	}
+// drop loses the store's contents, as a power cycle of volatile media
+// does. Under each page's lock it folds the page's counts into st's
+// atomics, marks the page dropped and empties its slot, so an access
+// holding the page finds it dropped (storePage.read, storePage.write)
+// and every access is counted once. It holds countMu, so a Snapshot
+// sees each page's counts in the page or in the atomics, never both.
+func (s *sparseStore) drop(st *Stats) {
+	s.countMu.Lock()
+	defer s.countMu.Unlock()
+	s.forPages(func(idx int64, pg *storePage) {
+		pg.mu.Lock()
+		st.reads.Add(pg.reads)
+		st.writes.Add(pg.writes)
+		st.bytesRead.Add(pg.bytesRead)
+		st.bytesWritten.Add(pg.bytesWritten)
+		pg.buf = nil
+		s.dir[idx/leafPages].Load()[idx%leafPages].Store(nil)
+		pg.mu.Unlock()
+	})
 }
 
-// forPages calls f with the index of every materialised page, in
-// ascending order.
-func (s *sparseStore) forPages(f func(idx int64)) {
+// forPages calls f with the index and page of every materialised page,
+// in ascending order.
+func (s *sparseStore) forPages(f func(idx int64, pg *storePage)) {
 	for d := range s.dir {
 		l := s.dir[d].Load()
 		if l == nil {
 			continue
 		}
 		for i := range l {
-			if l[i].Load() != nil {
-				f(int64(d)*leafPages + int64(i))
+			if pg := l[i].Load(); pg != nil {
+				f(int64(d)*leafPages+int64(i), pg)
 			}
 		}
 	}
@@ -320,7 +442,7 @@ func (s *sparseStore) forPages(f func(idx int64)) {
 // touchedPages reports how many pages have been materialised (test hook).
 func (s *sparseStore) touchedPages() int {
 	n := 0
-	s.forPages(func(int64) { n++ })
+	s.forPages(func(int64, *storePage) { n++ })
 	return n
 }
 
@@ -330,7 +452,7 @@ func (s *sparseStore) touchedPages() int {
 // footprint.
 func (s *sparseStore) committed() []Range {
 	var out []Range
-	s.forPages(func(i int64) {
+	s.forPages(func(i int64, _ *storePage) {
 		base := uint64(i) * pageSize
 		size := min(uint64(pageSize), uint64(s.cap)-base)
 		if n := len(out); n > 0 && out[n-1].Base+out[n-1].Size == base {
@@ -354,13 +476,15 @@ type baseDevice struct {
 }
 
 func newBaseDevice(name string, capacity units.Size, persistent bool, profile Profile) *baseDevice {
-	return &baseDevice{
+	d := &baseDevice{
 		name:       name,
 		capacity:   capacity,
 		persistent: persistent,
 		profile:    profile,
 		store:      newSparseStore(capacity),
 	}
+	d.stats.store = d.store
+	return d
 }
 
 // Committed implements RangeLister: the materialised (ever-written)
@@ -377,9 +501,7 @@ func (d *baseDevice) ReadAt(p []byte, off int64) error {
 	if !d.store.check(off, len(p)) {
 		return &AddrError{Device: d.name, Off: off, Len: len(p), Cap: d.capacity}
 	}
-	d.store.readAt(p, off)
-	d.stats.Reads.Add(1)
-	d.stats.BytesRead.Add(int64(len(p)))
+	d.store.readAt(p, off, &d.stats)
 	d.stats.TouchHeat(off, len(p))
 	return nil
 }
@@ -388,15 +510,13 @@ func (d *baseDevice) WriteAt(p []byte, off int64) error {
 	if !d.store.check(off, len(p)) {
 		return &AddrError{Device: d.name, Off: off, Len: len(p), Cap: d.capacity}
 	}
-	d.store.writeAt(p, off)
-	d.stats.Writes.Add(1)
-	d.stats.BytesWrite.Add(int64(len(p)))
+	d.store.writeAt(p, off, &d.stats)
 	d.stats.TouchHeat(off, len(p))
 	return nil
 }
 
 func (d *baseDevice) PowerCycle() {
 	if !d.persistent {
-		d.store.clear()
+		d.store.drop(&d.stats)
 	}
 }

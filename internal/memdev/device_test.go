@@ -5,8 +5,10 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -382,9 +384,184 @@ func TestStatsCounters(t *testing.T) {
 	}
 	// Failed accesses do not count.
 	_ = d.ReadAt(make([]byte, 1), -1)
-	r2, _, _, _ := d.Stats().Snapshot()
-	if r2 != 2 {
-		t.Errorf("failed read counted: %d", r2)
+	_ = d.WriteAt(make([]byte, 2), d.Capacity().Bytes()-1)
+	if r2, w2, _, _ := d.Stats().Snapshot(); r2 != 2 || w2 != 1 {
+		t.Errorf("failed access counted: %d reads, %d writes", r2, w2)
+	}
+
+	// Accesses that take no page lock count in the atomics, as every
+	// access once did: a read of a page never written, and a
+	// zero-length read or write.
+	if err := d.ReadAt(make([]byte, 100), 5*pageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ReadAt(nil, 64); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WriteAt(nil, 5*pageSize); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.store.touchedPages(); got != 1 {
+		t.Errorf("touchedPages = %d, want 1: a read or an empty write materialised a page", got)
+	}
+	if r, w, br, bw := d.Stats().Snapshot(); r != 4 || w != 2 || br != 228 || bw != 128 {
+		t.Errorf("stats = (%d, %d, %d, %d), want (4, 2, 228, 128)", r, w, br, bw)
+	}
+
+	// An access across a page boundary is one op, counted on the first
+	// page it touches, and its bytes are split across the pages. A read
+	// whose first page was never written counts its op, and that page's
+	// bytes, in the atomics.
+	if err := d.WriteAt(make([]byte, 300), 3*pageSize-100); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ReadAt(make([]byte, 300), 3*pageSize-100); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ReadAt(make([]byte, 300), 2*pageSize-100); err != nil {
+		t.Fatal(err)
+	}
+	if r, w, br, bw := d.Stats().Snapshot(); r != 6 || w != 3 || br != 828 || bw != 428 {
+		t.Errorf("stats = (%d, %d, %d, %d), want (6, 3, 828, 428)", r, w, br, bw)
+	}
+	type counts struct{ reads, writes, bytesRead, bytesWritten int64 }
+	for idx, want := range map[int64]counts{2: {1, 1, 300, 100}, 3: {0, 0, 200, 200}} {
+		pg := d.store.lookup(idx)
+		if got := (counts{pg.reads, pg.writes, pg.bytesRead, pg.bytesWritten}); got != want {
+			t.Errorf("page %d counts %+v, want %+v", idx, got, want)
+		}
+	}
+	if r, br := d.stats.reads.Load(), d.stats.bytesRead.Load(); r != 3 || br != 200 {
+		t.Errorf("atomic reads = %d of %d bytes, want 3 of 200", r, br)
+	}
+}
+
+// watchSnapshots takes Snapshots of s on its own goroutine until the
+// returned stop is called, and fails t if any counter reads lower than
+// it did in the Snapshot before.
+func watchSnapshots(t *testing.T, s *Stats) (stop func()) {
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var prev [4]int64
+		for !done.Load() {
+			r, w, br, bw := s.Snapshot()
+			cur := [4]int64{r, w, br, bw}
+			for i := range cur {
+				if cur[i] < prev[i] {
+					t.Errorf("Snapshot counter %d went %d -> %d", i, prev[i], cur[i])
+					return
+				}
+			}
+			prev = cur
+		}
+	}()
+	return func() {
+		done.Store(true)
+		wg.Wait()
+	}
+}
+
+// TestSnapshotUnderLoad: goroutines read and write lines of pages they
+// share and of pages of their own while another takes Snapshots. No
+// Snapshot reads lower than the one before it, and the last equals the
+// exact totals.
+func TestSnapshotUnderLoad(t *testing.T) {
+	d := testDRAM(t)
+	const workers, ops = 4, 2000
+	stop := watchSnapshots(t, d.Stats())
+	var wg sync.WaitGroup
+	for g := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			line := make([]byte, 64)
+			own := int64(4+g) * pageSize // a page of this worker's own
+			for i := range ops {
+				// Even ops hit one of two shared pages, odd ops the own page.
+				off := own + int64(i%64)*64
+				if i%2 == 0 {
+					off = int64(i%4/2)*pageSize + int64(g*64+i%16)*64
+				}
+				if err := d.WriteAt(line[:8+i%57], off); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := d.ReadAt(line, off); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	stop()
+	var wantBytes int64
+	for i := range ops {
+		wantBytes += int64(8 + i%57)
+	}
+	r, w, br, bw := d.Stats().Snapshot()
+	if want := int64(workers * ops); r != want || w != want || br != want*64 || bw != workers*wantBytes {
+		t.Errorf("stats = (%d, %d, %d, %d), want (%d, %d, %d, %d)",
+			r, w, br, bw, want, want, want*64, workers*wantBytes)
+	}
+}
+
+// TestPowerCycleCountsEachAccessOnce: writers and readers run while a
+// volatile device power-cycles over and over, so accesses race the
+// fold of each page's counts and the drop of the page, and Snapshots
+// race the fold. Every access that returned nil is counted exactly
+// once, and no Snapshot reads lower than the one before it.
+func TestPowerCycleCountsEachAccessOnce(t *testing.T) {
+	d := testDRAM(t)
+	const workers, ops = 4, 3000
+	stop := watchSnapshots(t, d.Stats())
+	var done atomic.Bool
+	var cycles sync.WaitGroup
+	cycles.Add(1)
+	go func() {
+		defer cycles.Done()
+		for !done.Load() {
+			d.PowerCycle()
+			runtime.Gosched()
+		}
+	}()
+	var wg sync.WaitGroup
+	var reads, writes, bytesRead, bytesWritten atomic.Int64
+	for g := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, 200)
+			for i := range ops {
+				// Some accesses cross from page g into page g+1.
+				off := int64(g+1)*pageSize - 100 + int64(i%3)*64
+				n := 1 + i%len(buf)
+				if err := d.WriteAt(buf[:n], off); err == nil {
+					writes.Add(1)
+					bytesWritten.Add(int64(n))
+				}
+				if err := d.ReadAt(buf[:n], off); err == nil {
+					reads.Add(1)
+					bytesRead.Add(int64(n))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	done.Store(true)
+	cycles.Wait()
+	stop()
+	d.PowerCycle()
+	r, w, br, bw := d.Stats().Snapshot()
+	if r != reads.Load() || w != writes.Load() || br != bytesRead.Load() || bw != bytesWritten.Load() {
+		t.Errorf("stats = (%d, %d, %d, %d), want (%d, %d, %d, %d)", r, w, br, bw,
+			reads.Load(), writes.Load(), bytesRead.Load(), bytesWritten.Load())
+	}
+	if got := d.store.touchedPages(); got != 0 {
+		t.Errorf("touchedPages after the last PowerCycle = %d, want 0", got)
 	}
 }
 
@@ -425,7 +602,7 @@ func TestConcurrentAccess(t *testing.T) {
 func TestSparseStoreProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s := newSparseStore(16 * units.MiB)
+		s, st := newSparseStore(16*units.MiB), new(Stats)
 		type chunk struct {
 			off  int64
 			data []byte
@@ -438,12 +615,12 @@ func TestSparseStoreProperty(t *testing.T) {
 			data := make([]byte, n)
 			rng.Read(data)
 			off := int64(slot) * 4096
-			s.writeAt(data, off)
+			s.writeAt(data, off, st)
 			chunks = append(chunks, chunk{off, data})
 		}
 		for _, c := range chunks {
 			out := make([]byte, len(c.data))
-			s.readAt(out, c.off)
+			s.readAt(out, c.off, st)
 			if !bytes.Equal(out, c.data) {
 				return false
 			}

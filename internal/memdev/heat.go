@@ -111,8 +111,8 @@ func (s *Stats) EnableHeat(capacity units.Size, granule int64) (*Heat, error) {
 }
 
 // TouchHeat records an access against the heat map, if one is
-// attached. Device implementations call this next to the Reads/Writes
-// counters on their access paths; when heat is disabled it is one
+// attached. Device implementations call this once for each access that
+// succeeds, after counting its traffic; when heat is disabled it is one
 // atomic pointer load.
 func (s *Stats) TouchHeat(off int64, n int) {
 	if h := s.heat.Load(); h != nil {

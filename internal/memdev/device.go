@@ -138,22 +138,21 @@ func (s *Stats) AddWrite(n int) {
 }
 
 // Snapshot returns the traffic counted so far: the atomics plus, for a
-// device built here, the counts of every materialised page, each read
-// under its page's lock. It shares one lock with the fold a power cycle
-// makes (sparseStore.drop), so it sees each page's counts once: in the
-// page or, once dropped, in the atomics.
+// device built here, the counts of every page it ever materialised,
+// each read under its page's lock. It follows the store's list of
+// pages, so it costs a lock per page, not a walk of the page table.
+// Counts never move between pages or into the atomics, so no counter
+// reads lower than it did in an earlier Snapshot.
 func (s *Stats) Snapshot() (reads, writes, bytesRead, bytesWritten int64) {
 	if st := s.store; st != nil {
-		st.countMu.Lock()
-		defer st.countMu.Unlock()
-		st.forPages(func(_ int64, pg *storePage) {
+		for pg := st.pages.Load(); pg != nil; pg = pg.next {
 			pg.mu.Lock()
 			reads += pg.reads
 			writes += pg.writes
 			bytesRead += pg.bytesRead
 			bytesWritten += pg.bytesWritten
 			pg.mu.Unlock()
-		})
+		}
 	}
 	return reads + s.reads.Load(), writes + s.writes.Load(),
 		bytesRead + s.bytesRead.Load(), bytesWritten + s.bytesWritten.Load()
@@ -245,36 +244,37 @@ const leafPages = 512
 // more locked instructions.
 type storePage struct {
 	mu  sync.Mutex
-	buf []byte // nil once a power cycle has dropped the page
+	buf []byte // nil until written again after a power cycle
 	// An access counts one op on the first page it touches and its
 	// bytes on each page they land in; mu guards the counts.
 	reads, writes, bytesRead, bytesWritten int64
+
+	// next is the page materialised before this one (sparseStore.pages).
+	next *storePage
 }
 
-// read copies the page's bytes at po into p and counts them, plus one
-// read if op. It reports false, copying and counting nothing, once a
-// power cycle has dropped the page.
-func (pg *storePage) read(p []byte, po int64, op bool) bool {
+// read copies the page's bytes at po into p, or zeros once a power
+// cycle has released them, and counts them, plus one read if op.
+func (pg *storePage) read(p []byte, po int64, op bool) {
 	pg.mu.Lock()
-	if pg.buf == nil {
-		pg.mu.Unlock()
-		return false
+	if pg.buf != nil {
+		copy(p, pg.buf[po:])
+	} else {
+		clear(p)
 	}
-	copy(p, pg.buf[po:])
 	if op {
 		pg.reads++
 	}
 	pg.bytesRead += int64(len(p))
 	pg.mu.Unlock()
-	return true
 }
 
-// write copies p into the page at po and counts it as read does.
-func (pg *storePage) write(p []byte, po int64, op bool) bool {
+// write copies p into the page at po, first allocating fresh bytes if a
+// power cycle released them, and counts it as read does.
+func (pg *storePage) write(p []byte, po int64, op bool) {
 	pg.mu.Lock()
 	if pg.buf == nil {
-		pg.mu.Unlock()
-		return false
+		pg.buf = make([]byte, pageSize)
 	}
 	copy(pg.buf[po:], p)
 	if op {
@@ -282,7 +282,14 @@ func (pg *storePage) write(p []byte, po int64, op bool) bool {
 	}
 	pg.bytesWritten += int64(len(p))
 	pg.mu.Unlock()
-	return true
+}
+
+// holds reports whether the page has bytes, that is whether it was
+// written since the last power cycle.
+func (pg *storePage) holds() bool {
+	pg.mu.Lock()
+	defer pg.mu.Unlock()
+	return pg.buf != nil
 }
 
 // storeLeaf is one 1 GiB leaf of the page table.
@@ -294,18 +301,20 @@ type storeLeaf [leafPages]atomic.Pointer[storePage]
 // GiB of capacity, each leaf holding 512 page slots — so lookup is two
 // loads and no lock, and a 64 GiB device's directory is 64 slots where
 // a flat table would take 256 KiB. Each leaf and page is created on
-// first touch by compare-and-swap; a leaf is never dropped, a page only
-// by a power cycle. Materialised page content is guarded by the page's
-// own lock. Accesses confined to one page (every CXL line transaction,
-// and every burst that does not cross a 2 MiB boundary) are
-// linearizable; multi-page accesses commit page by page, exactly as a
-// multi-channel memory controller commits a multi-beat transfer.
+// first write, under grow, and then stays: a power cycle releases a
+// page's bytes but keeps the page, its slot and its counts.
+// Materialised page content is guarded by the page's own lock. Accesses
+// confined to one page (every CXL line transaction, and every burst
+// that does not cross a 2 MiB boundary) are linearizable; multi-page
+// accesses commit page by page, exactly as a multi-channel memory
+// controller commits a multi-beat transfer.
 type sparseStore struct {
 	dir []atomic.Pointer[storeLeaf]
 	cap int64
-	// countMu orders Stats.Snapshot against drop, the cold paths that
-	// read or move the per-page counts.
-	countMu sync.Mutex
+	// pages lists every materialised page, newest first, for Snapshot
+	// and drop; grow serialises page creation, which pushes onto it.
+	pages atomic.Pointer[storePage]
+	grow  sync.Mutex
 }
 
 func newSparseStore(capacity units.Size) *sparseStore {
@@ -331,9 +340,9 @@ func (s *sparseStore) lookup(idx int64) *storePage {
 
 // readAt copies the bytes at off into p and counts the read in st: the
 // read on the first page it touches and each page's share of the bytes
-// on that page, under the lock the copy holds. A page never written, or
-// dropped by a power cycle, reads as zeros and counts its share in st's
-// atomics, as does a zero-length read.
+// on that page, under the lock the copy holds. A page never written
+// reads as zeros and counts its share in st's atomics, as does a
+// zero-length read.
 func (s *sparseStore) readAt(p []byte, off int64, st *Stats) {
 	if len(p) == 0 {
 		st.AddRead(0)
@@ -344,7 +353,9 @@ func (s *sparseStore) readAt(p []byte, off int64, st *Stats) {
 		idx := off / pageSize
 		po := off % pageSize
 		n := min(pageSize-po, int64(len(p)))
-		if pg := s.lookup(idx); pg == nil || !pg.read(p[:n], po, first) {
+		if pg := s.lookup(idx); pg != nil {
+			pg.read(p[:n], po, first)
+		} else {
 			clear(p[:n])
 			if first {
 				st.reads.Add(1)
@@ -358,32 +369,33 @@ func (s *sparseStore) readAt(p []byte, off int64, st *Stats) {
 }
 
 // page returns the materialised page idx, creating its leaf and then
-// the page on first touch. A lost compare-and-swap means another
-// writer created it first.
+// the page on first touch. Creation is rare (once per 2 MiB) and takes
+// grow, so a page is on the pages list before any access can find it
+// in its slot and count in it.
 func (s *sparseStore) page(idx int64) *storePage {
+	if pg := s.lookup(idx); pg != nil {
+		return pg
+	}
+	s.grow.Lock()
+	defer s.grow.Unlock()
 	dl := &s.dir[idx/leafPages]
 	l := dl.Load()
 	if l == nil {
-		dl.CompareAndSwap(nil, new(storeLeaf))
-		l = dl.Load()
+		l = new(storeLeaf)
+		dl.Store(l)
 	}
 	slot := &l[idx%leafPages]
-	for {
-		if pg := slot.Load(); pg != nil {
-			return pg
-		}
-		// A power cycle may drop the page between the swap and a
-		// reload, so return the page this call installed.
-		if pg := (&storePage{buf: make([]byte, pageSize)}); slot.CompareAndSwap(nil, pg) {
-			return pg
-		}
+	pg := slot.Load()
+	if pg == nil {
+		pg = &storePage{buf: make([]byte, pageSize), next: s.pages.Load()}
+		s.pages.Store(pg)
+		slot.Store(pg)
 	}
+	return pg
 }
 
 // writeAt copies p to off and counts the write in st as readAt counts
-// a read. A page a power cycle drops between lookup and lock takes
-// nothing, and the write retries on the fresh page that replaces it, so
-// a write that returns is stored and counted once.
+// a read.
 func (s *sparseStore) writeAt(p []byte, off int64, st *Stats) {
 	if len(p) == 0 {
 		st.AddWrite(0)
@@ -394,8 +406,7 @@ func (s *sparseStore) writeAt(p []byte, off int64, st *Stats) {
 		idx := off / pageSize
 		po := off % pageSize
 		n := min(pageSize-po, int64(len(p)))
-		for !s.page(idx).write(p[:n], po, first) {
-		}
+		s.page(idx).write(p[:n], po, first)
 		first = false
 		p = p[n:]
 		off += n
@@ -403,56 +414,46 @@ func (s *sparseStore) writeAt(p []byte, off int64, st *Stats) {
 }
 
 // drop loses the store's contents, as a power cycle of volatile media
-// does. Under each page's lock it folds the page's counts into st's
-// atomics, marks the page dropped and empties its slot, so an access
-// holding the page finds it dropped (storePage.read, storePage.write)
-// and every access is counted once. It holds countMu, so a Snapshot
-// sees each page's counts in the page or in the atomics, never both.
-func (s *sparseStore) drop(st *Stats) {
-	s.countMu.Lock()
-	defer s.countMu.Unlock()
-	s.forPages(func(idx int64, pg *storePage) {
+// does: it releases each page's bytes under the page's lock. The page
+// keeps its slot and its counts, so an access racing the drop reads
+// zeros or writes onto fresh bytes, and is counted once, in the page.
+func (s *sparseStore) drop() {
+	for pg := s.pages.Load(); pg != nil; pg = pg.next {
 		pg.mu.Lock()
-		st.reads.Add(pg.reads)
-		st.writes.Add(pg.writes)
-		st.bytesRead.Add(pg.bytesRead)
-		st.bytesWritten.Add(pg.bytesWritten)
 		pg.buf = nil
-		s.dir[idx/leafPages].Load()[idx%leafPages].Store(nil)
 		pg.mu.Unlock()
-	})
+	}
 }
 
-// forPages calls f with the index and page of every materialised page,
-// in ascending order.
-func (s *sparseStore) forPages(f func(idx int64, pg *storePage)) {
+// forPages calls f with the index of every page written since the last
+// power cycle, in ascending order.
+func (s *sparseStore) forPages(f func(idx int64)) {
 	for d := range s.dir {
 		l := s.dir[d].Load()
 		if l == nil {
 			continue
 		}
 		for i := range l {
-			if pg := l[i].Load(); pg != nil {
-				f(int64(d)*leafPages+int64(i), pg)
+			if pg := l[i].Load(); pg != nil && pg.holds() {
+				f(int64(d)*leafPages + int64(i))
 			}
 		}
 	}
 }
 
-// touchedPages reports how many pages have been materialised (test hook).
+// touchedPages reports how many pages hold bytes (test hook).
 func (s *sparseStore) touchedPages() int {
 	n := 0
-	s.forPages(func(int64, *storePage) { n++ })
+	s.forPages(func(int64) { n++ })
 	return n
 }
 
-// committed enumerates the materialised pages as ascending, coalesced
-// ranges clipped to the capacity. Pages materialise on first write and
-// are never dropped short of PowerCycle, so this is the "ever-written"
-// footprint.
+// committed enumerates the pages written since the last power cycle as
+// ascending, coalesced ranges clipped to the capacity. This is the
+// "ever-written" footprint.
 func (s *sparseStore) committed() []Range {
 	var out []Range
-	s.forPages(func(i int64, _ *storePage) {
+	s.forPages(func(i int64) {
 		base := uint64(i) * pageSize
 		size := min(uint64(pageSize), uint64(s.cap)-base)
 		if n := len(out); n > 0 && out[n-1].Base+out[n-1].Size == base {
@@ -517,6 +518,6 @@ func (d *baseDevice) WriteAt(p []byte, off int64) error {
 
 func (d *baseDevice) PowerCycle() {
 	if !d.persistent {
-		d.store.drop(&d.stats)
+		d.store.drop()
 	}
 }

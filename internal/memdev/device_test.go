@@ -171,6 +171,10 @@ func TestPageFirstTouchRace(t *testing.T) {
 	if n := d.store.touchedPages(); n != 1 {
 		t.Errorf("touchedPages = %d, want 1", n)
 	}
+	// Snapshot follows the list of pages, so it sees the one page once.
+	if _, w, _, bw := d.Stats().Snapshot(); w != lines || bw != lines*64 {
+		t.Errorf("Snapshot counts %d writes of %d bytes, want %d of %d", w, bw, lines, lines*64)
+	}
 }
 
 func TestOutOfRangeAccess(t *testing.T) {
@@ -510,10 +514,10 @@ func TestSnapshotUnderLoad(t *testing.T) {
 }
 
 // TestPowerCycleCountsEachAccessOnce: writers and readers run while a
-// volatile device power-cycles over and over, so accesses race the
-// fold of each page's counts and the drop of the page, and Snapshots
-// race the fold. Every access that returned nil is counted exactly
-// once, and no Snapshot reads lower than the one before it.
+// volatile device power-cycles over and over, so accesses and
+// Snapshots race the release of each page's bytes. Every access that
+// returned nil is counted exactly once, and no Snapshot reads lower
+// than the one before it.
 func TestPowerCycleCountsEachAccessOnce(t *testing.T) {
 	d := testDRAM(t)
 	const workers, ops = 4, 3000

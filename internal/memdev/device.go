@@ -253,37 +253,6 @@ type storePage struct {
 	next *storePage
 }
 
-// read copies the page's bytes at po into p, or zeros once a power
-// cycle has released them, and counts them, plus one read if op.
-func (pg *storePage) read(p []byte, po int64, op bool) {
-	pg.mu.Lock()
-	if pg.buf != nil {
-		copy(p, pg.buf[po:])
-	} else {
-		clear(p)
-	}
-	if op {
-		pg.reads++
-	}
-	pg.bytesRead += int64(len(p))
-	pg.mu.Unlock()
-}
-
-// write copies p into the page at po, first allocating fresh bytes if a
-// power cycle released them, and counts it as read does.
-func (pg *storePage) write(p []byte, po int64, op bool) {
-	pg.mu.Lock()
-	if pg.buf == nil {
-		pg.buf = make([]byte, pageSize)
-	}
-	copy(pg.buf[po:], p)
-	if op {
-		pg.writes++
-	}
-	pg.bytesWritten += int64(len(p))
-	pg.mu.Unlock()
-}
-
 // holds reports whether the page has bytes, that is whether it was
 // written since the last power cycle.
 func (pg *storePage) holds() bool {
@@ -342,40 +311,45 @@ func (s *sparseStore) lookup(idx int64) *storePage {
 // read on the first page it touches and each page's share of the bytes
 // on that page, under the lock the copy holds. A page never written
 // reads as zeros and counts its share in st's atomics, as does a
-// zero-length read.
+// zero-length read. A page whose bytes a power cycle released reads as
+// zeros too, and counts in the page.
 func (s *sparseStore) readAt(p []byte, off int64, st *Stats) {
 	if len(p) == 0 {
 		st.AddRead(0)
 		return
 	}
-	first := true
+	op := int64(1) // the read counts on the first page only
 	for len(p) > 0 {
-		idx := off / pageSize
 		po := off % pageSize
 		n := min(pageSize-po, int64(len(p)))
-		if pg := s.lookup(idx); pg != nil {
-			pg.read(p[:n], po, first)
+		if pg := s.lookup(off / pageSize); pg != nil {
+			pg.mu.Lock()
+			if pg.buf != nil {
+				copy(p[:n], pg.buf[po:])
+			} else {
+				clear(p[:n])
+			}
+			pg.reads += op
+			pg.bytesRead += n
+			pg.mu.Unlock()
 		} else {
 			clear(p[:n])
-			if first {
+			if op != 0 {
 				st.reads.Add(1)
 			}
 			st.bytesRead.Add(n)
 		}
-		first = false
+		op = 0
 		p = p[n:]
 		off += n
 	}
 }
 
-// page returns the materialised page idx, creating its leaf and then
-// the page on first touch. Creation is rare (once per 2 MiB) and takes
-// grow, so a page is on the pages list before any access can find it
-// in its slot and count in it.
+// page returns page idx, creating its leaf and then the page if no
+// access has yet: writeAt calls it when lookup finds no page. Creation
+// is rare (once per 2 MiB) and takes grow, so a page is on the pages
+// list before any access can find it in its slot and count in it.
 func (s *sparseStore) page(idx int64) *storePage {
-	if pg := s.lookup(idx); pg != nil {
-		return pg
-	}
 	s.grow.Lock()
 	defer s.grow.Unlock()
 	dl := &s.dir[idx/leafPages]
@@ -395,19 +369,30 @@ func (s *sparseStore) page(idx int64) *storePage {
 }
 
 // writeAt copies p to off and counts the write in st as readAt counts
-// a read.
+// a read. A page whose bytes a power cycle released gets fresh ones
+// under its lock.
 func (s *sparseStore) writeAt(p []byte, off int64, st *Stats) {
 	if len(p) == 0 {
 		st.AddWrite(0)
 		return
 	}
-	first := true
+	op := int64(1)
 	for len(p) > 0 {
-		idx := off / pageSize
-		po := off % pageSize
+		idx, po := off/pageSize, off%pageSize
 		n := min(pageSize-po, int64(len(p)))
-		s.page(idx).write(p[:n], po, first)
-		first = false
+		pg := s.lookup(idx)
+		if pg == nil {
+			pg = s.page(idx)
+		}
+		pg.mu.Lock()
+		if pg.buf == nil {
+			pg.buf = make([]byte, pageSize)
+		}
+		copy(pg.buf[po:], p[:n])
+		pg.writes += op
+		pg.bytesWritten += n
+		pg.mu.Unlock()
+		op = 0
 		p = p[n:]
 		off += n
 	}

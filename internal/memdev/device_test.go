@@ -438,6 +438,24 @@ func TestStatsCounters(t *testing.T) {
 	if r, br := d.stats.reads.Load(), d.stats.bytesRead.Load(); r != 3 || br != 200 {
 		t.Errorf("atomic reads = %d of %d bytes, want 3 of 200", r, br)
 	}
+
+	// A power cycle of volatile media releases the bytes and keeps every
+	// count where it was. A read of a released page reads zeros and
+	// counts in that page.
+	d.PowerCycle()
+	if r, w, br, bw := d.Stats().Snapshot(); r != 6 || w != 3 || br != 828 || bw != 428 {
+		t.Errorf("after PowerCycle stats = (%d, %d, %d, %d), want (6, 3, 828, 428)", r, w, br, bw)
+	}
+	p := []byte{1, 2, 3}
+	if err := d.ReadAt(p, 3*pageSize); err != nil {
+		t.Fatal(err)
+	}
+	if p[0]|p[1]|p[2] != 0 {
+		t.Errorf("read of a released page = %v, want zeros", p)
+	}
+	if pg := d.store.lookup(3); pg.reads != 1 || pg.bytesRead != 203 {
+		t.Errorf("page 3 counts %d reads of %d bytes, want 1 of 203", pg.reads, pg.bytesRead)
+	}
 }
 
 // watchSnapshots takes Snapshots of s on its own goroutine until the

@@ -320,9 +320,10 @@ func (s *sparseStore) readAt(p []byte, off int64, st *Stats) {
 	}
 	op := int64(1) // the read counts on the first page only
 	for len(p) > 0 {
+		idx := off / pageSize
 		po := off % pageSize
 		n := min(pageSize-po, int64(len(p)))
-		if pg := s.lookup(off / pageSize); pg != nil {
+		if pg := s.lookup(idx); pg != nil {
 			pg.mu.Lock()
 			if pg.buf != nil {
 				copy(p[:n], pg.buf[po:])
@@ -378,7 +379,8 @@ func (s *sparseStore) writeAt(p []byte, off int64, st *Stats) {
 	}
 	op := int64(1)
 	for len(p) > 0 {
-		idx, po := off/pageSize, off%pageSize
+		idx := off / pageSize
+		po := off % pageSize
 		n := min(pageSize-po, int64(len(p)))
 		pg := s.lookup(idx)
 		if pg == nil {

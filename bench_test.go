@@ -486,8 +486,8 @@ func BenchmarkLineLayers(b *testing.B) {
 
 // BenchmarkTxUpdateCXL times the paper's small undo-log transaction on
 // Setup #1's 1-way CXL mount: a 64 B Pool.Update, which crosses the root
-// port as seven CXL.mem transactions (one line read, one line write and
-// five MemWrPtls). Objects and offsets rotate, so consecutive
+// port as six CXL.mem transactions (one line read, one line write and
+// four MemWrPtls). Objects and offsets rotate, so consecutive
 // transactions touch different lines.
 func BenchmarkTxUpdateCXL(b *testing.B) {
 	rt, err := NewSetup1(Setup1Options{FPGA: fpga.Options{ChannelCapacity: 8 * units.MiB}})

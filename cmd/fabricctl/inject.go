@@ -36,6 +36,9 @@ func runInject(e *cluster.Elastic, args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if action == chaos.ActPowerCut {
+		log.Fatal("inject: power-cut needs the devices attached with Engine.AttachDevice, and the demo pool does not expose its tenants' devices")
+	}
 	fs := flag.NewFlagSet("inject", flag.ExitOnError)
 	seed := fs.Uint64("seed", 0xC0FFEE, "plan seed (same seed, same schedule)")
 	nth := fs.Uint64("nth", 0, "fire on the Nth matching event")

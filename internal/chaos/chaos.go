@@ -8,15 +8,17 @@
 // the event's ordinal/predicate — so the same seed replays the
 // identical fault schedule, byte for byte, under -race and across
 // machines — and the action is what breaks (corrupt, drop, delay,
-// reorder, flap, surprise-remove, stall, garble, latent poison).
+// reorder, flap, surprise-remove, stall, garble, latent poison, power
+// cut).
 //
 // The Engine compiles a Plan and arms it against live components
-// (AttachPort, AttachSwitch, AttachMailbox, AttachMedia). Every fire is
-// appended to a bounded schedule log (ScheduleString), which is both the
-// replay-determinism witness and the operator's view of what the plan
-// did. When every rule of an attachment is exhausted the engine
-// uninstalls its hooks, so a drained plan costs the data path nothing —
-// the property the CI no-fault-overhead gate pins.
+// (AttachPort, AttachSwitch, AttachMailbox, AttachMedia, AttachDevice).
+// Every fire is appended to a bounded schedule log (ScheduleString),
+// which is both the replay-determinism witness and the operator's view
+// of what the plan did. When every rule of an attachment is exhausted
+// the engine uninstalls its hooks, so a drained plan costs the data
+// path nothing — the property the CI no-fault-overhead gate pins. A
+// power cut is the exception: once fired it stays until Disarm.
 package chaos
 
 import (
@@ -43,7 +45,8 @@ const (
 	// delay; a failed snoop fails the acquire that sent it).
 	SiteSnoop
 	// SiteMedia — device media (latent stuck-at poison, surfaced by
-	// patrol scrub or a demand read; fired by Engine.Pulse).
+	// patrol scrub or a demand read, fired by Engine.Pulse; a power cut,
+	// fired by the media writes themselves).
 	SiteMedia
 	// SiteFabric — the fabric manager's tenant command plane: mailbox
 	// faults restricted to the dynamic-capacity opcodes, modelling an
@@ -111,6 +114,11 @@ const (
 	// ActPoison plants latent poison at a deterministic address inside
 	// the rule's [AddrLo, AddrHi) window (fired by Pulse).
 	ActPoison
+	// ActPowerCut cuts power to every device AttachDevice armed: the
+	// media write it fires on, and every later one, is dropped while the
+	// devices answer as if it had landed. Its matches are the media
+	// writes of the data path, counted across the devices.
+	ActPowerCut
 )
 
 func (a Action) String() string {
@@ -133,6 +141,8 @@ func (a Action) String() string {
 		return "garble"
 	case ActPoison:
 		return "poison"
+	case ActPowerCut:
+		return "power-cut"
 	default:
 		return fmt.Sprintf("Action(%d)", uint8(a))
 	}
@@ -140,7 +150,7 @@ func (a Action) String() string {
 
 // ParseAction resolves an action name (as printed by String).
 func ParseAction(s string) (Action, error) {
-	for _, c := range []Action{ActCorrupt, ActDrop, ActDelay, ActReorder, ActFlap, ActRemove, ActStall, ActGarble, ActPoison} {
+	for _, c := range []Action{ActCorrupt, ActDrop, ActDelay, ActReorder, ActFlap, ActRemove, ActStall, ActGarble, ActPoison, ActPowerCut} {
 		if c.String() == s {
 			return c, nil
 		}
@@ -154,15 +164,16 @@ var siteActions = map[Site][]Action{
 	SiteLink:    {ActFlap, ActRemove},
 	SiteMailbox: {ActStall, ActGarble},
 	SiteSnoop:   {ActCorrupt, ActDrop, ActDelay},
-	SiteMedia:   {ActPoison},
+	SiteMedia:   {ActPoison, ActPowerCut},
 	SiteFabric:  {ActStall, ActGarble},
 }
 
 // Trigger decides which matching events fire. The match stream is the
 // site's event stream (flits for port/link/snoop, commands for
-// mailbox/fabric, Pulse ticks for media); each rule counts its own
-// matches, and the fire decision is a pure function of the plan seed,
-// the rule index and the match ordinal — no wall clock, no global RNG.
+// mailbox/fabric, Pulse ticks for poison, media writes for a power
+// cut); each rule counts its own matches, and the fire decision is a
+// pure function of the plan seed, the rule index and the match ordinal
+// — no wall clock, no global RNG.
 type Trigger struct {
 	// Nth fires on the Nth matching event (1-based). With Every it is
 	// the phase: fire on Nth, Nth+Every, Nth+2·Every, …
@@ -183,7 +194,8 @@ type Trigger struct {
 	// Op filters mailbox opcodes (0 = any).
 	Op uint16
 	// AddrLo/AddrHi filter the event address to [AddrLo, AddrHi) when
-	// AddrHi > 0. For SiteMedia, this is the poison placement window.
+	// AddrHi > 0. For ActPoison, this is the poison placement window; a
+	// power cut takes none, since power fails for every address at once.
 	AddrLo, AddrHi uint64
 }
 
@@ -228,8 +240,11 @@ func (p *Plan) validate() error {
 		if t.AddrHi > 0 && t.AddrHi <= t.AddrLo {
 			return fmt.Errorf("chaos: rule %d: empty address window [%#x, %#x)", i, t.AddrLo, t.AddrHi)
 		}
-		if r.Site == SiteMedia && t.AddrHi == 0 {
+		if r.Action == ActPoison && t.AddrHi == 0 {
 			return fmt.Errorf("chaos: rule %d: media poison needs an address window", i)
+		}
+		if r.Action == ActPowerCut && t.AddrHi > 0 {
+			return fmt.Errorf("chaos: rule %d: a power cut takes no address window", i)
 		}
 		if r.Delay < 0 {
 			return fmt.Errorf("chaos: rule %d: negative delay", i)

@@ -253,6 +253,63 @@ func TestChaosMediaPulse(t *testing.T) {
 	}
 }
 
+// TestChaosPowerCut: one power-cut rule over two devices counts their
+// media writes together and, from its Nth on, drops every write on both
+// while the ports report success, even after the rule is spent; Pulse
+// never fires it, and Disarm restores power.
+func TestChaosPowerCut(t *testing.T) {
+	rpA, devA := chaosPort(t, "cutA")
+	rpB, devB := chaosPort(t, "cutB")
+	eng, err := NewEngine(Plan{Seed: 5, Rules: []Rule{{
+		Site: SiteMedia, Action: ActPowerCut, Trigger: Trigger{Nth: 5},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.AttachDevice(devA)
+	eng.AttachDevice(devB)
+	eng.AttachMedia("cutA", func(uint64) error {
+		t.Error("Pulse planted poison for a power-cut rule")
+		return nil
+	})
+	eng.Pulse()
+	if eng.Fires() != 0 {
+		t.Fatal("Pulse fired the power cut")
+	}
+
+	var line [cxl.LineSize]byte
+	ports := []*cxl.RootPort{rpA, rpB}
+	devs := []*cxl.Type3Device{devA, devB}
+	for i := range 10 {
+		line[0] = byte(i + 1)
+		if err := ports[i%2].WriteLine(uint64(i*cxl.LineSize), &line); err != nil {
+			t.Fatalf("write %d across the cut: %v", i+1, err)
+		}
+	}
+	for i := range 10 {
+		var got [1]byte
+		if err := devs[i%2].Media().ReadAt(got[:], int64(i*cxl.LineSize)); err != nil {
+			t.Fatal(err)
+		}
+		if landed := got[0] == byte(i+1); landed != (i < 4) {
+			t.Errorf("write %d landed = %v, want only the 4 before the cut", i+1, landed)
+		}
+	}
+	if want := fmt.Sprintf("#0 r0 media/power-cut m5 kfd @%#x\n", 4*cxl.LineSize); eng.ScheduleString() != want {
+		t.Errorf("schedule %q, want %q", eng.ScheduleString(), want)
+	}
+
+	eng.Disarm()
+	line[0] = 0xEE
+	if err := rpB.WriteLine(0, &line); err != nil {
+		t.Fatal(err)
+	}
+	var got [1]byte
+	if err := devB.Media().ReadAt(got[:], 0); err != nil || got[0] != 0xEE {
+		t.Errorf("write after Disarm read back %#x, %v; want it landed", got[0], err)
+	}
+}
+
 // TestChaosLinkFlap: a flap parks the next transaction in Retraining
 // and replays it when the link comes back — no error ever surfaces.
 func TestChaosLinkFlap(t *testing.T) {
@@ -330,6 +387,7 @@ func TestChaosValidate(t *testing.T) {
 	bad := []Plan{
 		{Rules: []Rule{{Site: SitePort, Action: ActFlap, Trigger: Trigger{Nth: 1}}}},
 		{Rules: []Rule{{Site: SiteMedia, Action: ActPoison, Trigger: Trigger{Nth: 1}}}},
+		{Rules: []Rule{{Site: SiteMedia, Action: ActPowerCut, Trigger: Trigger{Nth: 1, AddrHi: 4096}}}},
 		{Rules: []Rule{{Site: SitePort, Action: ActCorrupt}}},
 		{Rules: []Rule{{Site: SitePort, Action: ActCorrupt, Trigger: Trigger{Prob: 1.5}}}},
 		{Rules: []Rule{{Site: SitePort, Action: ActCorrupt, Trigger: Trigger{Nth: 1, AddrLo: 8, AddrHi: 8}}}},
@@ -343,6 +401,7 @@ func TestChaosValidate(t *testing.T) {
 	good := Plan{Rules: []Rule{
 		{Site: SiteLink, Action: ActFlap, Trigger: Trigger{Prob: 0.5}},
 		{Site: SiteMedia, Action: ActPoison, Trigger: Trigger{Nth: 1, AddrHi: 4096}},
+		{Site: SiteMedia, Action: ActPowerCut, Trigger: Trigger{Nth: 1}},
 	}}
 	if err := good.validate(); err != nil {
 		t.Errorf("good plan rejected: %v", err)
@@ -358,7 +417,7 @@ func TestChaosParseRoundTrip(t *testing.T) {
 			t.Errorf("ParseSite(%q) = %v, %v", s.String(), got, err)
 		}
 	}
-	for _, a := range []Action{ActCorrupt, ActDrop, ActDelay, ActReorder, ActFlap, ActRemove, ActStall, ActGarble, ActPoison} {
+	for _, a := range []Action{ActCorrupt, ActDrop, ActDelay, ActReorder, ActFlap, ActRemove, ActStall, ActGarble, ActPoison, ActPowerCut} {
 		got, err := ParseAction(a.String())
 		if err != nil || got != a {
 			t.Errorf("ParseAction(%q) = %v, %v", a.String(), got, err)

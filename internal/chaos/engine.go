@@ -39,7 +39,8 @@ type Fire struct {
 	// Kind is the wire flit kind byte (kindMailbox/kindMedia for
 	// command/media fires).
 	Kind uint8
-	// Addr is the event address (flit HPA, mailbox opcode, poison DPA).
+	// Addr is the event address (flit HPA, mailbox opcode, poison DPA,
+	// the DPA of the write a power cut dropped first).
 	Addr uint64
 }
 
@@ -92,6 +93,10 @@ type Engine struct {
 	nfire uint64
 	atts  []*attachment
 	media []*mediaAttach
+
+	// powerLost latches once a power-cut rule fires: every device
+	// AttachDevice armed drops its media writes from then on.
+	powerLost atomic.Bool
 }
 
 // NewEngine validates the plan and compiles its rule state.
@@ -367,13 +372,13 @@ func (e *Engine) AttachMailbox(name string, mb *cxl.Mailbox) {
 	})
 }
 
-// AttachMedia arms the plan's media rules against one device, with
-// poison planting latent corruption at a line-aligned DPA. Media rules
+// AttachMedia arms the plan's poison rules against one device, with
+// poison planting latent corruption at a line-aligned DPA. Poison rules
 // have no event stream of their own; Pulse advances them.
 func (e *Engine) AttachMedia(name string, poison func(dpa uint64) error) {
 	var rules []*ruleState
 	for _, rs := range e.rules {
-		if rs.r.Site == SiteMedia && (rs.r.Target == "" || rs.r.Target == name) {
+		if rs.r.Action == ActPoison && (rs.r.Target == "" || rs.r.Target == name) {
 			rules = append(rules, rs)
 		}
 	}
@@ -413,8 +418,52 @@ func (e *Engine) Pulse() {
 	}
 }
 
+// AttachDevice arms the plan's power cut against a Type-3 device's
+// media writes (its SetPowerCut slot). Every device the engine attaches
+// shares one cut, since a power loss hits them together: each media
+// write on any of them is one match of every power-cut rule that
+// targets its device, so a rule's Nth match is the Nth write across
+// them, and once a rule fires, that write and every later one on every
+// attached device is dropped. The cut stays armed after its rules are
+// spent; Disarm removes it.
+func (e *Engine) AttachDevice(d *cxl.Type3Device) {
+	var rules []*ruleState
+	armed := false
+	for _, rs := range e.rules {
+		if rs.r.Action != ActPowerCut {
+			continue
+		}
+		armed = true
+		if rs.r.Target == "" || rs.r.Target == d.Name() {
+			rules = append(rules, rs)
+		}
+	}
+	if !armed {
+		return
+	}
+	e.mu.Lock()
+	e.atts = append(e.atts, &attachment{uninstall: func() { d.SetPowerCut(nil) }})
+	e.mu.Unlock()
+	d.SetPowerCut(func(dpa uint64) bool {
+		if e.powerLost.Load() {
+			return true
+		}
+		for _, rs := range rules {
+			if rs.exhausted.Load() {
+				continue
+			}
+			if m, fire := e.decide(rs); fire {
+				e.record(rs, m, kindMedia, dpa)
+				e.powerLost.Store(true)
+				return true
+			}
+		}
+		return false
+	})
+}
+
 // Disarm uninstalls every hook the engine armed, regardless of rule
-// exhaustion. Safe to call more than once.
+// exhaustion, the power cut's included. Safe to call more than once.
 func (e *Engine) Disarm() {
 	e.mu.Lock()
 	atts := e.atts

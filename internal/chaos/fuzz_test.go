@@ -85,6 +85,7 @@ func FuzzChaosPlan(f *testing.F) {
 			eng.AttachPort(rp)
 			eng.AttachMailbox(dev.Name(), mb)
 			eng.AttachMedia(dev.Name(), func(dpa uint64) error { return nil })
+			eng.AttachDevice(dev)
 			defer eng.Disarm()
 
 			var line [cxl.LineSize]byte

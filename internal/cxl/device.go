@@ -79,34 +79,50 @@ type Type3Device struct {
 	mu       sync.RWMutex
 	decoders []*HDMDecoder
 	poisoned func(dpa, n uint64) bool
-	// snap caches an immutable copy of the decoder list and RAS hooks:
+	cut      func(dpa uint64) bool
+	// snap caches an immutable copy of the decoder list and hooks:
 	// every transaction reads it, and must not pay a read-lock round
 	// trip for configuration that changes only at enumeration time.
 	snap atomic.Pointer[deviceSnapshot]
 }
 
 // deviceSnapshot is the immutable hot-path view of the device config:
-// the decoders and the poison probe, nil when no RAS hook is installed.
+// the decoders, the poison probe (nil when no RAS hook is installed)
+// and the media every data-path access reads and writes: the device's
+// own, or cutMedia in front of it while a power cut is armed.
 type deviceSnapshot struct {
 	decoders []*HDMDecoder
 	poisoned func(dpa, n uint64) bool
+	media    memdev.Device
 }
-
-// noConfig is the snapshot of a device nothing has been programmed on.
-var noConfig deviceSnapshot
 
 // publish refreshes the hot-path snapshot; callers hold d.mu.
 func (d *Type3Device) publish() {
-	d.snap.Store(&deviceSnapshot{decoders: d.decoders, poisoned: d.poisoned})
+	media := d.media
+	if d.cut != nil {
+		media = cutMedia{Device: d.media, cut: d.cut}
+	}
+	d.snap.Store(&deviceSnapshot{decoders: d.decoders, poisoned: d.poisoned, media: media})
 }
 
-// snapshot returns the current hot-path view.
-func (d *Type3Device) snapshot() *deviceSnapshot {
-	if s := d.snap.Load(); s != nil {
-		return s
-	}
-	return &noConfig
+// cutMedia is a device's media as the data path sees it while a power
+// cut is armed: a write the cut reports lost never reaches the media,
+// and WriteAt reports it done, as a host sees a device that lost power.
+type cutMedia struct {
+	memdev.Device
+	cut func(dpa uint64) bool
 }
+
+func (m cutMedia) WriteAt(p []byte, off int64) error {
+	if m.cut(uint64(off)) {
+		return nil
+	}
+	return m.Device.WriteAt(p, off)
+}
+
+// snapshot returns the current hot-path view; NewType3 publishes the
+// first.
+func (d *Type3Device) snapshot() *deviceSnapshot { return d.snap.Load() }
 
 // decode resolves hpa through the first decoder, in programming order,
 // whose window maps it.
@@ -150,6 +166,7 @@ func NewType3(name string, vendor, deviceID uint16, media memdev.Device) (*Type3
 		return nil, fmt.Errorf("cxl: %s: nil media", name)
 	}
 	d := &Type3Device{name: name, media: media}
+	d.publish()
 	d.cfg.InitIdentity(vendor, deviceID, ClassMemoryCXL)
 	d.cfg.InstallCXLDVSEC(CapIO|CapMem, uint64(media.Capacity().Bytes()))
 	return d, nil
@@ -216,14 +233,14 @@ func (d *Type3Device) poisonHit() {
 
 // access is the media step full-line reads and writes share — single
 // lines and bursts alike — once their span has decoded and passed the
-// poison probe: one media read or write, charging one error on failure.
-// The caller charges success.
-func (d *Type3Device) access(write bool, dpa uint64, p []byte) bool {
+// poison probe: one read or write of the snapshot's media, charging
+// one error on failure. The caller charges success.
+func (d *Type3Device) access(s *deviceSnapshot, write bool, dpa uint64, p []byte) bool {
 	var err error
 	if write {
-		err = d.media.WriteAt(p, int64(dpa))
+		err = s.media.WriteAt(p, int64(dpa))
 	} else {
-		err = d.media.ReadAt(p, int64(dpa))
+		err = s.media.ReadAt(p, int64(dpa))
 	}
 	if err != nil {
 		d.stats.Errors.Add(1)
@@ -287,12 +304,12 @@ func (d *Type3Device) serve(fr *frame) RespOpcode {
 	}
 	switch req.Opcode {
 	case OpMemRd:
-		if d.access(false, dpa, fr.line[:]) {
+		if d.access(s, false, dpa, fr.line[:]) {
 			d.stats.Reads.Add(1)
 			return RespMemData
 		}
 	case OpMemWr:
-		if d.access(true, dpa, req.Data[:]) {
+		if d.access(s, true, dpa, req.Data[:]) {
 			d.stats.Writes.Add(1)
 			return RespCmp
 		}
@@ -304,7 +321,7 @@ func (d *Type3Device) serve(fr *frame) RespOpcode {
 		for mask := req.Mask; mask != 0 && err == nil; {
 			lo := bits.TrailingZeros64(mask)
 			n := bits.TrailingZeros64(^(mask >> lo))
-			err = d.media.WriteAt(req.Data[lo:lo+n], int64(dpa)+int64(lo))
+			err = s.media.WriteAt(req.Data[lo:lo+n], int64(dpa)+int64(lo))
 			mask &^= (1<<n - 1) << lo
 		}
 		if err == nil {
@@ -343,7 +360,7 @@ func (d *Type3Device) burst(req *MemReq, payload []byte) RespOpcode {
 	} else if s.poisonedAt(dpa, uint64(len(payload))) {
 		d.poisonHit()
 	} else {
-		ok = d.access(write, dpa, payload)
+		ok = d.access(s, write, dpa, payload)
 	}
 	if !ok {
 		return RespErr
@@ -377,7 +394,7 @@ func (d *Type3Device) burstByLine(s *deviceSnapshot, write bool, hpa uint64, pay
 		dpas[i] = dpa
 	}
 	for i, dpa := range dpas[:lines] {
-		if !d.access(write, dpa, payload[i*LineSize:(i+1)*LineSize]) {
+		if !d.access(s, write, dpa, payload[i*LineSize:(i+1)*LineSize]) {
 			return false
 		}
 	}
@@ -393,6 +410,20 @@ func (d *Type3Device) SetPoisonChecker(f func(dpa, n uint64) bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.poisoned = f
+	d.publish()
+}
+
+// SetPowerCut installs the power-loss hook every media write of the
+// data path asks before it reaches the media — a full line, one run of
+// a MemWrPtl's mask, a burst (the chaos engine's power-cut action arms
+// it): cut reports whether power is lost for the write at dpa. A write
+// it reports lost is dropped, and the device answers as if it had
+// landed, as a host sees a power loss. nil removes the hook, and with
+// it the hook's only cost to the data path.
+func (d *Type3Device) SetPowerCut(cut func(dpa uint64) bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.cut = cut
 	d.publish()
 }
 

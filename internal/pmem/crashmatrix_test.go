@@ -2,6 +2,7 @@ package pmem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -247,14 +248,17 @@ func TestCrashMatrixLaneIndependence(t *testing.T) {
 	}
 }
 
-// TestTornCommitThenTornBegin cuts power twice on one lane: first at
-// every media write of a Commit, then, after recovery, at every media
-// write of the next Begin on the same lane. Whatever the first
-// recovery decided (rolled back or committed), a Begin that adds no
-// range must not change it: the lane's undo entries belong to a
-// finished transaction, so the torn Begin must not leave them live
-// for the second recovery to replay over committed data.
-func TestTornCommitThenTornBegin(t *testing.T) {
+// TestTornCommitThenTornFirstEntry cuts power twice on one lane: first
+// at every media write of a Commit, then, after recovery, at every media
+// write of the next transaction's first AddRange on the same lane and
+// range: its entry, then the header that marks the lane active with one
+// entry. Whatever the first recovery decided (rolled back or
+// committed), the torn AddRange must not change it. The lane still
+// holds the finished transaction's entry for the same range, with a
+// valid checksum, so a header that reached the media before the new
+// entry would have the second recovery replay that stale snapshot over
+// committed data.
+func TestTornCommitThenTornFirstEntry(t *testing.T) {
 	const size = 64
 	old := bytes.Repeat([]byte{0x0A}, size)
 	new_ := bytes.Repeat([]byte{0x0B}, size)
@@ -302,22 +306,39 @@ func TestTornCommitThenTornBegin(t *testing.T) {
 		}
 		return got
 	}
+	// begin opens the next transaction, which must take the torn
+	// commit's lane.
+	begin := func(p *Pool, lane uint64) *Tx {
+		tx, err := p.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tx.lane.idx != lane {
+			t.Fatalf("second Begin took lane %d, want the torn commit's lane %d", tx.lane.idx, lane)
+		}
+		return tx
+	}
 
-	// Control run: how many media writes Commit and Begin make.
-	p, r, _, tx := setup()
+	// Control run: how many media writes Commit and the next first
+	// AddRange make.
+	p, r, oid, tx := setup()
 	w := r.writes
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	commitWrites := r.writes - w
+	tx2 := begin(p, tx.lane.idx)
 	w = r.writes
-	if _, err := p.Begin(); err != nil {
+	if err := tx2.AddRange(oid, 0, size); err != nil {
 		t.Fatal(err)
 	}
-	beginWrites := r.writes - w
+	addWrites := r.writes - w
+	if addWrites < 2 {
+		t.Fatalf("first AddRange made %d media writes; want its entry, then the header", addWrites)
+	}
 
 	for c := 0; c <= commitWrites; c++ {
-		for b := 0; b <= beginWrites; b++ {
+		for a := 0; a <= addWrites; a++ {
 			p, r, oid, tx := setup()
 			r.cutoff = r.writes + c
 			_ = tx.Commit() // the cut drops writes silently; recovery shows the damage
@@ -329,21 +350,79 @@ func TestTornCommitThenTornBegin(t *testing.T) {
 				t.Fatalf("commit cut=%d: torn object %x", c, first[:8])
 			}
 
-			r.cutoff = r.writes + b
-			tx2, err := p2.Begin()
+			tx2 := begin(p2, tx.lane.idx)
+			r.cutoff = r.writes + a
+			_ = tx2.AddRange(oid, 0, size)
 			r.cutoff = -1
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tx2.lane.idx != tx.lane.idx {
-				t.Fatalf("second Begin took lane %d, want the torn commit's lane %d", tx2.lane.idx, tx.lane.idx)
-			}
 			p2.SimulateCrash()
 			reopen(r)
 			if got := read(r, oid); !bytes.Equal(got, first) {
-				t.Errorf("commit cut=%d, begin cut=%d: object %#x after first recovery, %#x after a torn Begin",
-					c, b, first[0], got[0])
+				t.Errorf("commit cut=%d, first-entry cut=%d: object %#x after first recovery, %#x after a torn first AddRange",
+					c, a, first[0], got[0])
 			}
 		}
+	}
+}
+
+// TestOpenIdlesActiveLaneWithNoEntries: a lane whose header reads active
+// with no entries, over a finished transaction's entries, is what a
+// power loss right after Begin left in pools written while Begin still
+// marked its lane active. Nothing writes that state now, so this test
+// writes it directly: Open must succeed, replay none of the stale
+// entries and leave the lane idle.
+func TestOpenIdlesActiveLaneWithNoEntries(t *testing.T) {
+	r := newMemRegion(testPoolSize, true)
+	p, err := Create(r, "stale")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oid, err := p.Alloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A committed transaction leaves its entry, a snapshot of zeroes,
+	// behind the idle header of lane 0, the lowest free lane.
+	const lane = 0
+	committed := bytes.Repeat([]byte{0x5C}, 64)
+	if err := p.Update(oid, 0, 64, func(v []byte) error {
+		copy(v, committed)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	base := p.laneBase(lane)
+	var entry [entryHeaderSize]byte
+	if err := r.ReadAt(entry[:], int64(base+laneHeaderSize)); err != nil {
+		t.Fatal(err)
+	}
+	if got := binary.LittleEndian.Uint64(entry[0:]); got != oid.Off {
+		t.Fatalf("lane %d's stale entry targets %#x, want the object at %#x", lane, got, oid.Off)
+	}
+	var hdr [laneHeaderSize]byte
+	binary.LittleEndian.PutUint32(hdr[logState:], logActive)
+	if err := r.WriteAt(hdr[:], int64(base)); err != nil {
+		t.Fatal(err)
+	}
+	p.SimulateCrash()
+
+	p2, err := Open(r, "stale")
+	if err != nil {
+		t.Fatalf("Open over an active lane with no entries: %v", err)
+	}
+	got := make([]byte, 64)
+	if err := r.ReadAt(got, int64(oid.Off)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, committed) {
+		t.Errorf("object % x after recovery, want the committed bytes: a stale entry was replayed", got[:8])
+	}
+	if err := r.ReadAt(hdr[:], int64(base)); err != nil {
+		t.Fatal(err)
+	}
+	if hdr != [laneHeaderSize]byte{} {
+		t.Errorf("lane header % x after recovery, want idle with no entries", hdr)
+	}
+	if err := p2.Update(oid, 0, 8, func(v []byte) error { v[0] = 1; return nil }); err != nil {
+		t.Fatalf("tx after recovery: %v", err)
 	}
 }

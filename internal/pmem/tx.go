@@ -41,12 +41,17 @@ import (
 //
 // entry: [off u64][len u64][crc u32][pad u32][data ...] padded to 8.
 //
-// Begin, Commit and lane clearing write the state and count words
-// together as one 8-byte header store, the failure-atomic unit PMDK
-// relies on: the lane is never seen active with a stale count or idle
-// with a live one. The lane base is line-aligned, so over CXL.mem the
-// header is a single MemWrPtl. Only AddRange writes the count alone,
-// after its entry, as the recovery fence.
+// Every write of the state word writes the count word with it, as one
+// 8-byte header store, the failure-atomic unit PMDK relies on: the lane
+// is never seen active with a stale count or idle with a live one. The
+// lane base is line-aligned, so over CXL.mem the header is a single
+// MemWrPtl. Each write leaves the header idle with no entries except
+// the one that makes a lane active, so Begin writes nothing: the first
+// AddRange writes its entry, then the header as active with one entry.
+// Later AddRanges write the count word alone, after their entry. Either
+// way the count write is the recovery fence. Commit's header write back
+// to idle is the commit point, and a transaction that added no range
+// finishes without one.
 const (
 	logState = 0
 	logCount = 4
@@ -140,12 +145,13 @@ func (p *Pool) Begin() (*Tx, error) {
 	return &Tx{p: p, lane: l}, nil
 }
 
-// claimLane takes a free lane, resets its state and marks it active,
-// with no entries, on media. The caller holds stateMu for read. When
-// no lane is free, claimLane drops the lock to wait for one and takes
-// it again: a waiter holding it would keep Close and SimulateCrash
-// from running, and with them the stranded transactions it waits on
-// from finishing.
+// claimLane takes a free lane and resets its volatile state. It writes
+// nothing: the lane's header on media already reads idle with no
+// entries, and the first AddRange marks it active. The caller holds
+// stateMu for read. When no lane is free, claimLane drops the lock to
+// wait for one and takes it again: a waiter holding it would keep Close
+// and SimulateCrash from running, and with them the stranded
+// transactions it waits on from finishing.
 func (p *Pool) claimLane() (*txLane, error) {
 	if err := p.checkLive("tx-begin"); err != nil {
 		return nil, err
@@ -174,11 +180,6 @@ func (p *Pool) claimLane() (*txLane, error) {
 		}
 	}
 	l.cursor, l.count, l.ranges = laneHeaderSize, 0, l.ranges[:0]
-	// Mark the lane active, with no entries, before any entry lands.
-	if err := p.laneWriteHeader(l, logActive); err != nil {
-		p.putLane(l)
-		return nil, err
-	}
 	return l, nil
 }
 
@@ -275,7 +276,7 @@ func (tx *Tx) addRange(oid OID, off, n uint64) error {
 	if err := p.region.WriteAt(entry, int64(p.laneBase(l.idx)+l.cursor)); err != nil {
 		return err
 	}
-	// Entry persisted; only then bump the count (the recovery fence).
+	// Entry persisted; only then count it (the recovery fence).
 	l.cursor += need
 	l.count++
 	if err := p.laneWriteCount(l); err != nil {
@@ -314,9 +315,12 @@ func (tx *Tx) Commit() error {
 	p.Drain()
 	// The commit point: a single 8-byte lane-header write (idle, no
 	// entries). Before it, recovery rolls this lane back; after it,
-	// the new data is the truth.
-	if err := p.clearLane(tx.lane); err != nil {
-		return err
+	// the new data is the truth. A transaction that counted no entry
+	// left the header idle and has no commit point to write.
+	if tx.lane.count > 0 {
+		if err := p.clearLane(tx.lane); err != nil {
+			return err
+		}
 	}
 	tx.release()
 	p.stats.TxCommits.Add(1)
@@ -338,44 +342,53 @@ func (tx *Tx) Abort() error {
 		tx.release()
 		return err
 	}
-	if err := p.replayLane(tx.lane, p.region.ReadAt); err != nil {
-		tx.abandon()
-		return err
-	}
-	// Refresh the view from the restored media.
-	for _, r := range tx.lane.ranges {
-		if err := p.region.ReadAt(p.view[r.off:r.off+r.n], int64(r.off)); err != nil {
+	// A transaction that counted no entry left its lane idle on media,
+	// with nothing to roll back.
+	if l := tx.lane; l.count > 0 {
+		if err := p.replayLane(l, p.region.ReadAt); err != nil {
 			tx.abandon()
 			return err
 		}
-	}
-	if err := p.clearLane(tx.lane); err != nil {
-		tx.abandon()
-		return err
+		// Refresh the view from the restored media.
+		for _, r := range l.ranges {
+			if err := p.region.ReadAt(p.view[r.off:r.off+r.n], int64(r.off)); err != nil {
+				tx.abandon()
+				return err
+			}
+		}
+		if err := p.clearLane(l); err != nil {
+			tx.abandon()
+			return err
+		}
 	}
 	tx.release()
 	p.stats.TxAborts.Add(1)
 	return nil
 }
 
-// laneWriteCount writes a lane's entry count word alone straight to
-// media.
+// laneWriteCount writes a lane's entry count straight to media, the
+// recovery fence after each entry: the first entry's count together
+// with the active state as one header store, a later one's as the
+// count word alone.
 func (p *Pool) laneWriteCount(l *txLane) error {
+	if l.count == 1 {
+		return p.laneWriteHeader(l, logActive, 1)
+	}
 	b := l.words[logCount:]
 	binary.LittleEndian.PutUint32(b, l.count)
 	return p.region.WriteAt(b, int64(p.laneBase(l.idx)+logCount))
 }
 
-// laneWriteHeader writes a lane's state word and a zero entry count
-// straight to media as one 8-byte store.
-func (p *Pool) laneWriteHeader(l *txLane, state uint32) error {
+// laneWriteHeader writes a lane's state and entry count words straight
+// to media as one 8-byte store.
+func (p *Pool) laneWriteHeader(l *txLane, state, count uint32) error {
 	binary.LittleEndian.PutUint32(l.words[logState:], state)
-	binary.LittleEndian.PutUint32(l.words[logCount:], 0)
+	binary.LittleEndian.PutUint32(l.words[logCount:], count)
 	return p.region.WriteAt(l.words[:], int64(p.laneBase(l.idx)))
 }
 
 // clearLane marks one lane idle, with no entries, on media.
-func (p *Pool) clearLane(l *txLane) error { return p.laneWriteHeader(l, logIdle) }
+func (p *Pool) clearLane(l *txLane) error { return p.laneWriteHeader(l, logIdle, 0) }
 
 // clearLog marks every lane idle on media (pool creation / recovery).
 func (p *Pool) clearLog() error {
